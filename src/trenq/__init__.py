@@ -53,7 +53,6 @@ from .oracle import (
 )
 from .potentials import (
     ConditionReport,
-    FormalWell,
     Lenz,
     LogWell,
     QuantumNumbers,
@@ -63,12 +62,10 @@ from .potentials import (
     Tietz,
     WellScaling,
     check_conditions,
-    formal_well,
     lambda_of,
     load_potential,
     scale_log_well,
     to_log_well,
-    well_max,
 )
 from .thresholds import (
     RenormalizationRow,

@@ -15,19 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateWellError, InputError
-from .numerics import (
-    adaptive_gauss,
-    bisect_monotone,
-    composite_knot_integral,
-    gauss_nodes,
-    integrate_endpoint_singular,
-)
-from .potentials import FormalWell, LogWell, Settings
+from .numerics import adaptive_gauss, bisect_monotone, composite_knot_integral, gauss_nodes
+from .potentials import LogWell, Settings
 
 # relative slack for "lambda^2 equals V_m" and domain-floor comparisons
 _EDGE_RTOL = 1e-14
@@ -129,42 +124,77 @@ def _turning_ratio(w: LogWell, lambda2: float, pair: TurningPair):
     return mid, half, q_of
 
 
+def _turning_point_integral(
+    w: LogWell,
+    lambda2: float,
+    pair: TurningPair,
+    power: float,
+    weight: Callable[[np.ndarray], np.ndarray] | None,
+    tol: float,
+    *,
+    rtol: float = 0.0,
+    best_effort: bool = False,
+) -> tuple[float, float]:
+    """Integral of weight(rho) * (W - lambda^2)^power over a turning pair.
+
+    power is +1/2 or -1/2; weight None stands for 1.  Piecewise profiles use
+    the knot-aligned composite rule.  A pair at the domain cut has no
+    turning point, so the sine map alone makes the integrand smooth.  A true
+    turning pair is integrated in the Q form of _turning_ratio.  The
+    adaptive rules stop at an error estimate of max(tol, rtol * |value|).
+    Returns (value, error estimate).
+    """
+    at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
+
+    def raised(gap: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        if power > 0.0:
+            root = np.sqrt(gap)
+            return root if weight is None else root * weight(rho)
+        positive = gap > 0.0
+        return np.where(positive, weight(rho) / np.sqrt(np.where(positive, gap, 1.0)), 0.0)
+
+    def direct(rho: np.ndarray) -> np.ndarray:
+        return raised(np.maximum(w.profile(rho) - lambda2, 0.0), rho)
+
+    if w.breakpoints is not None:
+        return composite_knot_integral(
+            direct, pair.rho1, pair.rho2, w.breakpoints, sqrt_lo=not at_cut, sqrt_hi=not at_cut
+        )
+    if at_cut:
+        mid = 0.5 * (pair.rho1 + pair.rho2)
+        half = 0.5 * (pair.rho2 - pair.rho1)
+
+        def f_theta(theta: np.ndarray) -> np.ndarray:
+            return direct(mid + half * np.sin(theta)) * half * np.cos(theta)
+
+    else:
+        mid, half, q_of = _turning_ratio(w, lambda2, pair)
+
+        def f_theta(theta: np.ndarray) -> np.ndarray:
+            # W - lambda^2 = (half cos(theta))^2 Q and d rho = half cos(theta) d theta
+            value = raised(q_of(theta), mid + half * np.sin(theta))
+            return half * half * np.cos(theta) ** 2 * value if power > 0.0 else value
+
+    return adaptive_gauss(
+        f_theta, -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort
+    )
+
+
 def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, float]:
     if lam < 0.0:
         raise InputError(f"lambda must be nonnegative, got {lam}")
     lambda2 = lam * lam
-    if lambda2 > w.V_m * (1.0 + _EDGE_RTOL):
-        raise InputError(
-            f"lambda = {lam:g} exceeds sqrt(V_m) = {math.sqrt(w.V_m):g}: zero-measure region"
-        )
-    if lambda2 >= w.V_m * (1.0 - _EDGE_RTOL):
-        return 0.0, 0.0
     pair = turning_points(w, lambda2, s)
-    tol = s.quad_tol * math.pi * s.hbar
-    at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
-
-    def g(rho: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(w.profile(rho) - lambda2, 0.0))
-
-    if w.breakpoints is not None:
-        value, err = composite_knot_integral(
-            g, pair.rho1, pair.rho2, w.breakpoints, sqrt_lo=not at_cut, sqrt_hi=not at_cut
-        )
-    elif at_cut:
-        # endpoints are the domain cut, not turning points: the integrand is
-        # smooth there and the truncated tails are added in closed form
-        value, err = integrate_endpoint_singular(g, pair.rho1, pair.rho2, tol)
-    else:
-        _, half, q_of = _turning_ratio(w, lambda2, pair)
-
-        def f_theta(theta: np.ndarray) -> np.ndarray:
-            return half * half * np.cos(theta) ** 2 * np.sqrt(q_of(theta))
-
-        value, err = adaptive_gauss(f_theta, -0.5 * math.pi, 0.5 * math.pi, tol)
-    if at_cut:
+    if pair.degenerate:
+        return 0.0, 0.0
+    scale = math.pi * s.hbar
+    value, err = _turning_point_integral(
+        w, lambda2, pair, 0.5, None, s.quad_tol * scale, rtol=s.quad_tol
+    )
+    if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
+        # the domain was cut, not bounded by turning points: add the tails
         value += _exponential_tail(float(w.profile(w.rho_left)), lambda2, w.decay_left)
         value += _exponential_tail(float(w.profile(w.rho_right)), lambda2, w.decay_right)
-    scale = math.pi * s.hbar
     return value / scale, err / scale
 
 
@@ -255,23 +285,23 @@ def fit_phi(profile: ActionProfile) -> float:
     return num / den
 
 
-def correction_inner_integral(fw: FormalWell, epsilon: float, s: Settings) -> float:
+def correction_inner_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     """Inner integral F(eps) = integral (dV/dx)^2 / sqrt(eps - V) dx.
 
-    Taken between the turning points V = eps of the formal well; the
-    inverse-square-root endpoint singularity is removed by the sine
-    substitution.  dV/dx uses the analytic well derivative when available
-    and centered differences otherwise.
+    V = (V_m - W)/2 is the formal well, with asymptote V_m/2 at both ends,
+    and the integral runs between its turning points V = eps, where
+    eps - V = (W - lambda^2)/2 with lambda^2 = V_m - 2 eps.  dV/dx uses the
+    analytic well derivative when available and centered differences
+    otherwise.  The quadrature keeps the absolute tolerance quad_tol and
+    returns its saturated value when that cannot be met.
     """
-    w = fw.well
     if epsilon < 0.0:
         raise InputError(f"formal energy must be nonnegative, got {epsilon}")
     if epsilon == 0.0:
         return 0.0
-    if epsilon > fw.v_limit * (1.0 + 1e-12):
-        raise InputError(
-            f"formal energy {epsilon:g} exceeds the well asymptote {fw.v_limit:g}"
-        )
+    v_limit = 0.5 * w.V_m
+    if epsilon > v_limit * (1.0 + 1e-12):
+        raise InputError(f"formal energy {epsilon:g} exceeds the well asymptote {v_limit:g}")
     lambda2 = max(w.V_m - 2.0 * epsilon, 0.0)
     pair = turning_points(w, lambda2, s)
 
@@ -286,33 +316,11 @@ def correction_inner_integral(fw: FormalWell, epsilon: float, s: Settings) -> fl
         def dv(rho: np.ndarray) -> np.ndarray:
             return -0.5 * (w.profile(rho + delta) - w.profile(rho - delta)) / (2.0 * delta)
 
-    at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
+    def weight(rho: np.ndarray) -> np.ndarray:
+        # 1/sqrt(eps - V) = sqrt(2)/sqrt(W - lambda^2)
+        return dv(rho) ** 2 * math.sqrt(2.0)
 
-    def g(rho: np.ndarray) -> np.ndarray:
-        gap = 0.5 * np.maximum(w.profile(rho) - lambda2, 0.0)
-        slope2 = dv(rho) ** 2
-        return np.where(gap > 0.0, slope2 / np.sqrt(np.where(gap > 0.0, gap, 1.0)), 0.0)
-
-    if w.breakpoints is not None:
-        value, _ = composite_knot_integral(
-            g, pair.rho1, pair.rho2, w.breakpoints, sqrt_lo=not at_cut, sqrt_hi=not at_cut
-        )
-        return value
-
-    if at_cut:
-        # domain-cut endpoints: eps - V stays positive there, no singularity
-        value, _ = integrate_endpoint_singular(g, pair.rho1, pair.rho2, s.quad_tol, best_effort=True)
-        return value
-
-    mid, half, q_of = _turning_ratio(w, lambda2, pair)
-
-    def f_theta(theta: np.ndarray) -> np.ndarray:
-        # eps - V = (W - lambda^2)/2 = (c cos(theta))^2 Q / 2
-        q = q_of(theta)
-        slope2 = dv(mid + half * np.sin(theta)) ** 2
-        return np.where(q > 0.0, slope2 * math.sqrt(2.0) / np.sqrt(np.where(q > 0.0, q, 1.0)), 0.0)
-
-    value, _ = adaptive_gauss(
-        f_theta, -0.5 * math.pi, 0.5 * math.pi, s.quad_tol, best_effort=True
+    value, _ = _turning_point_integral(
+        w, lambda2, pair, -0.5, weight, s.quad_tol, best_effort=True
     )
     return value

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,6 @@ class RunConfig:
     oracle: bool = False
     quad_tol: float = 1e-10
     ode_tol: float = 1e-10
-    comments: list[str] = field(default_factory=list)
 
     def settings(self) -> Settings:
         return Settings(hbar=self.hbar, quad_tol=self.quad_tol, ode_tol=self.ode_tol)
@@ -138,8 +137,6 @@ def _transform_exponent(config: RunConfig) -> int:
 
 
 def _states(config: RunConfig) -> list[QuantumNumbers]:
-    if config.n_max < 0 or config.l_max < 0:
-        raise InputError("n_max and l_max must be nonnegative")
     return [
         QuantumNumbers(n=n, l=l, d=config.d)
         for n in range(config.n_max + 1)
@@ -162,7 +159,7 @@ def _run_well(config: RunConfig) -> int:
     w_vals = np.asarray(well.profile(rho), dtype=float)
     v_vals = 0.5 * (well.V_m - w_vals)
     rows = [[r, wv, vv] for r, wv, vv in zip(rho, w_vals, v_vals)]
-    _emit(config, ["rho", "W", "V"], rows, config.comments)
+    _emit(config, ["rho", "W", "V"], rows, [])
     return 0
 
 
@@ -174,7 +171,7 @@ def _run_action(config: RunConfig) -> int:
         [lam, ival, profile.Phi_m - ival]
         for lam, ival in zip(profile.lambda_grid, profile.I_values)
     ]
-    _emit(config, ["lambda", "I", "t"], rows, config.comments)
+    _emit(config, ["lambda", "I", "t"], rows, [])
     return 0
 
 
@@ -210,7 +207,7 @@ def _run_tren(config: RunConfig) -> int:
     nu = config.n + 0.5
     T = t_effective(nu, lam, phi)
     rows = [[config.n, config.l, config.d, nu, lam, phi, T, t_ren(T)]]
-    _emit(config, ["n", "l", "d", "nu", "lambda", "phi", "T", "T_ren"], rows, config.comments)
+    _emit(config, ["n", "l", "d", "nu", "lambda", "phi", "T", "T_ren"], rows, [])
     return 0
 
 
@@ -227,7 +224,7 @@ def _run_spectrum(config: RunConfig) -> int:
         if lam_n <= floor:
             break
         rows.append([n, lam_n])
-    _emit(config, ["n", "lambda_n"], rows, config.comments)
+    _emit(config, ["n", "lambda_n"], rows, [])
     return 0
 
 
@@ -328,8 +325,8 @@ def run(config: RunConfig) -> int:
         raise InputError(f"unknown command {config.command!r}")
     if config.format not in ("csv", "json"):
         raise InputError(f"format must be csv or json, got {config.format!r}")
-    if config.tol <= 0.0:
-        raise InputError("tol must be positive")
+    if not 0.0 < config.tol < np.inf:
+        raise InputError("tol must be positive and finite")
     if config.n_max < 0 or config.l_max < 0:
         raise InputError("n_max and l_max must be nonnegative")
     return _HANDLERS[config.command](config)
@@ -360,7 +357,8 @@ def _build_parser() -> _Parser:
             )
         p.add_argument("--d", type=int, default=3, help="space dimension")
         p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol")
+        p.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
+                       help="quadrature tolerance, relative to max(1, I) for the action I")
         p.add_argument("--ode-tol", type=float, default=1e-10, dest="ode_tol")
         p.add_argument("--output", type=Path, default=None, dest="output")
         p.add_argument("--format", choices=["csv", "json"], default="csv")

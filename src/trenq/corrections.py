@@ -25,7 +25,7 @@ from typing import Literal
 from .action import action, correction_inner_integral
 from .errors import ConvergenceError, InputError, NoSuchLevelError
 from .numerics import bisect_monotone
-from .potentials import FormalWell, LogWell, Settings
+from .potentials import LogWell, Settings
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,20 @@ def resum_delta(delta1: float) -> float:
     return 2.0 * delta1 / (1.0 + math.sqrt(1.0 + 16.0 * delta1 * delta1))
 
 
-def delta1_integral(fw: FormalWell, epsilon: float, s: Settings) -> float:
+def delta1_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     """First defect correction from the curvature integral.
 
     Computes (hbar / 24 pi) * d^2 F / d eps^2 with F the inner integral of
     the squared well slope.  A 5-point centered stencil starts at step
     1e-3 * V_m and is halved until two successive estimates agree to 1e-6
     relative (with an absolute floor covering the F'' = 0 case); the
-    returned value is the Richardson extrapolant of the final pair.
+    returned value is the Richardson extrapolant of the final pair.  The
+    formal energy lies in (0, V_m/2), the range of the formal well.
     """
-    v_lim = fw.v_limit
+    v_lim = 0.5 * w.V_m
     if not 0.0 < epsilon < v_lim:
         raise InputError(f"formal energy must lie strictly inside (0, {v_lim:g})")
-    h0 = min(1e-3 * fw.well.V_m, (v_lim - epsilon) / 2.5, epsilon / 2.5)
+    h0 = min(1e-3 * w.V_m, (v_lim - epsilon) / 2.5, epsilon / 2.5)
     if h0 <= 0.0:
         raise InputError("no room for the difference stencil at this energy")
 
@@ -81,7 +82,7 @@ def delta1_integral(fw: FormalWell, epsilon: float, s: Settings) -> float:
 
     def f(e: float) -> float:
         if e not in cache:
-            cache[e] = correction_inner_integral(fw, e, s_inner)
+            cache[e] = correction_inner_integral(w, e, s_inner)
         return cache[e]
 
     def second_derivative(h: float) -> float:
@@ -100,7 +101,7 @@ def delta1_integral(fw: FormalWell, epsilon: float, s: Settings) -> float:
     history = [second_derivative(h)]
     for _ in range(40):
         h *= 0.5
-        if h < 1e-12 * fw.well.V_m:
+        if h < 1e-12 * w.V_m:
             raise ConvergenceError(f"stencil step underflow; last estimates {history[-2:]}")
         history.append(second_derivative(h))
         d, prev_d = history[-1], history[-2]
@@ -117,10 +118,10 @@ def correction_state_matched(Phi_m: float) -> CorrectionState:
 
 
 def correction_state_integral(
-    fw: FormalWell, epsilon: float, Phi_m: float, s: Settings
+    w: LogWell, epsilon: float, Phi_m: float, s: Settings
 ) -> CorrectionState:
     """Correction state from the curvature-integral route (diagnostic)."""
-    d1 = delta1_integral(fw, epsilon, s)
+    d1 = delta1_integral(w, epsilon, s)
     return CorrectionState(delta1=d1, delta=resum_delta(d1), Phi_m=Phi_m, source="integral")
 
 

@@ -31,8 +31,8 @@ def _deficit(lam: float, t_source: TSource) -> float:
     if isinstance(t_source, ActionProfile):
         return t_of(t_source, lam)
     phi = float(t_source)
-    if phi <= 0.0:
-        raise InputError(f"linear deficit slope must be positive, got {phi}")
+    if not 0.0 < phi < math.inf:
+        raise InputError(f"linear deficit slope must be positive and finite, got {phi}")
     return phi * lam
 
 
@@ -42,10 +42,10 @@ def t_effective(nu: float, lam: float, t_source: TSource) -> float:
     t_source is either a linear slope phi (t = phi * lambda) or a sampled
     action profile, in which case the exact deficit is interpolated.
     """
-    if nu < 0.5:
-        raise InputError(f"nu must be >= 1/2, got {nu}")
-    if lam < 0.0:
-        raise InputError(f"lambda must be >= 0, got {lam}")
+    if not 0.5 <= nu < math.inf:
+        raise InputError(f"nu must be finite and >= 1/2, got {nu}")
+    if not 0.0 <= lam < math.inf:
+        raise InputError(f"lambda must be finite and >= 0, got {lam}")
     return nu + _deficit(lam, t_source)
 
 

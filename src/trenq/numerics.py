@@ -1,10 +1,11 @@
 """Shared numerical kernels: stable hyperbolics, bisection, singular quadrature.
 
 All action-type integrals in this package have inverse-square-root or
-square-root behaviour at the interval endpoints.  They are computed by first
-mapping the interval with x = mid + half*sin(theta), which turns both kinds of
-endpoint singularity into smooth integrands in theta, and then applying an
-adaptive panel Gauss-Legendre rule.
+square-root behaviour at the interval endpoints.  The caller maps the
+interval with x = mid + half*sin(theta), which turns both kinds of endpoint
+singularity into smooth integrands in theta, and integrates them with the
+adaptive panel Gauss-Legendre rule here; piecewise profiles use the
+knot-aligned composite rule instead.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ConvergenceError
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_PANELS = 200
 
 
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,8 +50,14 @@ def bisect_monotone(
     Requires f(lo) and f(hi) of opposite sign (zero counts as either).
     Robust against non-smooth f; used everywhere a guaranteed bracket exists.
     """
-    flo = f(lo)
-    fhi = f(hi)
+    return _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol, max_iter)
+
+
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float,
+    xtol: float, rtol: float, max_iter: int,
+) -> float:
+    """bisect_monotone with f(lo) and f(hi) already known."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -68,6 +76,36 @@ def bisect_monotone(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bracket_and_bisect(f: Callable[[float], float], rtol: float) -> float:
+    """Root on (0, inf) of a nondecreasing f, bracketed geometrically from 1.
+
+    hi doubles from 1 while f(hi) < 0 and lo = hi/2; if hi stays at 1, lo
+    halves from 1/2 while f(lo) > 0 (at most 60 steps either way).  The
+    bracket is then bisected to a relative width rtol and its midpoint
+    returned.  Every point is evaluated once: the bisection reuses the
+    values the bracketing phase already computed.
+    """
+    hi, fhi = 1.0, f(1.0)
+    flo = None
+    for _ in range(60):
+        if fhi >= 0.0:
+            break
+        hi, flo, fhi = 2.0 * hi, fhi, f(2.0 * hi)
+    if fhi < 0.0:
+        raise ConvergenceError(f"no sign change of f up to {hi:g}")
+    lo = 0.5 * hi
+    if flo is None:
+        flo = f(lo)
+        for _ in range(60):
+            if flo <= 0.0:
+                break
+            lo *= 0.5
+            flo = f(lo)
+        if flo > 0.0:
+            raise ConvergenceError(f"no sign change of f down to {lo:g}")
+    return _bisect(f, lo, hi, flo, fhi, 0.0, rtol, 200)
 
 
 def _panel_estimates(
@@ -89,15 +127,15 @@ def adaptive_gauss(
     b: float,
     tol: float,
     *,
-    max_panels: int = 200,
+    rtol: float = 0.0,
     best_effort: bool = False,
 ) -> tuple[float, float]:
-    """Integrate a vectorized f over [a, b] to absolute tolerance tol.
+    """Integrate a vectorized f over [a, b] to max(tol, rtol * |value|).
 
     A fixed 128-node Gauss-Legendre rule is applied per panel with the
     64-node result as error estimate; the worst panel is split until the
-    summed estimate meets tol.  A split that fails to cut the panel estimate
-    in half signals roundoff-limited scatter rather than truncation error;
+    summed estimate meets the tolerance, with at most _MAX_PANELS panels.
+    A split that fails to cut the panel estimate in half signals roundoff-limited scatter rather than truncation error;
     such panels are frozen at their parent value so endpoint noise cannot
     drive runaway refinement.  Returns (value, achieved error estimate).
 
@@ -115,14 +153,15 @@ def adaptive_gauss(
     panels: list[tuple[float, float, float, float, bool]] = [(e, a, b, v, False)]
     while True:
         total_err = sum(p[0] for p in panels)
-        if total_err <= tol:
+        goal = max(tol, rtol * abs(sum(p[3] for p in panels)))
+        if total_err <= goal:
             break
         active = [i for i, p in enumerate(panels) if not p[4]]
-        if not active or len(panels) >= max_panels:
+        if not active or len(panels) >= _MAX_PANELS:
             if best_effort:
                 break
             raise ConvergenceError(
-                f"quadrature did not reach tol={tol:g}; achieved {total_err:g} "
+                f"quadrature did not reach tol={goal:g}; achieved {total_err:g} "
                 f"with {len(panels)} panels"
             )
         worst = max(active, key=lambda i: panels[i][0])
@@ -204,27 +243,3 @@ def composite_knot_integral(
         wts_all = np.concatenate(wts)
         totals.append(float(np.dot(wts_all, np.asarray(g(pts_all), dtype=float))))
     return totals[1], abs(totals[1] - totals[0])
-
-
-def integrate_endpoint_singular(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
-    *,
-    best_effort: bool = False,
-) -> tuple[float, float]:
-    """Integrate g over [lo, hi] where g may behave like (x-lo)^(+-1/2) at the ends.
-
-    Applies the substitution x = mid + half*sin(theta) and integrates the
-    smooth theta-integrand adaptively.  Returns (value, error estimate).
-    """
-    if hi <= lo:
-        return 0.0, 0.0
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-
-    def f_theta(theta: np.ndarray) -> np.ndarray:
-        return g(mid + half * np.sin(theta)) * half * np.cos(theta)
-
-    return adaptive_gauss(f_theta, -0.5 * math.pi, 0.5 * math.pi, tol, best_effort=best_effort)

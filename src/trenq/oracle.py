@@ -24,6 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConvergenceError, InputError
+from .numerics import bracket_and_bisect
 from .potentials import LogWell, Settings, scale_log_well
 
 # grid resolution: h = _STEP_FACTOR * ode_tol^(1/4) / k_max keeps the global
@@ -127,9 +128,9 @@ def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings)
     """Coupling at which the node count steps from n to n + 1, by bisection.
 
     `family` is either a linearly scaling LogWell or a callable Z -> LogWell.
-    The bracket is expanded geometrically (up to 60 doublings), bisected to a
-    relative width of 1e-8, and the transition is verified on both sides of
-    the returned value.
+    The bracket is expanded geometrically from Z = 1 (bracket_and_bisect),
+    bisected to a relative width of 1e-8, and the transition is verified on
+    both sides of the returned value.
     """
     if n < 0:
         raise InputError(f"radial quantum number must be >= 0, got {n}")
@@ -138,32 +139,8 @@ def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings)
     def count(Z: float) -> int:
         return count_bound_states(make_well(Z), lam, s).count
 
-    hi = 1.0
-    c_hi = count(hi)
-    guard = 0
-    while c_hi <= n:
-        hi *= 2.0
-        c_hi = count(hi)
-        guard += 1
-        if guard > 60:
-            raise ConvergenceError(f"no coupling below {hi:g} holds {n + 1} states")
-    if hi > 1.0:
-        lo = 0.5 * hi
-    else:
-        lo = 0.5
-        guard = 0
-        while count(lo) > n:
-            lo *= 0.5
-            guard += 1
-            if guard > 60:
-                raise ConvergenceError(f"node count stays above {n} down to Z = {lo:g}")
-    while (hi - lo) > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if count(mid) <= n:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
+    # the half-integer offset never vanishes and turns positive past the step
+    z = bracket_and_bisect(lambda Z: count(Z) - n - 0.5, rtol=1e-8)
     if count(z * (1.0 - 1e-7)) != n or count(z * (1.0 + 1e-7)) != n + 1:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "

@@ -11,7 +11,8 @@ W vanishes at both ends whenever r^2 U(r) -> 0 for r -> 0 and r -> infinity.
 The companion "formal well" V = (V_m - W)/2 with formal energy
 eps = (V_m - lambda^2)/2 recasts the same problem as a conventional
 one-dimensional eigenvalue problem with equal asymptotics V_m/2 on both
-sides; both pictures are used by the higher-level modules.
+sides; the defect corrections are written in that picture, directly in
+terms of the LogWell.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ class Settings:
     """Global numerical knobs.
 
     hbar:       Planck constant in the chosen units (mass is fixed to 1).
-    quad_tol:   absolute tolerance for action-type quadratures.
+    quad_tol:   quadrature tolerance; the action I(lambda) is computed to
+                quad_tol * max(1, I), the inner correction integral to an
+                absolute quad_tol.
     ode_tol:    accuracy target for the node-counting integrator.
     domain_cut: fraction of the well maximum below which W is treated as
                 zero when truncating the infinite rho-line.
@@ -48,8 +51,8 @@ class Settings:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "quad_tol", "ode_tol", "domain_cut"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"Settings.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"Settings.{name} must be strictly positive and finite")
         if self.domain_cut >= 1.0:
             raise InputError("Settings.domain_cut must be below 1")
 
@@ -104,8 +107,10 @@ class Lenz:
     Z: float
 
     def __post_init__(self) -> None:
-        if self.Z <= 0.0:
-            raise InputError(f"Lenz coupling Z must be positive, got {self.Z}")
+        if not math.isfinite(self.a):
+            raise InputError(f"Lenz width parameter a must be finite, got {self.a}")
+        if not 0.0 < self.Z < math.inf:
+            raise InputError(f"Lenz coupling Z must be positive and finite, got {self.Z}")
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
         # r^a + r^-a = 2 cosh(a ln r); sech form avoids overflow at extreme r
@@ -120,9 +125,6 @@ class Lenz:
     def q_infinity(self) -> float:
         """Decay exponent near r = infinity."""
         return 2.0 + 2.0 * self.a
-
-    def with_coupling(self, Z: float) -> "Lenz":
-        return Lenz(self.a, Z)
 
 
 def Tietz(Z: float) -> Lenz:
@@ -151,10 +153,10 @@ class Tabulated:
         u = np.asarray(self.U_values, dtype=float)
         if r.ndim != 1 or u.shape != r.shape or r.size < 4:
             raise InputError("tabulated potential needs matching 1-d r and U arrays (>= 4 points)")
-        if not np.all(r > 0.0) or not np.all(np.diff(r) > 0.0):
-            raise InputError("tabulated r grid must be strictly ascending and positive")
-        if not np.all(u < 0.0):
-            raise InputError("tabulated U values must all be negative")
+        if not np.all((r > 0.0) & (r < np.inf)) or not np.all(np.diff(r) > 0.0):
+            raise InputError("tabulated r grid must be strictly ascending, positive and finite")
+        if not np.all((u < 0.0) & (u > -np.inf)):
+            raise InputError("tabulated U values must all be negative and finite")
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "U_values", u)
         rho = np.log(r)
@@ -277,39 +279,6 @@ class LogWell:
         return self.profile(rho)
 
 
-@dataclass(frozen=True)
-class FormalWell:
-    """Companion well V = (V_m - W)/2 with formal energy eps = (V_m - lambda^2)/2.
-
-    V is zero at the maximum of W and approaches V_m/2 at both ends, so the
-    zero-energy radial problem becomes a bound-state problem for V at
-    energies eps in [0, V_m/2].
-    """
-
-    well: LogWell
-
-    def v(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return np.maximum(0.5 * (self.well.V_m - self.well.profile(rho)), 0.0)
-
-    def v_deriv(self, rho: np.ndarray | float) -> np.ndarray | float:
-        if self.well.profile_deriv is None:
-            raise InputError("well has no analytic derivative; use finite differences")
-        return -0.5 * self.well.profile_deriv(rho)
-
-    def epsilon_of(self, lam: float) -> float:
-        return 0.5 * (self.well.V_m - lam * lam)
-
-    @property
-    def v_limit(self) -> float:
-        """Common asymptotic value of V at rho -> +-infinity."""
-        return 0.5 * self.well.V_m
-
-
-def formal_well(w: LogWell) -> FormalWell:
-    """Wrap a log well in its formal-well picture."""
-    return FormalWell(w)
-
-
 def _locate_maximum(
     profile: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float]:
@@ -329,19 +298,6 @@ def _locate_maximum(
     vmax = float(profile(rho_star))
     if vals[k] >= vmax:
         rho_star, vmax = float(grid[k]), float(vals[k])
-    return vmax, rho_star
-
-
-def well_max(w: LogWell, s: Settings) -> tuple[float, float]:
-    """Recompute (V_m, rho_star) from the stored profile.
-
-    Uses a dense grid scan over the truncated domain followed by local
-    refinement; raises DegenerateWellError when the profile is numerically
-    zero everywhere.
-    """
-    vmax, rho_star = _locate_maximum(w.profile, w.rho_left, w.rho_right)
-    if vmax <= s.domain_cut:
-        raise DegenerateWellError(f"well maximum {vmax:g} is below the degeneracy floor")
     return vmax, rho_star
 
 

@@ -21,8 +21,8 @@ from typing import Callable
 
 from .action import action
 from .effective import TSource, t_effective, t_ren
-from .errors import ConvergenceError, InputError
-from .numerics import bisect_monotone
+from .errors import InputError
+from .numerics import bracket_and_bisect
 from .oracle import exact_critical_coupling
 from .potentials import LogWell, QuantumNumbers, Settings
 
@@ -80,21 +80,7 @@ def critical_coupling(
     def overshoot(Z: float) -> float:
         return action(well_factory(Z), 0.0, s) - target
 
-    hi = 1.0
-    guard = 0
-    while overshoot(hi) < 0.0:
-        hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise ConvergenceError(f"target action {target:g} unreachable below Z = {hi:g}")
-    lo = 0.5 * hi
-    guard = 0
-    while overshoot(lo) > 0.0:
-        lo *= 0.5
-        guard += 1
-        if guard > 60:
-            raise ConvergenceError(f"target action {target:g} already exceeded at Z = {lo:g}")
-    return bisect_monotone(overshoot, lo, hi, rtol=1e-12)
+    return bracket_and_bisect(overshoot, rtol=1e-12)
 
 
 def lenz_exact_threshold(

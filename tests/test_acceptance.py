@@ -23,7 +23,6 @@ from trenq import (
     delta1_matched,
     exact_critical_coupling,
     fit_phi,
-    formal_well,
     lenz_exact_threshold,
     resum_delta,
     t_effective,
@@ -119,8 +118,7 @@ def test_criterion_5_resummation_identity_and_limits() -> None:
 
 def test_criterion_6_delta1_energy_independence() -> None:
     well = to_log_well(Lenz(a=1.0, Z=8.0), S)
-    fw = formal_well(well)
-    vals = [delta1_integral(fw, eps, S) for eps in (0.4, 1.0, 1.6)]
+    vals = [delta1_integral(well, eps, S) for eps in (0.4, 1.0, 1.6)]
     mean = sum(vals) / len(vals)
     spread = max(vals) - min(vals)
     assert spread <= 0.05 * abs(mean), f"spread {spread:.3e} vs mean {mean:.6f}"

@@ -12,7 +12,6 @@ from trenq import (
     action_profile,
     correction_inner_integral,
     fit_phi,
-    formal_well,
     t_of,
     to_log_well,
     turning_points,
@@ -130,20 +129,28 @@ def test_fit_phi_coupling_independent(settings) -> None:
     assert abs(phis[0] - phis[1]) <= 1e-10
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_action_profile_deep_well(a: float, settings) -> None:
+    # the quadrature tolerance is relative to I, so a well with Phi_m ~ 1e6
+    # converges as easily as a shallow one
+    prof = action_profile(to_log_well(Lenz(a=a, Z=1e12), settings), settings)
+    assert abs(fit_phi(prof) - 1.0 / a) <= 1e-10
+    assert prof.Phi_m == pytest.approx(math.sqrt(0.5e12) / a, rel=1e-12)
+
+
 def test_inner_integral_quadratic_well(settings, quadratic_well) -> None:
-    fw = formal_well(quadratic_well)
     # closed form for V = x^2/2: F(eps) = sqrt(2) pi eps
-    assert correction_inner_integral(fw, 1.0, settings) == pytest.approx(
+    assert correction_inner_integral(quadratic_well, 1.0, settings) == pytest.approx(
         4.442882938158366, abs=1e-9
     )
-    assert correction_inner_integral(fw, 0.35, settings) == pytest.approx(
+    assert correction_inner_integral(quadratic_well, 0.35, settings) == pytest.approx(
         0.35 * 4.442882938158366, abs=1e-9
     )
-    assert correction_inner_integral(fw, 0.0, settings) == 0.0
+    assert correction_inner_integral(quadratic_well, 0.0, settings) == 0.0
     with pytest.raises(InputError):
-        correction_inner_integral(fw, -0.1, settings)
+        correction_inner_integral(quadratic_well, -0.1, settings)
     with pytest.raises(InputError):
-        correction_inner_integral(fw, 2.5, settings)
+        correction_inner_integral(quadratic_well, 2.5, settings)
 
 
 def test_inner_integral_lenz_against_quadrature(settings, lenz18_well) -> None:
@@ -158,9 +165,8 @@ def test_inner_integral_lenz_against_quadrature(settings, lenz18_well) -> None:
         return dv * dv / math.sqrt(max(gap, 0.0))
 
     oracle, err = quad(integrand, -xt, xt, limit=800, points=[-xt, xt], epsabs=1e-10)
-    fw = formal_well(lenz18_well)
-    mine = correction_inner_integral(fw, eps, settings)
+    mine = correction_inner_integral(lenz18_well, eps, settings)
     assert mine == pytest.approx(oracle, abs=5e-8)
     # refinement stability
     tight = Settings(quad_tol=settings.quad_tol / 10.0)
-    assert abs(correction_inner_integral(fw, eps, tight) - mine) <= 1e-8
+    assert abs(correction_inner_integral(lenz18_well, eps, tight) - mine) <= 1e-8

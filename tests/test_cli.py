@@ -194,6 +194,10 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     # condition violation: lenz with a = 0
     zero_a = write_potential(tmp_path, {"family": "lenz", "a": 0.0, "Z": 8.0}, "zero.json")
     assert main(["well", "--potential", str(zero_a)]) == 1
+    # non-finite parameters and settings are input errors, not numerical ones
+    assert main(["validate", "--family", "lenz", "--a", "inf"]) == 1
+    assert main(["phi", "--family", "lenz", "--a", "1", "--quad-tol", "nan"]) == 1
+    assert main(["validate", "--family", "tietz", "--tol", "nan"]) == 1
     capsys.readouterr()
 
 

@@ -12,7 +12,6 @@ from trenq import (
     count_bound_states,
     delta1_integral,
     delta1_matched,
-    formal_well,
     ground_state_threshold,
     lenz_analytic_spectrum,
     resum_delta,
@@ -83,14 +82,12 @@ def test_resum_matches_exact_sech2_defect() -> None:
 
 
 def test_delta1_integral_harmonic_is_zero(settings, quadratic_well) -> None:
-    fw = formal_well(quadratic_well)
     for eps in (0.3, 1.0, 1.7):
-        assert abs(delta1_integral(fw, eps, settings)) <= 5e-8
+        assert abs(delta1_integral(quadratic_well, eps, settings)) <= 5e-8
 
 
 def test_delta1_integral_energy_independent(settings, lenz18_well) -> None:
-    fw = formal_well(lenz18_well)
-    vals = [delta1_integral(fw, eps, settings) for eps in (0.4, 1.0, 1.6)]
+    vals = [delta1_integral(lenz18_well, eps, settings) for eps in (0.4, 1.0, 1.6)]
     mean = sum(vals) / 3.0
     assert (max(vals) - min(vals)) <= 0.05 * abs(mean)
     # closed form for this well: -a / (8 sqrt(V_m / 2))
@@ -101,11 +98,10 @@ def test_delta1_integral_energy_independent(settings, lenz18_well) -> None:
 
 
 def test_delta1_integral_range_errors(settings, lenz18_well) -> None:
-    fw = formal_well(lenz18_well)
     with pytest.raises(InputError):
-        delta1_integral(fw, 0.0, settings)
+        delta1_integral(lenz18_well, 0.0, settings)
     with pytest.raises(InputError):
-        delta1_integral(fw, 2.0, settings)
+        delta1_integral(lenz18_well, 2.0, settings)
 
 
 def test_correction_states(settings, lenz18_well) -> None:
@@ -114,7 +110,7 @@ def test_correction_states(settings, lenz18_well) -> None:
     assert cs.delta1 == -0.0625
     assert abs(cs.delta) < 0.5
     assert math.copysign(1.0, cs.delta) == math.copysign(1.0, cs.delta1)
-    ci = correction_state_integral(formal_well(lenz18_well), 1.0, 2.0, settings)
+    ci = correction_state_integral(lenz18_well, 1.0, 2.0, settings)
     assert ci.source == "integral"
     assert abs(ci.delta) < 0.5
 

@@ -32,6 +32,10 @@ def test_t_effective_rejects_bad_arguments() -> None:
         t_effective(0.5, -0.1, 1.0)
     with pytest.raises(InputError):
         t_effective(0.5, 0.5, -1.0)
+    for bad in (math.nan, math.inf):
+        for args in ((0.5, 1.0, bad), (bad, 1.0, 1.0), (0.5, bad, 1.0)):
+            with pytest.raises(InputError):
+                t_effective(*args)
 
 
 def test_t_ren_values() -> None:

@@ -14,12 +14,10 @@ from trenq import (
     Tabulated,
     Tietz,
     check_conditions,
-    formal_well,
     lambda_of,
     load_potential,
     scale_log_well,
     to_log_well,
-    well_max,
 )
 
 
@@ -59,6 +57,9 @@ def test_lenz_potential_values() -> None:
     assert p(1.0) == pytest.approx(-2.0)  # -Z/4 at r = 1
     with pytest.raises(InputError):
         Lenz(a=1.0, Z=0.0)
+    for a, Z in ((1.0, math.nan), (1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(InputError):
+            Lenz(a=a, Z=Z)
 
 
 def test_tietz_is_lenz_half() -> None:
@@ -106,11 +107,11 @@ def test_tietz_bitwise_equal_to_lenz_half(settings) -> None:
 
 
 def test_well_max_lenz(settings, lenz18_well) -> None:
-    vm, rs = well_max(lenz18_well, settings)
+    vm, rs = lenz18_well.V_m, lenz18_well.rho_star
     assert vm == pytest.approx(4.0, rel=1e-12)
     assert rs == pytest.approx(0.0, abs=1e-9)
     w = to_log_well(Lenz(a=0.5, Z=1.0), settings)
-    assert well_max(w, settings) == (pytest.approx(0.5, rel=1e-12), pytest.approx(0.0, abs=1e-9))
+    assert (w.V_m, w.rho_star) == (pytest.approx(0.5, rel=1e-12), pytest.approx(0.0, abs=1e-9))
 
 
 def test_well_max_shifted_tabulated_bump(settings) -> None:
@@ -121,7 +122,7 @@ def test_well_max_shifted_tabulated_bump(settings) -> None:
     grid = np.linspace(w.rho_left, w.rho_right, 200001)
     vals = np.asarray(w.profile(grid))
     k = int(np.argmax(vals))
-    vm, rs = well_max(w, settings)
+    vm, rs = w.V_m, w.rho_star
     assert vm >= vals[k]
     assert abs(vm - vals[k]) <= 1e-7 * vm
     assert abs(rs - grid[k]) <= 1e-4
@@ -138,18 +139,6 @@ def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
     rho = np.linspace(w.rho_left, w.rho_right, 257)
     mismatch = np.abs(w.profile(rho) - w.scaling.Z * w.scaling.base(rho))
     assert np.max(mismatch) <= settings.quad_tol * w.V_m
-
-
-def test_formal_well_limits(settings, lenz18_well) -> None:
-    fw = formal_well(lenz18_well)
-    assert fw.v(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert fw.v(lenz18_well.rho_left) == pytest.approx(2.0, rel=1e-12)
-    assert fw.v(lenz18_well.rho_right) == pytest.approx(2.0, rel=1e-12)
-    assert fw.epsilon_of(0.0) == pytest.approx(2.0)
-    assert fw.epsilon_of(math.sqrt(lenz18_well.V_m)) == pytest.approx(0.0, abs=1e-14)
-    rho = np.linspace(lenz18_well.rho_left, lenz18_well.rho_right, 301)
-    v = fw.v(rho)
-    assert np.all(v >= 0.0) and np.all(v <= 2.0 + 1e-12)
 
 
 def test_check_conditions_lenz() -> None:
@@ -244,6 +233,14 @@ def test_load_potential_rejects_bad_input() -> None:
                         "U": [0.1, -0.2, -0.1, -0.05], "q0": 0.0, "qinf": 4.0})
     with pytest.raises(InputError):
         load_potential("not json at all {")
+    r = np.exp(np.linspace(-4.0, 4.0, 9))
+    for i, bad in ((2, -np.inf), (3, np.nan)):
+        u = -1.0 / (4.0 * r * r * np.cosh(np.log(r)) ** 2)
+        u[i] = bad
+        with pytest.raises(InputError):
+            Tabulated(r_grid=r, U_values=u, q0=0.0, qinf=4.0)
+    with pytest.raises(InputError):
+        Tabulated(r_grid=np.append(r[:-1], np.inf), U_values=-np.ones(9), q0=0.0, qinf=4.0)
 
 
 def test_settings_validation() -> None:
@@ -253,3 +250,7 @@ def test_settings_validation() -> None:
         Settings(domain_cut=1.5)
     with pytest.raises(InputError):
         Settings(quad_tol=-1e-10)
+    for name in ("hbar", "quad_tol", "ode_tol", "domain_cut"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                Settings(**{name: bad})

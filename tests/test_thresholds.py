@@ -8,8 +8,10 @@ from trenq import (
     Lenz,
     QuantumNumbers,
     Tietz,
+    action_profile,
     base_action_integral,
     critical_coupling,
+    fit_phi,
     lenz_exact_threshold,
     renormalization_effect,
     t_effective,
@@ -66,6 +68,23 @@ def test_critical_coupling_bisection_route(settings, lenz18_well) -> None:
         lenz18_well, q, settings, t_source=1.0, well_factory=factory
     )
     assert bisected == pytest.approx(closed, rel=1e-9)
+    # refactoring gate: with the fitted slope both routes reproduce the
+    # closed form on the criterion-1 grid far below the acceptance tolerance
+    for a in (0.5, 1.0, 2.0):
+        w = to_log_well(Lenz(a=a, Z=1.0), settings)
+        phi = fit_phi(action_profile(w, settings))
+        for n in range(4):
+            for l in range(4):
+                q = QuantumNumbers(n, l, 3)
+                exact, _ = lenz_exact_threshold(a, q)
+                z = critical_coupling(w, q, settings, t_source=phi)
+                assert z == pytest.approx(exact, rel=1e-11)
+                if (n, l) in ((0, 0), (3, 3)):
+                    z = critical_coupling(
+                        w, q, settings, t_source=phi,
+                        well_factory=lambda Z, a=a: to_log_well(Lenz(a=a, Z=Z), settings),
+                    )
+                    assert z == pytest.approx(exact, rel=1e-11)
 
 
 def test_lenz_exact_threshold_values() -> None:
