@@ -37,7 +37,7 @@ class TurningPair:
     degenerate: bool = False
 
 
-def turning_points(w: LogWell, lambda2: float, s: Settings) -> TurningPair:
+def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     """Locate the pair of solutions of W(rho) = lambda2 around the maximum.
 
     For lambda2 = 0 (or below the domain-cut floor) the truncated domain ends
@@ -184,7 +184,7 @@ def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, floa
     if lam < 0.0:
         raise InputError(f"lambda must be nonnegative, got {lam}")
     lambda2 = lam * lam
-    pair = turning_points(w, lambda2, s)
+    pair = turning_points(w, lambda2)
     if pair.degenerate:
         return 0.0, 0.0
     scale = math.pi * s.hbar
@@ -303,7 +303,7 @@ def correction_inner_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     if epsilon > v_limit * (1.0 + 1e-12):
         raise InputError(f"formal energy {epsilon:g} exceeds the well asymptote {v_limit:g}")
     lambda2 = max(w.V_m - 2.0 * epsilon, 0.0)
-    pair = turning_points(w, lambda2, s)
+    pair = turning_points(w, lambda2)
 
     if w.profile_deriv is not None:
 

@@ -51,8 +51,8 @@ def t_effective(nu: float, lam: float, t_source: TSource) -> float:
 
 def t_ren(T: float) -> float:
     """Renormalized effective quantum number sqrt(T^2 - 1/4)."""
-    if T < 0.5:
-        raise InputError(f"T must be >= 1/2 for a real renormalized value, got {T}")
+    if not 0.5 <= T < math.inf:
+        raise InputError(f"T must be finite and >= 1/2 for a real renormalized value, got {T}")
     return math.sqrt((T - 0.5) * (T + 0.5))
 
 

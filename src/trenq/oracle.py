@@ -4,7 +4,11 @@ The number of bound states of the radial problem at a given lambda equals
 the number of nodes of the regular zero-energy solution (Sturm oscillation).
 That solution is integrated on the log line with the Numerov recurrence,
 starting from the decaying exponential at the left truncation point, and its
-strict sign changes are counted.  Bisecting the coupling on the integer node
+strict sign changes are counted.  The recurrence is carried in Johnson's
+ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)): the ratio of
+successive values is the pivot of an LDL^T factorization of a symmetric
+tridiagonal matrix, a sign change is a nonpositive pivot, and LAPACK's dpttrf
+runs the sweep in compiled code.  Bisecting the coupling on the integer node
 count then locates every critical coupling without any semiclassical input,
 which is what makes this module a legitimate oracle for the rest of the
 package.
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf
 
 from .errors import ConvergenceError, InputError
 from .numerics import bracket_and_bisect
@@ -33,35 +38,34 @@ from .potentials import LogWell, Settings, scale_log_well
 _STEP_FACTOR = 6.6
 _WINDOW_LOG = 0.5 * math.log(1e14)
 _MAX_STEPS = 8_000_000
+_TINY = np.finfo(float).tiny
 
 
-def _numerov_signflips_py(p: np.ndarray, v0: float, v1: float) -> tuple[int, int]:
-    """Reference implementation of the sign-flip counter (see _numerov_signflips)."""
+def _count_nonpositive_pivots(d: np.ndarray) -> int:
+    """Number of nonpositive pivots of the LDL^T factorization of tridiag(1, d, 1).
+
+    The pivots obey q_k = d_k - 1/q_{k-1}.  With d = [v_1/v_0, p_1, p_2, ...]
+    this is the Numerov recurrence v_{k+1} = p_k v_k - v_{k-1} written for the
+    ratio q_k = v_{k+1}/v_k (Johnson's renormalized Numerov method), so every
+    nonpositive pivot is one sign change of v and the ratio cannot overflow.
+    LAPACK dpttrf factors until the first nonpositive pivot; that node is
+    counted, the factorization resumes past it, and an exactly zero pivot is
+    taken as -tiny so the next one stays finite.  `d` is overwritten.
+    """
+    n = d.size
+    e = np.ones(n - 1)
     count = 0
-    renorms = 0
-    sign = v1 > 0.0
-    for pk in p:
-        v2 = pk * v1 - v0
-        if v2 != 0.0:
-            s = v2 > 0.0
-            if s != sign:
-                count += 1
-                sign = s
-        if v2 > 1e250 or v2 < -1e250:
-            v1 *= 1e-250
-            v2 *= 1e-250
-            renorms += 1
-        v0 = v1
-        v1 = v2
-    return count, renorms
-
-
-try:  # pragma: no cover - exercised implicitly by every oracle test
-    from numba import njit
-
-    _numerov_signflips = njit(cache=True)(_numerov_signflips_py)
-except ImportError:  # pragma: no cover
-    _numerov_signflips = _numerov_signflips_py
+    start = 0
+    while start < n - 1:
+        d_out, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return count
+        count += 1
+        start += info
+        if start < n:
+            d[start] -= 1.0 / min(d_out[info - 1], -_TINY)
+    # dpttrf needs at least two pivots; check a single trailing one here
+    return count + int(start == n - 1 and d[start] <= 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,16 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
 
     Integrates hbar^2 Psi'' = (lambda^2 - W) Psi from the left truncation
     point with the decaying-branch initial data Psi ~ e^(lambda rho / hbar)
-    and returns the number of strict sign changes.  The amplitude is
-    renormalized periodically; positive rescaling never changes the count.
+    and returns the number of strict sign changes.  The Numerov recurrence is
+    run on the ratio of successive values, as the pivots of a tridiagonal
+    LDL^T factorization (_count_nonpositive_pivots), so nothing overflows and
+    `step_stats["renormalizations"]` is always 0.
 
-    lambda = 0 is rejected: the marginal solution is not exponential and
-    node counting is ill conditioned there.
+    lambda must be finite; lambda = 0 is rejected: the marginal solution is
+    not exponential and node counting is ill conditioned there.
     """
-    if lam <= 0.0:
-        raise InputError(f"node counting requires lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise InputError(f"node counting requires finite lambda > 0, got {lam}")
     hbar = s.hbar
     rho_l = w.rho_left
     rho_r = max(w.rho_right, w.rho_star + _WINDOW_LOG * hbar / lam)
@@ -102,14 +108,13 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
     f = (lam * lam - np.asarray(w.profile(rho), dtype=float)) / (hbar * hbar)
     c = h * h / 12.0
     g = 1.0 - c * f
-    p = np.ascontiguousarray(((12.0 - 10.0 * g) / g)[1:-1])
-    v0 = float(g[0])  # u0 = 1
-    v1 = float(g[1]) * math.exp(lam * h / hbar)
-    count, renorms = _numerov_signflips(p, v0, v1)
+    # d = [v_1/v_0, p_1, ..., p_{N-2}] with p_k = (12 - 10 g_k)/g_k, v = g u, u_0 = 1
+    d = ((12.0 - 10.0 * g) / g)[:-1]
+    d[0] = float(g[1]) * math.exp(lam * h / hbar) / float(g[0])
     return NodeCount(
-        count=int(count),
+        count=_count_nonpositive_pivots(d),
         rho_span=(rho_l, rho_r),
-        step_stats={"n_steps": n_steps, "h": h, "renormalizations": int(renorms)},
+        step_stats={"n_steps": n_steps, "h": h, "renormalizations": 0},
     )
 
 

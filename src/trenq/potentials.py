@@ -157,6 +157,10 @@ class Tabulated:
             raise InputError("tabulated r grid must be strictly ascending, positive and finite")
         if not np.all((u < 0.0) & (u > -np.inf)):
             raise InputError("tabulated U values must all be negative and finite")
+        if not (math.isfinite(self.q0) and math.isfinite(self.qinf)):
+            raise InputError(
+                f"tabulated decay exponents must be finite, got q0 = {self.q0}, qinf = {self.qinf}"
+            )
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "U_values", u)
         rho = np.log(r)

@@ -27,7 +27,7 @@ def lenz_action_closed(a: float, Z: float, lam: float) -> float:
 
 
 def test_turning_points_interior(settings, lenz18_well) -> None:
-    pair = turning_points(lenz18_well, 1.0, settings)
+    pair = turning_points(lenz18_well, 1.0)
     assert pair.rho1 == pytest.approx(-ARCCOSH_2, abs=1e-12)
     assert pair.rho2 == pytest.approx(ARCCOSH_2, abs=1e-12)
     assert not pair.degenerate
@@ -36,14 +36,14 @@ def test_turning_points_interior(settings, lenz18_well) -> None:
 
 
 def test_turning_points_edges(settings, lenz18_well) -> None:
-    top = turning_points(lenz18_well, 4.0, settings)
+    top = turning_points(lenz18_well, 4.0)
     assert top.degenerate and top.rho1 == top.rho2 == lenz18_well.rho_star
-    ends = turning_points(lenz18_well, 0.0, settings)
+    ends = turning_points(lenz18_well, 0.0)
     assert (ends.rho1, ends.rho2) == (lenz18_well.rho_left, lenz18_well.rho_right)
     with pytest.raises(InputError):
-        turning_points(lenz18_well, 4.1, settings)
+        turning_points(lenz18_well, 4.1)
     with pytest.raises(InputError):
-        turning_points(lenz18_well, -0.1, settings)
+        turning_points(lenz18_well, -0.1)
 
 
 def test_action_values_lenz18(settings, lenz18_well) -> None:

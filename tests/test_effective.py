@@ -36,6 +36,8 @@ def test_t_effective_rejects_bad_arguments() -> None:
         for args in ((0.5, 1.0, bad), (bad, 1.0, 1.0), (0.5, bad, 1.0)):
             with pytest.raises(InputError):
                 t_effective(*args)
+        with pytest.raises(InputError):
+            t_ren(bad)
 
 
 def test_t_ren_values() -> None:

@@ -7,6 +7,7 @@ from trenq import (
     Lenz,
     QuantumNumbers,
     Settings,
+    Tabulated,
     Tietz,
     count_bound_states,
     exact_critical_coupling,
@@ -32,6 +33,11 @@ def test_count_rejects_marginal_lambda(settings, lenz18_well) -> None:
         count_bound_states(lenz18_well, 0.0, settings)
     with pytest.raises(InputError):
         count_bound_states(lenz18_well, -0.5, settings)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            count_bound_states(lenz18_well, bad, settings)
+        with pytest.raises(InputError):
+            exact_critical_coupling(lenz18_well, bad, 0, settings)
 
 
 def test_count_reports_stats(settings, lenz18_well) -> None:
@@ -143,15 +149,81 @@ def test_oracle_on_tabulated_well(settings) -> None:
     assert z == pytest.approx(1.5, rel=1e-6)
 
 
-def test_python_fallback_counts_identically(settings, monkeypatch) -> None:
-    # the pure-Python recurrence must agree with the compiled one bit for bit
+def _numerov_signflips(p: np.ndarray, v0: float, v1: float) -> int:
+    """Reference counter: strict sign changes of v_{k+1} = p_k v_k - v_{k-1}.
+
+    Runs the recurrence on the values themselves (rescaled before they
+    overflow) and never counts the sign of v0; an exact zero keeps the
+    previous sign, so the change is counted at the next nonzero value.
+    """
+    count = 0
+    sign = v1 > 0.0
+    for pk in p:
+        v2 = pk * v1 - v0
+        if v2 != 0.0:
+            s = v2 > 0.0
+            if s != sign:
+                count += 1
+                sign = s
+        if v2 > 1e250 or v2 < -1e250:
+            v1 *= 1e-250
+            v2 *= 1e-250
+        v0 = v1
+        v1 = v2
+    return count
+
+
+def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
+    # the pivot count must agree with the value recurrence it replaces, most of
+    # all right at thresholds, where a miscount moves a critical coupling
     import trenq.oracle as oracle_mod
 
-    w = to_log_well(Lenz(a=0.7, Z=23.0), settings)
-    fast = [count_bound_states(w, lam, settings).count for lam in (0.3, 0.9, 1.7)]
-    monkeypatch.setattr(oracle_mod, "_numerov_signflips", oracle_mod._numerov_signflips_py)
-    slow = [count_bound_states(w, lam, settings).count for lam in (0.3, 0.9, 1.7)]
-    assert fast == slow
+    kernel = oracle_mod._count_nonpositive_pivots
+
+    def reference(d: np.ndarray) -> int:
+        return _numerov_signflips(d[1:], 1.0, float(d[0]))
+
+    seen = []
+
+    def checked_kernel(d: np.ndarray) -> int:
+        expected = reference(d)
+        got = kernel(d)
+        seen.append((got, expected))
+        return got
+
+    monkeypatch.setattr(oracle_mod, "_count_nonpositive_pivots", checked_kernel)
+    for a, n, l in ((0.5, 3, 0), (1.0, 0, 0), (1.0, 2, 3), (2.0, 1, 2)):
+        q = QuantumNumbers(n, l, 3)
+        w = to_log_well(Lenz(a=a, Z=1.0), settings)
+        z_c, _ = lenz_exact_threshold(a, q)
+        for z in (z_c * (1.0 - 1e-8), z_c * (1.0 + 1e-8)):
+            count_bound_states(scale_log_well(w, z), q.lam, settings)
+    w0 = to_log_well(Lenz(a=1.0, Z=1.0), settings)
+    rho = np.linspace(w0.rho_left, w0.rho_right, 2001)
+    tab = Tabulated(
+        r_grid=np.exp(rho),
+        U_values=-0.5 * np.asarray(w0.profile(rho)) * np.exp(-2.0 * rho),
+        q0=0.0,
+        qinf=4.0,
+    )
+    wt = to_log_well(tab, settings)
+    for z in (1.4, 1.5 * (1.0 - 1e-8), 1.5 * (1.0 + 1e-8), 30.0):
+        count_bound_states(scale_log_well(wt, z), 0.5, settings)
+    assert len(seen) == 12
+    assert all(got == expected for got, expected in seen), seen
+    assert {got for got, _ in seen} >= {0, 1, 2, 3, 4}
+
+    # d = 1 everywhere makes every third pivot exactly zero; each is one node
+    ones = np.ones(100)
+    assert reference(ones) == 33
+    assert kernel(ones.copy()) == 33
+    # many nodes, including a node at the last or second to last pivot
+    rng = np.random.default_rng(5)
+    for size in list(range(1, 40)) + [5000]:
+        for _ in range(5):
+            d = rng.uniform(-3.0, 3.0, size)
+            d[0] = 1.0  # v1/v0 > 0, as count_bound_states sets it
+            assert kernel(d.copy()) == reference(d), d
 
 
 def test_transform_exponent_discrimination(settings) -> None:

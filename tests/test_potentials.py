@@ -241,6 +241,9 @@ def test_load_potential_rejects_bad_input() -> None:
             Tabulated(r_grid=r, U_values=u, q0=0.0, qinf=4.0)
     with pytest.raises(InputError):
         Tabulated(r_grid=np.append(r[:-1], np.inf), U_values=-np.ones(9), q0=0.0, qinf=4.0)
+    for q0, qinf in ((np.nan, 4.0), (0.0, np.inf), (-np.inf, 4.0), (0.0, np.nan)):
+        with pytest.raises(InputError):
+            Tabulated(r_grid=r, U_values=-np.ones(9), q0=q0, qinf=qinf)
 
 
 def test_settings_validation() -> None:
