@@ -21,7 +21,13 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateWellError, InputError
-from .numerics import adaptive_gauss, bisect_monotone, composite_knot_integral, gauss_nodes
+from .numerics import (
+    adaptive_gauss,
+    bisect_elementwise,
+    bisect_monotone,
+    composite_knot_integral,
+    gauss_nodes,
+)
 from .potentials import LogWell, Settings
 
 # relative slack for "lambda^2 equals V_m" and domain-floor comparisons
@@ -43,9 +49,26 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     For lambda2 = 0 (or below the domain-cut floor) the truncated domain ends
     are returned; for lambda2 = V_m the pair degenerates to the maximum.
     """
-    if lambda2 < 0.0:
+    pair = _edge_pair(w, lambda2)
+    if pair is not None:
+        return pair
+
+    def f(rho: float) -> float:
+        return float(w.profile(rho)) - lambda2
+
+    rho1 = bisect_monotone(f, w.rho_left, w.rho_star, rtol=1e-15)
+    rho2 = bisect_monotone(f, w.rho_star, w.rho_right, rtol=1e-15)
+    return TurningPair(rho1, rho2)
+
+
+def _edge_pair(w: LogWell, lambda2: float) -> TurningPair | None:
+    """The pair at the domain cut or at the maximum; None for a true turning pair.
+
+    Raises InputError unless 0 <= lambda2 <= V_m (nan fails both tests).
+    """
+    if not lambda2 >= 0.0:
         raise InputError(f"lambda^2 must be nonnegative, got {lambda2}")
-    if lambda2 > w.V_m * (1.0 + _EDGE_RTOL):
+    if not lambda2 <= w.V_m * (1.0 + _EDGE_RTOL):
         raise InputError(
             f"lambda^2 = {lambda2:g} exceeds the well maximum {w.V_m:g}: "
             "no classically allowed region"
@@ -55,13 +78,38 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     floor = max(float(w.profile(w.rho_left)), float(w.profile(w.rho_right)))
     if lambda2 <= floor:
         return TurningPair(w.rho_left, w.rho_right)
+    return None
 
-    def f(rho: float) -> float:
-        return float(w.profile(rho)) - lambda2
 
-    rho1 = bisect_monotone(f, w.rho_left, w.rho_star, rtol=1e-15)
-    rho2 = bisect_monotone(f, w.rho_star, w.rho_right, rtol=1e-15)
-    return TurningPair(rho1, rho2)
+def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
+    """turning_points for every entry of lambda2, in one batched root search.
+
+    numerics.bisect_elementwise takes the same steps as the two scalar
+    bisections of turning_points, so every root is the same, bit for bit.
+    turning_points itself stays scalar: for a single level, a batch of two
+    roots costs more in array bookkeeping than it saves in profile calls.
+    """
+    pairs = [_edge_pair(w, float(v)) for v in lambda2]
+    interior = [i for i, pair in enumerate(pairs) if pair is None]
+    k = len(interior)
+    # roots 0..k-1 lie left of the maximum, k..2k-1 right of it
+    targets = np.tile(lambda2[interior], 2)
+    ends = [float(w.profile(x)) for x in (w.rho_left, w.rho_star, w.rho_right)]
+
+    def f(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.asarray(w.profile(rho), dtype=float) - targets[idx]
+
+    roots = bisect_elementwise(
+        f,
+        np.repeat([w.rho_left, w.rho_star], k),
+        np.repeat([w.rho_star, w.rho_right], k),
+        np.repeat(ends[:2], k) - targets,
+        np.repeat(ends[1:], k) - targets,
+        rtol=1e-15,
+    )
+    for j, i in enumerate(interior):
+        pairs[i] = TurningPair(float(roots[j]), float(roots[k + j]))
+    return pairs
 
 
 def _exponential_tail(w_end: float, lambda2: float, rate: float) -> float:
@@ -181,10 +229,25 @@ def _turning_point_integral(
 
 
 def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, float]:
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise InputError(f"lambda must be nonnegative, got {lam}")
+    if lam == 0.0:
+        return _zero_action(w, s)
     lambda2 = lam * lam
-    pair = turning_points(w, lambda2)
+    return _action_between(w, lambda2, turning_points(w, lambda2), s)
+
+
+def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
+    """(I(0), error estimate), computed once per well and Settings."""
+    if s not in w._zero_action:
+        w._zero_action[s] = _action_between(w, 0.0, turning_points(w, 0.0), s)
+    return w._zero_action[s]
+
+
+def _action_between(
+    w: LogWell, lambda2: float, pair: TurningPair, s: Settings
+) -> tuple[float, float]:
+    """(I, error estimate) at lambda^2 over its turning pair."""
     if pair.degenerate:
         return 0.0, 0.0
     scale = math.pi * s.hbar
@@ -204,7 +267,8 @@ def action(w: LogWell, lam: float, s: Settings) -> float:
     Endpoint square-root singularities are removed by the sine substitution
     before quadrature; the absolute error is kept below
     quad_tol * max(1, result).  At lambda = 0 the integral runs over the
-    truncated domain and exact exponential-tail corrections are added.
+    truncated domain and exact exponential-tail corrections are added; that
+    value is computed once per well and Settings and then reused.
     """
     return _action_with_error(w, lam, s)[0]
 
@@ -229,7 +293,10 @@ class ActionProfile:
 
 
 def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile:
-    """Sample I(lambda) on a Chebyshev grid over [0, sqrt(V_m)]."""
+    """Sample I(lambda) on a Chebyshev grid over [0, sqrt(V_m)].
+
+    The turning points of all samples come from one batched root search.
+    """
     if n_points < 5:
         raise InputError("profile needs at least 5 points")
     top = math.sqrt(w.V_m)
@@ -237,10 +304,12 @@ def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile
     grid = 0.5 * top * (1.0 - np.cos(math.pi * k / (n_points - 1)))
     grid[0] = 0.0
     grid[-1] = top
+    lambda2 = grid * grid
     values = np.empty(n_points)
     errors = np.empty(n_points)
-    for i, lam in enumerate(grid):
-        values[i], errors[i] = _action_with_error(w, float(lam), s)
+    values[0], errors[0] = _zero_action(w, s)
+    for i, pair in enumerate(_turning_pairs(w, lambda2[1:]), start=1):
+        values[i], errors[i] = _action_between(w, float(lambda2[i]), pair, s)
     interp = PchipInterpolator(grid, values, extrapolate=False)
     return ActionProfile(
         lambda_grid=grid,
@@ -258,7 +327,7 @@ def t_of(profile: ActionProfile, lam: float) -> float:
     it equals Phi_m.
     """
     top = profile.lambda_max
-    if lam < 0.0 or lam > top * (1.0 + 1e-12):
+    if not 0.0 <= lam <= top * (1.0 + 1e-12):
         raise InputError(f"lambda = {lam:g} outside the sampled range [0, {top:g}]")
     lam = min(lam, top)
     return max(profile.Phi_m - float(profile._interp(lam)), 0.0)
@@ -295,12 +364,12 @@ def correction_inner_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     otherwise.  The quadrature keeps the absolute tolerance quad_tol and
     returns its saturated value when that cannot be met.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise InputError(f"formal energy must be nonnegative, got {epsilon}")
     if epsilon == 0.0:
         return 0.0
     v_limit = 0.5 * w.V_m
-    if epsilon > v_limit * (1.0 + 1e-12):
+    if not epsilon <= v_limit * (1.0 + 1e-12):
         raise InputError(f"formal energy {epsilon:g} exceeds the well asymptote {v_limit:g}")
     lambda2 = max(w.V_m - 2.0 * epsilon, 0.0)
     pair = turning_points(w, lambda2)

@@ -24,8 +24,8 @@ from typing import Literal
 
 from .action import action, correction_inner_integral
 from .errors import ConvergenceError, InputError, NoSuchLevelError
-from .numerics import bisect_monotone
-from .potentials import LogWell, Settings
+from .numerics import brent
+from .potentials import LogWell, Settings, quantum_index
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,7 @@ def ground_state_threshold(n: int) -> float:
     Zero for n = 0: the lowest state of an equal-asymptote well survives at
     arbitrarily small depth.
     """
-    if n < 0:
-        raise InputError(f"radial quantum number must be >= 0, got {n}")
+    n = quantum_index(n, "radial quantum number n")
     return math.sqrt(n * (n + 1.0))
 
 
@@ -140,13 +139,12 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
     """Solve the resummed quantization rule for level n of the well.
 
     The condition I(lambda_n) = n + 1/2 + Phi_m - sqrt(Phi_m^2 + 1/4) is
-    solved for lambda_n by bisection on the monotone action.  Raises
-    NoSuchLevelError when the well is too shallow to hold level n.
+    solved for lambda_n by Brent's method on the smooth, decreasing action
+    over [0, sqrt(V_m)].  Raises NoSuchLevelError when the well is too
+    shallow to hold level n.
     """
-    if n < 0:
-        raise InputError(f"radial quantum number must be >= 0, got {n}")
-    phi_m = action(w, 0.0, s)
     threshold = ground_state_threshold(n)
+    phi_m = action(w, 0.0, s)
     if phi_m < threshold * (1.0 - 1e-12):
         raise NoSuchLevelError(
             f"level n = {n} needs total action >= {threshold:g}, well has {phi_m:g}"
@@ -160,7 +158,8 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
         return action(w, lam, s) - target
 
     top = math.sqrt(w.V_m)
-    if g(0.0) <= 0.0:
+    g0 = g(0.0)
+    if g0 <= 0.0:
         # exactly at threshold: the level appears at lambda = 0
         return 0.0
-    return bisect_monotone(g, 0.0, top, rtol=1e-14, xtol=1e-14 * top)
+    return brent(g, 0.0, top, g0, g(top), xtol=1e-14 * top, rtol=1e-14)

@@ -1,4 +1,11 @@
-"""Shared numerical kernels: stable hyperbolics, bisection, singular quadrature.
+"""Shared numerical kernels: stable hyperbolics, root-finding, singular quadrature.
+
+Root-finding comes in three forms: plain bisection, for brackets of
+non-smooth or integer-valued functions and for turning points, whose
+downstream curvature stencils amplify any change in the last digits; an
+elementwise-vectorized bisection that takes exactly the same steps for many
+brackets at once; and Brent's method, for the smooth monotone outer
+equations, where it needs a handful of evaluations instead of ~50.
 
 All action-type integrals in this package have inverse-square-root or
 square-root behaviour at the interval endpoints.  The caller maps the
@@ -78,14 +85,60 @@ def _bisect(
     return 0.5 * (lo + hi)
 
 
-def bracket_and_bisect(f: Callable[[float], float], rtol: float) -> float:
-    """Root on (0, inf) of a nondecreasing f, bracketed geometrically from 1.
+def bisect_elementwise(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    flo: np.ndarray,
+    fhi: np.ndarray,
+    *,
+    xtol: float = 0.0,
+    rtol: float = 4e-16,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """Many independent bisections at once, each bit-identical to _bisect.
+
+    Element i bisects f(., i) on [lo[i], hi[i]] with the given end values.
+    f(x, idx) evaluates the functions with indices idx at the points x, so
+    one vectorized call advances every unfinished bracket by one step; the
+    midpoint, width-stop and zero-hit rules are those of _bisect.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = np.asarray(flo, dtype=float)
+    fhi = np.asarray(fhi, dtype=float)
+    roots = np.where(flo == 0.0, lo, hi)
+    bad = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConvergenceError(f"no sign change on [{lo[i]}, {hi[i]}]: f={flo[i]}, {fhi[i]}")
+    # lo only ever moves to a point of the same sign class as f(lo)
+    lo_positive = flo > 0.0
+    live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    for _ in range(max_iter):
+        if live.size == 0:
+            return roots
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        # f is also evaluated where the width already stops: the root is mid
+        # either way, so the extra value changes nothing
+        fm = f(mid, live)
+        stop = (b - a <= xtol + rtol * np.maximum(np.abs(a), np.abs(b))) | (fm == 0.0)
+        roots[live[stop]] = mid[stop]
+        up = (fm > 0.0) == lo_positive[live]
+        lo[live] = np.where(up, mid, a)
+        hi[live] = np.where(up, b, mid)
+        live = live[~stop]
+    roots[live] = 0.5 * (lo[live] + hi[live])
+    return roots
+
+
+def geometric_bracket(f: Callable[[float], float]) -> tuple[float, float, float, float]:
+    """Sign-change bracket (lo, hi, f(lo), f(hi)) on (0, inf) of a nondecreasing f.
 
     hi doubles from 1 while f(hi) < 0 and lo = hi/2; if hi stays at 1, lo
-    halves from 1/2 while f(lo) > 0 (at most 60 steps either way).  The
-    bracket is then bisected to a relative width rtol and its midpoint
-    returned.  Every point is evaluated once: the bisection reuses the
-    values the bracketing phase already computed.
+    halves from 1/2 while f(lo) > 0 (at most 60 steps either way).  Every
+    point is evaluated once.
     """
     hi, fhi = 1.0, f(1.0)
     flo = None
@@ -105,7 +158,76 @@ def bracket_and_bisect(f: Callable[[float], float], rtol: float) -> float:
             flo = f(lo)
         if flo > 0.0:
             raise ConvergenceError(f"no sign change of f down to {lo:g}")
-    return _bisect(f, lo, hi, flo, fhi, 0.0, rtol, 200)
+    return lo, hi, flo, fhi
+
+
+def bracket_and_bisect(f: Callable[[float], float], rtol: float) -> float:
+    """Root on (0, inf) of a nondecreasing f: geometric_bracket, then bisection.
+
+    The bracket is bisected to a relative width rtol and its midpoint
+    returned, reusing the end values the bracketing phase computed.  Suits a
+    step function such as an integer node count.
+    """
+    return _bisect(f, *geometric_bracket(f), 0.0, rtol, 200)
+
+
+def brent(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    flo: float,
+    fhi: float,
+    *,
+    xtol: float,
+    rtol: float,
+    max_iter: int = 200,
+) -> float:
+    """Root of f on a sign-change bracket by Brent's method, end values given.
+
+    Inverse quadratic interpolation and secant steps with a bisection
+    fallback (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973; the step logic follows SciPy's brentq).  Stops once the bracket
+    is narrower than xtol + rtol * |x|, and converges superlinearly on
+    smooth f while never taking more steps than about the square of a
+    bisection's.
+    """
+    xpre, xcur, fpre, fcur = lo, hi, flo, fhi
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre > 0.0) == (fcur > 0.0):
+        raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre > 0.0) != (fcur > 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise ConvergenceError(f"brent did not converge in {max_iter} steps; last x = {xcur}")
 
 
 def _panel_estimates(
@@ -206,6 +328,28 @@ def _segment_samples(
     return 0.5 * (lo + hi) + half * x, half * w
 
 
+def _knot_samples(
+    edges: np.ndarray, n: int, sqrt_lo: bool, sqrt_hi: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """_segment_samples of every segment between successive edges, in order.
+
+    The plain segments are mapped in one array operation, with the same
+    arithmetic as _segment_samples; only a flagged end segment is mapped on
+    its own.
+    """
+    if edges.size == 2:
+        return _segment_samples(float(edges[0]), float(edges[1]), n, sqrt_lo, sqrt_hi)
+    x, w = gauss_nodes(n)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
+    wts = half[:, None] * w
+    if sqrt_lo:
+        pts[0], wts[0] = _segment_samples(float(edges[0]), float(edges[1]), n, True, False)
+    if sqrt_hi:
+        pts[-1], wts[-1] = _segment_samples(float(edges[-2]), float(edges[-1]), n, False, True)
+    return pts.ravel(), wts.ravel()
+
+
 def composite_knot_integral(
     g: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -231,15 +375,6 @@ def composite_knot_integral(
     edges = np.concatenate([[lo], inner, [hi]])
     totals = []
     for n in (16, 32):
-        pts = []
-        wts = []
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            p, w = _segment_samples(
-                float(a), float(b), n, sqrt_lo and i == 0, sqrt_hi and i == len(edges) - 2
-            )
-            pts.append(p)
-            wts.append(w)
-        pts_all = np.concatenate(pts)
-        wts_all = np.concatenate(wts)
-        totals.append(float(np.dot(wts_all, np.asarray(g(pts_all), dtype=float))))
+        pts, wts = _knot_samples(edges, n, sqrt_lo, sqrt_hi)
+        totals.append(float(np.dot(wts, np.asarray(g(pts), dtype=float))))
     return totals[1], abs(totals[1] - totals[0])

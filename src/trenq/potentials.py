@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
@@ -57,13 +58,24 @@ class Settings:
             raise InputError("Settings.domain_cut must be below 1")
 
 
+def quantum_index(value: int, name: str) -> int:
+    """value as a nonnegative Python int (NumPy integers pass); else InputError."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if index < 0:
+        raise InputError(f"{name} must be >= 0, got {index}")
+    return index
+
+
 def lambda_of(l: int, d: int) -> float:
     """Effective orbital number lambda = l + (d - 2)/2.
 
     For d = 3 this is the Langer-corrected l + 1/2.
     """
-    if l < 0:
-        raise InputError(f"orbital quantum number l must be >= 0, got {l}")
+    l = quantum_index(l, "orbital quantum number l")
+    d = quantum_index(d, "space dimension d")
     if d < 2:
         raise InputError(f"space dimension d must be >= 2, got {d}")
     return l + 0.5 * (d - 2)
@@ -78,8 +90,7 @@ class QuantumNumbers:
     d: int = 3
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError(f"radial quantum number n must be >= 0, got {self.n}")
+        quantum_index(self.n, "radial quantum number n")
         lambda_of(self.l, self.d)  # validates l and d
 
     @property
@@ -278,6 +289,8 @@ class LogWell:
     profile_deriv: Callable[[np.ndarray], np.ndarray] | None = None
     # knot locations of piecewise-defined profiles; quadratures align on them
     breakpoints: np.ndarray | None = None
+    # (I(0), error estimate) per Settings, filled by the action module
+    _zero_action: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, rho: np.ndarray | float) -> np.ndarray | float:
         return self.profile(rho)
@@ -454,8 +467,8 @@ def scale_log_well(w: LogWell, Z: float) -> LogWell:
     """
     if w.scaling is None:
         raise InputError("well has no linear coupling decomposition")
-    if Z <= 0.0:
-        raise InputError(f"coupling must be positive, got {Z}")
+    if not 0.0 < Z < math.inf:
+        raise InputError(f"coupling must be positive and finite, got {Z}")
     base = w.scaling.base
     base_deriv = w.scaling.base_deriv
     ratio = Z / w.scaling.Z

@@ -7,10 +7,11 @@ renormalized effective quantum number:
 
 For wells with linear coupling, W = Z * w, the left side scales as sqrt(Z),
 so the critical coupling is available in closed form from the base-profile
-integral; otherwise it is found by bisection on the monotone depth
-dependence.  The unrenormalized variant (target T instead of T_ren) is kept
-for comparison: renormalization always lowers the predicted threshold, by
-the exact factor 1 - 1/(4 T^2) for linear wells.
+integral; otherwise it is found by Brent's method on the smooth, monotone
+depth dependence, inside a geometric bracket.  The unrenormalized variant
+(target T instead of T_ren) is kept for comparison: renormalization always
+lowers the predicted threshold, by the exact factor 1 - 1/(4 T^2) for
+linear wells.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 from .action import action
 from .effective import TSource, t_effective, t_ren
 from .errors import InputError
-from .numerics import bracket_and_bisect
+from .numerics import brent, geometric_bracket
 from .oracle import exact_critical_coupling
 from .potentials import LogWell, QuantumNumbers, Settings
 
@@ -67,12 +68,14 @@ def critical_coupling(
     renormalized=False) with the deficit taken from t_source (a fitted
     linear slope or a sampled action profile).  Linearly scaling wells are
     solved in closed form; otherwise pass well_factory and the coupling is
-    bisected with geometric bracket expansion.
+    found by Brent's method inside a geometric bracket, to 1e-12 relative.
     """
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
     if w.scaling is not None and well_factory is None:
         a0 = base_action_integral(w, s) if base_integral is None else base_integral
+        if not 0.0 < a0 < math.inf:
+            raise InputError(f"base action integral must be positive and finite, got {a0}")
         return (math.pi * s.hbar * target / a0) ** 2
     if well_factory is None:
         raise InputError("well has no coupling decomposition; pass well_factory")
@@ -80,7 +83,7 @@ def critical_coupling(
     def overshoot(Z: float) -> float:
         return action(well_factory(Z), 0.0, s) - target
 
-    return bracket_and_bisect(overshoot, rtol=1e-12)
+    return brent(overshoot, *geometric_bracket(overshoot), xtol=0.0, rtol=1e-12)
 
 
 def lenz_exact_threshold(
@@ -97,8 +100,10 @@ def lenz_exact_threshold(
     variant 2a * sqrt(...), which is dimensionally inconsistent with the
     exact spectrum; it is reported only so the discrepancy stays visible.
     """
-    if a <= 0.0:
-        raise InputError(f"width parameter a must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise InputError(f"width parameter a must be positive and finite, got {a}")
+    if not 0.0 < hbar < math.inf:
+        raise InputError(f"hbar must be positive and finite, got {hbar}")
     x = q.nu + q.lam / (a * hbar)
     core = x * x - 0.25
     if core < 0.0:

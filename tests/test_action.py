@@ -8,15 +8,18 @@ from trenq import (
     InputError,
     Lenz,
     Settings,
+    Tabulated,
     action,
     action_profile,
     correction_inner_integral,
     fit_phi,
+    scale_log_well,
     t_of,
     to_log_well,
     turning_points,
 )
-from trenq.action import _action_with_error
+from trenq.action import _action_with_error, _turning_pairs
+from trenq.numerics import bisect_monotone
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
 
@@ -44,6 +47,13 @@ def test_turning_points_edges(settings, lenz18_well) -> None:
         turning_points(lenz18_well, 4.1)
     with pytest.raises(InputError):
         turning_points(lenz18_well, -0.1)
+    # nan is bad input, not a failed root bracket
+    with pytest.raises(InputError):
+        turning_points(lenz18_well, math.nan)
+    with pytest.raises(InputError):
+        action(lenz18_well, math.nan, settings)
+    with pytest.raises(InputError):
+        correction_inner_integral(lenz18_well, math.nan, settings)
 
 
 def test_action_values_lenz18(settings, lenz18_well) -> None:
@@ -81,6 +91,63 @@ def test_action_closed_form_family(a: float, Z: float, settings) -> None:
         assert abs(action(w, lam, settings) - lenz_action_closed(a, Z, lam)) <= 1e-8
 
 
+def _lenz_resampling(a: float, Z: float) -> Tabulated:
+    rho = np.linspace(-30.0 / a, 30.0 / a, 400)
+    u = -0.25 * Z / np.cosh(a * rho) ** 2 * np.exp(-2.0 * rho)
+    return Tabulated(r_grid=np.exp(rho), U_values=u, q0=2.0 - 2.0 * a, qinf=2.0 + 2.0 * a)
+
+
+@pytest.mark.parametrize(
+    "make_well",
+    [
+        lambda s: to_log_well(Lenz(a=0.5, Z=8.0), s),
+        lambda s: to_log_well(Lenz(a=1.0, Z=8.0), s),
+        lambda s: to_log_well(Lenz(a=2.0, Z=8.0), s),
+        lambda s: to_log_well(_lenz_resampling(1.0, 8.0), s),
+        None,
+    ],
+    ids=["lenz0.5", "lenz1", "lenz2", "tabulated", "quadratic"],
+)
+def test_batched_turning_points_bit_identical(make_well, settings, quadratic_well) -> None:
+    # the batched search of action_profile takes the steps of two scalar
+    # bisections per level, so roots and action samples agree bit for bit
+    w = quadratic_well if make_well is None else make_well(settings)
+    prof = action_profile(w, settings)
+    lambda2 = prof.lambda_grid * prof.lambda_grid
+    interior = 0
+    for pair, l2 in zip(_turning_pairs(w, lambda2), lambda2):
+        ref = turning_points(w, float(l2))
+        assert (pair.rho1.hex(), pair.rho2.hex(), pair.degenerate) == (
+            ref.rho1.hex(), ref.rho2.hex(), ref.degenerate
+        )
+        if not ref.degenerate and ref.rho1 != w.rho_left:
+            interior += 1
+
+            def f(rho: float, l2: float = float(l2)) -> float:
+                return float(w.profile(rho)) - l2
+
+            assert ref.rho1 == bisect_monotone(f, w.rho_left, w.rho_star, rtol=1e-15)
+            assert ref.rho2 == bisect_monotone(f, w.rho_star, w.rho_right, rtol=1e-15)
+    assert interior >= 60
+    for lam, value, err in zip(prof.lambda_grid, prof.I_values, prof.quad_error):
+        ref_value, ref_err = _action_with_error(w, float(lam), settings)
+        assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex())
+
+
+def test_zero_action_memo_keyed_by_settings(settings) -> None:
+    w = to_log_well(Lenz(a=1.0, Z=8.0), settings)
+    assert w._zero_action == {}
+    full = action(w, 0.0, settings)
+    assert action(w, 0.0, settings) == full
+    # a memo keyed by the well alone would return `full` again here
+    assert action(w, 0.0, Settings(hbar=2.0)) == pytest.approx(0.5 * full, rel=1e-12)
+    assert set(w._zero_action) == {settings, Settings(hbar=2.0)}
+    # a rescaled well starts afresh
+    w4 = scale_log_well(w, 32.0)
+    assert w4._zero_action == {}
+    assert action(w4, 0.0, settings) == pytest.approx(2.0 * full, rel=1e-12)
+
+
 def test_action_error_estimate_bounds_change(settings, lenz18_well) -> None:
     tight = Settings(quad_tol=settings.quad_tol / 2)
     for lam in (0.0, 0.5, 1.3):
@@ -113,6 +180,8 @@ def test_deficit_linearity(settings, lenz18_profile) -> None:
         t_of(lenz18_profile, 2.1)
     with pytest.raises(InputError):
         t_of(lenz18_profile, -0.1)
+    with pytest.raises(InputError):
+        t_of(lenz18_profile, math.nan)
 
 
 @pytest.mark.parametrize("a,expected", [(0.5, 2.0), (1.0, 1.0), (2.0, 0.5)])

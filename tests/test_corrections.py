@@ -7,6 +7,7 @@ from trenq import (
     InputError,
     Lenz,
     NoSuchLevelError,
+    action,
     correction_state_integral,
     correction_state_matched,
     count_bound_states,
@@ -121,6 +122,9 @@ def test_ground_state_threshold_values() -> None:
     assert ground_state_threshold(2) == pytest.approx(math.sqrt(6.0), abs=1e-15)
     with pytest.raises(InputError):
         ground_state_threshold(-1)
+    with pytest.raises(InputError):
+        ground_state_threshold(1.5)
+    assert ground_state_threshold(np.int64(1)) == ground_state_threshold(1)
 
 
 def test_solve_spectrum_lenz18(settings, lenz18_well) -> None:
@@ -131,6 +135,8 @@ def test_solve_spectrum_lenz18(settings, lenz18_well) -> None:
     assert lam0 > lam1
     with pytest.raises(NoSuchLevelError):
         solve_spectrum(lenz18_well, 2, settings)
+    with pytest.raises(InputError):
+        solve_spectrum(lenz18_well, 1.5, settings)
 
 
 def test_solve_spectrum_exact_integer_case(settings) -> None:
@@ -141,6 +147,27 @@ def test_solve_spectrum_exact_integer_case(settings) -> None:
     w3 = to_log_well(Lenz(a=1.0, Z=3.0), settings)
     with pytest.raises(NoSuchLevelError):
         solve_spectrum(w3, 1, settings)
+
+
+@pytest.mark.parametrize("a,Z", [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0)])
+def test_solve_spectrum_action_count(a: float, Z: float, settings, monkeypatch) -> None:
+    # work-count guard, no timing: each level is a smooth root-find on the
+    # action (bisecting it took 50-51 action calls per level)
+    import trenq.corrections as corrections
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return action(*args)
+
+    monkeypatch.setattr(corrections, "action", counted)
+    w = to_log_well(Lenz(a=a, Z=Z), settings)
+    analytic = lenz_analytic_spectrum(a, Z)
+    for n in range(min(len(analytic), 4)):
+        calls.clear()
+        assert solve_spectrum(w, n, settings) == pytest.approx(analytic[n], abs=1e-8)
+        assert len(calls) <= 12
 
 
 @pytest.mark.parametrize("Z", [2.0, 8.0, 20.0])

@@ -50,6 +50,10 @@ def test_quantum_numbers_derived_fields() -> None:
     assert q.lam == 1.5
     with pytest.raises(InputError):
         QuantumNumbers(n=-1, l=0)
+    for n, l, d in ((1.5, 0, 3), (math.nan, 0, 3), (0, 1.5, 3), (0, 0, 3.0)):
+        with pytest.raises(InputError):
+            QuantumNumbers(n=n, l=l, d=d)
+    assert QuantumNumbers(n=np.int64(2), l=np.int32(1), d=np.int8(3)).nu == 2.5
 
 
 def test_lenz_potential_values() -> None:
@@ -188,6 +192,9 @@ def test_scale_log_well(settings, lenz18_well) -> None:
     assert w2.scaling.Z == 2.0
     with pytest.raises(InputError):
         scale_log_well(w2, -1.0)
+    for Z in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            scale_log_well(w2, Z)
 
 
 def test_tabulated_interpolation_accuracy(settings) -> None:

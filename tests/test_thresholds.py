@@ -38,6 +38,9 @@ def test_critical_coupling_reference_values(settings, lenz18_well) -> None:
     assert z_unren == pytest.approx(2.0, rel=1e-9)
     wt = to_log_well(Tietz(1.0), settings)
     assert critical_coupling(wt, q, settings, t_source=2.0) == pytest.approx(1.0, rel=1e-9)
+    for a0 in (0.0, math.nan):
+        with pytest.raises(InputError):
+            critical_coupling(lenz18_well, q, settings, t_source=1.0, base_integral=a0)
 
 
 def test_critical_coupling_profile_source(settings, lenz18_well, lenz18_profile) -> None:
@@ -87,6 +90,27 @@ def test_critical_coupling_bisection_route(settings, lenz18_well) -> None:
                     assert z == pytest.approx(exact, rel=1e-11)
 
 
+WORK_COUNT_WELLS = [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0)]
+
+
+@pytest.mark.parametrize("a,Z", WORK_COUNT_WELLS)
+def test_factory_route_work_count(a: float, Z: float, settings) -> None:
+    # work-count guard, no timing: the smooth outer solve needs few wells
+    # (bisecting it to 1e-12 built 45-47)
+    w = to_log_well(Lenz(a=a, Z=Z), settings)
+    phi = fit_phi(action_profile(w, settings))
+    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(3, 3, 3)):
+        builds = []
+
+        def factory(z: float):
+            builds.append(z)
+            return to_log_well(Lenz(a=a, Z=z), settings)
+
+        z = critical_coupling(w, q, settings, t_source=phi, well_factory=factory)
+        assert z == pytest.approx(lenz_exact_threshold(a, q)[0], rel=1e-11)
+        assert len(builds) <= 20
+
+
 def test_lenz_exact_threshold_values() -> None:
     z, z_printed = lenz_exact_threshold(1.0, QuantumNumbers(0, 0, 3))
     assert z == pytest.approx(1.5, abs=1e-14)
@@ -97,6 +121,9 @@ def test_lenz_exact_threshold_values() -> None:
     assert z_two == pytest.approx(10.5, abs=1e-13)
     with pytest.raises(InputError):
         lenz_exact_threshold(0.0, QuantumNumbers(0, 0, 3))
+    for a in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            lenz_exact_threshold(a, QuantumNumbers(0, 0, 3))
 
 
 def test_renormalization_effect_rows() -> None:
