@@ -98,17 +98,32 @@ def delta1_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     # zero (the harmonic case), where a pure relative test would never settle
     scale = abs(f(epsilon)) / (epsilon * epsilon)
     h = h0
-    history = [second_derivative(h)]
+    prev_d = second_derivative(h)
+    # smallest change seen so far: (change, Richardson extrapolant, estimate)
+    best = (math.inf, math.nan, math.nan)
+    last_change, grown = math.inf, 0
     for _ in range(40):
         h *= 0.5
         if h < 1e-12 * w.V_m:
-            raise ConvergenceError(f"stencil step underflow; last estimates {history[-2:]}")
-        history.append(second_derivative(h))
-        d, prev_d = history[-1], history[-2]
-        if abs(d - prev_d) <= 1e-6 * max(abs(d), scale):
-            richardson = (16.0 * d - prev_d) / 15.0
+            break
+        d = second_derivative(h)
+        change = abs(d - prev_d)
+        richardson = (16.0 * d - prev_d) / 15.0
+        if change <= 1e-6 * max(abs(d), scale):
             return s.hbar * richardson / (24.0 * math.pi)
-    raise ConvergenceError(f"second derivative did not settle; last estimates {history[-2:]}")
+        if change < best[0]:
+            best = (change, richardson, d)
+        # past the noise floor every halving only amplifies the quadrature noise
+        grown = grown + 1 if change > last_change else 0
+        if grown == 2:
+            break
+        last_change, prev_d = change, d
+    change, richardson, d = best
+    if not change <= 1e-5 * max(abs(d), scale):
+        raise ConvergenceError(
+            f"second derivative did not settle; smallest change {change:g} at estimate {d:g}"
+        )
+    return s.hbar * richardson / (24.0 * math.pi)
 
 
 def correction_state_matched(Phi_m: float) -> CorrectionState:

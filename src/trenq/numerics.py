@@ -5,7 +5,8 @@ non-smooth or integer-valued functions and for turning points, whose
 downstream curvature stencils amplify any change in the last digits; an
 elementwise-vectorized bisection that takes exactly the same steps for many
 brackets at once; and Brent's method, for the smooth monotone outer
-equations, where it needs a handful of evaluations instead of ~50.
+equations and the domain cuts of a log well, where it needs a handful of
+evaluations instead of ~50.
 
 All action-type integrals in this package have inverse-square-root or
 square-root behaviour at the interval endpoints.  The caller maps the

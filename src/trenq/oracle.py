@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpttrf
 
 from .errors import ConvergenceError, InputError
 from .numerics import bracket_and_bisect
-from .potentials import LogWell, Settings, scale_log_well
+from .potentials import LogWell, Settings, quantum_index, scale_log_well
 
 # grid resolution: h = _STEP_FACTOR * ode_tol^(1/4) / k_max keeps the global
 # phase error of the fourth-order recurrence safely below the bisection
@@ -137,8 +137,7 @@ def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings)
     bisected to a relative width of 1e-8, and the transition is verified on
     both sides of the returned value.
     """
-    if n < 0:
-        raise InputError(f"radial quantum number must be >= 0, got {n}")
+    n = quantum_index(n, "radial quantum number n")
     make_well = _as_factory(family)
 
     def count(Z: float) -> int:
@@ -161,15 +160,12 @@ def lenz_analytic_spectrum(a: float, Z: float, hbar: float = 1.0) -> list[float]
     with sigma (sigma + 1) = Z / (2 a^2 hbar^2); all positive members are
     returned in descending order.  The n = 0 entry exists for every Z > 0.
     """
-    if a <= 0.0 or Z <= 0.0:
-        raise InputError("analytic spectrum needs a > 0 and Z > 0")
-    sigma = 0.5 * (-1.0 + math.sqrt(1.0 + 2.0 * Z / (a * a * hbar * hbar)))
-    out = []
-    n = 0
-    while True:
-        lam_n = a * hbar * (sigma - n)
-        if lam_n <= 0.0:
-            break
-        out.append(lam_n)
-        n += 1
-    return out
+    for name, value in (("a", a), ("Z", Z), ("hbar", hbar)):
+        if not 0.0 < value < math.inf:
+            raise InputError(f"analytic spectrum needs positive finite {name}, got {value}")
+    scale = a * a * hbar * hbar
+    sigma = 0.5 * (-1.0 + math.sqrt(1.0 + 2.0 * Z / scale)) if scale > 0.0 else math.inf
+    if not math.isfinite(sigma):
+        raise InputError(f"analytic spectrum of a = {a}, Z = {Z}, hbar = {hbar} overflows")
+    # lambda_n > 0 exactly for the integers n < sigma
+    return [a * hbar * (sigma - n) for n in range(math.ceil(sigma))]

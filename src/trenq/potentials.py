@@ -26,10 +26,9 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateWellError, InputError, PotentialConditionError
-from .numerics import bisect_monotone, sech2
+from .numerics import brent, sech2
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,9 @@ class WellScaling:
 class LogWell:
     """The transformed profile W(rho) with its maximum and truncated domain.
 
-    rho_left/rho_right mark where W falls below domain_cut * V_m; all
+    rho_left/rho_right are the outermost points at which the scan of the
+    search window sees W fall to domain_cut * V_m, so a dip below the cut
+    between two humps stays inside the truncated domain; all
     quadratures and integrations run on this finite window, with analytic
     exponential-tail corrections where they matter.  decay_left/decay_right
     are the exponential rates of W at the two ends.
@@ -296,53 +297,80 @@ class LogWell:
         return self.profile(rho)
 
 
+_SCAN_POINTS = 4097
+_ZOOM_POINTS = 65
+
+
 def _locate_maximum(
-    profile: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+    profile: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, vals: np.ndarray
 ) -> tuple[float, float]:
-    """Grid scan plus bounded local refinement of the profile maximum."""
-    grid = np.linspace(lo, hi, 4097)
-    vals = np.asarray(profile(grid))
+    """(V_m, rho_star) from the window scan `vals = profile(grid)`, refined by zooms.
+
+    The bracket starts as the two grid cells next to the scan's argmax; each
+    zoom evaluates the profile on _ZOOM_POINTS points across the bracket and
+    narrows it to the two cells next to their argmax (1/32 of its width),
+    until it is narrower than 1e-13 (relative to |rho| beyond 1), about nine
+    zooms.  The best value seen is kept and replaced only by a strictly
+    larger one, so V_m is never below the scan maximum and a grid point that
+    already holds the top stays put.
+    """
     k = int(np.argmax(vals))
-    k0 = max(k - 1, 0)
-    k1 = min(k + 1, grid.size - 1)
-    res = minimize_scalar(
-        lambda x: -float(profile(x)),
-        bounds=(grid[k0], grid[k1]),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    rho_star = float(res.x)
-    vmax = float(profile(rho_star))
-    if vals[k] >= vmax:
-        rho_star, vmax = float(grid[k]), float(vals[k])
+    vmax, rho_star = float(vals[k]), float(grid[k])
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    while hi - lo > 1e-13 * max(1.0, abs(rho_star)):
+        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        v = np.asarray(profile(x))
+        j = int(np.argmax(v))
+        if v[j] > vmax:
+            vmax, rho_star = float(v[j]), float(x[j])
+        lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
     return vmax, rho_star
 
 
 def _find_cut(
-    profile: Callable[[float], float],
-    rho_star: float,
+    profile: Callable[[np.ndarray], np.ndarray],
+    grid: np.ndarray,
+    vals: np.ndarray,
     target: float,
     rate: float,
     direction: int,
 ) -> float:
-    """Outward bracket + bisection for the point where W drops to `target`."""
-    step = max(1.0, 2.0 / rate)
-    x = rho_star + direction * step
-    guard = 0
-    while float(profile(x)) > target:
-        x += direction * step
-        step *= 1.5
-        guard += 1
-        if guard > 200:
-            raise PotentialConditionError("well does not decay below the domain cut")
-    inner, outer = rho_star, x
+    """Outermost point on one side where W drops to `target`.
+
+    The window scan `vals = profile(grid)` brackets the outermost crossing of
+    `target` on the `direction` side (-1 left, +1 right) in one grid cell;
+    Brent's method solves inside it from the two scan values.  When W is
+    still above `target` at the window end, the bracket comes from stepping
+    outward from there in growing steps (at most 200).
+    """
 
     def f(rho: float) -> float:
         return float(profile(rho)) - target
 
-    if direction > 0:
-        return bisect_monotone(f, inner, outer, rtol=1e-14)
-    return bisect_monotone(f, outer, inner, rtol=1e-14)
+    above = np.flatnonzero(vals > target)
+    if above.size == 0:
+        raise PotentialConditionError(
+            "no point of the window scan lies above the domain cut; domain_cut is too coarse"
+        )
+    edge = int(above[0]) if direction < 0 else int(above[-1])
+    x_in, f_in = float(grid[edge]), float(vals[edge]) - target
+    outer = edge + direction
+    if 0 <= outer < grid.size:
+        x_out, f_out = float(grid[outer]), float(vals[outer]) - target
+    else:
+        step = max(1.0, 2.0 / rate)
+        x_out = x_in + direction * step
+        f_out = f(x_out)
+        guard = 0
+        while f_out > 0.0:
+            x_in, f_in = x_out, f_out
+            x_out += direction * step
+            f_out = f(x_out)
+            step *= 1.5
+            guard += 1
+            if guard > 200:
+                raise PotentialConditionError("well does not decay below the domain cut")
+    return brent(f, x_in, x_out, f_in, f_out, xtol=1e-14 * (grid[1] - grid[0]), rtol=1e-14)
 
 
 def _lenz_well_parts(p: Lenz, exponent: int):
@@ -407,6 +435,10 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     which is kept for the discrimination diagnostics only (it does not
     reproduce exact thresholds).
 
+    One vectorized evaluation of the profile on a _SCAN_POINTS grid across a
+    search window serves the maximum (_locate_maximum) and brackets both
+    domain cuts (_find_cut).
+
     Raises PotentialConditionError when the short-range conditions fail or
     the chosen transform does not vanish at both ends.
     """
@@ -439,12 +471,14 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
             f"decay rate {rate_right:g} <= 0"
         )
 
-    vmax, rho_star = _locate_maximum(profile, *window)
+    grid = np.linspace(*window, _SCAN_POINTS)
+    vals = np.asarray(profile(grid), dtype=float)
+    vmax, rho_star = _locate_maximum(profile, grid, vals)
     if vmax <= s.domain_cut:
         raise DegenerateWellError("transformed well is numerically zero")
     target = s.domain_cut * vmax
-    rho_left = _find_cut(profile, rho_star, target, rate_left, -1)
-    rho_right = _find_cut(profile, rho_star, target, rate_right, +1)
+    rho_left = _find_cut(profile, grid, vals, target, rate_left, -1)
+    rho_right = _find_cut(profile, grid, vals, target, rate_right, +1)
     return LogWell(
         profile=profile,
         V_m=vmax,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,18 @@ def test_delta1_integral_energy_independent(settings, lenz18_well) -> None:
     assert (max(vals) - min(vals)) <= 0.05 * abs(mean)
     # closed form for this well: -a / (8 sqrt(V_m / 2))
     assert mean == pytest.approx(-1.0 / (8.0 * math.sqrt(2.0)), rel=1e-4)
+    # moving the domain cuts by one ulp only reshuffles the ~1e-11 quadrature
+    # noise, which the stencil amplifies; the result must not depend on it
+    for sign in (-1.0, 1.0):
+        nudged = replace(
+            lenz18_well,
+            rho_left=np.nextafter(lenz18_well.rho_left, sign * np.inf),
+            rho_right=np.nextafter(lenz18_well.rho_right, -sign * np.inf),
+        )
+        for eps in (0.4, 1.0, 1.6):
+            assert delta1_integral(nudged, eps, settings) == pytest.approx(
+                -1.0 / (8.0 * math.sqrt(2.0)), rel=1e-4
+            )
     ratio = mean / delta1_matched(2.0)
     print(f"delta1 integral/matched ratio on sech^2 well: {ratio:.9f}")
     assert 0.3 < ratio < 3.0  # order-of-magnitude agreement only

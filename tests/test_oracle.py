@@ -38,6 +38,9 @@ def test_count_rejects_marginal_lambda(settings, lenz18_well) -> None:
             count_bound_states(lenz18_well, bad, settings)
         with pytest.raises(InputError):
             exact_critical_coupling(lenz18_well, bad, 0, settings)
+    for n in (1.5, np.nan, -1):
+        with pytest.raises(InputError):
+            exact_critical_coupling(lenz18_well, 0.5, n, settings)
 
 
 def test_count_reports_stats(settings, lenz18_well) -> None:
@@ -62,6 +65,10 @@ def test_analytic_spectrum() -> None:
     assert shallow[0] == pytest.approx(5e-4, rel=1e-3)
     with pytest.raises(InputError):
         lenz_analytic_spectrum(0.0, 1.0)
+    for args in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf), (1.0, np.nan), (1.0, 1.0, 0.0),
+                 (1.0, 1.0, np.nan), (1e-200, 1.0, 1e-200)):
+        with pytest.raises(InputError):
+            lenz_analytic_spectrum(*args)
 
 
 def test_count_consistent_with_analytic_spectrum(settings) -> None:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import trenq.potentials as potentials
 from trenq import (
     DegenerateWellError,
     InputError,
@@ -14,6 +15,7 @@ from trenq import (
     Tabulated,
     Tietz,
     check_conditions,
+    count_bound_states,
     lambda_of,
     load_potential,
     scale_log_well,
@@ -28,6 +30,31 @@ def make_tabulated(profile, q0: float, qinf: float, rho_span=(-8.0, 8.0), n=400)
     w = profile(rho)
     u = -0.5 * w * np.exp(-2.0 * rho)
     return Tabulated(r_grid=r, U_values=u, q0=q0, qinf=qinf)
+
+
+def lenz_tabulated(rho_span: tuple[float, float]) -> Tabulated:
+    """400 log-spaced samples of Lenz(1, 8)."""
+    return make_tabulated(lambda rho: 4.0 / np.cosh(rho) ** 2, q0=0.0, qinf=4.0, rho_span=rho_span)
+
+
+def cut_residual(w, s: Settings) -> float:
+    """Worst relative miss of W(cut) = domain_cut * V_m over both cuts."""
+    target = s.domain_cut * w.V_m
+    return max(abs(float(w.profile(x)) / target - 1.0) for x in (w.rho_left, w.rho_right))
+
+
+# (potential, transform exponent); the exponent-1 Lenz(0.6, 1) has its left
+# cut near -164, far outside the scanned window [-41.7, 41.7], and the
+# tabulated Lenz sampled on [-8, 8] has both cuts outside its window [-13, 13]
+GEOMETRY_CASES = [
+    (Lenz(1.0, 8.0), 2),
+    (Lenz(0.5, 1e4), 2),
+    (Lenz(2.0, 30.0), 2),
+    (Lenz(0.6, 1.0), 1),
+    (Lenz(1.0, 8.0), 1),
+    (lenz_tabulated((-17.0, 17.0)), 2),
+    (lenz_tabulated((-8.0, 8.0)), 2),
+]
 
 
 def test_lambda_of_values() -> None:
@@ -139,10 +166,57 @@ def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
     cut = settings.domain_cut * w.V_m
     assert float(w.profile(w.rho_left)) == pytest.approx(cut, rel=1e-6)
     assert float(w.profile(w.rho_right)) == pytest.approx(cut, rel=1e-6)
+    for p, exponent in GEOMETRY_CASES:
+        wp = to_log_well(p, settings, transform_exponent=exponent)
+        assert cut_residual(wp, settings) <= 1e-12
+        assert wp.rho_left < wp.rho_star < wp.rho_right
     assert w.scaling is not None and w.scaling.Z == 8.0
     rho = np.linspace(w.rho_left, w.rho_right, 257)
     mismatch = np.abs(w.profile(rho) - w.scaling.Z * w.scaling.base(rho))
     assert np.max(mismatch) <= settings.quad_tol * w.V_m
+
+
+def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
+    # work-count guard: one window scan, ~9 zooms and two short Brent solves
+    calls = [0]
+
+    def counting(parts):
+        def wrapped(p, exponent):
+            profile, *rest = parts(p, exponent)
+
+            def counted(rho):
+                calls[0] += 1
+                return profile(rho)
+
+            return (counted, *rest)
+
+        return wrapped
+
+    monkeypatch.setattr(potentials, "_lenz_well_parts", counting(potentials._lenz_well_parts))
+    monkeypatch.setattr(
+        potentials, "_tabulated_well_parts", counting(potentials._tabulated_well_parts)
+    )
+    for p, exponent in GEOMETRY_CASES:
+        calls[0] = 0
+        to_log_well(p, settings, transform_exponent=exponent)
+        assert 0 < calls[0] <= 40, (p, exponent, calls[0])
+
+
+def test_two_hump_well_keeps_both_humps(settings) -> None:
+    # two separated sech^2 humps, each holding exactly one state at lambda = 1/2;
+    # the well dips below the domain cut between them
+    p = make_tabulated(
+        lambda rho: 2.0 / np.cosh(rho - 20.0) ** 2 + 2.0 / np.cosh(rho + 20.0) ** 2,
+        q0=0.0,
+        qinf=4.0,
+        rho_span=(-30.0, 30.0),
+        n=800,
+    )
+    w = to_log_well(p, settings)
+    assert float(w.profile(0.0)) < settings.domain_cut * w.V_m
+    assert w.rho_left < -20.0 and w.rho_right > 20.0
+    assert cut_residual(w, settings) <= 1e-12
+    assert count_bound_states(w, 0.5, settings).count == 2
 
 
 def test_check_conditions_lenz() -> None:
@@ -174,6 +248,11 @@ def test_printed_transform_variant(settings) -> None:
     # locating a flat maximum in x is sqrt(eps)-limited; the value is not
     assert w.rho_star == pytest.approx(math.atanh(-0.5), abs=1e-6)
     assert w.V_m == pytest.approx(8.0 * math.exp(-math.atanh(-0.5)) * 0.75 / 2.0, rel=1e-12)
+    assert cut_residual(w, settings) <= 1e-12
+    # slow left decay (rate 2a - 1 = 0.2): the cut lies far outside the scan
+    w = to_log_well(Lenz(a=0.6, Z=1.0), settings, transform_exponent=1)
+    assert w.rho_left < -25.0 / 0.6 - 100.0
+    assert cut_residual(w, settings) <= 1e-12
     # Tietz decays too slowly on the left for this variant
     with pytest.raises(PotentialConditionError):
         to_log_well(Tietz(1.0), settings, transform_exponent=1)
