@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DegenerateWellError, InputError
+from .errors import DegenerateWellError, InputError, PotentialConditionError
 from .numerics import (
     adaptive_gauss,
     bisect_elementwise,
@@ -47,7 +47,9 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     """Locate the pair of solutions of W(rho) = lambda2 around the maximum.
 
     For lambda2 = 0 (or below the domain-cut floor) the truncated domain ends
-    are returned; for lambda2 = V_m the pair degenerates to the maximum.
+    are returned; for lambda2 = V_m the pair degenerates to the maximum.  On
+    a well with several humps, lambda2 below its split_level raises
+    PotentialConditionError.
     """
     pair = _edge_pair(w, lambda2)
     if pair is not None:
@@ -64,7 +66,10 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
 def _edge_pair(w: LogWell, lambda2: float) -> TurningPair | None:
     """The pair at the domain cut or at the maximum; None for a true turning pair.
 
-    Raises InputError unless 0 <= lambda2 <= V_m (nan fails both tests).
+    Raises InputError unless 0 <= lambda2 <= V_m (nan fails both tests), and
+    PotentialConditionError when lambda2 lies above the domain-cut floor but
+    below the well's split_level, where the allowed set may be disconnected
+    and one turning pair around the maximum would miss part of it.
     """
     if not lambda2 >= 0.0:
         raise InputError(f"lambda^2 must be nonnegative, got {lambda2}")
@@ -78,6 +83,11 @@ def _edge_pair(w: LogWell, lambda2: float) -> TurningPair | None:
     floor = max(float(w.profile(w.rho_left)), float(w.profile(w.rho_right)))
     if lambda2 <= floor:
         return TurningPair(w.rho_left, w.rho_right)
+    if w.split_level is not None and lambda2 < w.split_level:
+        raise PotentialConditionError(
+            f"lambda^2 = {lambda2:g} lies below {w.split_level:g}, the top of a second hump "
+            "of the well: the classically allowed region splits there"
+        )
     return None
 
 
@@ -268,7 +278,9 @@ def action(w: LogWell, lam: float, s: Settings) -> float:
     before quadrature; the absolute error is kept below
     quad_tol * max(1, result).  At lambda = 0 the integral runs over the
     truncated domain and exact exponential-tail corrections are added; that
-    value is computed once per well and Settings and then reused.
+    value is computed once per well and Settings and then reused.  Raises
+    PotentialConditionError where turning_points does: for lambda^2 below
+    the split_level of a well with several humps.
     """
     return _action_with_error(w, lam, s)[0]
 

@@ -1,12 +1,13 @@
 """Shared numerical kernels: stable hyperbolics, root-finding, singular quadrature.
 
-Root-finding comes in three forms: plain bisection, for brackets of
-non-smooth or integer-valued functions and for turning points, whose
-downstream curvature stencils amplify any change in the last digits; an
-elementwise-vectorized bisection that takes exactly the same steps for many
-brackets at once; and Brent's method, for the smooth monotone outer
-equations and the domain cuts of a log well, where it needs a handful of
-evaluations instead of ~50.
+Root-finding comes in three forms: plain bisection, for turning points,
+whose downstream curvature stencils amplify any change in the last digits;
+an elementwise-vectorized bisection that takes exactly the same steps for
+many brackets at once; and Brent's method, for the smooth monotone outer
+equations, the domain cuts of a log well and the oracle's continuous
+node-count residual, where it needs a handful of evaluations instead of
+~50.  geometric_bracket finds the sign change on (0, inf) that the outer
+solves start from.
 
 All action-type integrals in this package have inverse-square-root or
 square-root behaviour at the interval endpoints.  The caller maps the
@@ -58,14 +59,7 @@ def bisect_monotone(
     Requires f(lo) and f(hi) of opposite sign (zero counts as either).
     Robust against non-smooth f; used everywhere a guaranteed bracket exists.
     """
-    return _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol, max_iter)
-
-
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float,
-    xtol: float, rtol: float, max_iter: int,
-) -> float:
-    """bisect_monotone with f(lo) and f(hi) already known."""
+    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -97,12 +91,12 @@ def bisect_elementwise(
     rtol: float = 4e-16,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Many independent bisections at once, each bit-identical to _bisect.
+    """Many independent bisections at once, each bit-identical to bisect_monotone.
 
     Element i bisects f(., i) on [lo[i], hi[i]] with the given end values.
     f(x, idx) evaluates the functions with indices idx at the points x, so
     one vectorized call advances every unfinished bracket by one step; the
-    midpoint, width-stop and zero-hit rules are those of _bisect.
+    midpoint, width-stop and zero-hit rules are those of bisect_monotone.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -160,16 +154,6 @@ def geometric_bracket(f: Callable[[float], float]) -> tuple[float, float, float,
         if flo > 0.0:
             raise ConvergenceError(f"no sign change of f down to {lo:g}")
     return lo, hi, flo, fhi
-
-
-def bracket_and_bisect(f: Callable[[float], float], rtol: float) -> float:
-    """Root on (0, inf) of a nondecreasing f: geometric_bracket, then bisection.
-
-    The bracket is bisected to a relative width rtol and its midpoint
-    returned, reusing the end values the bracketing phase computed.  Suits a
-    step function such as an integer node count.
-    """
-    return _bisect(f, *geometric_bracket(f), 0.0, rtol, 200)
 
 
 def brent(

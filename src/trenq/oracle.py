@@ -8,10 +8,12 @@ strict sign changes are counted.  The recurrence is carried in Johnson's
 ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)): the ratio of
 successive values is the pivot of an LDL^T factorization of a symmetric
 tridiagonal matrix, a sign change is a nonpositive pivot, and LAPACK's dpttrf
-runs the sweep in compiled code.  Bisecting the coupling on the integer node
-count then locates every critical coupling without any semiclassical input,
-which is what makes this module a legitimate oracle for the rest of the
-package.
+runs the sweep in compiled code.  The product of the pivots is the end value
+of the solution, whose growing-branch amplitude changes sign exactly where
+the count steps; Brent's method on a residual built from that amplitude, with
+its sign taken from the count, locates every critical coupling, and the
+integer count certifies it.  No semiclassical input enters, which is what
+makes this module a legitimate oracle for the rest of the package.
 
 The integration window extends beyond the point where the well is cut off:
 near a threshold the incoming node sits far out in the e^(+-lambda rho)
@@ -22,23 +24,26 @@ exponential dominates by ~1e14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf
 
 from .errors import ConvergenceError, InputError
-from .numerics import bracket_and_bisect
+from .numerics import brent, geometric_bracket
 from .potentials import LogWell, Settings, quantum_index, scale_log_well
 
-# grid resolution: h = _STEP_FACTOR * ode_tol^(1/4) / k_max keeps the global
-# phase error of the fourth-order recurrence safely below the bisection
-# resolution (hk ~ 0.02 at the 1e-10 default)
+# grid resolution: h = _STEP_FACTOR * ode_tol^(1/4) / k_max; the grid error of
+# the fourth-order recurrence scales as h^4 and moves a critical coupling by
+# up to about 15 ode_tol relative (1.5e-9 at the 1e-10 default, hk ~ 0.02),
+# well above the 1e-10 width the root-find stops at
 _STEP_FACTOR = 6.6
 _WINDOW_LOG = 0.5 * math.log(1e14)
 _MAX_STEPS = 8_000_000
 _TINY = np.finfo(float).tiny
+# residual size for counts off the n -> n + 1 step, above any 1 + log A met
+_OFF_STEP = 1e6
 
 
 def _count_nonpositive_pivots(d: np.ndarray) -> int:
@@ -50,31 +55,54 @@ def _count_nonpositive_pivots(d: np.ndarray) -> int:
     nonpositive pivot is one sign change of v and the ratio cannot overflow.
     LAPACK dpttrf factors until the first nonpositive pivot; that node is
     counted, the factorization resumes past it, and an exactly zero pivot is
-    taken as -tiny so the next one stays finite.  `d` is overwritten.
+    taken as -tiny so the next one stays finite.  `d` is overwritten with the
+    pivots, each nonpositive one as taken (min(q, -tiny)), so their product
+    is v_{N-1}/v_0.
     """
     n = d.size
     e = np.ones(n - 1)
     count = 0
     start = 0
     while start < n - 1:
-        d_out, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        _, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
         if info == 0:
             return count
         count += 1
         start += info
+        d[start - 1] = q = min(d[start - 1], -_TINY)
         if start < n:
-            d[start] -= 1.0 / min(d_out[info - 1], -_TINY)
+            d[start] -= 1.0 / q
     # dpttrf needs at least two pivots; check a single trailing one here
-    return count + int(start == n - 1 and d[start] <= 0.0)
+    if start == n - 1 and d[start] <= 0.0:
+        d[start] = min(d[start], -_TINY)
+        count += 1
+    return count
 
 
 @dataclass(frozen=True)
 class NodeCount:
-    """Node count of the regular zero-energy solution plus integrator stats."""
+    """Node count of the regular zero-energy solution plus integrator stats.
+
+    `pivots` are the ratios v_{k+1}/v_k of the Numerov sweep and `log_scale`
+    is log v_0 - lambda (rho_r - rho_l)/hbar; log_amplitude() combines them
+    only when asked, so a plain count pays nothing for it.
+    """
 
     count: int
     rho_span: tuple[float, float]
     step_stats: dict
+    pivots: np.ndarray = field(repr=False, compare=False)
+    log_scale: float = field(repr=False, compare=False)
+
+    def log_amplitude(self) -> float:
+        """log(|v_{N-1}| e^(-lambda (rho_r - rho_l)/hbar)), the growing-branch size.
+
+        The solution starts as e^(lambda (rho - rho_l)/hbar) and its end value,
+        relative to that free growth, passes through zero exactly where the
+        count steps, since that is where the last sign change enters the
+        window.  It is a smooth function of the coupling away from there.
+        """
+        return float(np.sum(np.log(np.abs(self.pivots)))) + self.log_scale
 
 
 def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
@@ -115,6 +143,8 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
         count=_count_nonpositive_pivots(d),
         rho_span=(rho_l, rho_r),
         step_stats={"n_steps": n_steps, "h": h, "renormalizations": 0},
+        pivots=d,
+        log_scale=math.log(float(g[0])) - lam * (rho_r - rho_l) / hbar,
     )
 
 
@@ -129,23 +159,46 @@ def _as_factory(family: WellFamily) -> Callable[[float], LogWell]:
     return family
 
 
+def _step_residual(nc: NodeCount, n: int) -> float:
+    """Continuous residual of the n -> n + 1 count step, negative before it.
+
+    The sign comes from the count: - for n, + for n + 1, and a residual of
+    size _OFF_STEP for counts beyond those two.  On the step the size is the
+    growing-branch amplitude A = exp(log_amplitude()), compressed to A below
+    1 and 1 + log A above.  A vanishes where the count steps, so the residual
+    crosses zero there and is smooth on either side; its sign is nondecreasing
+    in the coupling everywhere, even where its size is not monotone.
+    """
+    if nc.count < n:
+        return -_OFF_STEP
+    if nc.count > n + 1:
+        return _OFF_STEP
+    x = nc.log_amplitude()
+    size = math.exp(x) if x < 0.0 else 1.0 + x
+    return size if nc.count == n + 1 else -size
+
+
 def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings) -> float:
-    """Coupling at which the node count steps from n to n + 1, by bisection.
+    """Coupling at which the node count steps from n to n + 1, by Brent's method.
 
     `family` is either a linearly scaling LogWell or a callable Z -> LogWell.
-    The bracket is expanded geometrically from Z = 1 (bracket_and_bisect),
-    bisected to a relative width of 1e-8, and the transition is verified on
-    both sides of the returned value.
+    The root is that of the continuous residual _step_residual, whose sign
+    the count sets, so Brent's bracket stays valid.  The bracket is expanded
+    geometrically from Z = 1 (geometric_bracket) and solved to a relative
+    width of 1e-10; the integer count then certifies the transition on both
+    sides of the returned value.
     """
     n = quantum_index(n, "radial quantum number n")
     make_well = _as_factory(family)
 
-    def count(Z: float) -> int:
-        return count_bound_states(make_well(Z), lam, s).count
+    def count(Z: float) -> NodeCount:
+        return count_bound_states(make_well(Z), lam, s)
 
-    # the half-integer offset never vanishes and turns positive past the step
-    z = bracket_and_bisect(lambda Z: count(Z) - n - 0.5, rtol=1e-8)
-    if count(z * (1.0 - 1e-7)) != n or count(z * (1.0 + 1e-7)) != n + 1:
+    def residual(Z: float) -> float:
+        return _step_residual(count(Z), n)
+
+    z = brent(residual, *geometric_bracket(residual), xtol=0.0, rtol=1e-10)
+    if count(z * (1.0 - 1e-7)).count != n or count(z * (1.0 + 1e-7)).count != n + 1:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "
             "the state may be marginal at this lambda"

@@ -39,7 +39,10 @@ class Settings:
     quad_tol:   quadrature tolerance; the action I(lambda) is computed to
                 quad_tol * max(1, I), the inner correction integral to an
                 absolute quad_tol.
-    ode_tol:    accuracy target for the node-counting integrator.
+    ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/4); the oracle's
+                critical couplings then carry a grid error of up to about
+                15 * ode_tol relative (1.5e-9 at the default), which
+                is not estimated at run time.
     domain_cut: fraction of the well maximum below which W is treated as
                 zero when truncating the infinite rho-line.
     """
@@ -229,7 +232,10 @@ def check_conditions(p: RadialPotential) -> ConditionReport:
 
     Analytic families are judged by their decay exponents; tabulated data
     additionally gets its end-sample log-log slopes compared against the
-    declared exponents.  Always returns a report; callers decide what to do.
+    declared exponents, and a note when its transformed well -2 r^2 U has
+    more than one hump (the monotone interpolant has its extrema at the
+    samples), since the action is then rejected for lambda^2 below the
+    second hump.  Always returns a report; callers decide what to do.
     """
     q0 = p.q_origin
     qinf = p.q_infinity
@@ -255,6 +261,12 @@ def check_conditions(p: RadialPotential) -> ConditionReport:
             messages.append(
                 f"outer samples decay slower (slope {slope1:.3g}) than declared qinf = {qinf:g}"
             )
+        level = _split_level(-2.0 * r * r * u, 0.0)
+        if level is not None:
+            messages.append(
+                f"well -2 r^2 U has more than one hump: the classically allowed region "
+                f"can split for lambda^2 below {level:.3g}, where the action is rejected"
+            )
     return ConditionReport(q0, qinf, origin_ok, infinity_ok, tuple(messages))
 
 
@@ -276,7 +288,10 @@ class LogWell:
     between two humps stays inside the truncated domain; all
     quadratures and integrations run on this finite window, with analytic
     exponential-tail corrections where they matter.  decay_left/decay_right
-    are the exponential rates of W at the two ends.
+    are the exponential rates of W at the two ends.  split_level is None for
+    a single-hump well; otherwise, for lambda^2 between the domain-cut floor
+    and split_level, the classically allowed set W > lambda^2 may fall apart
+    into several intervals (_split_level), which the action rejects.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -290,6 +305,7 @@ class LogWell:
     profile_deriv: Callable[[np.ndarray], np.ndarray] | None = None
     # knot locations of piecewise-defined profiles; quadratures align on them
     breakpoints: np.ndarray | None = None
+    split_level: float | None = None
     # (I(0), error estimate) per Settings, filled by the action module
     _zero_action: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -299,6 +315,24 @@ class LogWell:
 
 _SCAN_POINTS = 4097
 _ZOOM_POINTS = 65
+
+
+def _split_level(vals: np.ndarray, depth: float) -> float | None:
+    """Highest level below which {W > level} can split, from samples of W.
+
+    A sample lies in a dip when the highest sample on each side of it
+    exceeds it; W > lambda^2 is then disconnected for lambda^2 from the
+    sample's value up to the lower of those two rims, which is the running
+    maximum from the outer end on its side of the global maximum.  Returns
+    the highest rim over the dips deeper than `depth`, or None when there is
+    none.
+    """
+    k = int(np.argmax(vals))
+    rim = np.concatenate(
+        (np.maximum.accumulate(vals[:k]), np.maximum.accumulate(vals[k:][::-1])[::-1])
+    )
+    dips = rim - vals > depth
+    return float(np.max(rim[dips])) if np.any(dips) else None
 
 
 def _locate_maximum(
@@ -490,6 +524,8 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
         scaling=scaling,
         profile_deriv=deriv,
         breakpoints=breakpoints,
+        # the sech^2-type analytic wells have one hump by construction
+        split_level=None if isinstance(p, Lenz) else _split_level(vals, target),
     )
 
 
@@ -527,6 +563,7 @@ def scale_log_well(w: LogWell, Z: float) -> LogWell:
         scaling=WellScaling(Z=Z, base=base, base_deriv=base_deriv),
         profile_deriv=deriv,
         breakpoints=w.breakpoints,
+        split_level=None if w.split_level is None else ratio * w.split_level,
     )
 
 

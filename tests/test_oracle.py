@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,14 +158,16 @@ def test_oracle_on_tabulated_well(settings) -> None:
     assert z == pytest.approx(1.5, rel=1e-6)
 
 
-def _numerov_signflips(p: np.ndarray, v0: float, v1: float) -> int:
+def _numerov_signflips(p: np.ndarray, v0: float, v1: float) -> tuple[int, float]:
     """Reference counter: strict sign changes of v_{k+1} = p_k v_k - v_{k-1}.
 
     Runs the recurrence on the values themselves (rescaled before they
-    overflow) and never counts the sign of v0; an exact zero keeps the
-    previous sign, so the change is counted at the next nonzero value.
+    overflow, the scale carried in a logarithm) and never counts the sign of
+    v0; an exact zero keeps the previous sign, so the change is counted at the
+    next nonzero value.  Returns (count, log|v_last / v0|).
     """
     count = 0
+    log_scale = -math.log(abs(v0))
     sign = v1 > 0.0
     for pk in p:
         v2 = pk * v1 - v0
@@ -175,28 +179,58 @@ def _numerov_signflips(p: np.ndarray, v0: float, v1: float) -> int:
         if v2 > 1e250 or v2 < -1e250:
             v1 *= 1e-250
             v2 *= 1e-250
+            log_scale += 250.0 * math.log(10.0)
         v0 = v1
         v1 = v2
-    return count
+    return count, math.log(abs(v1)) + log_scale
 
 
 def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
     # the pivot count must agree with the value recurrence it replaces, most of
-    # all right at thresholds, where a miscount moves a critical coupling
+    # all right at thresholds, where a miscount moves a critical coupling; the
+    # pivots it leaves behind must multiply up to the end value of the solution,
+    # and the residual built from them must change sign across each step
     import trenq.oracle as oracle_mod
 
     kernel = oracle_mod._count_nonpositive_pivots
 
-    def reference(d: np.ndarray) -> int:
+    def reference(d: np.ndarray) -> tuple[int, float]:
         return _numerov_signflips(d[1:], 1.0, float(d[0]))
+
+    def log_product(pivots: np.ndarray) -> float:
+        return float(np.sum(np.log(np.abs(pivots))))
 
     seen = []
 
     def checked_kernel(d: np.ndarray) -> int:
-        expected = reference(d)
+        expected, log_end = reference(d)
         got = kernel(d)
-        seen.append((got, expected))
+        seen.append((got, expected, log_end))
         return got
+
+    def residual_size(x: float) -> float:
+        return math.exp(x) if x < 0.0 else 1.0 + x
+
+    def check_amplitude(w, z: float, lam: float) -> oracle_mod.NodeCount:
+        nc = count_bound_states(scale_log_well(w, z), lam, settings)
+        # u_0 = 1 and v = g u with g = 1 - h^2 (lam^2 - W)/12, relative to the
+        # free growth e^(lam (rho - rho_l))
+        rho_l, rho_r = nc.rho_span
+        h = nc.step_stats["h"]
+        g0 = 1.0 - h * h * (lam * lam - z * float(w.scaling.base(rho_l))) / 12.0
+        expected = seen[-1][2] + math.log(g0) - lam * (rho_r - rho_l)
+        # near a step the end value cancels (A ~ 1e-9 at Z_c(1 +- 1e-8)), and
+        # rounding moves its log by up to ~1e-5 in either recurrence; the
+        # residual size A itself agrees to 1e-12, i.e. ~1e-11 in Z there, below
+        # the 1e-10 width the root-find stops at
+        assert abs(residual_size(nc.log_amplitude()) - residual_size(expected)) <= 1e-12
+        return nc
+
+    def check_step(w, z_c: float, lam: float, n: int) -> None:
+        # the continuous residual changes sign across the count step
+        below = check_amplitude(w, z_c * (1.0 - 1e-6), lam)
+        above = check_amplitude(w, z_c * (1.0 + 1e-6), lam)
+        assert oracle_mod._step_residual(below, n) < 0.0 < oracle_mod._step_residual(above, n)
 
     monkeypatch.setattr(oracle_mod, "_count_nonpositive_pivots", checked_kernel)
     for a, n, l in ((0.5, 3, 0), (1.0, 0, 0), (1.0, 2, 3), (2.0, 1, 2)):
@@ -204,7 +238,8 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
         w = to_log_well(Lenz(a=a, Z=1.0), settings)
         z_c, _ = lenz_exact_threshold(a, q)
         for z in (z_c * (1.0 - 1e-8), z_c * (1.0 + 1e-8)):
-            count_bound_states(scale_log_well(w, z), q.lam, settings)
+            check_amplitude(w, z, q.lam)
+        check_step(w, z_c, q.lam, n)
     w0 = to_log_well(Lenz(a=1.0, Z=1.0), settings)
     rho = np.linspace(w0.rho_left, w0.rho_right, 2001)
     tab = Tabulated(
@@ -215,22 +250,56 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
     )
     wt = to_log_well(tab, settings)
     for z in (1.4, 1.5 * (1.0 - 1e-8), 1.5 * (1.0 + 1e-8), 30.0):
-        count_bound_states(scale_log_well(wt, z), 0.5, settings)
-    assert len(seen) == 12
-    assert all(got == expected for got, expected in seen), seen
-    assert {got for got, _ in seen} >= {0, 1, 2, 3, 4}
+        check_amplitude(wt, z, 0.5)
+    check_step(wt, 1.5, 0.5, 0)
+    assert len(seen) == 22
+    assert all(got == expected for got, expected, _ in seen), seen
+    assert {got for got, *_ in seen} >= {0, 1, 2, 3, 4}
 
-    # d = 1 everywhere makes every third pivot exactly zero; each is one node
+    # d = 1 everywhere makes every third pivot exactly zero; each is one node,
+    # and the pivots as taken still multiply up to the end value
     ones = np.ones(100)
-    assert reference(ones) == 33
-    assert kernel(ones.copy()) == 33
+    assert reference(ones) == (33, 0.0)
+    pivots = ones.copy()
+    assert kernel(pivots) == 33
+    assert log_product(pivots) == pytest.approx(0.0, abs=1e-9)
     # many nodes, including a node at the last or second to last pivot
     rng = np.random.default_rng(5)
     for size in list(range(1, 40)) + [5000]:
         for _ in range(5):
             d = rng.uniform(-3.0, 3.0, size)
             d[0] = 1.0  # v1/v0 > 0, as count_bound_states sets it
-            assert kernel(d.copy()) == reference(d), d
+            expected, log_end = reference(d)
+            pivots = d.copy()
+            assert kernel(pivots) == expected, d
+            assert log_product(pivots) == pytest.approx(log_end, abs=1e-9), d
+
+
+def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
+    # work-count guard, no timing: Brent on the continuous residual needs
+    # fewer than 20 counts per threshold (bisecting the count to 1e-8 took
+    # 34.69), and every threshold stays within 3e-9 of the closed form
+    import trenq.oracle as oracle_mod
+
+    calls = [0]
+    counter = oracle_mod.count_bound_states
+
+    def counted(*args):
+        calls[0] += 1
+        return counter(*args)
+
+    monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
+    worst = 0.0
+    for a in (0.5, 1.0, 2.0):
+        w = to_log_well(Lenz(a=a, Z=1.0), settings)
+        for n in range(4):
+            for l in range(4):
+                q = QuantumNumbers(n, l, 3)
+                z = exact_critical_coupling(w, q.lam, q.n, settings)
+                z_exact, _ = lenz_exact_threshold(a, q)
+                worst = max(worst, abs(z - z_exact) / z_exact)
+    assert calls[0] / 48 <= 20.0, calls[0] / 48
+    assert worst <= 3e-9
 
 
 def test_transform_exponent_discrimination(settings) -> None:

@@ -14,13 +14,16 @@ from trenq import (
     Settings,
     Tabulated,
     Tietz,
+    action,
     check_conditions,
     count_bound_states,
     lambda_of,
     load_potential,
     scale_log_well,
     to_log_well,
+    turning_points,
 )
+from trenq.cli import main
 
 
 def make_tabulated(profile, q0: float, qinf: float, rho_span=(-8.0, 8.0), n=400) -> Tabulated:
@@ -202,21 +205,51 @@ def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
         assert 0 < calls[0] <= 40, (p, exponent, calls[0])
 
 
-def test_two_hump_well_keeps_both_humps(settings) -> None:
-    # two separated sech^2 humps, each holding exactly one state at lambda = 1/2;
-    # the well dips below the domain cut between them
-    p = make_tabulated(
+def two_hump_tabulated() -> Tabulated:
+    """Two separated sech^2 humps of height 2, each holding one state at lambda = 1/2.
+
+    The well dips below the domain cut between them.
+    """
+    return make_tabulated(
         lambda rho: 2.0 / np.cosh(rho - 20.0) ** 2 + 2.0 / np.cosh(rho + 20.0) ** 2,
         q0=0.0,
         qinf=4.0,
         rho_span=(-30.0, 30.0),
         n=800,
     )
-    w = to_log_well(p, settings)
+
+
+def test_two_hump_well_keeps_both_humps(settings) -> None:
+    w = to_log_well(two_hump_tabulated(), settings)
     assert float(w.profile(0.0)) < settings.domain_cut * w.V_m
     assert w.rho_left < -20.0 and w.rho_right > 20.0
     assert cut_residual(w, settings) <= 1e-12
     assert count_bound_states(w, 0.5, settings).count == 2
+
+
+def test_two_hump_well_rejects_split_action(settings, tmp_path, capsys) -> None:
+    # one turning pair around the maximum would see only one hump at lambda = 1/2
+    # (I = 0.914 instead of ~1.83), so the action fails fast there
+    p = two_hump_tabulated()
+    w = to_log_well(p, settings)
+    assert w.split_level == pytest.approx(2.0, rel=1e-3)
+    assert scale_log_well(w, 3.0).split_level == 3.0 * w.split_level
+    assert action(w, 0.0, settings) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-6)
+    with pytest.raises(PotentialConditionError):
+        turning_points(w, 0.25)
+    with pytest.raises(PotentialConditionError):
+        action(w, 0.5, settings)
+    assert any("more than one hump" in m for m in check_conditions(p).messages)
+    for single, exponent in GEOMETRY_CASES:
+        assert to_log_well(single, settings, transform_exponent=exponent).split_level is None
+        assert not any("hump" in m for m in check_conditions(single).messages)
+
+    spec = {"family": "tabulated", "r": p.r_grid.tolist(), "U": p.U_values.tolist(),
+            "q0": p.q0, "qinf": p.qinf}
+    path = tmp_path / "two_hump.json"
+    path.write_text(json.dumps(spec))
+    assert main(["threshold", "--potential", str(path)]) == 1
+    assert "second hump" in capsys.readouterr().err
 
 
 def test_check_conditions_lenz() -> None:
