@@ -33,6 +33,8 @@ from .potentials import LogWell, Settings
 # relative slack for "lambda^2 equals V_m" and domain-floor comparisons
 _EDGE_RTOL = 1e-14
 
+_Weight = Callable[[np.ndarray], np.ndarray] | None
+
 
 @dataclass(frozen=True)
 class TurningPair:
@@ -51,7 +53,8 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     a well with several humps, lambda2 below its split_level raises
     PotentialConditionError.
     """
-    pair = _edge_pair(w, lambda2)
+    floor = max(float(w.profile(w.rho_left)), float(w.profile(w.rho_right)))
+    pair = _edge_pair(w, lambda2, floor)
     if pair is not None:
         return pair
 
@@ -63,10 +66,11 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     return TurningPair(rho1, rho2)
 
 
-def _edge_pair(w: LogWell, lambda2: float) -> TurningPair | None:
+def _edge_pair(w: LogWell, lambda2: float, floor: float) -> TurningPair | None:
     """The pair at the domain cut or at the maximum; None for a true turning pair.
 
-    Raises InputError unless 0 <= lambda2 <= V_m (nan fails both tests), and
+    floor is the domain-cut floor, the higher of W at the two cuts.  Raises
+    InputError unless 0 <= lambda2 <= V_m (nan fails both tests), and
     PotentialConditionError when lambda2 lies above the domain-cut floor but
     below the well's split_level, where the allowed set may be disconnected
     and one turning pair around the maximum would miss part of it.
@@ -80,7 +84,6 @@ def _edge_pair(w: LogWell, lambda2: float) -> TurningPair | None:
         )
     if lambda2 >= w.V_m * (1.0 - _EDGE_RTOL):
         return TurningPair(w.rho_star, w.rho_star, degenerate=True)
-    floor = max(float(w.profile(w.rho_left)), float(w.profile(w.rho_right)))
     if lambda2 <= floor:
         return TurningPair(w.rho_left, w.rho_right)
     if w.split_level is not None and lambda2 < w.split_level:
@@ -95,16 +98,19 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
     """turning_points for every entry of lambda2, in one batched root search.
 
     numerics.bisect_elementwise takes the same steps as the two scalar
-    bisections of turning_points, so every root is the same, bit for bit.
-    turning_points itself stays scalar: for a single level, a batch of two
-    roots costs more in array bookkeeping than it saves in profile calls.
+    bisections of turning_points, so every root is the same, bit for bit; W
+    at the cuts and the maximum (root brackets and domain-cut floor) is
+    evaluated once.  turning_points itself stays scalar: for a single level,
+    a batch of two roots costs more in array bookkeeping than it saves in
+    profile calls.
     """
-    pairs = [_edge_pair(w, float(v)) for v in lambda2]
+    ends = [float(w.profile(x)) for x in (w.rho_left, w.rho_star, w.rho_right)]
+    floor = max(ends[0], ends[2])
+    pairs = [_edge_pair(w, v, floor) for v in lambda2.tolist()]
     interior = [i for i, pair in enumerate(pairs) if pair is None]
     k = len(interior)
     # roots 0..k-1 lie left of the maximum, k..2k-1 right of it
     targets = np.tile(lambda2[interior], 2)
-    ends = [float(w.profile(x)) for x in (w.rho_left, w.rho_star, w.rho_right)]
 
     def f(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.asarray(w.profile(rho), dtype=float) - targets[idx]
@@ -138,17 +144,29 @@ def _exponential_tail(w_end: float, lambda2: float, rate: float) -> float:
     return (2.0 / rate) * (v - lam * math.atan2(v, lam))
 
 
-def _well_slope(w: LogWell, rho: float) -> float:
+def _well_slope(w: LogWell, rho: np.ndarray) -> np.ndarray:
     if w.profile_deriv is not None:
-        return float(w.profile_deriv(rho))
-    delta = 1e-7 * max(1.0, abs(rho))
-    return float(w.profile(rho + delta) - w.profile(rho - delta)) / (2.0 * delta)
+        return np.asarray(w.profile_deriv(rho), dtype=float)
+    delta = 1e-7 * np.maximum(1.0, np.abs(rho))
+    return (w.profile(rho + delta) - w.profile(rho - delta)) / (2.0 * delta)
 
 
-def _turning_ratio(w: LogWell, lambda2: float, pair: TurningPair):
-    """Factory for Q(theta) = (W - lambda^2) / ((rho - rho1)(rho2 - rho)).
+def _raised(gap: np.ndarray, rho: np.ndarray, power: float, weight: _Weight) -> np.ndarray:
+    """weight(rho) * gap^power for power +1/2 or -1/2; weight None stands for 1."""
+    if power > 0.0:
+        root = np.sqrt(gap)
+        return root if weight is None else root * weight(rho)
+    positive = gap > 0.0
+    return np.where(positive, weight(rho) / np.sqrt(np.where(positive, gap, 1.0)), 0.0)
 
-    Under rho = mid + c*sin(theta) the product of root distances equals
+
+def _turning_ratio(
+    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], power: float, weight: _Weight
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Integrand in theta of weight * (W - lambda^2)^power in the Q form, over many pairs.
+
+    Q(theta) = (W - lambda^2) / ((rho - rho1)(rho2 - rho)).  Under
+    rho = mid + c*sin(theta) the product of root distances equals
     c^2 cos^2 theta, so Q is the smooth positive factor of W - lambda^2 with
     the simple turning-point zeros divided out; integrands written in terms
     of Q avoid the endpoint roundoff amplification of the naive sqrt forms.
@@ -158,84 +176,89 @@ def _turning_ratio(w: LogWell, lambda2: float, pair: TurningPair):
     would otherwise be amplified by the inverse: the stored roots are
     Newton-corrected inside the denominator, and 1 +- sin(theta) is
     evaluated through cos^2 on the cancelling side.
-    """
-    mid = 0.5 * (pair.rho1 + pair.rho2)
-    half = 0.5 * (pair.rho2 - pair.rho1)
-    # residual Newton shifts of the stored roots (a fraction of an ulp each)
-    slope1 = _well_slope(w, pair.rho1)
-    slope2 = _well_slope(w, pair.rho2)
-    corr1 = (float(w.profile(pair.rho1)) - lambda2) / slope1 if slope1 != 0.0 else 0.0
-    corr2 = (float(w.profile(pair.rho2)) - lambda2) / slope2 if slope2 != 0.0 else 0.0
 
-    def q_of(theta: np.ndarray) -> np.ndarray:
+    Row i of theta in the returned f(theta, rows) belongs to lambda2[rows[i]]
+    and its pair, as numerics.adaptive_gauss evaluates a batch.
+    """
+    rho1, rho2 = ends = np.array([[pair.rho1 for pair in pairs], [pair.rho2 for pair in pairs]])
+    # residual Newton shifts of the stored roots (a fraction of an ulp each)
+    slope = _well_slope(w, ends)
+    shift = np.asarray(w.profile(ends), dtype=float) - lambda2
+    corr1, corr2 = np.divide(shift, slope, out=np.zeros_like(shift), where=slope != 0.0)
+    params = np.array((0.5 * (rho1 + rho2), 0.5 * (rho2 - rho1), lambda2, corr1, corr2))
+
+    def f_theta(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        mid, half, lam2, corr1, corr2 = params[:, rows, None]
         sin_t = np.sin(theta)
         cos_t = np.cos(theta)
         cos2 = cos_t * cos_t
         one_plus = np.where(sin_t < 0.0, cos2 / (1.0 - sin_t), 1.0 + sin_t)
         one_minus = np.where(sin_t > 0.0, cos2 / (1.0 + sin_t), 1.0 - sin_t)
-        gap = np.asarray(w.profile(mid + half * sin_t), dtype=float) - lambda2
+        rho = mid + half * sin_t
+        gap = np.asarray(w.profile(rho), dtype=float) - lam2
         d1 = half * one_plus + corr1  # rho - (rho1 + newton shift)
         d2 = half * one_minus - corr2  # (rho2 + newton shift) - rho
-        denom = np.maximum(d1 * d2, 1e-300)
-        return np.maximum(gap / denom, 0.0)
+        value = _raised(np.maximum(gap / np.maximum(d1 * d2, 1e-300), 0.0), rho, power, weight)
+        # W - lambda^2 = (half cos(theta))^2 Q and d rho = half cos(theta) d theta
+        return half * half * cos2 * value if power > 0.0 else value
 
-    return mid, half, q_of
+    return f_theta
 
 
-def _turning_point_integral(
+def _turning_point_integrals(
     w: LogWell,
-    lambda2: float,
-    pair: TurningPair,
+    lambda2: np.ndarray,
+    pairs: list[TurningPair],
     power: float,
-    weight: Callable[[np.ndarray], np.ndarray] | None,
+    weight: _Weight,
     tol: float,
     *,
     rtol: float = 0.0,
     best_effort: bool = False,
-) -> tuple[float, float]:
-    """Integral of weight(rho) * (W - lambda^2)^power over a turning pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of weight(rho) * (W - lambda2[i])^power over the turning pairs[i].
 
-    power is +1/2 or -1/2; weight None stands for 1.  Piecewise profiles use
-    the knot-aligned composite rule.  A pair at the domain cut has no
-    turning point, so the sine map alone makes the integrand smooth.  A true
-    turning pair is integrated in the Q form of _turning_ratio.  The
-    adaptive rules stop at an error estimate of max(tol, rtol * |value|).
-    Returns (value, error estimate).
+    power is +1/2 or -1/2; weight None stands for 1; a degenerate pair gives
+    0.  Piecewise profiles use the knot-aligned composite rule, pair by pair:
+    its cost is per point, so a batch would not save anything.  A pair at the
+    domain cut has no turning point, so the sine map alone makes the
+    integrand smooth.  All true turning pairs of a smooth profile share one
+    batched adaptive quadrature in the Q form of _turning_ratio, where each
+    gets the value it would get alone.  The adaptive rules stop at an error
+    estimate of max(tol, rtol * |value|).  Returns (values, error estimates).
     """
-    at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
+    values = np.zeros(len(pairs))
+    errors = np.zeros(len(pairs))
+    turning = []
+    for i, pair in enumerate(pairs):
+        if pair.degenerate:
+            continue  # an empty interval
+        at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
+        if w.breakpoints is None and not at_cut:
+            turning.append(i)
+            continue
+        level = float(lambda2[i])
 
-    def raised(gap: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        if power > 0.0:
-            root = np.sqrt(gap)
-            return root if weight is None else root * weight(rho)
-        positive = gap > 0.0
-        return np.where(positive, weight(rho) / np.sqrt(np.where(positive, gap, 1.0)), 0.0)
+        def direct(rho: np.ndarray) -> np.ndarray:
+            return _raised(np.maximum(w.profile(rho) - level, 0.0), rho, power, weight)
 
-    def direct(rho: np.ndarray) -> np.ndarray:
-        return raised(np.maximum(w.profile(rho) - lambda2, 0.0), rho)
-
-    if w.breakpoints is not None:
-        return composite_knot_integral(
-            direct, pair.rho1, pair.rho2, w.breakpoints, sqrt_lo=not at_cut, sqrt_hi=not at_cut
-        )
-    if at_cut:
+        if w.breakpoints is not None:
+            values[i], errors[i] = composite_knot_integral(
+                direct, pair.rho1, pair.rho2, w.breakpoints, sqrt_lo=not at_cut, sqrt_hi=not at_cut
+            )
+            continue
         mid = 0.5 * (pair.rho1 + pair.rho2)
         half = 0.5 * (pair.rho2 - pair.rho1)
-
-        def f_theta(theta: np.ndarray) -> np.ndarray:
-            return direct(mid + half * np.sin(theta)) * half * np.cos(theta)
-
-    else:
-        mid, half, q_of = _turning_ratio(w, lambda2, pair)
-
-        def f_theta(theta: np.ndarray) -> np.ndarray:
-            # W - lambda^2 = (half cos(theta))^2 Q and d rho = half cos(theta) d theta
-            value = raised(q_of(theta), mid + half * np.sin(theta))
-            return half * half * np.cos(theta) ** 2 * value if power > 0.0 else value
-
-    return adaptive_gauss(
-        f_theta, -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort
-    )
+        values[i : i + 1], errors[i : i + 1] = adaptive_gauss(
+            lambda theta, rows: direct(mid + half * np.sin(theta)) * half * np.cos(theta),
+            1, -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort,
+        )
+    if turning:
+        values[turning], errors[turning] = adaptive_gauss(
+            _turning_ratio(w, lambda2[turning], [pairs[i] for i in turning], power, weight),
+            len(turning), -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort,
+        )
+    return values, errors
 
 
 def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, float]:
@@ -244,31 +267,32 @@ def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, floa
     if lam == 0.0:
         return _zero_action(w, s)
     lambda2 = lam * lam
-    return _action_between(w, lambda2, turning_points(w, lambda2), s)
+    values, errors = _actions_between(w, np.array([lambda2]), [turning_points(w, lambda2)], s)
+    return float(values[0]), float(errors[0])
 
 
 def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
     """(I(0), error estimate), computed once per well and Settings."""
     if s not in w._zero_action:
-        w._zero_action[s] = _action_between(w, 0.0, turning_points(w, 0.0), s)
+        values, errors = _actions_between(w, np.zeros(1), [turning_points(w, 0.0)], s)
+        w._zero_action[s] = float(values[0]), float(errors[0])
     return w._zero_action[s]
 
 
-def _action_between(
-    w: LogWell, lambda2: float, pair: TurningPair, s: Settings
-) -> tuple[float, float]:
-    """(I, error estimate) at lambda^2 over its turning pair."""
-    if pair.degenerate:
-        return 0.0, 0.0
+def _actions_between(
+    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], s: Settings
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I, error estimate) at every lambda2[i] over its turning pairs[i]."""
     scale = math.pi * s.hbar
-    value, err = _turning_point_integral(
-        w, lambda2, pair, 0.5, None, s.quad_tol * scale, rtol=s.quad_tol
+    values, errors = _turning_point_integrals(
+        w, lambda2, pairs, 0.5, None, s.quad_tol * scale, rtol=s.quad_tol
     )
-    if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
-        # the domain was cut, not bounded by turning points: add the tails
-        value += _exponential_tail(float(w.profile(w.rho_left)), lambda2, w.decay_left)
-        value += _exponential_tail(float(w.profile(w.rho_right)), lambda2, w.decay_right)
-    return value / scale, err / scale
+    for i, pair in enumerate(pairs):
+        if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
+            # the domain was cut, not bounded by turning points: add the tails
+            values[i] += _exponential_tail(float(w.profile(w.rho_left)), lambda2[i], w.decay_left)
+            values[i] += _exponential_tail(float(w.profile(w.rho_right)), lambda2[i], w.decay_right)
+    return values / scale, errors / scale
 
 
 def action(w: LogWell, lam: float, s: Settings) -> float:
@@ -307,7 +331,10 @@ class ActionProfile:
 def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile:
     """Sample I(lambda) on a Chebyshev grid over [0, sqrt(V_m)].
 
-    The turning points of all samples come from one batched root search.
+    The turning points of all samples come from one batched root search,
+    and on a smooth profile all levels with true turning points are then
+    integrated in one batched adaptive quadrature; every sample equals the
+    scalar action at its lambda, bit for bit.
     """
     if n_points < 5:
         raise InputError("profile needs at least 5 points")
@@ -320,8 +347,7 @@ def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile
     values = np.empty(n_points)
     errors = np.empty(n_points)
     values[0], errors[0] = _zero_action(w, s)
-    for i, pair in enumerate(_turning_pairs(w, lambda2[1:]), start=1):
-        values[i], errors[i] = _action_between(w, float(lambda2[i]), pair, s)
+    values[1:], errors[1:] = _actions_between(w, lambda2[1:], _turning_pairs(w, lambda2[1:]), s)
     interp = PchipInterpolator(grid, values, extrapolate=False)
     return ActionProfile(
         lambda_grid=grid,
@@ -360,7 +386,8 @@ def fit_phi(profile: ActionProfile) -> float:
         raise DegenerateWellError("action profile spans an empty lambda range")
     x, wts = gauss_nodes(64)
     lam = 0.5 * top * (x + 1.0)
-    t_vals = np.array([t_of(profile, float(v)) for v in lam])
+    # t_of on every node at once
+    t_vals = np.maximum(profile.Phi_m - profile._interp(np.minimum(lam, top)), 0.0)
     num = float(np.dot(wts, lam * t_vals))
     den = float(np.dot(wts, lam * lam))
     return num / den
@@ -401,7 +428,7 @@ def correction_inner_integral(w: LogWell, epsilon: float, s: Settings) -> float:
         # 1/sqrt(eps - V) = sqrt(2)/sqrt(W - lambda^2)
         return dv(rho) ** 2 * math.sqrt(2.0)
 
-    value, _ = _turning_point_integral(
-        w, lambda2, pair, -0.5, weight, s.quad_tol, best_effort=True
+    values, _ = _turning_point_integrals(
+        w, np.array([lambda2]), [pair], -0.5, weight, s.quad_tol, best_effort=True
     )
-    return value
+    return float(values[0])

@@ -13,8 +13,9 @@ All action-type integrals in this package have inverse-square-root or
 square-root behaviour at the interval endpoints.  The caller maps the
 interval with x = mid + half*sin(theta), which turns both kinds of endpoint
 singularity into smooth integrands in theta, and integrates them with the
-adaptive panel Gauss-Legendre rule here; piecewise profiles use the
-knot-aligned composite rule instead.
+adaptive panel Gauss-Legendre rule here, which refines a batch of them
+in lockstep (one call per round for all levels of an action profile);
+piecewise profiles use the knot-aligned composite rule instead.
 """
 
 from __future__ import annotations
@@ -215,38 +216,51 @@ def brent(
     raise ConvergenceError(f"brent did not converge in {max_iter} steps; last x = {xcur}")
 
 
-def _panel_estimates(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
-) -> tuple[float, float]:
-    """(128-node value, error estimate vs the 64-node value) on one panel."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def _panel_estimates(f: Callable, panels: list[tuple[int, float, float]]) -> list[tuple]:
+    """(128-node value, error estimate vs the 64-node value) of every panel.
+
+    A panel (row, lo, hi) is [lo, hi] of integrand row; all take one call of f.
+    """
     x64, w64 = gauss_nodes(64)
     x128, w128 = gauss_nodes(128)
-    v64 = half * float(np.dot(w64, f(mid + half * x64)))
-    v128 = half * float(np.dot(w128, f(mid + half * x128)))
-    return v128, abs(v128 - v64)
+    half = np.array([0.5 * (hi - lo) for _, lo, hi in panels])
+    mid = np.array([0.5 * (lo + hi) for _, lo, hi in panels])
+    rows = np.array([p[0] for p in panels])
+    vals = f(mid[:, None] + half[:, None] * np.concatenate((x64, x128)), rows)
+    out = []
+    for h, row in zip(half.tolist(), vals):
+        v64 = h * float(np.dot(w64, row[:64]))
+        v128 = h * float(np.dot(w128, row[64:]))
+        out.append((v128, abs(v128 - v64)))
+    return out
 
 
 def adaptive_gauss(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    k: int,
     a: float,
     b: float,
     tol: float,
     *,
     rtol: float = 0.0,
     best_effort: bool = False,
-) -> tuple[float, float]:
-    """Integrate a vectorized f over [a, b] to max(tol, rtol * |value|).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate k vectorized integrands over [a, b], each to max(tol, rtol * |its value|).
+
+    f(theta, rows) evaluates integrand rows[i] at the points theta[i] of a
+    2-d theta.  The integrands are refined in lockstep, one split each per
+    round, with one call of f per round; each takes the steps it would take
+    alone, so a row of a batch equals a batch of one, bit for bit.
 
     A fixed 128-node Gauss-Legendre rule is applied per panel with the
     64-node result as error estimate; the worst panel is split until the
     summed estimate meets the tolerance, with at most _MAX_PANELS panels.
     A split that fails to cut the panel estimate in half signals roundoff-limited scatter rather than truncation error;
     such panels are frozen at their parent value so endpoint noise cannot
-    drive runaway refinement.  Returns (value, achieved error estimate).
+    drive runaway refinement.  Returns (values, achieved error estimates),
+    arrays of length k.
 
-    When the estimate cannot be brought under tol, raises ConvergenceError
+    When an estimate cannot be brought under tol, raises ConvergenceError
     carrying the achieved error, unless best_effort is set: then the
     saturated value is returned.  The estimator is conservative near
     endpoints, so saturated values are usually far more accurate than the
@@ -254,37 +268,47 @@ def adaptive_gauss(
     convergence test on top (e.g. difference stencils).
     """
     if b <= a:
-        return 0.0, 0.0
-    # panel: (err, lo, hi, value, frozen)
-    v, e = _panel_estimates(f, a, b)
-    panels: list[tuple[float, float, float, float, bool]] = [(e, a, b, v, False)]
+        return np.zeros(k), np.zeros(k)
+    # panel: (err, lo, hi, value, frozen); one list per integrand
+    first = _panel_estimates(f, [(r, a, b) for r in range(k)])
+    panels = [[(e, a, b, v, False)] for v, e in first]
+    live = range(k)
     while True:
-        total_err = sum(p[0] for p in panels)
-        goal = max(tol, rtol * abs(sum(p[3] for p in panels)))
-        if total_err <= goal:
+        splits = []  # (row, err, lo, mid, hi, value) of each panel to split
+        for r in live:
+            ps = panels[r]
+            total_err = sum(p[0] for p in ps)
+            goal = max(tol, rtol * abs(sum(p[3] for p in ps)))
+            if total_err <= goal:
+                continue
+            active = [i for i, p in enumerate(ps) if not p[4]]
+            if not active or len(ps) >= _MAX_PANELS:
+                if best_effort:
+                    continue
+                raise ConvergenceError(
+                    f"quadrature did not reach tol={goal:g}; achieved {total_err:g} "
+                    f"with {len(ps)} panels"
+                )
+            worst = max(active, key=lambda i: ps[i][0])
+            err, lo, hi, val, _ = ps.pop(worst)
+            splits.append((r, err, lo, 0.5 * (lo + hi), hi, val))
+        if not splits:
             break
-        active = [i for i, p in enumerate(panels) if not p[4]]
-        if not active or len(panels) >= _MAX_PANELS:
-            if best_effort:
-                break
-            raise ConvergenceError(
-                f"quadrature did not reach tol={goal:g}; achieved {total_err:g} "
-                f"with {len(panels)} panels"
-            )
-        worst = max(active, key=lambda i: panels[i][0])
-        err, lo, hi, val, _ = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        vl, el = _panel_estimates(f, lo, mid)
-        vr, er = _panel_estimates(f, mid, hi)
-        if el + er > 0.5 * err:
-            panels.append((err, lo, hi, val, True))
-        else:
-            panels.append((el, lo, mid, vl, False))
-            panels.append((er, mid, hi, vr, False))
+        halves = [h for r, _, lo, mid, hi, _ in splits for h in ((r, lo, mid), (r, mid, hi))]
+        estimates = iter(_panel_estimates(f, halves))
+        # consecutive estimates are the left and right halves of one split
+        for (r, err, lo, mid, hi, val), (vl, el), (vr, er) in zip(splits, estimates, estimates):
+            if el + er > 0.5 * err:
+                panels[r].append((err, lo, hi, val, True))
+            else:
+                panels[r].append((el, lo, mid, vl, False))
+                panels[r].append((er, mid, hi, vr, False))
+        live = [split[0] for split in splits]
     # deterministic summation order regardless of split history
-    panels.sort(key=lambda p: p[1])
-    value = math.fsum(p[3] for p in panels)
-    return value, sum(p[0] for p in panels)
+    for ps in panels:
+        ps.sort(key=lambda p: p[1])
+    values = np.array([math.fsum(p[3] for p in ps) for ps in panels])
+    return values, np.array([sum(p[0] for p in ps) for ps in panels])
 
 
 def _segment_samples(

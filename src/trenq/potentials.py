@@ -160,6 +160,8 @@ class Tabulated:
     q0: float
     qinf: float
     _log_w: PchipInterpolator = field(init=False, repr=False, compare=False)
+    # (lo, hi, W(lo), W(hi)) at the ends of the data in rho
+    _ends: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r_grid, dtype=float)
@@ -178,7 +180,10 @@ class Tabulated:
         object.__setattr__(self, "U_values", u)
         rho = np.log(r)
         w = -2.0 * r * r * u
-        object.__setattr__(self, "_log_w", PchipInterpolator(rho, np.log(w), extrapolate=False))
+        log_w = PchipInterpolator(rho, np.log(w), extrapolate=False)
+        lo, hi = log_w.x[0], log_w.x[-1]
+        object.__setattr__(self, "_log_w", log_w)
+        object.__setattr__(self, "_ends", (lo, hi, math.exp(log_w(lo)), math.exp(log_w(hi))))
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
         rho = np.log(r)
@@ -188,16 +193,17 @@ class Tabulated:
     def well_value(self, rho: np.ndarray | float) -> np.ndarray | float:
         """Transformed well W(rho) with power-law continuation outside the data."""
         rho_arr = np.asarray(rho, dtype=float)
-        lo, hi = self._log_w.x[0], self._log_w.x[-1]
+        lo, hi, w_lo, w_hi = self._ends
         out = np.empty_like(rho_arr)
-        inside = (rho_arr >= lo) & (rho_arr <= hi)
-        out[inside] = np.exp(self._log_w(rho_arr[inside]))
-        left = rho_arr < lo
-        right = rho_arr > hi
-        if np.any(left):
-            out[left] = math.exp(self._log_w(lo)) * np.exp((2.0 - self.q0) * (rho_arr[left] - lo))
-        if np.any(right):
-            out[right] = math.exp(self._log_w(hi)) * np.exp((2.0 - self.qinf) * (rho_arr[right] - hi))
+        if rho_arr.size and lo <= rho_arr.min() and rho_arr.max() <= hi:
+            np.exp(self._log_w(rho_arr), out=out)
+        else:
+            inside = (rho_arr >= lo) & (rho_arr <= hi)
+            out[inside] = np.exp(self._log_w(rho_arr[inside]))
+            left = rho_arr < lo
+            right = rho_arr > hi
+            out[left] = w_lo * np.exp((2.0 - self.q0) * (rho_arr[left] - lo))
+            out[right] = w_hi * np.exp((2.0 - self.qinf) * (rho_arr[right] - hi))
         return out if isinstance(rho, np.ndarray) else float(out)
 
     @property

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import trenq.potentials as potentials
 from trenq import (
     InputError,
     Lenz,
@@ -19,7 +20,7 @@ from trenq import (
     turning_points,
 )
 from trenq.action import _action_with_error, _turning_pairs
-from trenq.numerics import bisect_monotone
+from trenq.numerics import bisect_monotone, gauss_nodes
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
 
@@ -132,6 +133,40 @@ def test_batched_turning_points_bit_identical(make_well, settings, quadratic_wel
     for lam, value, err in zip(prof.lambda_grid, prof.I_values, prof.quad_error):
         ref_value, ref_err = _action_with_error(w, float(lam), settings)
         assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex())
+
+
+def test_action_profile_profile_call_count(settings, monkeypatch) -> None:
+    # work-count guard: one batched root search and one batched quadrature
+    # per profile, not several profile calls per level
+    calls = [0]
+    parts = potentials._lenz_well_parts
+
+    def counting(p, exponent):
+        profile, *rest = parts(p, exponent)
+
+        def counted(rho):
+            calls[0] += 1
+            return profile(rho)
+
+        return (counted, *rest)
+
+    monkeypatch.setattr(potentials, "_lenz_well_parts", counting)
+    cases = [(Lenz(0.5, 1e4), 2), (Lenz(1.0, 8.0), 2), (Lenz(2.0, 0.01), 2), (Lenz(1.0, 8.0), 1)]
+    for p, exponent in cases:
+        w = to_log_well(p, settings, transform_exponent=exponent)
+        action(w, 0.0, settings)
+        calls[0] = 0
+        action_profile(w, settings)
+        assert 0 < calls[0] <= 100, (p, exponent, calls[0])
+
+
+def test_fit_phi_matches_t_of_on_each_node(settings, lenz18_profile) -> None:
+    # fit_phi interpolates all its nodes at once; t_of node by node is the reference
+    x, wts = gauss_nodes(64)
+    lam = 0.5 * lenz18_profile.lambda_max * (x + 1.0)
+    t_vals = np.array([t_of(lenz18_profile, float(v)) for v in lam])
+    ref = float(np.dot(wts, lam * t_vals)) / float(np.dot(wts, lam * lam))
+    assert fit_phi(lenz18_profile).hex() == ref.hex()
 
 
 def test_zero_action_memo_keyed_by_settings(settings) -> None:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from trenq import ConvergenceError
 from trenq.numerics import (
     _knot_samples,
     _segment_samples,
+    adaptive_gauss,
     bisect_elementwise,
     bisect_monotone,
     brent,
@@ -32,6 +34,81 @@ def test_bisect_elementwise_matches_scalar() -> None:
         assert root.hex() == ref.hex()
     with pytest.raises(ConvergenceError):
         bisect_elementwise(f, lo[:1], hi[:1], np.ones(1), np.ones(1))
+
+
+def _one_integrand_gauss(f, a: float, b: float, tol: float, *, best_effort: bool) -> tuple:
+    """Reference: the adaptive Gauss loop for a single 1-d integrand f(x).
+
+    Same rules as adaptive_gauss (worst active panel split, freeze when a
+    split does not halve its estimate, at most 200 panels), with each rule
+    evaluated in its own call of f.
+    """
+
+    def estimate(lo: float, hi: float) -> tuple[float, float]:
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        v64, v128 = (
+            half * float(np.dot(wts, f(mid + half * x)))
+            for x, wts in (np.polynomial.legendre.leggauss(n) for n in (64, 128))
+        )
+        return v128, abs(v128 - v64)
+
+    v, e = estimate(a, b)
+    panels = [(e, a, b, v, False)]
+    while sum(p[0] for p in panels) > tol:
+        active = [i for i, p in enumerate(panels) if not p[4]]
+        if not active or len(panels) >= 200:
+            if best_effort:
+                break
+            raise ConvergenceError("no convergence")
+        err, lo, hi, val, _ = panels.pop(max(active, key=lambda i: panels[i][0]))
+        mid = 0.5 * (lo + hi)
+        (vl, el), (vr, er) = estimate(lo, mid), estimate(mid, hi)
+        if el + er > 0.5 * err:
+            panels.append((err, lo, hi, val, True))
+        else:
+            panels += [(el, lo, mid, vl, False), (er, mid, hi, vr, False)]
+    panels.sort(key=lambda p: p[1])
+    return math.fsum(p[3] for p in panels), sum(p[0] for p in panels)
+
+
+def test_adaptive_gauss_rows_match_batch_of_one() -> None:
+    # row 0 converges on its first panel, row 1 (a narrow peak) splits, and
+    # row 2 carries an unresolvable ripple, so its first split freezes
+    calls = []
+
+    def f(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        calls.extend(rows.tolist())
+        r = rows[:, None]
+        smooth = 2.0 * np.cos(theta)
+        peak = 1.0 / (1e-4 + theta * theta)
+        ripple = np.cos(theta) + 1e-6 * np.cos(1e4 * theta)
+        return np.where(r == 0, smooth, np.where(r == 1, peak, ripple))
+
+    tol = 1e-10
+    values, errors = adaptive_gauss(f, 3, -1.0, 1.0, tol, best_effort=True)
+    evaluated = Counter(calls)
+    assert evaluated[0] == 1 and evaluated[1] > 3 and evaluated[2] == 3
+    assert errors[0] <= tol and errors[1] <= tol and errors[2] > tol
+    assert values[0] == pytest.approx(4.0 * math.sin(1.0), rel=1e-14)
+    assert values[1] == pytest.approx(200.0 * math.atan(100.0), rel=1e-12)
+    for r in range(3):
+
+        def single(theta: np.ndarray, rows: np.ndarray, r: int = r) -> np.ndarray:
+            return f(theta, np.full_like(rows, r))
+
+        (v,), (e,) = adaptive_gauss(single, 1, -1.0, 1.0, tol, best_effort=True)
+        assert (values[r].hex(), errors[r].hex()) == (v.hex(), e.hex())
+        ref = _one_integrand_gauss(
+            lambda x: single(x[None, :], np.zeros(1, dtype=int))[0], -1.0, 1.0, tol,
+            best_effort=True,
+        )
+        assert (ref[0].hex(), ref[1].hex()) == (v.hex(), e.hex())
+    # without best_effort the frozen row fails the whole batch; the others converge
+    with pytest.raises(ConvergenceError):
+        adaptive_gauss(f, 3, -1.0, 1.0, tol)
+    pair = adaptive_gauss(f, 2, -1.0, 1.0, tol)
+    assert [v.hex() for v in pair[0]] == [v.hex() for v in values[:2]]
+    assert all(v == 0.0 for v in np.concatenate(adaptive_gauss(f, 3, 1.0, 1.0, tol)))
 
 
 def test_brent_converges_fast_on_smooth_roots() -> None:

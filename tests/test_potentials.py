@@ -320,6 +320,37 @@ def test_tabulated_interpolation_accuracy(settings) -> None:
     assert float(w.profile(-12.0)) < float(w.profile(-8.0)) < float(w.profile(-7.9))
 
 
+def _masked_well_value(p: Tabulated, rho):
+    """Reference for Tabulated.well_value: masks for the data and each side of it."""
+    rho_arr = np.asarray(rho, dtype=float)
+    lo, hi = p._log_w.x[0], p._log_w.x[-1]
+    out = np.empty_like(rho_arr)
+    inside = (rho_arr >= lo) & (rho_arr <= hi)
+    out[inside] = np.exp(p._log_w(rho_arr[inside]))
+    left = rho_arr < lo
+    right = rho_arr > hi
+    out[left] = math.exp(p._log_w(lo)) * np.exp((2.0 - p.q0) * (rho_arr[left] - lo))
+    out[right] = math.exp(p._log_w(hi)) * np.exp((2.0 - p.qinf) * (rho_arr[right] - hi))
+    return out if isinstance(rho, np.ndarray) else float(out)
+
+
+def test_tabulated_well_value_matches_masked_formula() -> None:
+    # inputs inside the data take the unmasked path; the others straddle both ends
+    p = make_tabulated(lambda rho: 3.0 / np.cosh(rho) ** 2, q0=0.5, qinf=3.0)
+    rng = np.random.default_rng(5)
+    inputs = [
+        0.3, -8.0, 8.0, -9.5, 11.0, np.float64(-2.0),
+        np.array(0.7), np.array(-8.5), np.array(8.0),
+        rng.uniform(-7.9, 7.9, 33), rng.uniform(-10.0, 10.0, 33), np.array([-8.0, 8.0]),
+        rng.uniform(-7.9, 7.9, (4, 9)), rng.uniform(-10.0, 10.0, (4, 9)), np.array([]),
+    ]
+    for rho in inputs:
+        got, ref = p.well_value(rho), _masked_well_value(p, rho)
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        hexes = [[v.hex() for v in np.ravel(x).tolist()] for x in (got, ref)]
+        assert hexes[0] == hexes[1]
+
+
 def test_load_potential_families(tmp_path) -> None:
     p = load_potential({"family": "lenz", "a": 1.0, "Z": 8.0})
     assert isinstance(p, Lenz) and p.a == 1.0 and p.Z == 8.0
