@@ -30,7 +30,6 @@ from .corrections import (
 from .effective import (
     EffectiveNumbers,
     OrderingRow,
-    compare_order,
     effective_numbers,
     ordering_table,
     t_effective,

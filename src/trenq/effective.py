@@ -87,23 +87,6 @@ def effective_numbers(nu: float, lam: float, t_source: TSource) -> EffectiveNumb
     return EffectiveNumbers(nu=nu, lam=lam, T=T, T_ren=t_ren(T), phi=float(t_source))
 
 
-def compare_order(
-    a: tuple[float, float], b: tuple[float, float], phi: float
-) -> int:
-    """Order two states (nu, lambda) under the linear model: -1, 0 or +1.
-
-    Because T -> T_ren is strictly increasing, the ordering by T and by
-    T_ren coincide; the common ordering is returned.
-    """
-    ta = t_effective(a[0], a[1], phi)
-    tb = t_effective(b[0], b[1], phi)
-    if ta < tb:
-        return -1
-    if ta > tb:
-        return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class OrderingRow:
     n: int

@@ -7,7 +7,8 @@ many brackets at once; and Brent's method, for the smooth monotone outer
 equations, the domain cuts of a log well and the oracle's continuous
 node-count residual, where it needs a handful of evaluations instead of
 ~50.  geometric_bracket finds the sign change on (0, inf) that the outer
-solves start from.
+solves start from: the oracle's by doubling from 1, the factory route of
+the thresholds from a close guess with a step that starts small and grows.
 
 All action-type integrals in this package have inverse-square-root or
 square-root behaviour at the interval endpoints.  The caller maps the
@@ -29,6 +30,8 @@ from .errors import ConvergenceError
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_PANELS = 200
+# geometric_bracket: growth of a step ratio's excess over 1 per step
+_RATIO_GROWTH = 1024.0
 
 
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,28 +132,43 @@ def bisect_elementwise(
     return roots
 
 
-def geometric_bracket(f: Callable[[float], float]) -> tuple[float, float, float, float]:
+def geometric_bracket(
+    f: Callable[[float], float], start: float = 1.0, ratio: float = 2.0
+) -> tuple[float, float, float, float]:
     """Sign-change bracket (lo, hi, f(lo), f(hi)) on (0, inf) of a nondecreasing f.
 
-    hi doubles from 1 while f(hi) < 0 and lo = hi/2; if hi stays at 1, lo
-    halves from 1/2 while f(lo) > 0 (at most 60 steps either way).  Every
-    point is evaluated once.
+    hi steps up from start while f(hi) < 0 and lo is the point before it; if
+    f(start) >= 0, lo steps down from start while f(lo) > 0 and hi stays at
+    start (at most 60 steps either way).  Each step multiplies or divides by
+    the current ratio, whose excess over 1 then grows _RATIO_GROWTH-fold, up
+    to a ratio of 2.  The default walk therefore doubles from 1, while a
+    ratio just above 1 brackets a start close to the root in one step and a
+    far one in a few steps more than doubling would take.  Every point is
+    evaluated once.
     """
-    hi, fhi = 1.0, f(1.0)
-    flo = None
+
+    def grow(r: float) -> float:
+        return 1.0 + min(_RATIO_GROWTH * (r - 1.0), 1.0)
+
+    hi, fhi = start, f(start)
+    lo = flo = None
     for _ in range(60):
         if fhi >= 0.0:
             break
-        hi, flo, fhi = 2.0 * hi, fhi, f(2.0 * hi)
+        lo, flo = hi, fhi
+        hi *= ratio
+        fhi = f(hi)
+        ratio = grow(ratio)
     if fhi < 0.0:
         raise ConvergenceError(f"no sign change of f up to {hi:g}")
-    lo = 0.5 * hi
-    if flo is None:
+    if lo is None:
+        lo = start / ratio
         flo = f(lo)
         for _ in range(60):
             if flo <= 0.0:
                 break
-            lo *= 0.5
+            ratio = grow(ratio)
+            lo /= ratio
             flo = f(lo)
         if flo > 0.0:
             raise ConvergenceError(f"no sign change of f down to {lo:g}")

@@ -12,8 +12,11 @@ runs the sweep in compiled code.  The product of the pivots is the end value
 of the solution, whose growing-branch amplitude changes sign exactly where
 the count steps; Brent's method on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
-integer count certifies it.  No semiclassical input enters, which is what
-makes this module a legitimate oracle for the rest of the package.
+integer count certifies it.  The bracket of every search doubles from
+Z = 1; on a LogWell the counts at those points are kept per lambda, so the
+other thresholds of the well reuse them.  No semiclassical input enters,
+and no threshold seeds another, which is what makes this module a
+legitimate oracle for the rest of the package.
 
 The integration window extends beyond the point where the well is cut off:
 near a threshold the incoming node sits far out in the e^(+-lambda rho)
@@ -159,7 +162,7 @@ def _as_factory(family: WellFamily) -> Callable[[float], LogWell]:
     return family
 
 
-def _step_residual(nc: NodeCount, n: int) -> float:
+def _step_residual(count: int, log_amplitude: Callable[[], float], n: int) -> float:
     """Continuous residual of the n -> n + 1 count step, negative before it.
 
     The sign comes from the count: - for n, + for n + 1, and a residual of
@@ -169,13 +172,13 @@ def _step_residual(nc: NodeCount, n: int) -> float:
     crosses zero there and is smooth on either side; its sign is nondecreasing
     in the coupling everywhere, even where its size is not monotone.
     """
-    if nc.count < n:
+    if count < n:
         return -_OFF_STEP
-    if nc.count > n + 1:
+    if count > n + 1:
         return _OFF_STEP
-    x = nc.log_amplitude()
+    x = log_amplitude()
     size = math.exp(x) if x < 0.0 else 1.0 + x
-    return size if nc.count == n + 1 else -size
+    return size if count == n + 1 else -size
 
 
 def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings) -> float:
@@ -187,6 +190,12 @@ def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings)
     geometrically from Z = 1 (geometric_bracket) and solved to a relative
     width of 1e-10; the integer count then certifies the transition on both
     sides of the returned value.
+
+    On a LogWell the count and amplitude of every bracket point (Z = 2^k)
+    are kept on the well per lambda and Settings, so the other thresholds
+    of that well and lambda rebuild those residuals without counting again.
+    They are the same floats, so every threshold is the same in any call
+    order; the Brent points and the certification are counted afresh.
     """
     n = quantum_index(n, "radial quantum number n")
     make_well = _as_factory(family)
@@ -195,9 +204,22 @@ def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings)
         return count_bound_states(make_well(Z), lam, s)
 
     def residual(Z: float) -> float:
-        return _step_residual(count(Z), n)
+        nc = count(Z)
+        return _step_residual(nc.count, nc.log_amplitude, n)
 
-    z = brent(residual, *geometric_bracket(residual), xtol=0.0, rtol=1e-10)
+    bracket_residual = residual
+    if isinstance(family, LogWell):
+        points = family._bracket_counts
+
+        def bracket_residual(Z: float) -> float:
+            key = (lam, s, Z)
+            if key not in points:
+                nc = count(Z)
+                points[key] = nc.count, nc.log_amplitude()
+            c, x = points[key]
+            return _step_residual(c, lambda: x, n)
+
+    z = brent(residual, *geometric_bracket(bracket_residual), xtol=0.0, rtol=1e-10)
     if count(z * (1.0 - 1e-7)).count != n or count(z * (1.0 + 1e-7)).count != n + 1:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "

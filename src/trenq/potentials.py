@@ -314,6 +314,9 @@ class LogWell:
     split_level: float | None = None
     # (I(0), error estimate) per Settings, filled by the action module
     _zero_action: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (count, log amplitude) per (lambda, Settings, Z) of each point the
+    # oracle's geometric bracket counts on this well, filled by the oracle
+    _bracket_counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, rho: np.ndarray | float) -> np.ndarray | float:
         return self.profile(rho)

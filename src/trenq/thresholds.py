@@ -8,7 +8,8 @@ renormalized effective quantum number:
 For wells with linear coupling, W = Z * w, the left side scales as sqrt(Z),
 so the critical coupling is available in closed form from the base-profile
 integral; otherwise it is found by Brent's method on the smooth, monotone
-depth dependence, inside a geometric bracket.  The unrenormalized variant
+depth dependence, inside a bracket grown from the coupling that the same
+sqrt(Z) scaling predicts from the well at Z = 1.  The unrenormalized variant
 (target T instead of T_ren) is kept for comparison: renormalization always
 lowers the predicted threshold, by the exact factor 1 - 1/(4 T^2) for
 linear wells.
@@ -26,6 +27,11 @@ from .errors import InputError
 from .numerics import brent, geometric_bracket
 from .oracle import exact_critical_coupling
 from .potentials import LogWell, QuantumNumbers, Settings
+
+# first step of the factory route's bracket from its sqrt(Z) guess, relative;
+# below the 1e-12 Brent stops at, so a guess that is right to rounding is
+# confirmed by one more build and not refined
+_GUESS_STEP = 5e-13
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,11 @@ def critical_coupling(
     renormalized=False) with the deficit taken from t_source (a fitted
     linear slope or a sampled action profile).  Linearly scaling wells are
     solved in closed form; otherwise pass well_factory and the coupling is
-    found by Brent's method inside a geometric bracket, to 1e-12 relative.
+    found by Brent's method to 1e-12 relative.  Its bracket grows out of
+    the guess (target / I(1))^2, with I(1) the action of the well at Z = 1:
+    the guess is the root, up to quadrature error, when the action grows
+    like sqrt(Z) (every linear family), and a start point when it does not.
+    Without a positive finite I(1) the bracket doubles from Z = 1.
     """
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
@@ -80,10 +90,17 @@ def critical_coupling(
     if well_factory is None:
         raise InputError("well has no coupling decomposition; pass well_factory")
 
-    def overshoot(Z: float) -> float:
-        return action(well_factory(Z), 0.0, s) - target
+    i1 = action(well_factory(1.0), 0.0, s)
 
-    return brent(overshoot, *geometric_bracket(overshoot), xtol=0.0, rtol=1e-12)
+    def overshoot(Z: float) -> float:
+        return (i1 if Z == 1.0 else action(well_factory(Z), 0.0, s)) - target
+
+    z_guess = (target / i1) * (target / i1) if 0.0 < i1 < math.inf else math.nan
+    if 0.0 < z_guess < math.inf:
+        bracket = geometric_bracket(overshoot, z_guess, 1.0 + _GUESS_STEP)
+    else:
+        bracket = geometric_bracket(overshoot)
+    return brent(overshoot, *bracket, xtol=0.0, rtol=1e-12)
 
 
 def lenz_exact_threshold(

@@ -5,7 +5,6 @@ import pytest
 
 from trenq import (
     InputError,
-    compare_order,
     effective_numbers,
     ordering_table,
     t_effective,
@@ -74,17 +73,6 @@ def test_relative_gap_decreases_with_T() -> None:
     T = np.linspace(0.6, 50.0, 500)
     gaps = np.array([(t - t_ren(float(t))) / t for t in T])
     assert np.all(np.diff(gaps) < 0.0)
-
-
-def test_compare_order_ties_and_orderings() -> None:
-    assert compare_order((1.5, 0.5), (0.5, 1.5), phi=1.0) == 0
-    assert compare_order((1.5, 0.5), (0.5, 1.5), phi=1.75) == -1
-    assert compare_order((0.5, 1.5), (1.5, 0.5), phi=1.75) == 1
-    # ordering by T_ren agrees
-    a, b = (1.5, 0.5), (0.5, 1.5)
-    ta = t_ren(t_effective(*a, 1.75))
-    tb = t_ren(t_effective(*b, 1.75))
-    assert (ta < tb) == (compare_order(a, b, 1.75) < 0)
 
 
 def test_ordering_invariance_random_pairs() -> None:

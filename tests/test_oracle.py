@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from trenq import (
     InputError,
@@ -230,7 +233,11 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
         # the continuous residual changes sign across the count step
         below = check_amplitude(w, z_c * (1.0 - 1e-6), lam)
         above = check_amplitude(w, z_c * (1.0 + 1e-6), lam)
-        assert oracle_mod._step_residual(below, n) < 0.0 < oracle_mod._step_residual(above, n)
+        assert (
+            oracle_mod._step_residual(below.count, below.log_amplitude, n)
+            < 0.0
+            < oracle_mod._step_residual(above.count, above.log_amplitude, n)
+        )
 
     monkeypatch.setattr(oracle_mod, "_count_nonpositive_pivots", checked_kernel)
     for a, n, l in ((0.5, 3, 0), (1.0, 0, 0), (1.0, 2, 3), (2.0, 1, 2)):
@@ -276,17 +283,19 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
 
 
 def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
-    # work-count guard, no timing: Brent on the continuous residual needs
-    # fewer than 20 counts per threshold (bisecting the count to 1e-8 took
-    # 34.69), and every threshold stays within 3e-9 of the closed form
+    # work-count guard, no timing: Brent on the continuous residual, with the
+    # bracket points of each well and lambda counted once, needs 12.06 counts
+    # per threshold in grid order (16.40 when every search walked its bracket
+    # afresh, 34.69 bisecting the count to 1e-8), and every threshold stays
+    # within 3e-9 of the closed form
     import trenq.oracle as oracle_mod
 
-    calls = [0]
+    counted_at = []
     counter = oracle_mod.count_bound_states
 
-    def counted(*args):
-        calls[0] += 1
-        return counter(*args)
+    def counted(w, *args):
+        counted_at.append(w.scaling.Z)
+        return counter(w, *args)
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
     worst = 0.0
@@ -298,8 +307,37 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
                 z = exact_critical_coupling(w, q.lam, q.n, settings)
                 z_exact, _ = lenz_exact_threshold(a, q)
                 worst = max(worst, abs(z - z_exact) / z_exact)
-    assert calls[0] / 48 <= 20.0, calls[0] / 48
+    assert len(counted_at) / 48 <= 12.5, len(counted_at) / 48
     assert worst <= 3e-9
+
+    # a second threshold of the same well and lambda counts none of the
+    # bracket points the first one counted
+    w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
+    counted_at.clear()
+    exact_critical_coupling(w, 0.5, 0, settings)
+    first = set(counted_at)
+    counted_at.clear()
+    exact_critical_coupling(w, 0.5, 2, settings)
+    assert {1.0, 2.0} <= first
+    assert first.isdisjoint(counted_at)
+
+
+@hypothesis_settings(max_examples=8, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    order=st.permutations([(n, l) for n in range(3) for l in range(2)]),
+)
+def test_oracle_shared_well_matches_fresh_well(a: float, order: list) -> None:
+    # the bracket points a shared well keeps change no threshold, bit for bit,
+    # in whatever order the thresholds are asked for
+    s = Settings()
+    shared = to_log_well(Lenz(a=a, Z=1.0), s)
+    for n, l in order:
+        lam = QuantumNumbers(n, l, 3).lam
+        fresh = to_log_well(Lenz(a=a, Z=1.0), s)
+        assert exact_critical_coupling(shared, lam, n, s) == exact_critical_coupling(
+            fresh, lam, n, s
+        )
 
 
 def test_transform_exponent_discrimination(settings) -> None:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from trenq import (
     InputError,
     Lenz,
     QuantumNumbers,
     Tietz,
+    action,
     action_profile,
     base_action_integral,
     critical_coupling,
@@ -61,16 +63,16 @@ def test_critical_coupling_quadratic_in_target(settings, lenz18_well) -> None:
     assert z2 == pytest.approx(4.0 * z1, rel=1e-12)
 
 
-def test_critical_coupling_bisection_route(settings, lenz18_well) -> None:
+def test_critical_coupling_factory_route(settings, lenz18_well) -> None:
     def factory(Z: float):
         return to_log_well(Lenz(a=1.0, Z=Z), settings)
 
     q = QuantumNumbers(1, 1, 3)
     closed = critical_coupling(lenz18_well, q, settings, t_source=1.0)
-    bisected = critical_coupling(
+    solved = critical_coupling(
         lenz18_well, q, settings, t_source=1.0, well_factory=factory
     )
-    assert bisected == pytest.approx(closed, rel=1e-9)
+    assert solved == pytest.approx(closed, rel=1e-9)
     # refactoring gate: with the fitted slope both routes reproduce the
     # closed form on the criterion-1 grid far below the acceptance tolerance
     for a in (0.5, 1.0, 2.0):
@@ -95,8 +97,9 @@ WORK_COUNT_WELLS = [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0)]
 
 @pytest.mark.parametrize("a,Z", WORK_COUNT_WELLS)
 def test_factory_route_work_count(a: float, Z: float, settings) -> None:
-    # work-count guard, no timing: the smooth outer solve needs few wells
-    # (bisecting it to 1e-12 built 45-47)
+    # work-count guard, no timing: the sqrt(Z) guess from the Z = 1 build is
+    # right to rounding for a linear family, so the route builds the wells
+    # at 1, at the guess and one step beyond it (doubling from Z = 1 built 3-11)
     w = to_log_well(Lenz(a=a, Z=Z), settings)
     phi = fit_phi(action_profile(w, settings))
     for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(3, 3, 3)):
@@ -108,7 +111,57 @@ def test_factory_route_work_count(a: float, Z: float, settings) -> None:
 
         z = critical_coupling(w, q, settings, t_source=phi, well_factory=factory)
         assert z == pytest.approx(lenz_exact_threshold(a, q)[0], rel=1e-11)
-        assert len(builds) <= 20
+        assert len(builds) <= 3, builds
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_factory_route_off_sqrt_scaling(a: float, settings) -> None:
+    # Z -> Lenz(a, sqrt(Z)) has an action growing like Z^(1/4), so the sqrt(Z)
+    # guess misses by a factor of up to ~220 and the bracket has to grow from
+    # it: 3-21 builds here, where doubling from Z = 1 built 3-22
+    w = to_log_well(Lenz(a=a, Z=1.0), settings)
+    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(3, 3, 3)):
+        builds = []
+
+        def factory(z: float):
+            builds.append(z)
+            return to_log_well(Lenz(a=a, Z=math.sqrt(z)), settings)
+
+        z = critical_coupling(w, q, settings, t_source=1.0 / a, well_factory=factory)
+        target = t_ren(t_effective(q.nu, q.lam, 1.0 / a))
+
+        def overshoot(z: float) -> float:
+            return action(to_log_well(Lenz(a=a, Z=math.sqrt(z)), settings), 0.0, settings) - target
+
+        reference = brentq(overshoot, 1e-3, 1e6, xtol=1e-300, rtol=1e-14)
+        assert z == pytest.approx(reference, rel=1e-11)
+        assert len(builds) <= 22, builds
+
+
+@pytest.mark.parametrize("bad_action", [0.0, -1.0, math.nan])
+def test_factory_route_falls_back_to_walk(bad_action: float, settings, monkeypatch) -> None:
+    # when the Z = 1 build gives no usable action there is no sqrt(Z) guess,
+    # and the route doubles from Z = 1 as before; Z_c = 7.5 > 4, so the
+    # bracket is [4, 8] and the bad value at Z = 1 never reaches Brent
+    import trenq.thresholds as thresholds_mod
+
+    true_action = thresholds_mod.action
+
+    def patched(w, lam, s):
+        return bad_action if w.scaling.Z == 1.0 else true_action(w, lam, s)
+
+    monkeypatch.setattr(thresholds_mod, "action", patched)
+    builds = []
+
+    def factory(z: float):
+        builds.append(z)
+        return to_log_well(Lenz(a=1.0, Z=z), settings)
+
+    q = QuantumNumbers(1, 1, 3)
+    w = to_log_well(Lenz(a=1.0, Z=8.0), settings)
+    z = critical_coupling(w, q, settings, t_source=1.0, well_factory=factory)
+    assert z == pytest.approx(lenz_exact_threshold(1.0, q)[0], rel=1e-11)
+    assert builds[:4] == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_lenz_exact_threshold_values() -> None:
