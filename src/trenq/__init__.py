@@ -18,9 +18,6 @@ from .action import (
     turning_points,
 )
 from .corrections import (
-    CorrectionState,
-    correction_state_integral,
-    correction_state_matched,
     delta1_integral,
     delta1_matched,
     ground_state_threshold,

@@ -23,15 +23,17 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DegenerateWellError, InputError, PotentialConditionError
 from .numerics import (
     adaptive_gauss,
-    bisect_elementwise,
-    bisect_monotone,
     composite_knot_integral,
+    false_position,
+    false_position_elementwise,
     gauss_nodes,
 )
 from .potentials import LogWell, Settings
 
 # relative slack for "lambda^2 equals V_m" and domain-floor comparisons
 _EDGE_RTOL = 1e-14
+# cells of the turning-point scan on each side of rho_star
+_SCAN_CELLS = 128
 
 _Weight = Callable[[np.ndarray], np.ndarray] | None
 
@@ -51,19 +53,62 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     For lambda2 = 0 (or below the domain-cut floor) the truncated domain ends
     are returned; for lambda2 = V_m the pair degenerates to the maximum.  On
     a well with several humps, lambda2 below its split_level raises
-    PotentialConditionError.
+    PotentialConditionError.  Each root starts from its cell of the well's
+    scan (_scan_cells) and is refined by numerics.false_position to a
+    bracket of 1e-15 relative width.
     """
-    floor = max(float(w.profile(w.rho_left)), float(w.profile(w.rho_right)))
-    pair = _edge_pair(w, lambda2, floor)
+    x, vals = _turning_scan(w)
+    pair = _edge_pair(w, lambda2, max(vals[0], vals[-1]))
     if pair is not None:
         return pair
 
     def f(rho: float) -> float:
         return float(w.profile(rho)) - lambda2
 
-    rho1 = bisect_monotone(f, w.rho_left, w.rho_star, rtol=1e-15)
-    rho2 = bisect_monotone(f, w.rho_star, w.rho_right, rtol=1e-15)
-    return TurningPair(rho1, rho2)
+    roots = []
+    for i in _scan_cells(vals, np.array([lambda2]))[0].tolist():
+        lo, hi = float(x[i]), float(x[i + 1])
+        flo, fhi = float(vals[i]) - lambda2, float(vals[i + 1]) - lambda2
+        roots.append(false_position(f, lo, hi, flo, fhi, rtol=1e-15))
+    return TurningPair(*roots)
+
+
+def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray]:
+    """(points, W at them): _SCAN_CELLS + 1 points on each side of rho_star.
+
+    The points run from rho_left over rho_star to rho_right, all three
+    included, and cluster quadratically towards rho_star, where W is flat.
+    W is evaluated in one vectorized call on the first search of the well
+    and kept in its _turning_scan memo.
+    """
+    if not w._turning_scan:
+        u = np.linspace(0.0, 1.0, _SCAN_CELLS + 1) ** 2
+        x = np.concatenate(
+            (
+                (w.rho_star + (w.rho_left - w.rho_star) * u)[::-1],
+                (w.rho_star + (w.rho_right - w.rho_star) * u)[1:],
+            )
+        )
+        x[0], x[-1] = w.rho_left, w.rho_right
+        w._turning_scan.extend((x, np.asarray(w.profile(x), dtype=float)))
+    x, vals = w._turning_scan
+    return x, vals
+
+
+def _scan_cells(vals: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+    """Scan cells holding the turning points of each level lambda2[m].
+
+    Row m is (i, j): the cells [x[i], x[i + 1]] and [x[j], x[j + 1]] of the
+    scan points x.  The left cell starts at the last point before rho_star
+    with W <= lambda2, the right one ends at the first point after it, so
+    on a well with several humps, at a level above its split_level, they
+    hold the pair around rho_star.  Every level must lie above the
+    domain-cut floor and below W(rho_star).
+    """
+    below = vals[None, :] <= lambda2[:, None]
+    left = _SCAN_CELLS - 1 - np.argmax(below[:, _SCAN_CELLS - 1 :: -1], axis=1)
+    right = _SCAN_CELLS + np.argmax(below[:, _SCAN_CELLS + 1 :], axis=1)
+    return np.stack((left, right), axis=1)
 
 
 def _edge_pair(w: LogWell, lambda2: float, floor: float) -> TurningPair | None:
@@ -97,30 +142,30 @@ def _edge_pair(w: LogWell, lambda2: float, floor: float) -> TurningPair | None:
 def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
     """turning_points for every entry of lambda2, in one batched root search.
 
-    numerics.bisect_elementwise takes the same steps as the two scalar
-    bisections of turning_points, so every root is the same, bit for bit; W
-    at the cuts and the maximum (root brackets and domain-cut floor) is
-    evaluated once.  turning_points itself stays scalar: for a single level,
-    a batch of two roots costs more in array bookkeeping than it saves in
-    profile calls.
+    numerics.false_position_elementwise takes the steps of the two scalar
+    searches of turning_points from the same scan cells, so every root is
+    the same, bit for bit.  turning_points itself stays scalar: for a
+    single level, a batch of two roots costs more in array bookkeeping than
+    it saves in profile calls.
     """
-    ends = [float(w.profile(x)) for x in (w.rho_left, w.rho_star, w.rho_right)]
-    floor = max(ends[0], ends[2])
+    x, vals = _turning_scan(w)
+    floor = max(vals[0], vals[-1])
     pairs = [_edge_pair(w, v, floor) for v in lambda2.tolist()]
     interior = [i for i, pair in enumerate(pairs) if pair is None]
     k = len(interior)
     # roots 0..k-1 lie left of the maximum, k..2k-1 right of it
     targets = np.tile(lambda2[interior], 2)
+    cells = _scan_cells(vals, lambda2[interior]).T.ravel()
 
     def f(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.asarray(w.profile(rho), dtype=float) - targets[idx]
 
-    roots = bisect_elementwise(
+    roots = false_position_elementwise(
         f,
-        np.repeat([w.rho_left, w.rho_star], k),
-        np.repeat([w.rho_star, w.rho_right], k),
-        np.repeat(ends[:2], k) - targets,
-        np.repeat(ends[1:], k) - targets,
+        x[cells],
+        x[cells + 1],
+        vals[cells] - targets,
+        vals[cells + 1] - targets,
         rtol=1e-15,
     )
     for j, i in enumerate(interior):
@@ -149,6 +194,15 @@ def _well_slope(w: LogWell, rho: np.ndarray) -> np.ndarray:
         return np.asarray(w.profile_deriv(rho), dtype=float)
     delta = 1e-7 * np.maximum(1.0, np.abs(rho))
     return (w.profile(rho + delta) - w.profile(rho - delta)) / (2.0 * delta)
+
+
+def _well_curvature(w: LogWell, rho: np.ndarray) -> np.ndarray:
+    """W''(rho): a central difference of W' where it is known, else a second difference of W."""
+    if w.profile_deriv is not None:
+        delta = 1e-5 * np.maximum(1.0, np.abs(rho))
+        return (w.profile_deriv(rho + delta) - w.profile_deriv(rho - delta)) / (2.0 * delta)
+    delta = 1e-4 * np.maximum(1.0, np.abs(rho))
+    return (w.profile(rho + delta) - 2.0 * w.profile(rho) + w.profile(rho - delta)) / (delta * delta)
 
 
 def _raised(gap: np.ndarray, rho: np.ndarray, power: float, weight: _Weight) -> np.ndarray:
@@ -432,3 +486,27 @@ def correction_inner_integral(w: LogWell, epsilon: float, s: Settings) -> float:
         w, np.array([lambda2]), [pair], -0.5, weight, s.quad_tol, best_effort=True
     )
     return float(values[0])
+
+
+def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.ndarray:
+    """F'(eps) of correction_inner_integral at every epsilon[i] in (0, V_m/2).
+
+    Integrating F once by parts, the boundary terms vanishing at the
+    turning points, gives F = 2 * integral V'' (eps - V)^(1/2) dx, so
+
+        F'(eps) = -(1/sqrt 2) * integral W'' (W - lambda^2)^(-1/2) d rho,
+
+    an integrand of the same Q form as the action (weight -W''/sqrt 2, see
+    _turning_point_integrals), with W'' from _well_curvature.  All levels
+    share one batched root search and one batched quadrature, each to an
+    absolute tol, saturating where that cannot be met.
+    """
+    lambda2 = w.V_m - 2.0 * np.asarray(epsilon, dtype=float)
+
+    def weight(rho: np.ndarray) -> np.ndarray:
+        return _well_curvature(w, rho) / -math.sqrt(2.0)
+
+    values, _ = _turning_point_integrals(
+        w, lambda2, _turning_pairs(w, lambda2), -0.5, weight, tol, best_effort=True
+    )
+    return values

@@ -19,23 +19,13 @@ algebraic rule used by the spectrum and threshold solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
 
-from .action import action, correction_inner_integral
-from .errors import ConvergenceError, InputError, NoSuchLevelError
+import numpy as np
+
+from .action import action, correction_inner_slopes
+from .errors import InputError, NoSuchLevelError
 from .numerics import brent
 from .potentials import LogWell, Settings, quantum_index
-
-
-@dataclass(frozen=True)
-class CorrectionState:
-    """A defect correction together with its resummed value and provenance."""
-
-    delta1: float
-    delta: float
-    Phi_m: float
-    source: Literal["integral", "matched"]
 
 
 def delta1_matched(Phi_m: float) -> float:
@@ -62,82 +52,24 @@ def delta1_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     """First defect correction from the curvature integral.
 
     Computes (hbar / 24 pi) * d^2 F / d eps^2 with F the inner integral of
-    the squared well slope.  A 5-point centered stencil starts at step
-    1e-3 * V_m and is halved until two successive estimates agree to 1e-6
-    relative (with an absolute floor covering the F'' = 0 case); the
-    returned value is the Richardson extrapolant of the final pair.  The
-    formal energy lies in (0, V_m/2), the range of the formal well.
+    the squared well slope.  F' comes integrated by parts
+    (action.correction_inner_slopes; J. L. Dunham, Phys. Rev. 41, 713
+    (1932)), so F'' needs only a first difference: a fixed 4-point central
+    stencil with step h = min(1e-3 V_m, eps / 2.5, (V_m/2 - eps) / 2.5),
+    which amplifies quadrature noise by 1/h, not 1/h^2.  The formal energy
+    lies in (0, V_m/2), the range of the formal well.
     """
     v_lim = 0.5 * w.V_m
     if not 0.0 < epsilon < v_lim:
         raise InputError(f"formal energy must lie strictly inside (0, {v_lim:g})")
-    h0 = min(1e-3 * w.V_m, (v_lim - epsilon) / 2.5, epsilon / 2.5)
-    if h0 <= 0.0:
+    h = min(1e-3 * w.V_m, (v_lim - epsilon) / 2.5, epsilon / 2.5)
+    if h <= 0.0:
         raise InputError("no room for the difference stencil at this energy")
-
-    # the difference quotient amplifies quadrature noise by 1/h^2; the inner
-    # integrals are pushed to the refinement floor of the quadrature
-    s_inner = replace(s, quad_tol=max(1e-12, 1e-3 * s.quad_tol))
-    cache: dict[float, float] = {}
-
-    def f(e: float) -> float:
-        if e not in cache:
-            cache[e] = correction_inner_integral(w, e, s_inner)
-        return cache[e]
-
-    def second_derivative(h: float) -> float:
-        return (
-            -f(epsilon - 2.0 * h)
-            + 16.0 * f(epsilon - h)
-            - 30.0 * f(epsilon)
-            + 16.0 * f(epsilon + h)
-            - f(epsilon + 2.0 * h)
-        ) / (12.0 * h * h)
-
-    # natural scale of F'' for the agreement floor; F'' can legitimately be
-    # zero (the harmonic case), where a pure relative test would never settle
-    scale = abs(f(epsilon)) / (epsilon * epsilon)
-    h = h0
-    prev_d = second_derivative(h)
-    # smallest change seen so far: (change, Richardson extrapolant, estimate)
-    best = (math.inf, math.nan, math.nan)
-    last_change, grown = math.inf, 0
-    for _ in range(40):
-        h *= 0.5
-        if h < 1e-12 * w.V_m:
-            break
-        d = second_derivative(h)
-        change = abs(d - prev_d)
-        richardson = (16.0 * d - prev_d) / 15.0
-        if change <= 1e-6 * max(abs(d), scale):
-            return s.hbar * richardson / (24.0 * math.pi)
-        if change < best[0]:
-            best = (change, richardson, d)
-        # past the noise floor every halving only amplifies the quadrature noise
-        grown = grown + 1 if change > last_change else 0
-        if grown == 2:
-            break
-        last_change, prev_d = change, d
-    change, richardson, d = best
-    if not change <= 1e-5 * max(abs(d), scale):
-        raise ConvergenceError(
-            f"second derivative did not settle; smallest change {change:g} at estimate {d:g}"
-        )
-    return s.hbar * richardson / (24.0 * math.pi)
-
-
-def correction_state_matched(Phi_m: float) -> CorrectionState:
-    """Correction state from the shallow-well matching route."""
-    d1 = delta1_matched(Phi_m)
-    return CorrectionState(delta1=d1, delta=resum_delta(d1), Phi_m=Phi_m, source="matched")
-
-
-def correction_state_integral(
-    w: LogWell, epsilon: float, Phi_m: float, s: Settings
-) -> CorrectionState:
-    """Correction state from the curvature-integral route (diagnostic)."""
-    d1 = delta1_integral(w, epsilon, s)
-    return CorrectionState(delta1=d1, delta=resum_delta(d1), Phi_m=Phi_m, source="integral")
+    slopes = correction_inner_slopes(
+        w, epsilon + h * np.array([-2.0, -1.0, 1.0, 2.0]), max(1e-12, 1e-3 * s.quad_tol)
+    )
+    second = float(np.dot([1.0, -8.0, 8.0, -1.0], slopes)) / (12.0 * h)
+    return s.hbar * second / (24.0 * math.pi)
 
 
 def ground_state_threshold(n: int) -> float:

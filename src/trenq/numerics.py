@@ -1,14 +1,14 @@
 """Shared numerical kernels: stable hyperbolics, root-finding, singular quadrature.
 
-Root-finding comes in three forms: plain bisection, for turning points,
-whose downstream curvature stencils amplify any change in the last digits;
-an elementwise-vectorized bisection that takes exactly the same steps for
-many brackets at once; and Brent's method, for the smooth monotone outer
-equations, the domain cuts of a log well and the oracle's continuous
-node-count residual, where it needs a handful of evaluations instead of
-~50.  geometric_bracket finds the sign change on (0, inf) that the outer
-solves start from: the oracle's by doubling from 1, the factory route of
-the thresholds from a close guess with a step that starts small and grows.
+Root-finding comes in three forms: Illinois false position, for turning
+points, which start from a bracketing cell of a scan of the well and need
+about seven steps where bisection took ~55; an elementwise-vectorized form
+of it that takes exactly the same steps for many brackets at once; and
+Brent's method, for the smooth monotone outer equations, the domain cuts
+of a log well and the oracle's continuous node-count residual.
+geometric_bracket finds the sign change on (0, inf) that the outer solves
+start from: the oracle's by doubling from 1, the factory route of the
+thresholds from a close guess with a step that starts small and grows.
 
 All action-type integrals in this package have inverse-square-root or
 square-root behaviour at the interval endpoints.  The caller maps the
@@ -49,85 +49,108 @@ def sech2(x: np.ndarray | float) -> np.ndarray | float:
     return s * s
 
 
-def bisect_monotone(
+def false_position(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    flo: float,
+    fhi: float,
     *,
-    xtol: float = 0.0,
-    rtol: float = 4e-16,
+    rtol: float,
     max_iter: int = 200,
 ) -> float:
-    """Root of a sign-changing f on [lo, hi] by plain bisection.
+    """Root of f on a sign-change bracket by Illinois false position, end values given.
 
-    Requires f(lo) and f(hi) of opposite sign (zero counts as either).
-    Robust against non-smooth f; used everywhere a guaranteed bracket exists.
+    Each step evaluates f at the secant root of the two ends and keeps the
+    part of the bracket with the sign change.  When the same end survives
+    two steps running, its value is halved (the Illinois rule: M. Dowell
+    and P. Jarratt, BIT 11, 168 (1971)), so both ends close in
+    superlinearly instead of one end sticking.  With tol = rtol *
+    max(|lo|, |hi|), a step lands at least tol/2 inside the bracket, so
+    once an end sits on the root within rounding noise the next step
+    closes the bracket.  A zero of f, at an end or a step, is returned as
+    the root; otherwise the loop stops with the midpoint once
+    hi - lo <= tol.
     """
-    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    lo_positive = flo > 0.0
+    moved = 0  # the end the last step moved: -1 lo, +1 hi, 0 none yet
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol + rtol * max(abs(lo), abs(hi)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        tol = rtol * max(abs(lo), abs(hi))
+        if hi - lo <= tol:
+            break
+        x = min(max(lo - flo * (hi - lo) / (fhi - flo), lo + 0.5 * tol), hi - 0.5 * tol)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == lo_positive:
+            lo, flo = x, fx
+            if moved == -1:
+                fhi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, fhi = x, fx
+            if moved == 1:
+                flo *= 0.5
+            moved = 1
     return 0.5 * (lo + hi)
 
 
-def bisect_elementwise(
+def false_position_elementwise(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     flo: np.ndarray,
     fhi: np.ndarray,
     *,
-    xtol: float = 0.0,
-    rtol: float = 4e-16,
+    rtol: float,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Many independent bisections at once, each bit-identical to bisect_monotone.
+    """Many independent false_position searches at once, each bit-identical to it.
 
-    Element i bisects f(., i) on [lo[i], hi[i]] with the given end values.
+    Element i solves f(., i) on [lo[i], hi[i]] with the given end values.
     f(x, idx) evaluates the functions with indices idx at the points x, so
-    one vectorized call advances every unfinished bracket by one step; the
-    midpoint, width-stop and zero-hit rules are those of bisect_monotone.
+    one vectorized call advances every unfinished bracket by one step with
+    the arithmetic of false_position.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo = np.asarray(flo, dtype=float)
-    fhi = np.asarray(fhi, dtype=float)
+    flo = np.array(flo, dtype=float)
+    fhi = np.array(fhi, dtype=float)
     roots = np.where(flo == 0.0, lo, hi)
     bad = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ConvergenceError(f"no sign change on [{lo[i]}, {hi[i]}]: f={flo[i]}, {fhi[i]}")
-    # lo only ever moves to a point of the same sign class as f(lo)
     lo_positive = flo > 0.0
+    moved = np.zeros(lo.size, dtype=int)
     live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     for _ in range(max_iter):
+        a, b = lo[live], hi[live]
+        tol = rtol * np.maximum(np.abs(a), np.abs(b))
+        done = b - a <= tol
+        roots[live[done]] = 0.5 * (a[done] + b[done])
+        live = live[~done]
         if live.size == 0:
             return roots
-        a, b = lo[live], hi[live]
-        mid = 0.5 * (a + b)
-        # f is also evaluated where the width already stops: the root is mid
-        # either way, so the extra value changes nothing
-        fm = f(mid, live)
-        stop = (b - a <= xtol + rtol * np.maximum(np.abs(a), np.abs(b))) | (fm == 0.0)
-        roots[live[stop]] = mid[stop]
-        up = (fm > 0.0) == lo_positive[live]
-        lo[live] = np.where(up, mid, a)
-        hi[live] = np.where(up, b, mid)
-        live = live[~stop]
+        a, b, fa, fb, tol = lo[live], hi[live], flo[live], fhi[live], tol[~done]
+        x = np.minimum(np.maximum(a - fa * (b - a) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
+        fx = f(x, live)
+        hit = fx == 0.0
+        roots[live[hit]] = x[hit]
+        left = (fx > 0.0) == lo_positive[live]
+        prev = moved[live]
+        lo[live] = np.where(left, x, a)
+        flo[live] = np.where(left, fx, np.where(prev == 1, 0.5 * fa, fa))
+        hi[live] = np.where(left, b, x)
+        fhi[live] = np.where(left, np.where(prev == -1, 0.5 * fb, fb), fx)
+        moved[live] = np.where(left, -1, 1)
+        live = live[~hit]
     roots[live] = 0.5 * (lo[live] + hi[live])
     return roots
 

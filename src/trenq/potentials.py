@@ -314,6 +314,8 @@ class LogWell:
     split_level: float | None = None
     # (I(0), error estimate) per Settings, filled by the action module
     _zero_action: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # [scan points, W at them] of the turning-point search, filled by the action module
+    _turning_scan: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (count, log amplitude) per (lambda, Settings, Z) of each point the
     # oracle's geometric bracket counts on this well, filled by the oracle
     _bracket_counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)

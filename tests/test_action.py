@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from trenq import (
     turning_points,
 )
 from trenq.action import _action_with_error, _turning_pairs
-from trenq.numerics import bisect_monotone, gauss_nodes
+from trenq.numerics import gauss_nodes
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
 
@@ -98,7 +99,8 @@ def _lenz_resampling(a: float, Z: float) -> Tabulated:
     return Tabulated(r_grid=np.exp(rho), U_values=u, q0=2.0 - 2.0 * a, qinf=2.0 + 2.0 * a)
 
 
-@pytest.mark.parametrize(
+# None stands for the quadratic_well fixture
+TURNING_WELLS = pytest.mark.parametrize(
     "make_well",
     [
         lambda s: to_log_well(Lenz(a=0.5, Z=8.0), s),
@@ -109,9 +111,22 @@ def _lenz_resampling(a: float, Z: float) -> Tabulated:
     ],
     ids=["lenz0.5", "lenz1", "lenz2", "tabulated", "quadratic"],
 )
+
+
+def _sign_change_within(f, root: float, rtol: float) -> bool:
+    """Whether f takes both signs (zero counts as either) on the floats within rtol of root."""
+    x, end = root - rtol * abs(root), root + rtol * abs(root)
+    vals = []
+    while x <= end:
+        vals.append(f(x))
+        x = float(np.nextafter(x, math.inf))
+    return min(vals) <= 0.0 <= max(vals)
+
+
+@TURNING_WELLS
 def test_batched_turning_points_bit_identical(make_well, settings, quadratic_well) -> None:
     # the batched search of action_profile takes the steps of two scalar
-    # bisections per level, so roots and action samples agree bit for bit
+    # searches per level, so roots and action samples agree bit for bit
     w = quadratic_well if make_well is None else make_well(settings)
     prof = action_profile(w, settings)
     lambda2 = prof.lambda_grid * prof.lambda_grid
@@ -127,12 +142,36 @@ def test_batched_turning_points_bit_identical(make_well, settings, quadratic_wel
             def f(rho: float, l2: float = float(l2)) -> float:
                 return float(w.profile(rho)) - l2
 
-            assert ref.rho1 == bisect_monotone(f, w.rho_left, w.rho_star, rtol=1e-15)
-            assert ref.rho2 == bisect_monotone(f, w.rho_star, w.rho_right, rtol=1e-15)
+            assert _sign_change_within(f, ref.rho1, 1e-15)
+            assert _sign_change_within(f, ref.rho2, 1e-15)
     assert interior >= 60
     for lam, value, err in zip(prof.lambda_grid, prof.I_values, prof.quad_error):
         ref_value, ref_err = _action_with_error(w, float(lam), settings)
         assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex())
+
+
+@TURNING_WELLS
+def test_turning_points_profile_call_count(make_well, settings, quadratic_well) -> None:
+    # work-count guard: once the well's scan exists, each root is refined
+    # from its scan cell by false position (bisection took ~115 calls a pair)
+    w = quadratic_well if make_well is None else make_well(settings)
+    profile = w.profile
+    calls = [0]
+
+    def counted(rho):
+        calls[0] += 1
+        return profile(rho)
+
+    w = replace(w, profile=counted)
+    turning_points(w, 0.5 * w.V_m)
+    assert len(w._turning_scan) == 2
+    # the interior levels of an action profile
+    lam = 0.5 * math.sqrt(w.V_m) * (1.0 - np.cos(math.pi * np.arange(1, 64) / 64))
+    for lambda2 in (lam * lam).tolist():
+        calls[0] = 0
+        pair = turning_points(w, lambda2)
+        assert pair.rho1 != w.rho_left and not pair.degenerate
+        assert calls[0] <= 25, (lambda2, calls[0])
 
 
 def test_action_profile_profile_call_count(settings, monkeypatch) -> None:

@@ -3,14 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trenq import (
     InputError,
     Lenz,
     NoSuchLevelError,
     action,
-    correction_state_integral,
-    correction_state_matched,
     count_bound_states,
     delta1_integral,
     delta1_matched,
@@ -66,6 +66,14 @@ def test_resum_delta_shape() -> None:
     assert np.array_equal(vals, -mirrored)
 
 
+@given(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12))
+def test_resum_delta_odd_increasing_bounded(x: float, y: float) -> None:
+    lo, hi = sorted((x, y))
+    assert resum_delta(-x) == -resum_delta(x)
+    assert -0.5 < resum_delta(x) < 0.5
+    assert resum_delta(lo) <= resum_delta(hi)
+
+
 def test_resum_threshold_identity() -> None:
     # resummed matched correction equals Phi - sqrt(Phi^2 + 1/4) exactly
     for phi_m in (0.3, 1.0, 2.5, 10.0):
@@ -111,22 +119,27 @@ def test_delta1_integral_energy_independent(settings, lenz18_well) -> None:
     assert 0.3 < ratio < 3.0  # order-of-magnitude agreement only
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_delta1_integral_closed_form_probes(a: float, settings) -> None:
+    # delta1 by parts needs only a first difference of F', so neither the
+    # quadrature noise nor a one-ulp move of the domain cuts shows at 1e-8
+    w = to_log_well(Lenz(a=a, Z=8.0), settings)
+    exact = -a / (8.0 * math.sqrt(2.0))  # -a / (8 sqrt(V_m / 2))
+    for sign in (0.0, -1.0, 1.0):
+        probe = w if sign == 0.0 else replace(
+            w,
+            rho_left=np.nextafter(w.rho_left, sign * np.inf),
+            rho_right=np.nextafter(w.rho_right, -sign * np.inf),
+        )
+        for eps in (0.4, 1.0, 1.6):
+            assert delta1_integral(probe, eps, settings) == pytest.approx(exact, rel=1e-8)
+
+
 def test_delta1_integral_range_errors(settings, lenz18_well) -> None:
     with pytest.raises(InputError):
         delta1_integral(lenz18_well, 0.0, settings)
     with pytest.raises(InputError):
         delta1_integral(lenz18_well, 2.0, settings)
-
-
-def test_correction_states(settings, lenz18_well) -> None:
-    cs = correction_state_matched(2.0)
-    assert cs.source == "matched"
-    assert cs.delta1 == -0.0625
-    assert abs(cs.delta) < 0.5
-    assert math.copysign(1.0, cs.delta) == math.copysign(1.0, cs.delta1)
-    ci = correction_state_integral(lenz18_well, 1.0, 2.0, settings)
-    assert ci.source == "integral"
-    assert abs(ci.delta) < 0.5
 
 
 def test_ground_state_threshold_values() -> None:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trenq import (
     InputError,
@@ -52,6 +54,12 @@ def test_t_ren_algebraic_identity() -> None:
         tr = t_ren(float(T))
         assert abs(tr * tr + 0.25 - T * T) <= 1e-15 * T * T
         assert tr < T
+
+
+@given(st.floats(0.5, 1e12), st.floats(0.5, 1e12))
+def test_t_ren_preserves_order(x: float, y: float) -> None:
+    lo, hi = sorted((x, y))
+    assert 0.0 <= t_ren(lo) <= t_ren(hi)
 
 
 def test_t_ren_expansion_values() -> None:

@@ -9,31 +9,51 @@ from trenq.numerics import (
     _knot_samples,
     _segment_samples,
     adaptive_gauss,
-    bisect_elementwise,
-    bisect_monotone,
     brent,
+    false_position,
+    false_position_elementwise,
     geometric_bracket,
 )
 
 
-def test_bisect_elementwise_matches_scalar() -> None:
-    # each element takes the scalar steps: same root bit for bit, including
-    # exact zero hits at a midpoint and roots at a bracket end
+def test_false_position_elementwise_matches_scalar() -> None:
+    # each element takes the scalar steps: same root and the same number of
+    # evaluations, for width stops, an exact zero hit at a step, roots at a
+    # bracket end and brackets with f decreasing
     rng = np.random.default_rng(3)
     ends = 4.0 * np.tanh([-4.0, 4.0])
-    targets = np.concatenate([rng.uniform(-3.0, 3.0, 40), [0.0], ends])
+    targets = np.concatenate([rng.uniform(-3.0, 3.0, 40), [0.0], ends, rng.uniform(-3.0, 3.0, 8)])
+    sign = np.where(np.arange(targets.size) < targets.size - 8, 1.0, -1.0)
     lo = np.full(targets.size, -4.0)
     hi = np.full(targets.size, 4.0)
+    calls = Counter()
 
     def f(x, idx):
-        return np.tanh(x) * 4.0 - targets[idx]
+        calls.update(idx.tolist())
+        return sign[idx] * (np.tanh(x) * 4.0 - targets[idx])
 
-    roots = bisect_elementwise(f, lo, hi, f(lo, np.arange(lo.size)), f(hi, np.arange(hi.size)))
-    for t, root in zip(targets, roots):
-        ref = bisect_monotone(lambda x: float(np.tanh(x) * 4.0 - t), -4.0, 4.0)
+    idx = np.arange(targets.size)
+    roots = false_position_elementwise(f, lo, hi, f(lo, idx), f(hi, idx), rtol=1e-15)
+    batch_calls = calls.copy()
+    for i, (t, root) in enumerate(zip(targets, roots)):
+        n = [0]
+
+        def g(x: float, i: int = i, t: float = t) -> float:
+            n[0] += 1
+            return float(sign[i] * (np.tanh(x) * 4.0 - t))
+
+        ref = false_position(g, -4.0, 4.0, g(-4.0), g(4.0), rtol=1e-15)
         assert root.hex() == ref.hex()
+        assert batch_calls[i] == n[0]
+        assert root == pytest.approx(math.atanh(t / 4.0), rel=1e-14, abs=1e-15)
+    assert roots[40] == 0.0 and batch_calls[40] == 3  # the first step lands on the root
+    assert (roots[41], roots[42]) == (-4.0, 4.0)  # roots at the bracket ends, no steps
+    assert batch_calls[41] == batch_calls[42] == 2
+    assert max(batch_calls.values()) <= 18  # with the two end values; bisection takes ~55 steps
     with pytest.raises(ConvergenceError):
-        bisect_elementwise(f, lo[:1], hi[:1], np.ones(1), np.ones(1))
+        false_position_elementwise(f, lo[:1], hi[:1], np.ones(1), np.ones(1), rtol=1e-15)
+    with pytest.raises(ConvergenceError):
+        false_position(math.tanh, 1.0, 2.0, math.tanh(1.0), math.tanh(2.0), rtol=1e-15)
 
 
 def _one_integrand_gauss(f, a: float, b: float, tol: float, *, best_effort: bool) -> tuple:

@@ -23,6 +23,7 @@ from trenq import (
     to_log_well,
     turning_points,
 )
+from trenq.action import _turning_pairs
 from trenq.cli import main
 
 
@@ -250,6 +251,32 @@ def test_two_hump_well_rejects_split_action(settings, tmp_path, capsys) -> None:
     path.write_text(json.dumps(spec))
     assert main(["threshold", "--potential", str(path)]) == 1
     assert "second hump" in capsys.readouterr().err
+
+
+def test_unequal_two_hump_well_above_split_level(settings) -> None:
+    # outer humps of height 1 (left) and 1/2 (right) beside the main one of
+    # height 4: above the higher outer hump the allowed region is the one
+    # interval around rho_star, and the turning pairs must bound it
+    p = make_tabulated(
+        lambda rho: 4.0 / np.cosh(rho) ** 2
+        + 1.0 / np.cosh(rho + 12.0) ** 2
+        + 0.5 / np.cosh(rho - 10.0) ** 2,
+        q0=0.0,
+        qinf=4.0,
+        rho_span=(-35.0, 35.0),
+        n=1400,
+    )
+    w = to_log_well(p, settings)
+    assert w.split_level == pytest.approx(1.0, rel=1e-3)
+    levels = np.array([1.05, 1.5, 2.0, 3.0, 3.9])
+    for pair, level in zip(_turning_pairs(w, levels), levels.tolist()):
+        ref = turning_points(w, level)
+        assert (pair.rho1, pair.rho2) == (ref.rho1, ref.rho2)
+        half_width = math.acosh(2.0 / math.sqrt(level))
+        assert ref.rho1 == pytest.approx(-half_width, abs=1e-4)
+        assert ref.rho2 == pytest.approx(half_width, abs=1e-4)
+    # the action of the main hump alone, (sqrt(Z/2) - lambda)/a with Z = 8, a = 1
+    assert action(w, 1.2, settings) == pytest.approx(0.8, abs=1e-5)
 
 
 def test_check_conditions_lenz() -> None:
