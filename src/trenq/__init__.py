@@ -12,7 +12,6 @@ from .action import (
     TurningPair,
     action,
     action_profile,
-    correction_inner_integral,
     fit_phi,
     t_of,
     turning_points,
@@ -25,9 +24,7 @@ from .corrections import (
     solve_spectrum,
 )
 from .effective import (
-    EffectiveNumbers,
     OrderingRow,
-    effective_numbers,
     ordering_table,
     t_effective,
     t_ren,
@@ -64,12 +61,10 @@ from .potentials import (
     to_log_well,
 )
 from .thresholds import (
-    RenormalizationRow,
     ThresholdReport,
     base_action_integral,
     critical_coupling,
     lenz_exact_threshold,
-    renormalization_effect,
     threshold_reports,
 )
 

@@ -28,7 +28,7 @@ from .numerics import (
     false_position_elementwise,
     gauss_nodes,
 )
-from .potentials import LogWell, Settings
+from .potentials import LogWell, Settings, quantum_index
 
 # relative slack for "lambda^2 equals V_m" and domain-floor comparisons
 _EDGE_RTOL = 1e-14
@@ -205,19 +205,18 @@ def _well_curvature(w: LogWell, rho: np.ndarray) -> np.ndarray:
     return (w.profile(rho + delta) - 2.0 * w.profile(rho) + w.profile(rho - delta)) / (delta * delta)
 
 
-def _raised(gap: np.ndarray, rho: np.ndarray, power: float, weight: _Weight) -> np.ndarray:
-    """weight(rho) * gap^power for power +1/2 or -1/2; weight None stands for 1."""
-    if power > 0.0:
-        root = np.sqrt(gap)
-        return root if weight is None else root * weight(rho)
+def _raised(gap: np.ndarray, rho: np.ndarray, weight: _Weight) -> np.ndarray:
+    """sqrt(gap) for weight None, else weight(rho) / sqrt(gap) (0 where gap is 0)."""
+    if weight is None:
+        return np.sqrt(gap)
     positive = gap > 0.0
     return np.where(positive, weight(rho) / np.sqrt(np.where(positive, gap, 1.0)), 0.0)
 
 
 def _turning_ratio(
-    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], power: float, weight: _Weight
+    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], weight: _Weight
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Integrand in theta of weight * (W - lambda^2)^power in the Q form, over many pairs.
+    """Integrand in theta of _raised(W - lambda^2, rho, weight) in the Q form, over many pairs.
 
     Q(theta) = (W - lambda^2) / ((rho - rho1)(rho2 - rho)).  Under
     rho = mid + c*sin(theta) the product of root distances equals
@@ -252,9 +251,9 @@ def _turning_ratio(
         gap = np.asarray(w.profile(rho), dtype=float) - lam2
         d1 = half * one_plus + corr1  # rho - (rho1 + newton shift)
         d2 = half * one_minus - corr2  # (rho2 + newton shift) - rho
-        value = _raised(np.maximum(gap / np.maximum(d1 * d2, 1e-300), 0.0), rho, power, weight)
+        value = _raised(np.maximum(gap / np.maximum(d1 * d2, 1e-300), 0.0), rho, weight)
         # W - lambda^2 = (half cos(theta))^2 Q and d rho = half cos(theta) d theta
-        return half * half * cos2 * value if power > 0.0 else value
+        return half * half * cos2 * value if weight is None else value
 
     return f_theta
 
@@ -263,23 +262,23 @@ def _turning_point_integrals(
     w: LogWell,
     lambda2: np.ndarray,
     pairs: list[TurningPair],
-    power: float,
     weight: _Weight,
     tol: float,
     *,
     rtol: float = 0.0,
     best_effort: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of weight(rho) * (W - lambda2[i])^power over the turning pairs[i].
+    """Integrals of sqrt(W - lambda2[i]) (weight None) or of
+    weight(rho) / sqrt(W - lambda2[i]) over the turning pairs[i].
 
-    power is +1/2 or -1/2; weight None stands for 1; a degenerate pair gives
-    0.  Piecewise profiles use the knot-aligned composite rule, pair by pair:
-    its cost is per point, so a batch would not save anything.  A pair at the
-    domain cut has no turning point, so the sine map alone makes the
-    integrand smooth.  All true turning pairs of a smooth profile share one
-    batched adaptive quadrature in the Q form of _turning_ratio, where each
-    gets the value it would get alone.  The adaptive rules stop at an error
-    estimate of max(tol, rtol * |value|).  Returns (values, error estimates).
+    A degenerate pair gives 0.  Piecewise profiles use the knot-aligned
+    composite rule, pair by pair: its cost is per point, so a batch would
+    not save anything.  A pair at the domain cut has no turning point, so
+    the sine map alone makes the integrand smooth.  All true turning pairs
+    of a smooth profile share one batched adaptive quadrature in the Q form
+    of _turning_ratio, where each gets the value it would get alone.  The
+    adaptive rules stop at an error estimate of max(tol, rtol * |value|).
+    Returns (values, error estimates).
     """
     values = np.zeros(len(pairs))
     errors = np.zeros(len(pairs))
@@ -294,7 +293,7 @@ def _turning_point_integrals(
         level = float(lambda2[i])
 
         def direct(rho: np.ndarray) -> np.ndarray:
-            return _raised(np.maximum(w.profile(rho) - level, 0.0), rho, power, weight)
+            return _raised(np.maximum(w.profile(rho) - level, 0.0), rho, weight)
 
         if w.breakpoints is not None:
             values[i], errors[i] = composite_knot_integral(
@@ -309,7 +308,7 @@ def _turning_point_integrals(
         )
     if turning:
         values[turning], errors[turning] = adaptive_gauss(
-            _turning_ratio(w, lambda2[turning], [pairs[i] for i in turning], power, weight),
+            _turning_ratio(w, lambda2[turning], [pairs[i] for i in turning], weight),
             len(turning), -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort,
         )
     return values, errors
@@ -339,7 +338,7 @@ def _actions_between(
     """(I, error estimate) at every lambda2[i] over its turning pairs[i]."""
     scale = math.pi * s.hbar
     values, errors = _turning_point_integrals(
-        w, lambda2, pairs, 0.5, None, s.quad_tol * scale, rtol=s.quad_tol
+        w, lambda2, pairs, None, s.quad_tol * scale, rtol=s.quad_tol
     )
     for i, pair in enumerate(pairs):
         if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
@@ -390,7 +389,7 @@ def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile
     integrated in one batched adaptive quadrature; every sample equals the
     scalar action at its lambda, bit for bit.
     """
-    if n_points < 5:
+    if quantum_index(n_points, "n_points") < 5:
         raise InputError("profile needs at least 5 points")
     top = math.sqrt(w.V_m)
     k = np.arange(n_points)
@@ -447,59 +446,23 @@ def fit_phi(profile: ActionProfile) -> float:
     return num / den
 
 
-def correction_inner_integral(w: LogWell, epsilon: float, s: Settings) -> float:
-    """Inner integral F(eps) = integral (dV/dx)^2 / sqrt(eps - V) dx.
-
-    V = (V_m - W)/2 is the formal well, with asymptote V_m/2 at both ends,
-    and the integral runs between its turning points V = eps, where
-    eps - V = (W - lambda^2)/2 with lambda^2 = V_m - 2 eps.  dV/dx uses the
-    analytic well derivative when available and centered differences
-    otherwise.  The quadrature keeps the absolute tolerance quad_tol and
-    returns its saturated value when that cannot be met.
-    """
-    if not epsilon >= 0.0:
-        raise InputError(f"formal energy must be nonnegative, got {epsilon}")
-    if epsilon == 0.0:
-        return 0.0
-    v_limit = 0.5 * w.V_m
-    if not epsilon <= v_limit * (1.0 + 1e-12):
-        raise InputError(f"formal energy {epsilon:g} exceeds the well asymptote {v_limit:g}")
-    lambda2 = max(w.V_m - 2.0 * epsilon, 0.0)
-    pair = turning_points(w, lambda2)
-
-    if w.profile_deriv is not None:
-
-        def dv(rho: np.ndarray) -> np.ndarray:
-            return -0.5 * w.profile_deriv(rho)
-
-    else:
-        delta = 1e-6 * max(1.0, (w.rho_right - w.rho_left) / 50.0)
-
-        def dv(rho: np.ndarray) -> np.ndarray:
-            return -0.5 * (w.profile(rho + delta) - w.profile(rho - delta)) / (2.0 * delta)
-
-    def weight(rho: np.ndarray) -> np.ndarray:
-        # 1/sqrt(eps - V) = sqrt(2)/sqrt(W - lambda^2)
-        return dv(rho) ** 2 * math.sqrt(2.0)
-
-    values, _ = _turning_point_integrals(
-        w, np.array([lambda2]), [pair], -0.5, weight, s.quad_tol, best_effort=True
-    )
-    return float(values[0])
-
-
 def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.ndarray:
-    """F'(eps) of correction_inner_integral at every epsilon[i] in (0, V_m/2).
+    """Slope F'(eps) of the inner correction integral at every epsilon[i] in (0, V_m/2).
 
-    Integrating F once by parts, the boundary terms vanishing at the
-    turning points, gives F = 2 * integral V'' (eps - V)^(1/2) dx, so
+    F(eps) = integral (dV/dx)^2 / sqrt(eps - V) dx over the formal well
+    V = (V_m - W)/2, between its turning points V = eps, where
+    eps - V = (W - lambda^2)/2 with lambda^2 = V_m - 2 eps.  Integrating F
+    once by parts, the boundary terms vanishing at the turning points, gives
+    F = 2 * integral V'' (eps - V)^(1/2) dx, so
 
         F'(eps) = -(1/sqrt 2) * integral W'' (W - lambda^2)^(-1/2) d rho,
 
     an integrand of the same Q form as the action (weight -W''/sqrt 2, see
     _turning_point_integrals), with W'' from _well_curvature.  All levels
     share one batched root search and one batched quadrature, each to an
-    absolute tol, saturating where that cannot be met.
+    absolute tol, saturating where that cannot be met.  An epsilon outside
+    [0, V_m/2], nan included, puts lambda^2 outside [0, V_m] and raises
+    InputError.
     """
     lambda2 = w.V_m - 2.0 * np.asarray(epsilon, dtype=float)
 
@@ -507,6 +470,6 @@ def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.n
         return _well_curvature(w, rho) / -math.sqrt(2.0)
 
     values, _ = _turning_point_integrals(
-        w, lambda2, _turning_pairs(w, lambda2), -0.5, weight, tol, best_effort=True
+        w, lambda2, _turning_pairs(w, lambda2), weight, tol, best_effort=True
     )
     return values

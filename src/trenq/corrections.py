@@ -30,8 +30,8 @@ from .potentials import LogWell, Settings, quantum_index
 
 def delta1_matched(Phi_m: float) -> float:
     """First defect correction fixed by the shallow-well matching, -1/(8 Phi_m)."""
-    if Phi_m <= 0.0:
-        raise InputError(f"total well action must be positive, got {Phi_m}")
+    if not 0.0 < Phi_m < math.inf:
+        raise InputError(f"total well action must be positive and finite, got {Phi_m}")
     return -1.0 / (8.0 * Phi_m)
 
 
@@ -40,8 +40,11 @@ def resum_delta(delta1: float) -> float:
 
     Total on the real line, odd, strictly increasing, with range (-1/2, 1/2).
     Reduces to delta1 for small arguments and saturates at
-    sgn(delta1)/2 - 1/(8*delta1) for large ones.
+    sgn(delta1)/2 - 1/(8*delta1) for large ones; +-inf maps to +-1/2 and
+    nan raises InputError.
     """
+    if math.isnan(delta1):
+        raise InputError("defect correction delta1 is nan")
     if abs(delta1) > 1e100:
         # avoid overflow of 16*delta1^2; use the exact large-argument form
         return math.copysign(0.5, delta1) - 1.0 / (8.0 * delta1)
@@ -58,6 +61,11 @@ def delta1_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     stencil with step h = min(1e-3 V_m, eps / 2.5, (V_m/2 - eps) / 2.5),
     which amplifies quadrature noise by 1/h, not 1/h^2.  The formal energy
     lies in (0, V_m/2), the range of the formal well.
+
+    On a Tabulated well the PCHIP interpolant is only C^1, so W'' and this
+    delta1 are first-order accurate in the sample spacing: on 400 samples of
+    Lenz(1, 8) over rho in [-30, 30] they are off from the closed form by
+    +135 %, +12.5 % and -6.9 % at eps = 0.4, 1.0 and 1.6.
     """
     v_lim = 0.5 * w.V_m
     if not 0.0 < epsilon < v_lim:

@@ -22,7 +22,7 @@ from typing import Union
 
 from .action import ActionProfile, t_of
 from .errors import InputError
-from .potentials import lambda_of
+from .potentials import lambda_of, quantum_index
 
 TSource = Union[float, ActionProfile]
 
@@ -62,29 +62,9 @@ def t_ren_expansion(T: float) -> float:
     Overestimates t_ren by at most 1/(64 T^3) for T >= 1; the correction to
     T itself fades rapidly as T grows.
     """
-    if T == 0.0:
-        raise InputError("expansion undefined at T = 0")
+    if T == 0.0 or math.isnan(T):
+        raise InputError(f"expansion needs a nonzero number T, got {T}")
     return T - 1.0 / (8.0 * T)
-
-
-@dataclass(frozen=True)
-class EffectiveNumbers:
-    """Effective and renormalized quantum numbers for one state."""
-
-    nu: float
-    lam: float
-    T: float
-    T_ren: float
-    phi: float | None = None
-    t_exact: float | None = None
-
-
-def effective_numbers(nu: float, lam: float, t_source: TSource) -> EffectiveNumbers:
-    """Assemble (T, T_ren) for a state, recording which deficit source was used."""
-    T = t_effective(nu, lam, t_source)
-    if isinstance(t_source, ActionProfile):
-        return EffectiveNumbers(nu=nu, lam=lam, T=T, T_ren=t_ren(T), t_exact=T - nu)
-    return EffectiveNumbers(nu=nu, lam=lam, T=T, T_ren=t_ren(T), phi=float(t_source))
 
 
 @dataclass(frozen=True)
@@ -104,8 +84,8 @@ def ordering_table(n_max: int, l_max: int, d: int, phi: float) -> list[OrderingR
     lexicographically by (n, l) and reported as ties, not resolved
     physically.
     """
-    if n_max < 0 or l_max < 0:
-        raise InputError("n_max and l_max must be nonnegative")
+    n_max = quantum_index(n_max, "n_max")
+    l_max = quantum_index(l_max, "l_max")
     rows = []
     for n in range(n_max + 1):
         for l in range(l_max + 1):

@@ -30,6 +30,8 @@ from .errors import ConvergenceError
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_PANELS = 200
+# step cap of each root search
+_MAX_ITER = 200
 # geometric_bracket: growth of a step ratio's excess over 1 per step
 _RATIO_GROWTH = 1024.0
 
@@ -57,7 +59,6 @@ def false_position(
     fhi: float,
     *,
     rtol: float,
-    max_iter: int = 200,
 ) -> float:
     """Root of f on a sign-change bracket by Illinois false position, end values given.
 
@@ -80,7 +81,7 @@ def false_position(
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     lo_positive = flo > 0.0
     moved = 0  # the end the last step moved: -1 lo, +1 hi, 0 none yet
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         tol = rtol * max(abs(lo), abs(hi))
         if hi - lo <= tol:
             break
@@ -109,7 +110,6 @@ def false_position_elementwise(
     fhi: np.ndarray,
     *,
     rtol: float,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Many independent false_position searches at once, each bit-identical to it.
 
@@ -130,7 +130,7 @@ def false_position_elementwise(
     lo_positive = flo > 0.0
     moved = np.zeros(lo.size, dtype=int)
     live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         a, b = lo[live], hi[live]
         tol = rtol * np.maximum(np.abs(a), np.abs(b))
         done = b - a <= tol
@@ -207,7 +207,6 @@ def brent(
     *,
     xtol: float,
     rtol: float,
-    max_iter: int = 200,
 ) -> float:
     """Root of f on a sign-change bracket by Brent's method, end values given.
 
@@ -226,7 +225,7 @@ def brent(
     if (fpre > 0.0) == (fcur > 0.0):
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre > 0.0) != (fcur > 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -254,7 +253,7 @@ def brent(
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
         fcur = f(xcur)
-    raise ConvergenceError(f"brent did not converge in {max_iter} steps; last x = {xcur}")
+    raise ConvergenceError(f"brent did not converge in {_MAX_ITER} steps; last x = {xcur}")
 
 
 def _panel_estimates(f: Callable, panels: list[tuple[int, float, float]]) -> list[tuple]:

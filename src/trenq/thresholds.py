@@ -66,14 +66,14 @@ def critical_coupling(
     t_source: TSource,
     renormalized: bool = True,
     well_factory: Callable[[float], LogWell] | None = None,
-    base_integral: float | None = None,
 ) -> float:
     """Coupling at which state q first appears at zero energy.
 
     The matching target is T_ren(nu, lambda) (or plain T when
     renormalized=False) with the deficit taken from t_source (a fitted
     linear slope or a sampled action profile).  Linearly scaling wells are
-    solved in closed form; otherwise pass well_factory and the coupling is
+    solved in closed form from base_action_integral, whose I(0) the well
+    keeps per Settings; otherwise pass well_factory and the coupling is
     found by Brent's method to 1e-12 relative.  Its bracket grows out of
     the guess (target / I(1))^2, with I(1) the action of the well at Z = 1:
     the guess is the root, up to quadrature error, when the action grows
@@ -83,7 +83,7 @@ def critical_coupling(
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
     if w.scaling is not None and well_factory is None:
-        a0 = base_action_integral(w, s) if base_integral is None else base_integral
+        a0 = base_action_integral(w, s)
         if not 0.0 < a0 < math.inf:
             raise InputError(f"base action integral must be positive and finite, got {a0}")
         return (math.pi * s.hbar * target / a0) ** 2
@@ -128,30 +128,6 @@ def lenz_exact_threshold(
     return 2.0 * a * a * hbar * hbar * core, 2.0 * a * math.sqrt(core)
 
 
-@dataclass(frozen=True)
-class RenormalizationRow:
-    state: QuantumNumbers
-    T: float
-    reduction: float
-
-
-def renormalization_effect(
-    states: list[QuantumNumbers], phi: float
-) -> list[RenormalizationRow]:
-    """Relative threshold reduction (Z_unren - Z_ren)/Z_unren per state.
-
-    For linearly scaling wells the reduction is exactly 1/(4 T^2): largest
-    for the lowest states and strictly decreasing in T.  Rows are sorted by
-    T ascending.
-    """
-    rows = []
-    for q in states:
-        T = t_effective(q.nu, q.lam, phi)
-        rows.append(RenormalizationRow(state=q, T=T, reduction=1.0 / (4.0 * T * T)))
-    rows.sort(key=lambda r: (r.T, r.state.n, r.state.l))
-    return rows
-
-
 def threshold_reports(
     w: LogWell,
     states: list[QuantumNumbers],
@@ -167,16 +143,11 @@ def threshold_reports(
     lambda = 0 (the marginal d = 2 s-wave) are outside the oracle's scope
     and keep empty comparison fields.
     """
-    a0 = base_action_integral(w, s)
     reports = []
     for q in states:
         T = t_effective(q.nu, q.lam, t_source)
-        z_ren = critical_coupling(
-            w, q, s, t_source=t_source, renormalized=True, base_integral=a0
-        )
-        z_unren = critical_coupling(
-            w, q, s, t_source=t_source, renormalized=False, base_integral=a0
-        )
+        z_ren = critical_coupling(w, q, s, t_source=t_source, renormalized=True)
+        z_unren = critical_coupling(w, q, s, t_source=t_source, renormalized=False)
         z_exact = None
         err_ren = None
         err_unren = None

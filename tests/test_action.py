@@ -13,14 +13,13 @@ from trenq import (
     Tabulated,
     action,
     action_profile,
-    correction_inner_integral,
     fit_phi,
     scale_log_well,
     t_of,
     to_log_well,
     turning_points,
 )
-from trenq.action import _action_with_error, _turning_pairs
+from trenq.action import _action_with_error, _turning_pairs, correction_inner_slopes
 from trenq.numerics import gauss_nodes
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
@@ -55,7 +54,7 @@ def test_turning_points_edges(settings, lenz18_well) -> None:
     with pytest.raises(InputError):
         action(lenz18_well, math.nan, settings)
     with pytest.raises(InputError):
-        correction_inner_integral(lenz18_well, math.nan, settings)
+        correction_inner_slopes(lenz18_well, np.array([math.nan]), 1e-12)
 
 
 def test_action_values_lenz18(settings, lenz18_well) -> None:
@@ -243,6 +242,12 @@ def test_action_profile_shape(settings, lenz18_profile) -> None:
     assert np.all(prof.I_values >= 0.0)
 
 
+def test_action_profile_rejects_bad_point_counts(settings, lenz18_well) -> None:
+    for bad in (4, 5.5, math.nan):
+        with pytest.raises(InputError):
+            action_profile(lenz18_well, settings, n_points=bad)
+
+
 def test_deficit_linearity(settings, lenz18_profile) -> None:
     # t(lambda) = lambda for a = 1, exactly linear for this family
     assert t_of(lenz18_profile, 0.0) == 0.0
@@ -281,35 +286,23 @@ def test_action_profile_deep_well(a: float, settings) -> None:
     assert prof.Phi_m == pytest.approx(math.sqrt(0.5e12) / a, rel=1e-12)
 
 
-def test_inner_integral_quadratic_well(settings, quadratic_well) -> None:
-    # closed form for V = x^2/2: F(eps) = sqrt(2) pi eps
-    assert correction_inner_integral(quadratic_well, 1.0, settings) == pytest.approx(
-        4.442882938158366, abs=1e-9
-    )
-    assert correction_inner_integral(quadratic_well, 0.35, settings) == pytest.approx(
-        0.35 * 4.442882938158366, abs=1e-9
-    )
-    assert correction_inner_integral(quadratic_well, 0.0, settings) == 0.0
-    with pytest.raises(InputError):
-        correction_inner_integral(quadratic_well, -0.1, settings)
-    with pytest.raises(InputError):
-        correction_inner_integral(quadratic_well, 2.5, settings)
+def test_inner_slopes_quadratic_well(settings, quadratic_well) -> None:
+    # closed form for V = x^2/2: F(eps) = sqrt(2) pi eps, so F' = sqrt(2) pi;
+    # the tolerance is the one delta1_integral asks for
+    tol = max(1e-12, 1e-3 * settings.quad_tol)
+    slopes = correction_inner_slopes(quadratic_well, np.array([0.35, 1.0]), tol)
+    assert np.all(np.abs(slopes - math.sqrt(2.0) * math.pi) <= 1e-10)
+    for eps in (math.nan, -0.1, 2.5):
+        with pytest.raises(InputError):
+            correction_inner_slopes(quadratic_well, np.array([eps]), tol)
 
 
-def test_inner_integral_lenz_against_quadrature(settings, lenz18_well) -> None:
-    # oracle: scipy quadrature of (dV/dx)^2 / sqrt(eps - V) for the formal
-    # well V = 2 tanh^2(rho) at eps = 1
-    eps = 1.0
-    xt = math.atanh(math.sqrt(eps / 2.0))
-
-    def integrand(x: float) -> float:
-        dv = 4.0 * math.tanh(x) / math.cosh(x) ** 2
-        gap = eps - 2.0 * math.tanh(x) ** 2
-        return dv * dv / math.sqrt(max(gap, 0.0))
-
-    oracle, err = quad(integrand, -xt, xt, limit=800, points=[-xt, xt], epsabs=1e-10)
-    mine = correction_inner_integral(lenz18_well, eps, settings)
-    assert mine == pytest.approx(oracle, abs=5e-8)
-    # refinement stability
-    tight = Settings(quad_tol=settings.quad_tol / 10.0)
-    assert abs(correction_inner_integral(lenz18_well, eps, tight) - mine) <= 1e-8
+def test_inner_slopes_lenz_closed_form(settings, lenz18_well) -> None:
+    # formal well V = 2 tanh^2(x): F(eps) = (pi / sqrt 2)(4 eps - 3 eps^2 / 2),
+    # so F' = (pi / sqrt 2)(4 - 3 eps); the error left (~4e-10) is that of
+    # the finite-difference W'', not of the quadrature
+    tol = max(1e-12, 1e-3 * settings.quad_tol)
+    eps = np.array([0.4, 1.0, 1.6])
+    slopes = correction_inner_slopes(lenz18_well, eps, tol)
+    exact = (math.pi / math.sqrt(2.0)) * (4.0 - 3.0 * eps)
+    assert np.all(np.abs(slopes - exact) <= 2e-9)

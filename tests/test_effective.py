@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from trenq import (
     InputError,
-    effective_numbers,
     ordering_table,
     t_effective,
     t_ren,
@@ -67,8 +66,9 @@ def test_t_ren_expansion_values() -> None:
     assert t_ren_expansion(2.0) - t_ren(2.0) == pytest.approx(1.0083268962914893e-3, rel=1e-9)
     assert t_ren_expansion(10.0) == 9.9875
     assert t_ren(10.0) == pytest.approx(9.987492177719089, abs=1e-14)
-    with pytest.raises(InputError):
-        t_ren_expansion(0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(InputError):
+            t_ren_expansion(bad)
 
 
 def test_t_ren_expansion_bound() -> None:
@@ -118,13 +118,7 @@ def test_ordering_table_validates_input() -> None:
         ordering_table(-1, 0, 3, 1.0)
     with pytest.raises(InputError):
         ordering_table(1, 1, 1, 1.0)
-
-
-def test_effective_numbers_records_source(lenz18_profile) -> None:
-    en = effective_numbers(0.5, 0.5, 1.75)
-    assert en.phi == 1.75 and en.t_exact is None
-    assert en.T == 1.375
-    assert en.T_ren == pytest.approx(1.2808688457449497, abs=1e-14)
-    ep = effective_numbers(0.5, 0.5, lenz18_profile)
-    assert ep.phi is None
-    assert ep.t_exact == pytest.approx(0.5, abs=1e-8)
+    # counts must be integers: a float or nan count is bad input, not a TypeError
+    for n_max, l_max in ((1.5, 1), (1, math.nan)):
+        with pytest.raises(InputError):
+            ordering_table(n_max, l_max, 3, 1.0)

@@ -7,15 +7,16 @@ from scipy.optimize import brentq
 from trenq import (
     InputError,
     Lenz,
+    LogWell,
     QuantumNumbers,
     Tietz,
+    WellScaling,
     action,
     action_profile,
     base_action_integral,
     critical_coupling,
     fit_phi,
     lenz_exact_threshold,
-    renormalization_effect,
     t_effective,
     t_ren,
     threshold_reports,
@@ -40,9 +41,24 @@ def test_critical_coupling_reference_values(settings, lenz18_well) -> None:
     assert z_unren == pytest.approx(2.0, rel=1e-9)
     wt = to_log_well(Tietz(1.0), settings)
     assert critical_coupling(wt, q, settings, t_source=2.0) == pytest.approx(1.0, rel=1e-9)
-    for a0 in (0.0, math.nan):
-        with pytest.raises(InputError):
-            critical_coupling(lenz18_well, q, settings, t_source=1.0, base_integral=a0)
+    # a linear well whose base profile is zero has no action to match
+    def zero(rho):
+        return np.zeros_like(np.asarray(rho, dtype=float))
+
+    flat = LogWell(
+        profile=zero,
+        V_m=1.0,
+        rho_star=0.0,
+        rho_left=-1.0,
+        rho_right=1.0,
+        decay_left=1.0,
+        decay_right=1.0,
+        scaling=WellScaling(Z=1.0, base=zero),
+    )
+    with pytest.raises(InputError, match="base action integral"):
+        critical_coupling(flat, q, settings, t_source=1.0)
+    with pytest.raises(InputError, match="base action integral"):
+        threshold_reports(flat, [q], settings, t_source=1.0)
 
 
 def test_critical_coupling_profile_source(settings, lenz18_well, lenz18_profile) -> None:
@@ -177,23 +193,6 @@ def test_lenz_exact_threshold_values() -> None:
     for a in (math.nan, math.inf):
         with pytest.raises(InputError):
             lenz_exact_threshold(a, QuantumNumbers(0, 0, 3))
-
-
-def test_renormalization_effect_rows() -> None:
-    states = [QuantumNumbers(n, l, 3) for n in range(3) for l in range(3)]
-    rows = renormalization_effect(states, phi=1.0)
-    by_state = {(r.state.n, r.state.l): r.reduction for r in rows}
-    assert by_state[(0, 0)] == pytest.approx(0.25, abs=1e-15)  # T = 1
-    assert by_state[(0, 1)] == pytest.approx(0.0625, abs=1e-15)  # T = 2
-    ts = [r.T for r in rows]
-    assert all(b >= a for a, b in zip(ts, ts[1:]))
-    reductions = [r.reduction for r in rows]
-    # strictly decreasing wherever T strictly increases
-    for (t1, r1), (t2, r2) in zip(zip(ts, reductions), zip(ts[1:], reductions[1:])):
-        if t2 > t1:
-            assert r2 < r1
-        else:
-            assert r2 == r1
 
 
 def test_reduction_matches_coupling_ratio(settings, lenz18_well) -> None:
