@@ -53,7 +53,6 @@ from .potentials import (
     Settings,
     Tabulated,
     Tietz,
-    WellScaling,
     check_conditions,
     lambda_of,
     load_potential,

@@ -13,8 +13,8 @@ of the solution, whose growing-branch amplitude changes sign exactly where
 the count steps; Brent's method on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
 integer count certifies it.  The bracket of every search doubles from
-Z = 1; on a LogWell the counts at those points are kept per lambda, so the
-other thresholds of the well reuse them.  No semiclassical input enters,
+Z = 1, and the counts at those points are kept on the well per lambda, so
+the other thresholds of the well reuse them.  No semiclassical input enters,
 and no threshold seeds another, which is what makes this module a
 legitimate oracle for the rest of the package.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf
@@ -151,17 +151,6 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
     )
 
 
-WellFamily = Union[LogWell, Callable[[float], LogWell]]
-
-
-def _as_factory(family: WellFamily) -> Callable[[float], LogWell]:
-    if isinstance(family, LogWell):
-        if family.scaling is None:
-            raise InputError("well has no coupling decomposition; pass a factory instead")
-        return lambda Z: scale_log_well(family, Z)
-    return family
-
-
 def _step_residual(count: int, log_amplitude: Callable[[], float], n: int) -> float:
     """Continuous residual of the n -> n + 1 count step, negative before it.
 
@@ -181,43 +170,38 @@ def _step_residual(count: int, log_amplitude: Callable[[], float], n: int) -> fl
     return size if count == n + 1 else -size
 
 
-def exact_critical_coupling(family: WellFamily, lam: float, n: int, s: Settings) -> float:
-    """Coupling at which the node count steps from n to n + 1, by Brent's method.
+def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> float:
+    """Coupling Z at which the node count of w rescaled to Z steps from n to n + 1.
 
-    `family` is either a linearly scaling LogWell or a callable Z -> LogWell.
     The root is that of the continuous residual _step_residual, whose sign
     the count sets, so Brent's bracket stays valid.  The bracket is expanded
     geometrically from Z = 1 (geometric_bracket) and solved to a relative
     width of 1e-10; the integer count then certifies the transition on both
     sides of the returned value.
 
-    On a LogWell the count and amplitude of every bracket point (Z = 2^k)
-    are kept on the well per lambda and Settings, so the other thresholds
-    of that well and lambda rebuild those residuals without counting again.
-    They are the same floats, so every threshold is the same in any call
-    order; the Brent points and the certification are counted afresh.
+    The count and amplitude of every bracket point (Z = 2^k) are kept on the
+    well per lambda and Settings, so the other thresholds of that well and
+    lambda rebuild those residuals without counting again.  They are the
+    same floats, so every threshold is the same in any call order; the
+    Brent points and the certification are counted afresh.
     """
     n = quantum_index(n, "radial quantum number n")
-    make_well = _as_factory(family)
+    points = w._bracket_counts
 
     def count(Z: float) -> NodeCount:
-        return count_bound_states(make_well(Z), lam, s)
+        return count_bound_states(scale_log_well(w, Z), lam, s)
 
     def residual(Z: float) -> float:
         nc = count(Z)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
-    bracket_residual = residual
-    if isinstance(family, LogWell):
-        points = family._bracket_counts
-
-        def bracket_residual(Z: float) -> float:
-            key = (lam, s, Z)
-            if key not in points:
-                nc = count(Z)
-                points[key] = nc.count, nc.log_amplitude()
-            c, x = points[key]
-            return _step_residual(c, lambda: x, n)
+    def bracket_residual(Z: float) -> float:
+        key = (lam, s, Z)
+        if key not in points:
+            nc = count(Z)
+            points[key] = nc.count, nc.log_amplitude()
+        c, x = points[key]
+        return _step_residual(c, lambda: x, n)
 
     z = brent(residual, *geometric_bracket(bracket_residual), xtol=0.0, rtol=1e-10)
     if count(z * (1.0 - 1e-7)).count != n or count(z * (1.0 + 1e-7)).count != n + 1:

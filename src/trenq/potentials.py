@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Union
 
@@ -277,18 +277,11 @@ def check_conditions(p: RadialPotential) -> ConditionReport:
 
 
 @dataclass(frozen=True)
-class WellScaling:
-    """Linear coupling decomposition W(rho) = Z * base(rho)."""
-
-    Z: float
-    base: Callable[[np.ndarray], np.ndarray]
-    base_deriv: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
 class LogWell:
-    """The transformed profile W(rho) with its maximum and truncated domain.
+    """The transformed well W(rho) = Z * base(rho) with its maximum and truncated domain.
 
+    Z is the coupling (1 for a tabulated well), base the coupling-free shape
+    and base_deriv its derivative, or None where it has no closed form.
     rho_left/rho_right are the outermost points at which the scan of the
     search window sees W fall to domain_cut * V_m, so a dip below the cut
     between two humps stays inside the truncated domain; all
@@ -300,15 +293,15 @@ class LogWell:
     into several intervals (_split_level), which the action rejects.
     """
 
-    profile: Callable[[np.ndarray], np.ndarray]
+    base: Callable[[np.ndarray], np.ndarray]
+    Z: float
     V_m: float
     rho_star: float
     rho_left: float
     rho_right: float
     decay_left: float
     decay_right: float
-    scaling: WellScaling | None = None
-    profile_deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    base_deriv: Callable[[np.ndarray], np.ndarray] | None = None
     # knot locations of piecewise-defined profiles; quadratures align on them
     breakpoints: np.ndarray | None = None
     split_level: float | None = None
@@ -320,8 +313,13 @@ class LogWell:
     # oracle's geometric bracket counts on this well, filled by the oracle
     _bracket_counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __call__(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return self.profile(rho)
+    def profile(self, rho: np.ndarray | float) -> np.ndarray | float:
+        """W(rho) = Z * base(rho)."""
+        return self.Z * self.base(rho)
+
+    def profile_deriv(self, rho: np.ndarray | float) -> np.ndarray | float:
+        """W'(rho) = Z * base_deriv(rho); only for a well with a base_deriv."""
+        return self.Z * self.base_deriv(rho)
 
 
 _SCAN_POINTS = 4097
@@ -419,7 +417,7 @@ def _find_cut(
 
 
 def _lenz_well_parts(p: Lenz, exponent: int):
-    a, Z = p.a, p.Z
+    a = p.a
     if exponent == 2:
 
         def base(rho):
@@ -444,32 +442,23 @@ def _lenz_well_parts(p: Lenz, exponent: int):
         rates = (2.0 * a - 1.0, 2.0 * a + 1.0)
         window = 25.0 / min(a, 1.0)
 
-    def profile(rho):
-        return Z * base(rho)
-
-    def profile_deriv(rho):
-        return Z * base_deriv(rho)
-
-    return profile, profile_deriv, base, base_deriv, rates, (-window, window)
+    return base, base_deriv, rates, (-window, window)
 
 
 def _tabulated_well_parts(p: Tabulated, exponent: int):
     lo, hi = p._log_w.x[0], p._log_w.x[-1]
     if exponent == 2:
-
-        def profile(rho):
-            return p.well_value(rho)
-
+        base = p.well_value
         rates = (2.0 - p.q0, p.qinf - 2.0)
     else:
 
-        def profile(rho):
+        def base(rho):
             rho = np.asarray(rho, dtype=float)
             return p.well_value(rho) * np.exp(-rho)
 
         rates = (1.0 - p.q0, p.qinf - 1.0)
     margin = 5.0
-    return profile, None, profile, None, rates, (lo - margin, hi + margin)
+    return base, None, rates, (lo - margin, hi + margin)
 
 
 def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2) -> LogWell:
@@ -493,16 +482,15 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     if not report.passed:
         raise PotentialConditionError("; ".join(report.messages) or "decay conditions violated")
 
-    breakpoints = None
     if isinstance(p, Lenz):
-        profile, deriv, base, base_deriv, rates, window = _lenz_well_parts(p, transform_exponent)
-        scaling = WellScaling(Z=p.Z, base=base, base_deriv=base_deriv)
+        Z, breakpoints = p.Z, None
+        base, base_deriv, rates, window = _lenz_well_parts(p, transform_exponent)
     else:
-        profile, deriv, base, base_deriv, rates, window = _tabulated_well_parts(
-            p, transform_exponent
-        )
-        scaling = WellScaling(Z=1.0, base=base, base_deriv=base_deriv)
-        breakpoints = np.asarray(p._log_w.x, dtype=float)
+        Z, breakpoints = 1.0, np.asarray(p._log_w.x, dtype=float)
+        base, base_deriv, rates, window = _tabulated_well_parts(p, transform_exponent)
+
+    def profile(rho):
+        return Z * base(rho)
 
     rate_left, rate_right = rates
     if rate_left <= 0.0:
@@ -525,15 +513,15 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     rho_left = _find_cut(profile, grid, vals, target, rate_left, -1)
     rho_right = _find_cut(profile, grid, vals, target, rate_right, +1)
     return LogWell(
-        profile=profile,
+        base=base,
+        Z=Z,
         V_m=vmax,
         rho_star=rho_star,
         rho_left=rho_left,
         rho_right=rho_right,
         decay_left=rate_left,
         decay_right=rate_right,
-        scaling=scaling,
-        profile_deriv=deriv,
+        base_deriv=base_deriv,
         breakpoints=breakpoints,
         # the sech^2-type analytic wells have one hump by construction
         split_level=None if isinstance(p, Lenz) else _split_level(vals, target),
@@ -541,39 +529,19 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
 
 
 def scale_log_well(w: LogWell, Z: float) -> LogWell:
-    """Rebuild a linearly scaling well at a new coupling Z.
+    """Rebuild the well at a new coupling Z.
 
     The maximum location, truncation points and decay rates are coupling
-    independent for W = Z * base, so only the amplitudes change.
+    independent for W = Z * base, so only the amplitudes change; the memos
+    of the new well start empty.
     """
-    if w.scaling is None:
-        raise InputError("well has no linear coupling decomposition")
     if not 0.0 < Z < math.inf:
         raise InputError(f"coupling must be positive and finite, got {Z}")
-    base = w.scaling.base
-    base_deriv = w.scaling.base_deriv
-    ratio = Z / w.scaling.Z
-
-    def profile(rho):
-        return Z * base(rho)
-
-    deriv = None
-    if base_deriv is not None:
-
-        def deriv(rho):
-            return Z * base_deriv(rho)
-
-    return LogWell(
-        profile=profile,
+    ratio = Z / w.Z
+    return replace(
+        w,
+        Z=Z,
         V_m=ratio * w.V_m,
-        rho_star=w.rho_star,
-        rho_left=w.rho_left,
-        rho_right=w.rho_right,
-        decay_left=w.decay_left,
-        decay_right=w.decay_right,
-        scaling=WellScaling(Z=Z, base=base, base_deriv=base_deriv),
-        profile_deriv=deriv,
-        breakpoints=w.breakpoints,
         split_level=None if w.split_level is None else ratio * w.split_level,
     )
 

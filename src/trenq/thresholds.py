@@ -5,14 +5,14 @@ renormalized effective quantum number:
 
     (1 / pi hbar) * integral sqrt(W) d rho = T_ren(nu, lambda).
 
-For wells with linear coupling, W = Z * w, the left side scales as sqrt(Z),
-so the critical coupling is available in closed form from the base-profile
-integral; otherwise it is found by Brent's method on the smooth, monotone
-depth dependence, inside a bracket grown from the coupling that the same
-sqrt(Z) scaling predicts from the well at Z = 1.  The unrenormalized variant
-(target T instead of T_ren) is kept for comparison: renormalization always
-lowers the predicted threshold, by the exact factor 1 - 1/(4 T^2) for
-linear wells.
+Every LogWell is W = Z * base, so the left side scales as sqrt(Z) and the
+critical coupling is available in closed form from the base integral.  For
+a family given as a factory Z -> LogWell it is found by Brent's method on
+the smooth, monotone depth dependence, inside a bracket grown from the
+coupling that the same sqrt(Z) scaling predicts from the well at Z = 1.
+The unrenormalized variant (target T instead of T_ren) is kept for
+comparison: renormalization always lowers the predicted threshold, by the
+exact factor 1 - 1/(4 T^2) on the closed-form route.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ class ThresholdReport:
 
 
 def base_action_integral(w: LogWell, s: Settings) -> float:
-    """A0 = integral sqrt(base profile) d rho, tails included.
+    """A0 = integral sqrt(w.base) d rho, tails included.
 
-    For W = Z * w the total action is Phi_m = sqrt(Z) * A0 / (pi hbar).
+    For W = Z * base the total action is Phi_m = sqrt(Z) * A0 / (pi hbar).
     """
-    if w.scaling is None:
-        raise InputError("well has no linear coupling decomposition")
-    return math.pi * s.hbar * action(w, 0.0, s) / math.sqrt(w.scaling.Z)
+    return math.pi * s.hbar * action(w, 0.0, s) / math.sqrt(w.Z)
 
 
 def critical_coupling(
@@ -71,10 +69,11 @@ def critical_coupling(
 
     The matching target is T_ren(nu, lambda) (or plain T when
     renormalized=False) with the deficit taken from t_source (a fitted
-    linear slope or a sampled action profile).  Linearly scaling wells are
-    solved in closed form from base_action_integral, whose I(0) the well
-    keeps per Settings; otherwise pass well_factory and the coupling is
-    found by Brent's method to 1e-12 relative.  Its bracket grows out of
+    linear slope or a sampled action profile).  Without well_factory the
+    family is w rescaled, W = Z * base, and the coupling follows in closed
+    form from base_action_integral, whose I(0) the well keeps per Settings.
+    With well_factory, a callable Z -> LogWell, the coupling is found by
+    Brent's method to 1e-12 relative.  Its bracket grows out of
     the guess (target / I(1))^2, with I(1) the action of the well at Z = 1:
     the guess is the root, up to quadrature error, when the action grows
     like sqrt(Z) (every linear family), and a start point when it does not.
@@ -82,13 +81,11 @@ def critical_coupling(
     """
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
-    if w.scaling is not None and well_factory is None:
+    if well_factory is None:
         a0 = base_action_integral(w, s)
         if not 0.0 < a0 < math.inf:
             raise InputError(f"base action integral must be positive and finite, got {a0}")
         return (math.pi * s.hbar * target / a0) ** 2
-    if well_factory is None:
-        raise InputError("well has no coupling decomposition; pass well_factory")
 
     i1 = action(well_factory(1.0), 0.0, s)
 

@@ -24,14 +24,15 @@ def lenz18_profile(lenz18_well, settings):
 def quadratic_well() -> LogWell:
     """Synthetic parabolic well W = 4 - rho^2: the formal well is harmonic."""
     return LogWell(
-        profile=lambda r: np.maximum(4.0 - np.asarray(r, dtype=float) ** 2, 0.0),
+        base=lambda r: np.maximum(4.0 - np.asarray(r, dtype=float) ** 2, 0.0),
+        Z=1.0,
         V_m=4.0,
         rho_star=0.0,
         rho_left=-2.0,
         rho_right=2.0,
         decay_left=1.0,
         decay_right=1.0,
-        profile_deriv=lambda r: np.where(
+        base_deriv=lambda r: np.where(
             np.abs(np.asarray(r, dtype=float)) < 2.0, -2.0 * np.asarray(r, dtype=float), 0.0
         ),
     )

@@ -13,6 +13,7 @@ from trenq import (
     Tabulated,
     action,
     action_profile,
+    exact_critical_coupling,
     fit_phi,
     scale_log_well,
     t_of,
@@ -55,6 +56,8 @@ def test_turning_points_edges(settings, lenz18_well) -> None:
         action(lenz18_well, math.nan, settings)
     with pytest.raises(InputError):
         correction_inner_slopes(lenz18_well, np.array([math.nan]), 1e-12)
+    with pytest.raises(InputError):
+        correction_inner_slopes(lenz18_well, math.nan, 1e-12)
 
 
 def test_action_values_lenz18(settings, lenz18_well) -> None:
@@ -154,14 +157,14 @@ def test_turning_points_profile_call_count(make_well, settings, quadratic_well) 
     # work-count guard: once the well's scan exists, each root is refined
     # from its scan cell by false position (bisection took ~115 calls a pair)
     w = quadratic_well if make_well is None else make_well(settings)
-    profile = w.profile
+    base = w.base
     calls = [0]
 
     def counted(rho):
         calls[0] += 1
-        return profile(rho)
+        return base(rho)
 
-    w = replace(w, profile=counted)
+    w = replace(w, base=counted)
     turning_points(w, 0.5 * w.V_m)
     assert len(w._turning_scan) == 2
     # the interior levels of an action profile
@@ -180,11 +183,11 @@ def test_action_profile_profile_call_count(settings, monkeypatch) -> None:
     parts = potentials._lenz_well_parts
 
     def counting(p, exponent):
-        profile, *rest = parts(p, exponent)
+        base, *rest = parts(p, exponent)
 
         def counted(rho):
             calls[0] += 1
-            return profile(rho)
+            return base(rho)
 
         return (counted, *rest)
 
@@ -215,9 +218,12 @@ def test_zero_action_memo_keyed_by_settings(settings) -> None:
     # a memo keyed by the well alone would return `full` again here
     assert action(w, 0.0, Settings(hbar=2.0)) == pytest.approx(0.5 * full, rel=1e-12)
     assert set(w._zero_action) == {settings, Settings(hbar=2.0)}
-    # a rescaled well starts afresh
+    # a rescaled well starts afresh, with every memo empty
+    turning_points(w, 1.0)
+    exact_critical_coupling(w, 0.5, 0, settings)
+    assert w._turning_scan and w._bracket_counts
     w4 = scale_log_well(w, 32.0)
-    assert w4._zero_action == {}
+    assert w4._zero_action == {} and w4._turning_scan == [] and w4._bracket_counts == {}
     assert action(w4, 0.0, settings) == pytest.approx(2.0 * full, rel=1e-12)
 
 
@@ -306,3 +312,7 @@ def test_inner_slopes_lenz_closed_form(settings, lenz18_well) -> None:
     slopes = correction_inner_slopes(lenz18_well, eps, tol)
     exact = (math.pi / math.sqrt(2.0)) * (4.0 - 3.0 * eps)
     assert np.all(np.abs(slopes - exact) <= 2e-9)
+    # a scalar epsilon is one level
+    scalar = correction_inner_slopes(lenz18_well, 1.0, tol)
+    assert scalar.shape == ()
+    assert scalar == correction_inner_slopes(lenz18_well, np.array([1.0]), tol)[0]

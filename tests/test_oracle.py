@@ -124,20 +124,26 @@ def test_exact_critical_coupling_values(settings) -> None:
     assert z0 == pytest.approx(1.5, rel=1e-6)
     z1 = exact_critical_coupling(w, 0.5, 1, settings)
     assert z1 == pytest.approx(7.5, rel=1e-6)
+    # analytic value for (nu, lambda) = (1/2, 3/2): 2 (4 - 1/4) = 7.5
+    assert exact_critical_coupling(w, 1.5, 0, settings) == pytest.approx(7.5, rel=1e-6)
     wt = to_log_well(Tietz(1.0), settings)
     assert exact_critical_coupling(wt, 0.5, 0, settings) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_exact_critical_coupling_factory_route(settings) -> None:
+    # wells built afresh at each Z (the route a family of wells takes) must
+    # step at the threshold found by rescaling the Z = 1 well
     def make_well(Z: float):
         return to_log_well(Lenz(a=1.0, Z=Z), settings)
 
-    w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
-    z_factory = exact_critical_coupling(make_well, 1.5, 0, settings)
-    z_scaled = exact_critical_coupling(w, 1.5, 0, settings)
-    assert z_factory == pytest.approx(z_scaled, rel=1e-8)
+    z_scaled = exact_critical_coupling(make_well(1.0), 1.5, 0, settings)
+    assert count_bound_states(make_well(z_scaled * (1.0 - 1e-8)), 1.5, settings).count == 0
+    assert count_bound_states(make_well(z_scaled * (1.0 + 1e-8)), 1.5, settings).count == 1
+    # the threshold is absolute: a well built at another Z finds the same one
+    z_other = exact_critical_coupling(make_well(7.5), 1.5, 0, settings)
+    assert z_other == pytest.approx(z_scaled, rel=1e-8)
     # analytic value for (nu, lambda) = (1/2, 3/2): 2 (4 - 1/4) = 7.5
-    assert z_factory == pytest.approx(7.5, rel=1e-6)
+    assert z_scaled == pytest.approx(7.5, rel=1e-6)
 
 
 def test_oracle_on_tabulated_well(settings) -> None:
@@ -220,7 +226,7 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
         # free growth e^(lam (rho - rho_l))
         rho_l, rho_r = nc.rho_span
         h = nc.step_stats["h"]
-        g0 = 1.0 - h * h * (lam * lam - z * float(w.scaling.base(rho_l))) / 12.0
+        g0 = 1.0 - h * h * (lam * lam - z * float(w.base(rho_l))) / 12.0
         expected = seen[-1][2] + math.log(g0) - lam * (rho_r - rho_l)
         # near a step the end value cancels (A ~ 1e-9 at Z_c(1 +- 1e-8)), and
         # rounding moves its log by up to ~1e-5 in either recurrence; the
@@ -294,7 +300,7 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     counter = oracle_mod.count_bound_states
 
     def counted(w, *args):
-        counted_at.append(w.scaling.Z)
+        counted_at.append(w.Z)
         return counter(w, *args)
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)

@@ -174,10 +174,11 @@ def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
         wp = to_log_well(p, settings, transform_exponent=exponent)
         assert cut_residual(wp, settings) <= 1e-12
         assert wp.rho_left < wp.rho_star < wp.rho_right
-    assert w.scaling is not None and w.scaling.Z == 8.0
+    # W = Z * base with the coupling-free base (1/2) sech^2(rho)
+    assert w.Z == 8.0
     rho = np.linspace(w.rho_left, w.rho_right, 257)
-    mismatch = np.abs(w.profile(rho) - w.scaling.Z * w.scaling.base(rho))
-    assert np.max(mismatch) <= settings.quad_tol * w.V_m
+    mismatch = np.abs(w.base(rho) - 0.5 / np.cosh(rho) ** 2)
+    assert np.max(mismatch) <= settings.quad_tol
 
 
 def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
@@ -186,11 +187,11 @@ def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
 
     def counting(parts):
         def wrapped(p, exponent):
-            profile, *rest = parts(p, exponent)
+            base, *rest = parts(p, exponent)
 
             def counted(rho):
                 calls[0] += 1
-                return profile(rho)
+                return base(rho)
 
             return (counted, *rest)
 
@@ -328,7 +329,7 @@ def test_scale_log_well(settings, lenz18_well) -> None:
     w2 = scale_log_well(lenz18_well, 2.0)
     assert w2.V_m == pytest.approx(1.0, rel=1e-12)
     assert float(w2.profile(0.7)) == pytest.approx(0.25 * float(lenz18_well.profile(0.7)))
-    assert w2.scaling.Z == 2.0
+    assert w2.Z == 2.0
     with pytest.raises(InputError):
         scale_log_well(w2, -1.0)
     for Z in (math.nan, math.inf):

@@ -10,7 +10,6 @@ from trenq import (
     LogWell,
     QuantumNumbers,
     Tietz,
-    WellScaling,
     action,
     action_profile,
     base_action_integral,
@@ -46,14 +45,14 @@ def test_critical_coupling_reference_values(settings, lenz18_well) -> None:
         return np.zeros_like(np.asarray(rho, dtype=float))
 
     flat = LogWell(
-        profile=zero,
+        base=zero,
+        Z=1.0,
         V_m=1.0,
         rho_star=0.0,
         rho_left=-1.0,
         rho_right=1.0,
         decay_left=1.0,
         decay_right=1.0,
-        scaling=WellScaling(Z=1.0, base=zero),
     )
     with pytest.raises(InputError, match="base action integral"):
         critical_coupling(flat, q, settings, t_source=1.0)
@@ -164,7 +163,7 @@ def test_factory_route_falls_back_to_walk(bad_action: float, settings, monkeypat
     true_action = thresholds_mod.action
 
     def patched(w, lam, s):
-        return bad_action if w.scaling.Z == 1.0 else true_action(w, lam, s)
+        return bad_action if w.Z == 1.0 else true_action(w, lam, s)
 
     monkeypatch.setattr(thresholds_mod, "action", patched)
     builds = []
