@@ -180,7 +180,7 @@ def _exponential_tail(w_end: float, lambda2: float, rate: float) -> float:
 
     Assumes W = w_end * exp(-rate * x) for x >= 0, valid once the domain cut
     is reached; exact for the power-law continuations and accurate to a
-    relative domain_cut for the analytic families.
+    relative DOMAIN_CUT for the analytic families.
     """
     if w_end <= lambda2:
         return 0.0
@@ -299,7 +299,7 @@ def _turning_point_integrals(
 
         if w.breakpoints is not None:
             values[i], errors[i] = composite_knot_integral(
-                direct, pair.rho1, pair.rho2, w.breakpoints, sqrt_lo=not at_cut, sqrt_hi=not at_cut
+                direct, pair.rho1, pair.rho2, w.breakpoints, sqrt_ends=not at_cut
             )
             continue
         mid = 0.5 * (pair.rho1 + pair.rho2)

@@ -10,16 +10,18 @@ Commands:
     ordering   level-ordering table sorted by the renormalized number
     validate   end-to-end sweep of predictions against the exact oracle
 
-Exit codes: 0 success, 1 invalid input or configuration, 2 numerical
-non-convergence, 3 validation exceeded tolerance.
+main(argv) is the one entry point: it parses the flags and hands the
+argparse namespace to the command's handler.  Exit codes: 0 success,
+1 invalid input or configuration, 2 numerical non-convergence,
+3 validation exceeded tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,44 +42,14 @@ from .potentials import (
     QuantumNumbers,
     Settings,
     Tietz,
-    lambda_of,
     load_potential,
+    quantum_index,
     to_log_well,
 )
 from .thresholds import threshold_reports
 
 _DEFAULT_PHI = 1.75  # universal slope for atom-like wells; override per potential
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance fully determines one run."""
-
-    command: str
-    potential_file: Path | None = None
-    d: int = 3
-    hbar: float = 1.0
-    phi_override: float | None = None
-    n_max: int = 3
-    l_max: int = 3
-    lam: float | None = None
-    Z: float | None = None
-    tol: float = 1e-6
-    output_path: Path | None = None
-    format: str = "csv"
-    n: int | None = None
-    l: int | None = None
-    family: str | None = None
-    a: float | None = None
-    samples: int = 1001
-    points: int = 65
-    transform: str = "corrected"
-    oracle: bool = False
-    quad_tol: float = 1e-10
-    ode_tol: float = 1e-10
-
-    def settings(self) -> Settings:
-        return Settings(hbar=self.hbar, quad_tol=self.quad_tol, ode_tol=self.ode_tol)
+_TRANSFORM_EXPONENTS = {"corrected": 2, "printed": 1}
 
 
 def _fmt(x) -> str:
@@ -88,8 +60,18 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _emit(config: RunConfig, header: list[str], rows: list[list], comments: list[str]) -> None:
-    if config.format == "json":
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    try:
+        args.output.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write --output: {exc}") from None
+
+
+def _emit(args: argparse.Namespace, header: list[str], rows: list[list], comments: list[str]) -> None:
+    if args.format == "json":
         records = []
         for row in rows:
             rec = {}
@@ -105,118 +87,101 @@ def _emit(config: RunConfig, header: list[str], rows: list[list], comments: list
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
-    if config.output_path is not None:
-        Path(config.output_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
-def _potential(config: RunConfig):
-    if config.potential_file is not None:
-        return load_potential(config.potential_file)
-    if config.family is not None:
-        return _family_potential(config.family, config.a, config.Z)
-    raise InputError(f"command '{config.command}' requires --potential or --family")
+def _settings(args: argparse.Namespace) -> Settings:
+    return Settings(hbar=args.hbar, quad_tol=args.quad_tol, ode_tol=args.ode_tol)
 
 
-def _family_potential(family: str, a: float | None, Z: float | None):
-    Z = 1.0 if Z is None else Z
-    if family == "lenz":
-        if a is None:
-            raise InputError("family 'lenz' requires --a")
-        return Lenz(a=a, Z=Z)
+def _family_potential(family: str, a: float | None, Z: float):
     if family == "tietz":
         return Tietz(Z=Z)
-    raise InputError(f"unknown family {family!r}; expected lenz or tietz")
+    if a is None:
+        raise InputError("family 'lenz' requires --a")
+    return Lenz(a=a, Z=Z)
 
 
-def _transform_exponent(config: RunConfig) -> int:
-    if config.transform not in ("corrected", "printed"):
-        raise InputError(f"transform must be 'corrected' or 'printed', got {config.transform!r}")
-    return 2 if config.transform == "corrected" else 1
+def _log_well(args: argparse.Namespace, p, s: Settings):
+    return to_log_well(p, s, transform_exponent=_TRANSFORM_EXPONENTS[args.transform])
 
 
-def _states(config: RunConfig) -> list[QuantumNumbers]:
+def _well(args: argparse.Namespace, s: Settings):
+    if args.potential is not None:
+        return _log_well(args, load_potential(args.potential), s)
+    if args.family is not None:
+        return _log_well(args, _family_potential(args.family, args.a, args.Z), s)
+    raise InputError(f"command '{args.command}' requires --potential or --family")
+
+
+def _states(args: argparse.Namespace) -> list[QuantumNumbers]:
     return [
-        QuantumNumbers(n=n, l=l, d=config.d)
-        for n in range(config.n_max + 1)
-        for l in range(config.l_max + 1)
+        QuantumNumbers(n=n, l=l, d=args.d)
+        for n in range(args.n_max + 1)
+        for l in range(args.l_max + 1)
     ]
 
 
-def _fitted_phi(config: RunConfig, s: Settings):
-    p = _potential(config)
-    well = to_log_well(p, s, transform_exponent=_transform_exponent(config))
-    return fit_phi(action_profile(well, s)), well
+def _fitted_phi(args: argparse.Namespace, s: Settings) -> float:
+    return fit_phi(action_profile(_well(args, s), s))
 
 
-def _run_well(config: RunConfig) -> int:
-    s = config.settings()
-    well = to_log_well(_potential(config), s, transform_exponent=_transform_exponent(config))
-    if config.samples < 2:
+def _run_well(args: argparse.Namespace) -> int:
+    if args.samples < 2:
         raise InputError("need at least 2 samples")
-    rho = np.linspace(well.rho_left, well.rho_right, config.samples)
+    well = _well(args, _settings(args))
+    rho = np.linspace(well.rho_left, well.rho_right, args.samples)
     w_vals = np.asarray(well.profile(rho), dtype=float)
     v_vals = 0.5 * (well.V_m - w_vals)
     rows = [[r, wv, vv] for r, wv, vv in zip(rho, w_vals, v_vals)]
-    _emit(config, ["rho", "W", "V"], rows, [])
+    _emit(args, ["rho", "W", "V"], rows, [])
     return 0
 
 
-def _run_action(config: RunConfig) -> int:
-    s = config.settings()
-    well = to_log_well(_potential(config), s, transform_exponent=_transform_exponent(config))
-    profile = action_profile(well, s, n_points=config.points)
+def _run_action(args: argparse.Namespace) -> int:
+    s = _settings(args)
+    profile = action_profile(_well(args, s), s, n_points=args.points)
     rows = [
         [lam, ival, profile.Phi_m - ival]
         for lam, ival in zip(profile.lambda_grid, profile.I_values)
     ]
-    _emit(config, ["lambda", "I", "t"], rows, [])
+    _emit(args, ["lambda", "I", "t"], rows, [])
     return 0
 
 
-def _run_phi(config: RunConfig) -> int:
-    s = config.settings()
-    phi, _ = _fitted_phi(config, s)
-    if config.format == "json":
-        _emit(config, ["phi"], [[phi]], [])
+def _run_phi(args: argparse.Namespace) -> int:
+    phi = _fitted_phi(args, _settings(args))
+    if args.format == "json":
+        _emit(args, ["phi"], [[phi]], [])
     else:
-        text = _fmt(phi) + "\n"
-        if config.output_path is not None:
-            Path(config.output_path).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, _fmt(phi) + "\n")
     return 0
 
 
-def _resolve_phi(config: RunConfig, s: Settings) -> tuple[float, str]:
-    if config.phi_override is not None:
-        return config.phi_override, "override"
-    if config.potential_file is not None or config.family is not None:
-        phi, _ = _fitted_phi(config, s)
-        return phi, "fitted"
+def _resolve_phi(args: argparse.Namespace, s: Settings) -> tuple[float, str]:
+    if args.phi is not None:
+        return args.phi, "override"
+    if args.potential is not None or args.family is not None:
+        return _fitted_phi(args, s), "fitted"
     return _DEFAULT_PHI, "default"
 
 
-def _run_tren(config: RunConfig) -> int:
-    if config.n is None or config.l is None:
-        raise InputError("tren requires --n and --l")
-    s = config.settings()
-    phi, _ = _resolve_phi(config, s)
-    lam = config.lam if config.lam is not None else lambda_of(config.l, config.d)
-    nu = config.n + 0.5
-    T = t_effective(nu, lam, phi)
-    rows = [[config.n, config.l, config.d, nu, lam, phi, T, t_ren(T)]]
-    _emit(config, ["n", "l", "d", "nu", "lambda", "phi", "T", "T_ren"], rows, [])
+def _run_tren(args: argparse.Namespace) -> int:
+    q = QuantumNumbers(args.n, args.l, args.d)
+    phi, _ = _resolve_phi(args, _settings(args))
+    lam = q.lam if args.lam is None else args.lam
+    T = t_effective(q.nu, lam, phi)
+    rows = [[q.n, q.l, q.d, q.nu, lam, phi, T, t_ren(T)]]
+    _emit(args, ["n", "l", "d", "nu", "lambda", "phi", "T", "T_ren"], rows, [])
     return 0
 
 
-def _run_spectrum(config: RunConfig) -> int:
-    s = config.settings()
-    well = to_log_well(_potential(config), s, transform_exponent=_transform_exponent(config))
+def _run_spectrum(args: argparse.Namespace) -> int:
+    s = _settings(args)
+    well = _well(args, s)
     rows = []
     floor = 1e-9 * well.V_m**0.5  # drop states sitting exactly at threshold
-    for n in range(config.n_max + 1):
+    for n in range(args.n_max + 1):
         try:
             lam_n = solve_spectrum(well, n, s)
         except NoSuchLevelError:
@@ -224,7 +189,7 @@ def _run_spectrum(config: RunConfig) -> int:
         if lam_n <= floor:
             break
         rows.append([n, lam_n])
-    _emit(config, ["n", "lambda_n"], rows, [])
+    _emit(args, ["n", "lambda_n"], rows, [])
     return 0
 
 
@@ -260,76 +225,55 @@ def _report_rows(reports) -> list[list]:
     ]
 
 
-def _run_threshold(config: RunConfig) -> int:
-    s = config.settings()
-    well = to_log_well(_potential(config), s, transform_exponent=_transform_exponent(config))
-    if config.phi_override is not None:
-        phi, source = config.phi_override, "override"
+def _run_threshold(args: argparse.Namespace) -> int:
+    s = _settings(args)
+    well = _well(args, s)
+    if args.phi is not None:
+        phi, source = args.phi, "override"
     else:
         phi, source = fit_phi(action_profile(well, s)), "fitted"
-    reports = threshold_reports(
-        well, _states(config), s, t_source=phi, with_oracle=config.oracle
-    )
-    comments = [f"# phi = {_fmt(phi)} ({source})"] if config.format == "csv" else []
-    _emit(config, _REPORT_HEADER, _report_rows(reports), comments)
+    reports = threshold_reports(well, _states(args), s, t_source=phi, with_oracle=args.oracle)
+    comments = [f"# phi = {_fmt(phi)} ({source})"] if args.format == "csv" else []
+    _emit(args, _REPORT_HEADER, _report_rows(reports), comments)
     return 0
 
 
-def _run_ordering(config: RunConfig) -> int:
-    s = config.settings()
-    phi, source = _resolve_phi(config, s)
-    rows = ordering_table(config.n_max, config.l_max, config.d, phi)
-    comments = [f"# phi = {_fmt(phi)} ({source})"] if config.format == "csv" else []
+def _run_ordering(args: argparse.Namespace) -> int:
+    phi, source = _resolve_phi(args, _settings(args))
+    rows = ordering_table(args.n_max, args.l_max, args.d, phi)
+    comments = [f"# phi = {_fmt(phi)} ({source})"] if args.format == "csv" else []
     table = [[r.n, r.l, r.nu, r.lam, r.T, r.T_ren] for r in rows]
-    _emit(config, ["n", "l", "nu", "lambda", "T", "T_ren"], table, comments)
+    _emit(args, ["n", "l", "nu", "lambda", "T", "T_ren"], table, comments)
     return 0
 
 
-def _run_validate(config: RunConfig) -> int:
-    if config.family is None:
+def _run_validate(args: argparse.Namespace) -> int:
+    if args.family is None:
         raise InputError("validate requires --family lenz or --family tietz")
-    s = config.settings()
-    p = _family_potential(config.family, config.a, 1.0)
-    well = to_log_well(p, s, transform_exponent=_transform_exponent(config))
+    if not 0.0 < args.tol < math.inf:
+        raise InputError("tol must be positive and finite")
+    s = _settings(args)
+    p = _family_potential(args.family, args.a, 1.0)
+    well = _log_well(args, p, s)
     phi = fit_phi(action_profile(well, s))
-    reports = threshold_reports(well, _states(config), s, t_source=phi, with_oracle=True)
+    reports = threshold_reports(well, _states(args), s, t_source=phi, with_oracle=True)
     compared = [r.rel_err_ren for r in reports if r.rel_err_ren is not None]
     if not compared:
         raise InputError("no state in the grid is within the oracle's scope")
     worst = max(compared)
     comments = []
-    if config.format == "csv":
+    if args.format == "csv":
         comments = [
-            f"# family = {config.family}, a = {_fmt(p.a)}, transform = {config.transform}, "
-            f"phi = {_fmt(phi)}, max_rel_err_ren = {_fmt(worst)}, tol = {_fmt(config.tol)}"
+            f"# family = {args.family}, a = {_fmt(p.a)}, transform = {args.transform}, "
+            f"phi = {_fmt(phi)}, max_rel_err_ren = {_fmt(worst)}, tol = {_fmt(args.tol)}"
         ]
-    _emit(config, _REPORT_HEADER, _report_rows(reports), comments)
-    return 0 if worst <= config.tol else 3
+    _emit(args, _REPORT_HEADER, _report_rows(reports), comments)
+    return 0 if worst <= args.tol else 3
 
 
-_HANDLERS = {
-    "well": _run_well,
-    "action": _run_action,
-    "phi": _run_phi,
-    "tren": _run_tren,
-    "spectrum": _run_spectrum,
-    "threshold": _run_threshold,
-    "ordering": _run_ordering,
-    "validate": _run_validate,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    if config.command not in _HANDLERS:
-        raise InputError(f"unknown command {config.command!r}")
-    if config.format not in ("csv", "json"):
-        raise InputError(f"format must be csv or json, got {config.format!r}")
-    if not 0.0 < config.tol < np.inf:
-        raise InputError("tol must be positive and finite")
-    if config.n_max < 0 or config.l_max < 0:
-        raise InputError("n_max and l_max must be nonnegative")
-    return _HANDLERS[config.command](config)
+def _max_index(text: str) -> int:
+    """argparse type of --n-max and --l-max."""
+    return quantum_index(int(text), "--n-max and --l-max")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,88 +287,71 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="trenq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, potential: bool = True) -> None:
-        if potential:
+    def command(name: str, run, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        # validate always sweeps a family at Z = 1, so it takes no --potential or --Z
+        if name != "validate":
             p.add_argument("--potential", type=Path, default=None, help="potential JSON file")
-            p.add_argument("--family", choices=["lenz", "tietz"], default=None)
-            p.add_argument("--a", type=float, default=None, help="Lenz width parameter")
-            p.add_argument("--Z", type=float, default=None, help="coupling for inline families")
-            p.add_argument(
-                "--transform",
-                choices=["corrected", "printed"],
-                default="corrected",
-                help="log-transform variant (printed is a diagnostic only)",
-            )
+            p.add_argument("--Z", type=float, default=1.0, help="coupling for inline families")
+        p.add_argument("--family", choices=["lenz", "tietz"], default=None)
+        p.add_argument("--a", type=float, default=None, help="Lenz width parameter")
+        p.add_argument(
+            "--transform",
+            choices=list(_TRANSFORM_EXPONENTS),
+            default="corrected",
+            help="log-transform variant (printed is a diagnostic only)",
+        )
         p.add_argument("--d", type=int, default=3, help="space dimension")
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
+        p.add_argument("--hbar", type=float, default=Settings.hbar)
+        p.add_argument("--quad-tol", type=float, default=Settings.quad_tol,
                        help="quadrature tolerance, relative to max(1, I) for the action I")
-        p.add_argument("--ode-tol", type=float, default=1e-10, dest="ode_tol")
-        p.add_argument("--output", type=Path, default=None, dest="output")
+        p.add_argument("--ode-tol", type=float, default=Settings.ode_tol)
+        p.add_argument("--output", type=Path, default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
+        return p
 
-    p = sub.add_parser("well", help="sample the transformed well")
-    add_common(p)
+    p = command("well", _run_well, "sample the transformed well")
     p.add_argument("--samples", type=int, default=1001)
 
-    p = sub.add_parser("action", help="sample the action profile")
-    add_common(p)
+    p = command("action", _run_action, "sample the action profile")
     p.add_argument("--points", type=int, default=65)
 
-    p = sub.add_parser("phi", help="fit the linear deficit slope")
-    add_common(p)
+    command("phi", _run_phi, "fit the linear deficit slope")
 
-    p = sub.add_parser("tren", help="effective quantum numbers for one state")
-    add_common(p)
+    p = command("tren", _run_tren, "effective quantum numbers for one state")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--phi", type=float, default=None, dest="phi")
+    p.add_argument("--phi", type=float, default=None)
     p.add_argument("--lambda", type=float, default=None, dest="lam")
 
-    p = sub.add_parser("spectrum", help="approximate spectrum lambda_n")
-    add_common(p)
-    p.add_argument("--n-max", type=int, default=32, dest="n_max")
+    p = command("spectrum", _run_spectrum, "approximate spectrum lambda_n")
+    p.add_argument("--n-max", type=_max_index, default=32)
 
-    p = sub.add_parser("threshold", help="critical couplings per state")
-    add_common(p)
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--l-max", type=int, default=3, dest="l_max")
-    p.add_argument("--phi", type=float, default=None, dest="phi")
+    p = command("threshold", _run_threshold, "critical couplings per state")
+    p.add_argument("--n-max", type=_max_index, default=3)
+    p.add_argument("--l-max", type=_max_index, default=3)
+    p.add_argument("--phi", type=float, default=None)
     p.add_argument("--oracle", action="store_true", help="compare against the exact oracle")
 
-    p = sub.add_parser("ordering", help="level ordering table")
-    add_common(p)
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--l-max", type=int, default=3, dest="l_max")
-    p.add_argument("--phi", type=float, default=None, dest="phi")
+    p = command("ordering", _run_ordering, "level ordering table")
+    p.add_argument("--n-max", type=_max_index, default=3)
+    p.add_argument("--l-max", type=_max_index, default=3)
+    p.add_argument("--phi", type=float, default=None)
 
-    p = sub.add_parser("validate", help="sweep predictions against the oracle")
-    add_common(p)
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--l-max", type=int, default=3, dest="l_max")
+    p = command("validate", _run_validate, "sweep predictions against the oracle")
+    p.add_argument("--n-max", type=_max_index, default=3)
+    p.add_argument("--l-max", type=_max_index, default=3)
     p.add_argument("--tol", type=float, default=1e-6)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    mapping = {
-        "potential": "potential_file",
-        "output": "output_path",
-        "phi": "phi_override",
-    }
-    for key, value in vars(args).items():
-        if key == "command" or value is None:
-            continue
-        setattr(cfg, mapping.get(key, key), value)
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one invocation (sys.argv[1:] by default); returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        return run(_config_from_args(args))
+        return args.run(args)
     except (InputError, PotentialConditionError, NoSuchLevelError) as exc:
         print(f"trenq: error: {exc}", file=sys.stderr)
         return 1

@@ -378,23 +378,22 @@ def _segment_samples(
 
 
 def _knot_samples(
-    edges: np.ndarray, n: int, sqrt_lo: bool, sqrt_hi: bool
+    edges: np.ndarray, n: int, sqrt_ends: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """_segment_samples of every segment between successive edges, in order.
 
     The plain segments are mapped in one array operation, with the same
-    arithmetic as _segment_samples; only a flagged end segment is mapped on
-    its own.
+    arithmetic as _segment_samples; with sqrt_ends, the two end segments are
+    mapped on their own, each with the sqrt map at its outer end.
     """
     if edges.size == 2:
-        return _segment_samples(float(edges[0]), float(edges[1]), n, sqrt_lo, sqrt_hi)
+        return _segment_samples(float(edges[0]), float(edges[1]), n, sqrt_ends, sqrt_ends)
     x, w = gauss_nodes(n)
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
     wts = half[:, None] * w
-    if sqrt_lo:
+    if sqrt_ends:
         pts[0], wts[0] = _segment_samples(float(edges[0]), float(edges[1]), n, True, False)
-    if sqrt_hi:
         pts[-1], wts[-1] = _segment_samples(float(edges[-2]), float(edges[-1]), n, False, True)
     return pts.ravel(), wts.ravel()
 
@@ -405,16 +404,16 @@ def composite_knot_integral(
     hi: float,
     knots: np.ndarray,
     *,
-    sqrt_lo: bool = False,
-    sqrt_hi: bool = False,
+    sqrt_ends: bool,
 ) -> tuple[float, float]:
     """Integrate g over [lo, hi] on a partition aligned with interpolation knots.
 
     Piecewise-defined profiles (monotone cubic interpolants) are smooth only
     between knots, which defeats error estimation on knot-spanning panels.
     Here every segment lies inside one smooth piece, a fixed Gauss rule is
-    applied per segment (with a regularizing endpoint map where flagged) and
-    the 16- vs 32-node difference provides the error estimate.
+    applied per segment (with a regularizing map at lo and hi when sqrt_ends
+    flags both as sqrt-singular) and the 16- vs 32-node difference provides
+    the error estimate.
 
     Returns (value, error estimate).
     """
@@ -424,6 +423,6 @@ def composite_knot_integral(
     edges = np.concatenate([[lo], inner, [hi]])
     totals = []
     for n in (16, 32):
-        pts, wts = _knot_samples(edges, n, sqrt_lo, sqrt_hi)
+        pts, wts = _knot_samples(edges, n, sqrt_ends)
         totals.append(float(np.dot(wts, np.asarray(g(pts), dtype=float))))
     return totals[1], abs(totals[1] - totals[0])

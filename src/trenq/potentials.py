@@ -31,9 +31,14 @@ from .errors import DegenerateWellError, InputError, PotentialConditionError
 from .numerics import brent, sech2
 
 
+# fraction of the well maximum below which to_log_well treats W as zero
+# when it truncates the infinite rho-line
+DOMAIN_CUT = 1e-14
+
+
 @dataclass(frozen=True)
 class Settings:
-    """Global numerical knobs.
+    """Numerical knobs of a run; the CLI flags --hbar, --quad-tol and --ode-tol.
 
     hbar:       Planck constant in the chosen units (mass is fixed to 1).
     quad_tol:   quadrature tolerance; the action I(lambda) is computed to
@@ -43,21 +48,18 @@ class Settings:
                 critical couplings then carry a grid error of up to about
                 15 * ode_tol relative (1.5e-9 at the default), which
                 is not estimated at run time.
-    domain_cut: fraction of the well maximum below which W is treated as
-                zero when truncating the infinite rho-line.
+
+    The truncation of the rho-line is fixed by DOMAIN_CUT, not set here.
     """
 
     hbar: float = 1.0
     quad_tol: float = 1e-10
     ode_tol: float = 1e-10
-    domain_cut: float = 1e-14
 
     def __post_init__(self) -> None:
-        for name in ("hbar", "quad_tol", "ode_tol", "domain_cut"):
+        for name in ("hbar", "quad_tol", "ode_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InputError(f"Settings.{name} must be strictly positive and finite")
-        if self.domain_cut >= 1.0:
-            raise InputError("Settings.domain_cut must be below 1")
 
 
 def quantum_index(value: int, name: str) -> int:
@@ -283,7 +285,7 @@ class LogWell:
     Z is the coupling (1 for a tabulated well), base the coupling-free shape
     and base_deriv its derivative, or None where it has no closed form.
     rho_left/rho_right are the outermost points at which the scan of the
-    search window sees W fall to domain_cut * V_m, so a dip below the cut
+    search window sees W fall to DOMAIN_CUT * V_m, so a dip below the cut
     between two humps stays inside the truncated domain; all
     quadratures and integrations run on this finite window, with analytic
     exponential-tail corrections where they matter.  decay_left/decay_right
@@ -392,9 +394,7 @@ def _find_cut(
 
     above = np.flatnonzero(vals > target)
     if above.size == 0:
-        raise PotentialConditionError(
-            "no point of the window scan lies above the domain cut; domain_cut is too coarse"
-        )
+        raise PotentialConditionError("no point of the window scan lies above DOMAIN_CUT * V_m")
     edge = int(above[0]) if direction < 0 else int(above[-1])
     x_in, f_in = float(grid[edge]), float(vals[edge]) - target
     outer = edge + direction
@@ -471,7 +471,8 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
 
     One vectorized evaluation of the profile on a _SCAN_POINTS grid across a
     search window serves the maximum (_locate_maximum) and brackets both
-    domain cuts (_find_cut).
+    domain cuts (_find_cut).  The well does not depend on s: the cuts sit at
+    the constant DOMAIN_CUT.
 
     Raises PotentialConditionError when the short-range conditions fail or
     the chosen transform does not vanish at both ends.
@@ -507,9 +508,9 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     grid = np.linspace(*window, _SCAN_POINTS)
     vals = np.asarray(profile(grid), dtype=float)
     vmax, rho_star = _locate_maximum(profile, grid, vals)
-    if vmax <= s.domain_cut:
+    if vmax <= DOMAIN_CUT:
         raise DegenerateWellError("transformed well is numerically zero")
-    target = s.domain_cut * vmax
+    target = DOMAIN_CUT * vmax
     rho_left = _find_cut(profile, grid, vals, target, rate_left, -1)
     rho_right = _find_cut(profile, grid, vals, target, rate_right, +1)
     return LogWell(

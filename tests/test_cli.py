@@ -198,7 +198,25 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     assert main(["validate", "--family", "lenz", "--a", "inf"]) == 1
     assert main(["phi", "--family", "lenz", "--a", "1", "--quad-tol", "nan"]) == 1
     assert main(["validate", "--family", "tietz", "--tol", "nan"]) == 1
+    # a negative grid bound is rejected by the parser
+    assert main(["spectrum", "--family", "tietz", "--n-max", "-1"]) == 1
+    # --lambda overrides lambda but not the checks on the state's l and d
+    assert main(["tren", "--n", "0", "--l", "0", "--d", "1", "--lambda", "2.5", "--phi", "1"]) == 1
+    assert main(["tren", "--n", "0", "--l", "-3", "--lambda", "2.5", "--phi", "1"]) == 1
+    # validate sweeps the family at Z = 1 and takes neither a file nor --Z
+    pot = write_potential(tmp_path, {"family": "lenz", "a": 2.0, "Z": 8.0}, "a2.json")
+    assert main(["validate", "--potential", str(pot), "--family", "lenz", "--a", "1"]) == 1
+    assert main(["validate", "--family", "lenz", "--a", "1", "--Z", "77"]) == 1
     capsys.readouterr()
+
+
+def test_output_into_missing_directory(tmp_path, capsys) -> None:
+    missing = str(tmp_path / "missing" / "out.csv")
+    # the CSV/JSON writer and the bare number printed by phi
+    for argv in (["ordering", "--n-max", "0", "--l-max", "0"], ["phi", "--family", "tietz"]):
+        assert main([*argv, "--output", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("trenq: error: cannot write --output") and err.count("\n") == 1
 
 
 def test_inline_family_potential(capsys) -> None:

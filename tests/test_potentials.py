@@ -41,9 +41,9 @@ def lenz_tabulated(rho_span: tuple[float, float]) -> Tabulated:
     return make_tabulated(lambda rho: 4.0 / np.cosh(rho) ** 2, q0=0.0, qinf=4.0, rho_span=rho_span)
 
 
-def cut_residual(w, s: Settings) -> float:
-    """Worst relative miss of W(cut) = domain_cut * V_m over both cuts."""
-    target = s.domain_cut * w.V_m
+def cut_residual(w) -> float:
+    """Worst relative miss of W(cut) = DOMAIN_CUT * V_m over both cuts."""
+    target = potentials.DOMAIN_CUT * w.V_m
     return max(abs(float(w.profile(x)) / target - 1.0) for x in (w.rho_left, w.rho_right))
 
 
@@ -167,12 +167,12 @@ def test_well_max_shifted_tabulated_bump(settings) -> None:
 
 def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
     w = lenz18_well
-    cut = settings.domain_cut * w.V_m
+    cut = potentials.DOMAIN_CUT * w.V_m
     assert float(w.profile(w.rho_left)) == pytest.approx(cut, rel=1e-6)
     assert float(w.profile(w.rho_right)) == pytest.approx(cut, rel=1e-6)
     for p, exponent in GEOMETRY_CASES:
         wp = to_log_well(p, settings, transform_exponent=exponent)
-        assert cut_residual(wp, settings) <= 1e-12
+        assert cut_residual(wp) <= 1e-12
         assert wp.rho_left < wp.rho_star < wp.rho_right
     # W = Z * base with the coupling-free base (1/2) sech^2(rho)
     assert w.Z == 8.0
@@ -223,9 +223,9 @@ def two_hump_tabulated() -> Tabulated:
 
 def test_two_hump_well_keeps_both_humps(settings) -> None:
     w = to_log_well(two_hump_tabulated(), settings)
-    assert float(w.profile(0.0)) < settings.domain_cut * w.V_m
+    assert float(w.profile(0.0)) < potentials.DOMAIN_CUT * w.V_m
     assert w.rho_left < -20.0 and w.rho_right > 20.0
-    assert cut_residual(w, settings) <= 1e-12
+    assert cut_residual(w) <= 1e-12
     assert count_bound_states(w, 0.5, settings).count == 2
 
 
@@ -309,11 +309,11 @@ def test_printed_transform_variant(settings) -> None:
     # locating a flat maximum in x is sqrt(eps)-limited; the value is not
     assert w.rho_star == pytest.approx(math.atanh(-0.5), abs=1e-6)
     assert w.V_m == pytest.approx(8.0 * math.exp(-math.atanh(-0.5)) * 0.75 / 2.0, rel=1e-12)
-    assert cut_residual(w, settings) <= 1e-12
+    assert cut_residual(w) <= 1e-12
     # slow left decay (rate 2a - 1 = 0.2): the cut lies far outside the scan
     w = to_log_well(Lenz(a=0.6, Z=1.0), settings, transform_exponent=1)
     assert w.rho_left < -25.0 / 0.6 - 100.0
-    assert cut_residual(w, settings) <= 1e-12
+    assert cut_residual(w) <= 1e-12
     # Tietz decays too slowly on the left for this variant
     with pytest.raises(PotentialConditionError):
         to_log_well(Tietz(1.0), settings, transform_exponent=1)
@@ -428,10 +428,8 @@ def test_settings_validation() -> None:
     with pytest.raises(InputError):
         Settings(hbar=0.0)
     with pytest.raises(InputError):
-        Settings(domain_cut=1.5)
-    with pytest.raises(InputError):
         Settings(quad_tol=-1e-10)
-    for name in ("hbar", "quad_tol", "ode_tol", "domain_cut"):
+    for name in ("hbar", "quad_tol", "ode_tol"):
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 Settings(**{name: bad})
