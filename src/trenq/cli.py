@@ -91,7 +91,12 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list], comment
 
 
 def _settings(args: argparse.Namespace) -> Settings:
-    return Settings(hbar=args.hbar, quad_tol=args.quad_tol, ode_tol=args.ode_tol)
+    # a command takes only the Settings flags it reads; the rest keep their defaults
+    return Settings(
+        hbar=getattr(args, "hbar", Settings.hbar),
+        quad_tol=getattr(args, "quad_tol", Settings.quad_tol),
+        ode_tol=getattr(args, "ode_tol", Settings.ode_tol),
+    )
 
 
 def _family_potential(family: str, a: float | None, Z: float):
@@ -302,44 +307,64 @@ def _build_parser() -> _Parser:
             default="corrected",
             help="log-transform variant (printed is a diagnostic only)",
         )
-        p.add_argument("--d", type=int, default=3, help="space dimension")
-        p.add_argument("--hbar", type=float, default=Settings.hbar)
-        p.add_argument("--quad-tol", type=float, default=Settings.quad_tol,
-                       help="quadrature tolerance, relative to max(1, I) for the action I")
-        p.add_argument("--ode-tol", type=float, default=Settings.ode_tol)
         p.add_argument("--output", type=Path, default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         return p
+
+    # the flags below go only to the commands whose handler reads them
+    def semiclassical(p: _Parser) -> None:
+        p.add_argument("--hbar", type=float, default=Settings.hbar)
+        p.add_argument("--quad-tol", type=float, default=Settings.quad_tol,
+                       help="quadrature tolerance, relative to max(1, I) for the action I")
+
+    def oracle(p: _Parser) -> None:
+        p.add_argument("--ode-tol", type=float, default=Settings.ode_tol,
+                       help="sets the node-counting grid of the exact oracle")
+
+    def dimension(p: _Parser) -> None:
+        p.add_argument("--d", type=int, default=3, help="space dimension")
 
     p = command("well", _run_well, "sample the transformed well")
     p.add_argument("--samples", type=int, default=1001)
 
     p = command("action", _run_action, "sample the action profile")
+    semiclassical(p)
     p.add_argument("--points", type=int, default=65)
 
-    command("phi", _run_phi, "fit the linear deficit slope")
+    semiclassical(command("phi", _run_phi, "fit the linear deficit slope"))
 
     p = command("tren", _run_tren, "effective quantum numbers for one state")
+    semiclassical(p)
+    dimension(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--lambda", type=float, default=None, dest="lam")
 
     p = command("spectrum", _run_spectrum, "approximate spectrum lambda_n")
+    semiclassical(p)
     p.add_argument("--n-max", type=_max_index, default=32)
 
     p = command("threshold", _run_threshold, "critical couplings per state")
+    semiclassical(p)
+    oracle(p)
+    dimension(p)
     p.add_argument("--n-max", type=_max_index, default=3)
     p.add_argument("--l-max", type=_max_index, default=3)
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--oracle", action="store_true", help="compare against the exact oracle")
 
     p = command("ordering", _run_ordering, "level ordering table")
+    semiclassical(p)
+    dimension(p)
     p.add_argument("--n-max", type=_max_index, default=3)
     p.add_argument("--l-max", type=_max_index, default=3)
     p.add_argument("--phi", type=float, default=None)
 
     p = command("validate", _run_validate, "sweep predictions against the oracle")
+    semiclassical(p)
+    oracle(p)
+    dimension(p)
     p.add_argument("--n-max", type=_max_index, default=3)
     p.add_argument("--l-max", type=_max_index, default=3)
     p.add_argument("--tol", type=float, default=1e-6)

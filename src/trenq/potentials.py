@@ -284,6 +284,9 @@ class LogWell:
 
     Z is the coupling (1 for a tabulated well), base the coupling-free shape
     and base_deriv its derivative, or None where it has no closed form.
+    base must be elementwise: its value at a point may not depend on the
+    other points of the array it is given, since the oracle evaluates the
+    well one block of its grid at a time.
     rho_left/rho_right are the outermost points at which the scan of the
     search window sees W fall to DOMAIN_CUT * V_m, so a dip below the cut
     between two humps stays inside the truncated domain; all
@@ -326,6 +329,8 @@ class LogWell:
 
 _SCAN_POINTS = 4097
 _ZOOM_POINTS = 65
+# k of the zoom grid's points lo + k (hi - lo)/64, np.linspace's arithmetic
+_ZOOM_STEPS = np.arange(float(_ZOOM_POINTS))
 
 
 def _split_level(vals: np.ndarray, depth: float) -> float | None:
@@ -346,6 +351,14 @@ def _split_level(vals: np.ndarray, depth: float) -> float | None:
     return float(np.max(rim[dips])) if np.any(dips) else None
 
 
+def _zoom_grid(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, _ZOOM_POINTS), bit for bit, without its call overhead."""
+    x = _ZOOM_STEPS * ((hi - lo) / (_ZOOM_POINTS - 1))
+    x += lo
+    x[-1] = hi
+    return x
+
+
 def _locate_maximum(
     profile: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, vals: np.ndarray
 ) -> tuple[float, float]:
@@ -363,7 +376,7 @@ def _locate_maximum(
     vmax, rho_star = float(vals[k]), float(grid[k])
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     while hi - lo > 1e-13 * max(1.0, abs(rho_star)):
-        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        x = _zoom_grid(lo, hi)
         v = np.asarray(profile(x))
         j = int(np.argmax(v))
         if v[j] > vmax:

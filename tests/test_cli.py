@@ -207,6 +207,10 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     pot = write_potential(tmp_path, {"family": "lenz", "a": 2.0, "Z": 8.0}, "a2.json")
     assert main(["validate", "--potential", str(pot), "--family", "lenz", "--a", "1"]) == 1
     assert main(["validate", "--family", "lenz", "--a", "1", "--Z", "77"]) == 1
+    # a command takes only the flags its handler reads
+    argv = ["well", "--family", "tietz", "--samples", "3", "--d", "1", "--ode-tol", "5", "--hbar", "7"]
+    assert main(argv) == 1
+    assert main(["spectrum", "--family", "lenz", "--a", "1", "--Z", "20", "--d", "1"]) == 1
     capsys.readouterr()
 
 

@@ -58,6 +58,71 @@ def test_count_reports_stats(settings, lenz18_well) -> None:
     assert right >= lenz18_well.rho_star + 16.0 / 0.5 * 0.99
 
 
+def _one_shot_count(w, lam: float, s: Settings):
+    """Reference: the whole grid from one np.linspace, f, g and d as full arrays."""
+    import trenq.oracle as oracle_mod
+
+    hbar = s.hbar
+    rho_l = w.rho_left
+    rho_r = max(w.rho_right, w.rho_star + oracle_mod._WINDOW_LOG * hbar / lam)
+    k_ref = max(math.sqrt(w.V_m), lam, 1e-2) / hbar
+    h = min(0.02, oracle_mod._STEP_FACTOR * s.ode_tol**0.25 / k_ref)
+    n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
+    rho = np.linspace(rho_l, rho_r, n_steps)
+    h = float(rho[1] - rho[0])
+    f = (lam * lam - np.asarray(w.profile(rho), dtype=float)) / (hbar * hbar)
+    g = 1.0 - h * h / 12.0 * f
+    d = ((12.0 - 10.0 * g) / g)[:-1]
+    d[0] = float(g[1]) * math.exp(lam * h / hbar) / float(g[0])
+    return {
+        "count": oracle_mod._count_nonpositive_pivots(d),
+        "rho_span": (rho_l, rho_r),
+        "step_stats": {"n_steps": n_steps, "h": h, "renormalizations": 0},
+        "pivots": d,
+        "log_scale": math.log(float(g[0])) - lam * (rho_r - rho_l) / hbar,
+    }
+
+
+def test_blocked_sweep_matches_one_shot_grid(settings) -> None:
+    # count_bound_states builds the grid and the pivots' inputs block by
+    # block; every output must be the one-shot computation's, bit for bit
+    import trenq.oracle as oracle_mod
+
+    block = oracle_mod._BLOCK
+    rho = np.linspace(-10.0, 10.0, 801)
+    tab = Tabulated(
+        r_grid=np.exp(rho),
+        U_values=-0.5 * 2000.0 * (0.5 / np.cosh(rho) ** 2) * np.exp(-2.0 * rho),
+        q0=0.0,
+        qinf=4.0,
+    )
+    w_tab = to_log_well(tab, settings)
+    cases = [
+        # shorter than one block
+        (to_log_well(Lenz(1.0, 8.0), settings), 0.5, settings),
+        # more than 10 blocks, with its 140 nodes spread over four of them
+        (to_log_well(Lenz(0.5, 1e4), settings), 0.5, settings),
+        # the window crosses both ends of the data, and whole blocks lie inside it
+        (w_tab, 0.5, settings),
+        (to_log_well(Lenz(1.0, 8.0), Settings(hbar=0.5)), 0.5, Settings(hbar=0.5)),
+    ]
+    assert w_tab.rho_left < rho[0] and rho[-1] < w_tab.rho_right
+    sizes = []
+    for w, lam, s in cases:
+        nc = count_bound_states(w, lam, s)
+        ref = _one_shot_count(w, lam, s)
+        assert nc.count == ref["count"]
+        assert nc.rho_span == ref["rho_span"]
+        assert nc.step_stats == ref["step_stats"]
+        assert np.array_equal(nc.pivots, ref["pivots"])
+        assert nc.log_scale == ref["log_scale"]
+        sizes.append(nc.step_stats["n_steps"])
+        if len(sizes) == 2:
+            node_blocks = set(np.flatnonzero(nc.pivots <= 0.0) // block)
+            assert nc.count == 140 and len(node_blocks) >= 4
+    assert sizes[0] < block and sizes[1] > 10 * block and sizes[2] > 3 * block
+
+
 def test_analytic_spectrum() -> None:
     np.testing.assert_allclose(
         lenz_analytic_spectrum(1.0, 8.0),

@@ -165,6 +165,21 @@ def test_well_max_shifted_tabulated_bump(settings) -> None:
     assert rs == pytest.approx(shift, abs=5e-3)
 
 
+def test_zoom_grid_matches_linspace() -> None:
+    # the maximum's zooms build their grid by np.linspace's own arithmetic;
+    # it must give the same points, bit for bit, down to the narrowest bracket
+    rng = np.random.default_rng(3)
+    for k in range(2000):
+        if k % 2:
+            lo = rng.uniform(-60.0, 60.0)
+            hi = lo + 10.0 ** rng.uniform(-14.0, 1.0)
+        else:
+            # a bracket ending just past zero: only the end point set to hi keeps it
+            lo, hi = -(10.0 ** rng.uniform(-3.0, 1.5)), 10.0 ** rng.uniform(-17.0, -3.0)
+        got = potentials._zoom_grid(lo, hi)
+        assert got.tobytes() == np.linspace(lo, hi, potentials._ZOOM_POINTS).tobytes()
+
+
 def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
     w = lenz18_well
     cut = potentials.DOMAIN_CUT * w.V_m

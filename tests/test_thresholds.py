@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from trenq import (
@@ -9,11 +12,13 @@ from trenq import (
     Lenz,
     LogWell,
     QuantumNumbers,
+    Settings,
     Tietz,
     action,
     action_profile,
     base_action_integral,
     critical_coupling,
+    exact_critical_coupling,
     fit_phi,
     lenz_exact_threshold,
     t_effective,
@@ -272,3 +277,19 @@ def test_threshold_reports_without_oracle(settings, lenz18_well) -> None:
     assert r.Z_exact is None and r.rel_err_ren is None and r.rel_err_unren is None
     assert r.T == 1.0
     assert r.T_ren == pytest.approx(t_ren(1.0), abs=1e-15)
+
+
+@hypothesis_settings(max_examples=6, deadline=None)
+@given(a=st.floats(0.5, 2.0))
+def test_thresholds_rise_in_n_and_l(a: float) -> None:
+    # a deeper well is needed for each further node and for each further unit
+    # of angular momentum: both the oracle and the renormalized prediction
+    # rise strictly in n at fixed l and in l at fixed n
+    s = Settings()
+    w = to_log_well(Lenz(a=a, Z=1.0), s)
+    phi = fit_phi(action_profile(w, s))
+    states = [[QuantumNumbers(n, l, 3) for l in range(3)] for n in range(3)]
+    oracle = np.array([[exact_critical_coupling(w, q.lam, q.n, s) for q in row] for row in states])
+    predicted = np.array([[critical_coupling(w, q, s, t_source=phi) for q in row] for row in states])
+    for z in (oracle, predicted):
+        assert np.all(np.diff(z, axis=0) > 0.0) and np.all(np.diff(z, axis=1) > 0.0), z
