@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateWellError, InputError, PotentialConditionError
 from .numerics import (
+    Pchip,
     adaptive_gauss,
     composite_knot_integral,
     false_position,
@@ -376,7 +376,7 @@ class ActionProfile:
     I_values: np.ndarray
     Phi_m: float
     quad_error: np.ndarray
-    _interp: PchipInterpolator = field(repr=False, compare=False)
+    _interp: Pchip = field(repr=False, compare=False)
 
     @property
     def lambda_max(self) -> float:
@@ -403,7 +403,7 @@ def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile
     errors = np.empty(n_points)
     values[0], errors[0] = _zero_action(w, s)
     values[1:], errors[1:] = _actions_between(w, lambda2[1:], _turning_pairs(w, lambda2[1:]), s)
-    interp = PchipInterpolator(grid, values, extrapolate=False)
+    interp = Pchip(grid, values)
     return ActionProfile(
         lambda_grid=grid,
         I_values=values,

@@ -17,11 +17,16 @@ singularity into smooth integrands in theta, and integrates them with the
 adaptive panel Gauss-Legendre rule here, which refines a batch of them
 in lockstep (one call per round for all levels of an action profile);
 piecewise profiles use the knot-aligned composite rule instead.
+
+Pchip is the monotone cubic interpolant of sampled wells and action
+profiles, bit-identical to SciPy's PchipInterpolator without importing
+scipy.interpolate.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable
 
 import numpy as np
@@ -34,6 +39,9 @@ _MAX_PANELS = 200
 _MAX_ITER = 200
 # geometric_bracket: growth of a step ratio's excess over 1 per step
 _RATIO_GROWTH = 1024.0
+# Pchip: ascending 1-d arguments of at least this many points find their
+# pieces with one searchsorted of the knots into the argument
+_SORTED_MIN = 2048
 
 
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -413,7 +421,8 @@ def composite_knot_integral(
     Here every segment lies inside one smooth piece, a fixed Gauss rule is
     applied per segment (with a regularizing map at lo and hi when sqrt_ends
     flags both as sqrt-singular) and the 16- vs 32-node difference provides
-    the error estimate.
+    the error estimate.  g must be elementwise: both rules' points go to it
+    in one call.
 
     Returns (value, error estimate).
     """
@@ -421,8 +430,99 @@ def composite_knot_integral(
         return 0.0, 0.0
     inner = knots[(knots > lo) & (knots < hi)]
     edges = np.concatenate([[lo], inner, [hi]])
-    totals = []
-    for n in (16, 32):
-        pts, wts = _knot_samples(edges, n, sqrt_ends)
-        totals.append(float(np.dot(wts, np.asarray(g(pts), dtype=float))))
-    return totals[1], abs(totals[1] - totals[0])
+    pts16, wts16 = _knot_samples(edges, 16, sqrt_ends)
+    pts32, wts32 = _knot_samples(edges, 32, sqrt_ends)
+    vals = np.asarray(g(np.concatenate((pts16, pts32))), dtype=float)
+    coarse = float(np.dot(wts16, vals[: pts16.size]))
+    fine = float(np.dot(wts32, vals[pts16.size :]))
+    return fine, abs(fine - coarse)
+
+
+class Pchip:
+    """Monotone piecewise cubic Hermite interpolant (PCHIP) of knots x and values y.
+
+    The slopes are those of Fritsch and Carlson (SIAM J. Numer. Anal. 17,
+    238 (1980)): at an inner knot the weighted harmonic mean of the two
+    secants, or 0 where they differ in sign or one is flat; at an end the
+    one-sided three-point estimate, set to 0 where its sign differs from the
+    end secant's and to 3 times that secant where it overshoots a sign
+    change (C. Moler, Numerical Computing with MATLAB, 2004).  The
+    interpolant is C^1 and does not overshoot monotone data.  Construction
+    and evaluation repeat the arithmetic of SciPy's PchipInterpolator
+    operation for operation, so the coefficients c, of shape (4, n - 1) and
+    in powers 3, 2, 1, 0 of r - x[i] on [x[i], x[i+1]), and every value
+    equal SciPy's bit for bit.  x must be strictly ascending with n >= 3.
+
+    Arguments must lie in [x[0], x[-1]]; x[-1] belongs to the last piece.
+    No caller evaluates outside, and the value there is undefined.  A
+    scalar argument returns a float.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            inner = np.where(flat, 0.0, 1.0 / whmean)
+        # both ends at once: the first and the last piece, each with its neighbour
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, end))
+        d = np.concatenate((end[:1], inner, end[1:]))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # rows c0, c1, c2, c3 and x[i] of every piece, gathered together
+        self._pieces = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]))
+        self.x = x
+        self.c = self._pieces[:4]
+        # knot indices for np.interp; x[-1] maps into the last piece
+        self._index = np.arange(x.size, dtype=float)
+        self._index[-1] = x.size - 2
+        # the scalar path works on Python floats
+        self._x_list = x.tolist()
+        self._c_rows = self.c.T.tolist()
+
+    def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
+        if not (isinstance(r, np.ndarray) and r.ndim):
+            r = float(r)
+            xs = self._x_list
+            i = min(bisect_right(xs, r), len(xs) - 1) - 1
+            c0, c1, c2, c3 = self._c_rows[i]
+            s = r - xs[i]
+            z = s * s
+            return ((c3 + c2 * s) + c1 * z) + c0 * (z * s)
+        x = self.x
+        if r.ndim == 1 and r.size >= _SORTED_MIN and np.all(r[1:] >= r[:-1]):
+            # the points of piece k lie between the positions of x[k] and x[k+1] in r
+            edges = np.searchsorted(r, x)
+            edges[0], edges[-1] = 0, r.size
+            pieces = np.repeat(self._pieces, np.diff(edges), axis=1)
+            s = np.subtract(r, pieces[4], out=pieces[4])
+        else:
+            # the interpolated knot index floors to the piece, or, within
+            # rounding of the piece's end, rounds up onto the next one
+            flat = r.ravel()
+            i = np.interp(flat, x, self._index).astype(np.intp)
+            pieces = self._pieces.take(i, axis=1)
+            s = np.subtract(flat, pieces[4], out=pieces[4])
+            if s.size and s.min() < 0.0:
+                up = s < 0.0
+                pieces[:, up] = self._pieces[:, i[up] - 1]
+                s[up] = flat[up] - s[up]
+        # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s = r - x[i], in place
+        c0, c1, c2, c3 = pieces[0], pieces[1], pieces[2], pieces[3]
+        c2 *= s
+        c2 += c3
+        z = np.multiply(s, s, out=c3)
+        c1 *= z
+        c2 += c1
+        z *= s
+        c0 *= z
+        c2 += c0
+        return c2.reshape(r.shape)

@@ -25,15 +25,18 @@ from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateWellError, InputError, PotentialConditionError
-from .numerics import brent, sech2
+from .numerics import Pchip, brent, sech2
 
 
 # fraction of the well maximum below which to_log_well treats W as zero
 # when it truncates the infinite rho-line
 DOMAIN_CUT = 1e-14
+# largest ode_tol: the Numerov weights g = 1 - h^2 (lambda^2 - W) / (12 hbar^2)
+# of the oracle stay >= 1 - 3.63 sqrt(ode_tol) >= 0.64 (h k <= 6.6 ode_tol^(1/4)
+# with lambda/hbar <= k), so the node count and its amplitude stay defined
+_ODE_TOL_MAX = 1e-2
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class Settings:
     ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/4); the oracle's
                 critical couplings then carry a grid error of up to about
                 15 * ode_tol relative (1.5e-9 at the default), which
-                is not estimated at run time.
+                is not estimated at run time.  At most _ODE_TOL_MAX.
 
     The truncation of the rho-line is fixed by DOMAIN_CUT, not set here.
     """
@@ -60,6 +63,8 @@ class Settings:
         for name in ("hbar", "quad_tol", "ode_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InputError(f"Settings.{name} must be strictly positive and finite")
+        if self.ode_tol > _ODE_TOL_MAX:
+            raise InputError(f"Settings.ode_tol must be <= {_ODE_TOL_MAX:g}, got {self.ode_tol:g}")
 
 
 def quantum_index(value: int, name: str) -> int:
@@ -151,17 +156,19 @@ def Tietz(Z: float) -> Lenz:
 class Tabulated:
     """Potential given by samples (r_i, U_i) with declared decay exponents.
 
-    Inside the sampled range the transformed well is evaluated by monotone
-    cubic interpolation of ln W against rho = ln r, which preserves
-    positivity.  Outside, the declared power laws |U| ~ r^(-q0) (origin) and
-    r^(-qinf) (infinity) continue the well exponentially in rho.
+    Inside the sampled range the transformed well is exp of the monotone
+    cubic interpolant (numerics.Pchip, Fritsch-Carlson) of ln W against
+    rho = ln r, which keeps W positive and, since the interpolant does not
+    overshoot, puts every extremum of W at a sample.  It is C^1 only, so W''
+    jumps at the samples.  Outside, the declared power laws |U| ~ r^(-q0)
+    (origin) and r^(-qinf) (infinity) continue the well exponentially in rho.
     """
 
     r_grid: np.ndarray
     U_values: np.ndarray
     q0: float
     qinf: float
-    _log_w: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _log_w: Pchip = field(init=False, repr=False, compare=False)
     # (lo, hi, W(lo), W(hi)) at the ends of the data in rho
     _ends: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
@@ -182,7 +189,7 @@ class Tabulated:
         object.__setattr__(self, "U_values", u)
         rho = np.log(r)
         w = -2.0 * r * r * u
-        log_w = PchipInterpolator(rho, np.log(w), extrapolate=False)
+        log_w = Pchip(rho, np.log(w))
         lo, hi = log_w.x[0], log_w.x[-1]
         object.__setattr__(self, "_log_w", log_w)
         object.__setattr__(self, "_ends", (lo, hi, math.exp(log_w(lo)), math.exp(log_w(hi))))
@@ -194,8 +201,16 @@ class Tabulated:
 
     def well_value(self, rho: np.ndarray | float) -> np.ndarray | float:
         """Transformed well W(rho) with power-law continuation outside the data."""
-        rho_arr = np.asarray(rho, dtype=float)
         lo, hi, w_lo, w_hi = self._ends
+        if not isinstance(rho, np.ndarray):
+            # one point: the array branches' arithmetic on a Python float
+            rho = float(rho)
+            if rho < lo:
+                return float(w_lo * np.exp((2.0 - self.q0) * (rho - lo)))
+            if rho > hi:
+                return float(w_hi * np.exp((2.0 - self.qinf) * (rho - hi)))
+            return float(np.exp(self._log_w(rho)))
+        rho_arr = np.asarray(rho, dtype=float)
         out = np.empty_like(rho_arr)
         if rho_arr.size and lo <= rho_arr.min() and rho_arr.max() <= hi:
             np.exp(self._log_w(rho_arr), out=out)
@@ -206,7 +221,7 @@ class Tabulated:
             right = rho_arr > hi
             out[left] = w_lo * np.exp((2.0 - self.q0) * (rho_arr[left] - lo))
             out[right] = w_hi * np.exp((2.0 - self.qinf) * (rho_arr[right] - hi))
-        return out if isinstance(rho, np.ndarray) else float(out)
+        return out
 
     @property
     def q_origin(self) -> float:

@@ -198,6 +198,9 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     assert main(["validate", "--family", "lenz", "--a", "inf"]) == 1
     assert main(["phi", "--family", "lenz", "--a", "1", "--quad-tol", "nan"]) == 1
     assert main(["validate", "--family", "tietz", "--tol", "nan"]) == 1
+    # an ode_tol above 1e-2 is rejected before the oracle's grid weights turn negative
+    argv = ["validate", "--family", "lenz", "--a", "1", "--n-max", "0", "--l-max", "200", "--ode-tol", "1e4"]
+    assert main(argv) == 1
     # a negative grid bound is rejected by the parser
     assert main(["spectrum", "--family", "tietz", "--n-max", "-1"]) == 1
     # --lambda overrides lambda but not the checks on the state's l and d

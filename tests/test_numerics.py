@@ -1,11 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from trenq import ConvergenceError
+import trenq
+from trenq import ConvergenceError, action_profile
 from trenq.numerics import (
+    Pchip,
     _knot_samples,
     _segment_samples,
     adaptive_gauss,
@@ -166,3 +176,127 @@ def test_knot_samples_match_segment_samples(sqrt_ends: bool, n_edges: int) -> No
         ]
         assert np.array_equal(pts, np.concatenate([p for p, _ in ref]))
         assert np.array_equal(wts, np.concatenate([w for _, w in ref]))
+
+
+def _rough_knots(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-uniform knots with small integer values: flat runs and sign changes of the secants."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.uniform(0.05, 2.0, n)) - 3.0, rng.integers(-3, 4, n).astype(float)
+
+
+def _pchip_data(well, settings, profile) -> list[tuple[np.ndarray, np.ndarray]]:
+    """ln W of Lenz resamplings (400 and the minimum of 4 samples), action
+    profiles (65 and the minimum of 5 points) and rough knots with their
+    mirror images, so that both ends meet every slope rule."""
+    data = []
+    for n in (400, 4):
+        rho = np.linspace(-16.8, 16.8, n)
+        data.append((rho, np.log(4.0 / np.cosh(rho) ** 2)))
+    for prof in (profile, action_profile(well, settings, 5)):
+        data.append((prof.lambda_grid, prof.I_values))
+    # seeds 12 and 22 meet the rarer zeroing end rule
+    for seed, n in ((0, 4), (1, 5), (12, 12), (22, 12), (2, 30), (3, 30)):
+        x, y = _rough_knots(seed, n)
+        data += [(x, y), (-x[::-1], y[::-1])]
+    return data
+
+
+def _pchip_points(x: np.ndarray) -> list:
+    """Every knot and its two float neighbours inside [x[0], x[-1]] (also as a
+    2-d array), an ascending block of 16384 points and those, the unsorted
+    samples of the knot-aligned composite rule and three kinds of scalar."""
+    near = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    near = near[(near >= x[0]) & (near <= x[-1])]
+    samples = _knot_samples(x, 32, True)[0]
+    assert np.any(np.diff(samples) < 0.0)
+    mid = 0.5 * (x[1] + x[2])
+    return [
+        near,
+        near[: near.size // 2 * 2].reshape(2, -1),
+        np.sort(np.concatenate([np.linspace(x[0], x[-1], 16384), near])),
+        samples,
+        float(x[-1]),
+        np.float64(mid),
+        np.array(x[0] + 0.3 * (x[1] - x[0])),
+    ]
+
+
+def _assert_same_as_scipy(x: np.ndarray, y: np.ndarray, points: list) -> None:
+    p = Pchip(x, y)
+    ref = PchipInterpolator(x, y, extrapolate=False)
+    assert p.c.shape == ref.c.shape and p.c.tobytes() == ref.c.tobytes()
+    assert p.x.tobytes() == ref.x.tobytes()
+    for r in points:
+        got, want = np.asarray(p(r), dtype=float), ref(r)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), r
+
+
+def test_pchip_matches_scipy_bit_for_bit(lenz18_well, settings, lenz18_profile) -> None:
+    data = _pchip_data(lenz18_well, settings, lenz18_profile)
+    for x, y in data:
+        _assert_same_as_scipy(x, y, _pchip_points(x))
+    # the end slope rules: zeroed where the three-point estimate turns
+    # against the end secant, 3 times the end secant where it overshoots; the
+    # mirror images put each right end on the left
+    m0 = np.array([(y[1] - y[0]) / (x[1] - x[0]) for x, y in data])
+    d0 = np.array([Pchip(x, y).c[2, 0] for x, y in data])
+    assert np.any((d0 == 0.0) & (m0 != 0.0))
+    assert np.any((d0 == 3.0 * m0) & (m0 != 0.0))
+
+
+@hypothesis_settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(1e-3, 1e3), st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))),
+        min_size=3,
+        max_size=40,
+    )
+)
+def test_pchip_matches_scipy_on_drawn_knots(knots) -> None:
+    steps, values = zip(*knots)
+    x = np.cumsum(steps)
+    y = 0.37 * np.array(values, dtype=float)
+    _assert_same_as_scipy(x, y, _pchip_points(x))
+
+
+def test_pchip_interpolates_and_is_c1() -> None:
+    # the knots are reproduced exactly (the last one closes the last piece,
+    # to rounding) and neighbouring pieces meet with equal value and slope
+    for seed in range(6):
+        x, y = _rough_knots(seed, 30)
+        y += np.sin(x)
+        p = Pchip(x, y)
+        assert np.array_equal(p(x[:-1]), y[:-1])
+        c3, c2, c1, c0 = p.c
+        h = np.diff(x)
+        end_value = ((c0 + c1 * h) + c2 * h * h) + c3 * h**3
+        end_slope = c1 + 2.0 * c2 * h + 3.0 * c3 * h * h
+        assert np.allclose(end_value, y[1:], rtol=0.0, atol=1e-13 * np.abs(y).max())
+        slope_scale = np.abs(np.diff(y) / h).max()
+        assert np.allclose(end_slope[:-1], c1[1:], rtol=0.0, atol=1e-12 * slope_scale)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pchip_does_not_overshoot_monotone_data(sign: float) -> None:
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.05, 2.0, 40))
+    # monotone, with flat runs and jumps of three orders of magnitude
+    y = sign * np.cumsum(rng.choice([0.0, 0.01, 1.0, 10.0], 40))
+    r = np.linspace(x[0], x[-1], 20001)
+    v = Pchip(x, y)(r)
+    piece = np.minimum(np.searchsorted(x, r, side="right") - 1, x.size - 2)
+    lo = np.minimum(y[piece], y[piece + 1])
+    hi = np.maximum(y[piece], y[piece + 1])
+    tol = 1e-12 * np.abs(y).max()
+    assert np.all(v >= lo - tol) and np.all(v <= hi + tol)
+    assert np.all(sign * np.diff(v) >= -tol)
+
+
+def test_import_loads_no_scipy_interpolate() -> None:
+    # from scipy the package needs LAPACK only; scipy.interpolate would add
+    # ~0.4 s and ~23 MB to every process
+    src = Path(trenq.__file__).resolve().parents[1]
+    code = "import sys, trenq; print([m for m in sys.modules if m.startswith('scipy.interpolate')])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

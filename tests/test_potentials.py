@@ -448,3 +448,7 @@ def test_settings_validation() -> None:
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 Settings(**{name: bad})
+    # a grid this coarse would make the oracle's Numerov weights negative
+    with pytest.raises(InputError):
+        Settings(ode_tol=1e4)
+    Settings(ode_tol=1e-2)

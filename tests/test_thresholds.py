@@ -13,6 +13,7 @@ from trenq import (
     LogWell,
     QuantumNumbers,
     Settings,
+    Tabulated,
     Tietz,
     action,
     action_profile,
@@ -293,3 +294,24 @@ def test_thresholds_rise_in_n_and_l(a: float) -> None:
     predicted = np.array([[critical_coupling(w, q, s, t_source=phi) for q in row] for row in states])
     for z in (oracle, predicted):
         assert np.all(np.diff(z, axis=0) > 0.0) and np.all(np.diff(z, axis=1) > 0.0), z
+
+
+@hypothesis_settings(max_examples=5, deadline=None)
+@given(a=st.floats(0.5, 2.0))
+def test_tabulated_lenz_agrees_with_analytic(a: float) -> None:
+    # 400 samples of Lenz(a, 1), evenly spaced in ln r where W > 1e-14 of its
+    # peak: phi and the renormalized Z_c(0, 0) follow the analytic well to
+    # the sampling bound (1.1e-6 and 2.4e-6 relative)
+    s = Settings()
+    rho = np.linspace(-16.8 / a, 16.8 / a, 400)
+    u = -0.25 / np.cosh(a * rho) ** 2 * np.exp(-2.0 * rho)
+    tab = Tabulated(r_grid=np.exp(rho), U_values=u, q0=2.0 - 2.0 * a, qinf=2.0 + 2.0 * a)
+    q = QuantumNumbers(0, 0, 3)
+    results = []
+    for p in (tab, Lenz(a=a, Z=1.0)):
+        w = to_log_well(p, s)
+        phi = fit_phi(action_profile(w, s))
+        results.append((phi, critical_coupling(w, q, s, t_source=phi)))
+    (phi_tab, z_tab), (phi_lenz, z_lenz) = results
+    assert phi_tab == pytest.approx(phi_lenz, rel=1e-5)
+    assert z_tab == pytest.approx(z_lenz, rel=1e-5)
