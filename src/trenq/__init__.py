@@ -45,7 +45,6 @@ from .oracle import (
     lenz_analytic_spectrum,
 )
 from .potentials import (
-    ConditionReport,
     Lenz,
     LogWell,
     QuantumNumbers,
@@ -53,7 +52,6 @@ from .potentials import (
     Settings,
     Tabulated,
     Tietz,
-    check_conditions,
     lambda_of,
     load_potential,
     scale_log_well,

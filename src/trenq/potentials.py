@@ -215,6 +215,7 @@ class Tabulated:
         if rho_arr.size and lo <= rho_arr.min() and rho_arr.max() <= hi:
             np.exp(self._log_w(rho_arr), out=out)
         else:
+            out.fill(np.nan)  # nan is neither inside nor outside the data
             inside = (rho_arr >= lo) & (rho_arr <= hi)
             out[inside] = np.exp(self._log_w(rho_arr[inside]))
             left = rho_arr < lo
@@ -233,64 +234,6 @@ class Tabulated:
 
 
 RadialPotential = Union[Lenz, Tabulated]
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the short-range checks r^2 U -> 0 at both ends."""
-
-    q_origin: float
-    q_infinity: float
-    origin_ok: bool
-    infinity_ok: bool
-    messages: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.origin_ok and self.infinity_ok
-
-
-def check_conditions(p: RadialPotential) -> ConditionReport:
-    """Report whether r^2 U(r) vanishes at the origin and at infinity.
-
-    Analytic families are judged by their decay exponents; tabulated data
-    additionally gets its end-sample log-log slopes compared against the
-    declared exponents, and a note when its transformed well -2 r^2 U has
-    more than one hump (the monotone interpolant has its extrema at the
-    samples), since the action is then rejected for lambda^2 below the
-    second hump.  Always returns a report; callers decide what to do.
-    """
-    q0 = p.q_origin
-    qinf = p.q_infinity
-    messages: list[str] = []
-    origin_ok = q0 < 2.0
-    infinity_ok = qinf > 2.0
-    if not origin_ok:
-        messages.append(f"r^2 U does not vanish at r -> 0: decay exponent q0 = {q0:g} >= 2")
-    if not infinity_ok:
-        messages.append(f"r^2 U does not vanish at r -> infinity: exponent qinf = {qinf:g} <= 2")
-    if isinstance(p, Lenz) and p.a <= 0.0:
-        messages.append(f"Lenz width parameter a = {p.a:g} violates a > 0")
-    if isinstance(p, Tabulated):
-        r, u = p.r_grid, p.U_values
-        slope0 = -(math.log(-u[1]) - math.log(-u[0])) / (math.log(r[1]) - math.log(r[0]))
-        slope1 = -(math.log(-u[-1]) - math.log(-u[-2])) / (math.log(r[-1]) - math.log(r[-2]))
-        messages.append(f"end-sample decay slopes: origin {slope0:.3g}, infinity {slope1:.3g}")
-        if slope0 > q0 + 0.5:
-            messages.append(
-                f"inner samples decay faster (slope {slope0:.3g}) than declared q0 = {q0:g}"
-            )
-        if slope1 < qinf - 0.5:
-            messages.append(
-                f"outer samples decay slower (slope {slope1:.3g}) than declared qinf = {qinf:g}"
-            )
-        level = _split_level(-2.0 * r * r * u, 0.0)
-        if level is not None:
-            messages.append(
-                f"well -2 r^2 U has more than one hump: the classically allowed region "
-                f"can split for lambda^2 below {level:.3g}, where the action is rejected"
-            )
-    return ConditionReport(q0, qinf, origin_ok, infinity_ok, tuple(messages))
 
 
 @dataclass(frozen=True)
@@ -414,7 +357,9 @@ def _find_cut(
     `target` on the `direction` side (-1 left, +1 right) in one grid cell;
     Brent's method solves inside it from the two scan values.  When W is
     still above `target` at the window end, the bracket comes from stepping
-    outward from there in growing steps (at most 200).
+    outward from there in growing steps; a step that lands where W is not a
+    finite float is halved back towards the last finite point, and
+    PotentialConditionError is raised when 200 steps find no crossing.
     """
 
     def f(rho: float) -> float:
@@ -431,107 +376,101 @@ def _find_cut(
     else:
         step = max(1.0, 2.0 / rate)
         x_out = x_in + direction * step
-        f_out = f(x_out)
-        guard = 0
-        while f_out > 0.0:
-            x_in, f_in = x_out, f_out
-            x_out += direction * step
+        # e^(-rho) of the printed variant overflows beyond rho = -709
+        with np.errstate(over="ignore", invalid="ignore"):
             f_out = f(x_out)
-            step *= 1.5
-            guard += 1
-            if guard > 200:
-                raise PotentialConditionError("well does not decay below the domain cut")
+            for _ in range(201):
+                if f_out <= 0.0:
+                    break
+                if math.isfinite(f_out):
+                    x_in, f_in = x_out, f_out
+                    x_out += direction * step
+                    step *= 1.5
+                else:  # step back towards the last finite W
+                    x_out = 0.5 * (x_in + x_out)
+                f_out = f(x_out)
+            else:
+                raise PotentialConditionError("W does not reach DOMAIN_CUT * V_m while finite")
     return brent(f, x_in, x_out, f_in, f_out, xtol=1e-14 * (grid[1] - grid[0]), rtol=1e-14)
 
 
-def _lenz_well_parts(p: Lenz, exponent: int):
+def _lenz_well_parts(p: Lenz):
     a = p.a
-    if exponent == 2:
 
-        def base(rho):
-            return 0.5 * sech2(a * np.asarray(rho, dtype=float))
+    def base(rho):
+        return 0.5 * sech2(a * np.asarray(rho, dtype=float))
 
-        def base_deriv(rho):
-            rho = np.asarray(rho, dtype=float)
-            return -a * sech2(a * rho) * np.tanh(a * rho)
+    def base_deriv(rho):
+        rho = np.asarray(rho, dtype=float)
+        return -a * sech2(a * rho) * np.tanh(a * rho)
 
-        rates = (2.0 * a, 2.0 * a)
-        window = 25.0 / a
-    else:
-
-        def base(rho):
-            rho = np.asarray(rho, dtype=float)
-            return 0.5 * np.exp(-rho) * sech2(a * rho)
-
-        def base_deriv(rho):
-            rho = np.asarray(rho, dtype=float)
-            return -0.5 * np.exp(-rho) * sech2(a * rho) * (1.0 + 2.0 * a * np.tanh(a * rho))
-
-        rates = (2.0 * a - 1.0, 2.0 * a + 1.0)
-        window = 25.0 / min(a, 1.0)
-
-    return base, base_deriv, rates, (-window, window)
+    return base, base_deriv, (-25.0 / a, 25.0 / a)
 
 
-def _tabulated_well_parts(p: Tabulated, exponent: int):
+def _tabulated_well_parts(p: Tabulated):
     lo, hi = p._log_w.x[0], p._log_w.x[-1]
-    if exponent == 2:
-        base = p.well_value
-        rates = (2.0 - p.q0, p.qinf - 2.0)
-    else:
+    return p.well_value, None, (lo - 5.0, hi + 5.0)
 
-        def base(rho):
-            rho = np.asarray(rho, dtype=float)
-            return p.well_value(rho) * np.exp(-rho)
 
-        rates = (1.0 - p.q0, p.qinf - 1.0)
-    margin = 5.0
-    return base, None, rates, (lo - margin, hi + margin)
+def _printed_parts(base, base_deriv):
+    """base e^(-rho) and its derivative (base' - base) e^(-rho): the printed variant."""
+
+    def printed(rho):
+        rho = np.asarray(rho, dtype=float)
+        return base(rho) * np.exp(-rho)
+
+    def printed_deriv(rho):
+        rho = np.asarray(rho, dtype=float)
+        return (base_deriv(rho) - base(rho)) * np.exp(-rho)
+
+    return printed, None if base_deriv is None else printed_deriv
 
 
 def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2) -> LogWell:
     """Transform a radial potential into its log-variable well.
 
     The standard transform is W(rho) = -2 e^(2 rho) U(e^rho); passing
-    transform_exponent=1 selects the variant -2 e^rho U(e^rho) instead,
-    which is kept for the discrimination diagnostics only (it does not
-    reproduce exact thresholds).
+    transform_exponent=1 selects the printed variant -2 e^rho U(e^rho) =
+    W e^(-rho) instead, built from the standard well of any family and kept
+    for the discrimination diagnostics only (it does not reproduce exact
+    thresholds).
+
+    Under exponent e the well decays as e^(rate rho) with rate e - q_origin
+    as rho -> -infinity (r -> 0) and q_infinity - e as rho -> +infinity.
+    The potential is admissible when both rates are positive for e = 2,
+    which is the short-range condition r^2 U -> 0, and for the chosen
+    exponent; otherwise PotentialConditionError names every end that fails.
 
     One vectorized evaluation of the profile on a _SCAN_POINTS grid across a
     search window serves the maximum (_locate_maximum) and brackets both
     domain cuts (_find_cut).  The well does not depend on s: the cuts sit at
-    the constant DOMAIN_CUT.
-
-    Raises PotentialConditionError when the short-range conditions fail or
-    the chosen transform does not vanish at both ends.
+    the constant DOMAIN_CUT.  A cut that lies where W is no longer a finite
+    float also raises PotentialConditionError.
     """
-    if transform_exponent not in (1, 2):
-        raise InputError(f"transform_exponent must be 1 or 2, got {transform_exponent}")
-    report = check_conditions(p)
-    if not report.passed:
-        raise PotentialConditionError("; ".join(report.messages) or "decay conditions violated")
+    e = transform_exponent
+    if e not in (1, 2):
+        raise InputError(f"transform_exponent must be 1 or 2, got {e}")
+    q0, qinf = p.q_origin, p.q_infinity
+    slowest = {"r -> 0": min(e, 2) - q0, "r -> infinity": qinf - max(e, 2)}
+    failed = " and ".join(end for end, rate in slowest.items() if rate <= 0.0)
+    if failed:
+        raise PotentialConditionError(
+            f"W does not vanish at {failed}: q0 = {q0:g} must be below {min(e, 2)} "
+            f"and qinf = {qinf:g} above {max(e, 2)}"
+        )
 
     if isinstance(p, Lenz):
         Z, breakpoints = p.Z, None
-        base, base_deriv, rates, window = _lenz_well_parts(p, transform_exponent)
+        base, base_deriv, window = _lenz_well_parts(p)
     else:
         Z, breakpoints = 1.0, np.asarray(p._log_w.x, dtype=float)
-        base, base_deriv, rates, window = _tabulated_well_parts(p, transform_exponent)
+        base, base_deriv, window = _tabulated_well_parts(p)
+    if e == 1:
+        base, base_deriv = _printed_parts(base, base_deriv)
+    rate_left, rate_right = e - q0, qinf - e
 
     def profile(rho):
         return Z * base(rho)
-
-    rate_left, rate_right = rates
-    if rate_left <= 0.0:
-        raise PotentialConditionError(
-            f"W(rho -> -infinity) does not vanish under exponent {transform_exponent}: "
-            f"decay rate {rate_left:g} <= 0"
-        )
-    if rate_right <= 0.0:
-        raise PotentialConditionError(
-            f"W(rho -> +infinity) does not vanish under exponent {transform_exponent}: "
-            f"decay rate {rate_right:g} <= 0"
-        )
 
     grid = np.linspace(*window, _SCAN_POINTS)
     vals = np.asarray(profile(grid), dtype=float)

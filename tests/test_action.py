@@ -182,8 +182,8 @@ def test_action_profile_profile_call_count(settings, monkeypatch) -> None:
     calls = [0]
     parts = potentials._lenz_well_parts
 
-    def counting(p, exponent):
-        base, *rest = parts(p, exponent)
+    def counting(p):
+        base, *rest = parts(p)
 
         def counted(rho):
             calls[0] += 1

@@ -142,9 +142,9 @@ def test_delta1_integral_closed_form_probes(a: float, settings) -> None:
 
 
 def test_delta1_integral_tabulated_first_order(settings) -> None:
-    # PCHIP is only C^1, so on a tabulated well W'' and delta1 are first
-    # order in the sample spacing: on 400 samples of Lenz(1, 8) the errors
-    # are +135 %, +12.5 % and -6.9 % at these energies
+    # PCHIP is only C^1, so on a tabulated well W'' jumps at the samples and
+    # delta1 does not converge with them: on 400 samples of Lenz(1, 8) the
+    # errors are +135 %, +12.5 % and -6.9 % at these energies
     rho = np.linspace(-30.0, 30.0, 400)
     u = -2.0 / np.cosh(rho) ** 2 * np.exp(-2.0 * rho)  # W = 4 sech^2(rho)
     w = to_log_well(Tabulated(r_grid=np.exp(rho), U_values=u, q0=0.0, qinf=4.0), settings)

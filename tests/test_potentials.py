@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import trenq.potentials as potentials
 from trenq import (
@@ -15,7 +18,6 @@ from trenq import (
     Tabulated,
     Tietz,
     action,
-    check_conditions,
     count_bound_states,
     lambda_of,
     load_potential,
@@ -201,8 +203,8 @@ def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
     calls = [0]
 
     def counting(parts):
-        def wrapped(p, exponent):
-            base, *rest = parts(p, exponent)
+        def wrapped(p):
+            base, *rest = parts(p)
 
             def counted(rho):
                 calls[0] += 1
@@ -256,10 +258,8 @@ def test_two_hump_well_rejects_split_action(settings, tmp_path, capsys) -> None:
         turning_points(w, 0.25)
     with pytest.raises(PotentialConditionError):
         action(w, 0.5, settings)
-    assert any("more than one hump" in m for m in check_conditions(p).messages)
     for single, exponent in GEOMETRY_CASES:
         assert to_log_well(single, settings, transform_exponent=exponent).split_level is None
-        assert not any("hump" in m for m in check_conditions(single).messages)
 
     spec = {"family": "tabulated", "r": p.r_grid.tolist(), "U": p.U_values.tolist(),
             "q0": p.q0, "qinf": p.qinf}
@@ -295,24 +295,37 @@ def test_unequal_two_hump_well_above_split_level(settings) -> None:
     assert action(w, 1.2, settings) == pytest.approx(0.8, abs=1e-5)
 
 
-def test_check_conditions_lenz() -> None:
-    assert check_conditions(Lenz(a=1.0, Z=1.0)).passed
-    report = check_conditions(Lenz(a=0.0, Z=1.0))
-    assert not report.passed
-    assert not report.origin_ok and not report.infinity_ok
-
-
-def test_check_conditions_tabulated_exponents() -> None:
-    p = make_tabulated(lambda rho: 1.0 / np.cosh(rho) ** 2, q0=0.0, qinf=2.0)
-    report = check_conditions(p)
-    assert report.origin_ok
-    assert not report.infinity_ok
-    assert any("infinity" in m for m in report.messages)
-
-
 def test_to_log_well_rejects_condition_violation(settings) -> None:
-    with pytest.raises(PotentialConditionError):
+    # Lenz with a = 0 has q0 = qinf = 2: r^2 U tends to a constant at both ends
+    with pytest.raises(PotentialConditionError) as info:
         to_log_well(Lenz(a=0.0, Z=1.0), settings)
+    assert "r -> 0" in str(info.value) and "r -> infinity" in str(info.value)
+    # qinf = 2 fails only at infinity, under either transform
+    p = make_tabulated(lambda rho: 1.0 / np.cosh(rho) ** 2, q0=0.0, qinf=2.0)
+    for exponent in (1, 2):
+        with pytest.raises(PotentialConditionError) as info:
+            to_log_well(p, settings, transform_exponent=exponent)
+        assert "r -> infinity" in str(info.value) and "r -> 0" not in str(info.value)
+
+
+def test_to_log_well_decay_rule(settings) -> None:
+    # the one rule: W = -2 r^e U decays at rate e - q0 as r -> 0 and qinf - e
+    # as r -> infinity, and both rates must be positive for e = 2 (r^2 U -> 0)
+    # and for the chosen exponent; qinf in (1, 2] passes exponent 1 on its own
+    rho = np.linspace(-8.0, 8.0, 60)
+    u = -0.5 / np.cosh(rho) ** 2 * np.exp(-2.0 * rho)
+    for q0 in (-0.5, 0.5, 0.9, 1.0, 1.5, 2.0, 2.5):
+        for qinf in (0.5, 1.0, 1.5, 2.0, 2.5, 4.0):
+            p = Tabulated(r_grid=np.exp(rho), U_values=u, q0=q0, qinf=qinf)
+            for exponent in (1, 2):
+                fails = any(e - q0 <= 0.0 or qinf - e <= 0.0 for e in {2, exponent})
+                try:
+                    w = to_log_well(p, settings, transform_exponent=exponent)
+                except PotentialConditionError:
+                    assert fails, (q0, qinf, exponent)
+                else:
+                    assert not fails, (q0, qinf, exponent)
+                    assert (w.decay_left, w.decay_right) == (exponent - q0, qinf - exponent)
 
 
 def test_printed_transform_variant(settings) -> None:
@@ -329,9 +342,61 @@ def test_printed_transform_variant(settings) -> None:
     w = to_log_well(Lenz(a=0.6, Z=1.0), settings, transform_exponent=1)
     assert w.rho_left < -25.0 / 0.6 - 100.0
     assert cut_residual(w) <= 1e-12
-    # Tietz decays too slowly on the left for this variant
-    with pytest.raises(PotentialConditionError):
-        to_log_well(Tietz(1.0), settings, transform_exponent=1)
+    # rate 0.06 puts the cut at -541.6, inside the float range, although the
+    # outward walk first steps past rho = -709, where e^(-rho) overflows
+    w = to_log_well(Lenz(0.53, 1.0), settings, transform_exponent=1)
+    assert -709.0 < w.rho_left < -500.0
+    assert cut_residual(w) <= 1e-12
+    # Tietz decays too slowly on the left for this variant; left rates 2a - 1 =
+    # 0.02 (Lenz) and 1 - q0 = 0.01 (tabulated) put the cut beyond -709
+    slow = make_tabulated(lambda rho: 1.0 / np.cosh(rho) ** 2, q0=0.99, qinf=4.0)
+    for p in (Tietz(1.0), Lenz(0.51, 1.0), slow):
+        with pytest.raises(PotentialConditionError):
+            to_log_well(p, settings, transform_exponent=1)
+
+
+def test_printed_variant_is_standard_well_times_exp(settings) -> None:
+    # every family's exponent-1 well is its standard well times e^(-rho); Z = 8
+    # and Z = 1 scale exactly, so the profiles agree bit for bit
+    rho = np.linspace(-30.0, 30.0, 241)
+    for p in (Lenz(1.0, 8.0), lenz_tabulated((-17.0, 17.0))):
+        w1 = to_log_well(p, settings, transform_exponent=1)
+        w2 = to_log_well(p, settings)
+        assert w1.profile(rho).tobytes() == (w2.profile(rho) * np.exp(-rho)).tobytes()
+    assert w1.base_deriv is None  # the tabulated well has no closed-form slope
+    a, Z = 0.8, 3.0
+    w1 = to_log_well(Lenz(a, Z), settings, transform_exponent=1)
+    rho = np.linspace(-10.0, 10.0, 201)
+    expected = (
+        -0.5 * Z * np.exp(-rho) / np.cosh(a * rho) ** 2 * (1.0 + 2.0 * a * np.tanh(a * rho))
+    )
+    assert np.max(np.abs(w1.profile_deriv(rho) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@hypothesis_settings(max_examples=10, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    log_height=st.floats(-1.0, 3.0),
+    centre=st.floats(-3.0, 3.0),
+    n=st.integers(20, 800),
+    span=st.floats(0.5, 1.3),
+)
+def test_single_hump_well_never_splits(a, log_height, centre, n, span) -> None:
+    # a sampled sech^2 well keeps one hump: PCHIP puts its extrema at the
+    # samples, so split_level stays None and the action exists at every level
+    s = Settings()
+    half = span * math.acosh(1e7) / a  # the range down to 1e-14 of the peak, times span
+    p = make_tabulated(
+        lambda rho: 10.0**log_height / np.cosh(a * (rho - centre)) ** 2,
+        q0=2.0 - 2.0 * a,
+        qinf=2.0 + 2.0 * a,
+        rho_span=(centre - half, centre + half),
+        n=n,
+    )
+    w = to_log_well(p, s)
+    assert w.split_level is None
+    for f in (0.01, 0.3, 0.9, 0.999):
+        assert math.isfinite(action(w, math.sqrt(f * w.V_m), s))
 
 
 def test_degenerate_well_rejected(settings) -> None:
@@ -367,7 +432,7 @@ def _masked_well_value(p: Tabulated, rho):
     """Reference for Tabulated.well_value: masks for the data and each side of it."""
     rho_arr = np.asarray(rho, dtype=float)
     lo, hi = p._log_w.x[0], p._log_w.x[-1]
-    out = np.empty_like(rho_arr)
+    out = np.full_like(rho_arr, np.nan)  # nan lies in none of the masks
     inside = (rho_arr >= lo) & (rho_arr <= hi)
     out[inside] = np.exp(p._log_w(rho_arr[inside]))
     left = rho_arr < lo
@@ -378,7 +443,8 @@ def _masked_well_value(p: Tabulated, rho):
 
 
 def test_tabulated_well_value_matches_masked_formula() -> None:
-    # inputs inside the data take the unmasked path; the others straddle both ends
+    # inputs inside the data take the unmasked path; the others straddle both
+    # ends or hold nan, which gives nan
     p = make_tabulated(lambda rho: 3.0 / np.cosh(rho) ** 2, q0=0.5, qinf=3.0)
     rng = np.random.default_rng(5)
     inputs = [
@@ -386,6 +452,7 @@ def test_tabulated_well_value_matches_masked_formula() -> None:
         np.array(0.7), np.array(-8.5), np.array(8.0),
         rng.uniform(-7.9, 7.9, 33), rng.uniform(-10.0, 10.0, 33), np.array([-8.0, 8.0]),
         rng.uniform(-7.9, 7.9, (4, 9)), rng.uniform(-10.0, 10.0, (4, 9)), np.array([]),
+        math.nan, np.array([np.nan, 0.0, 20.0, np.nan]),
     ]
     for rho in inputs:
         got, ref = p.well_value(rho), _masked_well_value(p, rho)
