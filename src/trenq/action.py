@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateWellError, InputError, PotentialConditionError
 from .numerics import (
+    KnotTable,
     Pchip,
     adaptive_gauss,
     composite_knot_integral,
@@ -93,6 +94,17 @@ def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray]:
         w._turning_scan.extend((x, np.asarray(w.profile(x), dtype=float)))
     x, vals = w._turning_scan
     return x, vals
+
+
+def _knot_table(w: LogWell) -> KnotTable:
+    """The composite knot rule on every segment between the well's breakpoints, with W there.
+
+    Built on the first knot integral of the well and kept in its _knot_table
+    memo, so W is sampled on the knot rule once per well, not once per level.
+    """
+    if not w._knot_table:
+        w._knot_table.append(KnotTable(w.breakpoints, w.profile))
+    return w._knot_table[0]
 
 
 def _scan_cells(vals: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
@@ -274,12 +286,13 @@ def _turning_point_integrals(
     weight(rho) / sqrt(W - lambda2[i]) over the turning pairs[i].
 
     A degenerate pair gives 0.  Piecewise profiles use the knot-aligned
-    composite rule, pair by pair: its cost is per point, so a batch would
-    not save anything.  A pair at the domain cut has no turning point, so
-    the sine map alone makes the integrand smooth.  All true turning pairs
-    of a smooth profile share one batched adaptive quadrature in the Q form
-    of _turning_ratio, where each gets the value it would get alone.  The
-    adaptive rules stop at an error estimate of max(tol, rtol * |value|).
+    composite rule, pair by pair, on the well's _knot_table: only the two
+    end segments of each pair are sampled anew.  A pair at the domain cut
+    has no turning point, so the sine map alone makes the integrand smooth.
+    All true turning pairs of a smooth profile share one batched adaptive
+    quadrature in the Q form of _turning_ratio, where each gets the value it
+    would get alone.  The adaptive rules stop at an error estimate of
+    max(tol, rtol * |value|).
     Returns (values, error estimates).
     """
     values = np.zeros(len(pairs))
@@ -294,19 +307,23 @@ def _turning_point_integrals(
             continue
         level = float(lambda2[i])
 
-        def direct(rho: np.ndarray) -> np.ndarray:
-            return _raised(np.maximum(w.profile(rho) - level, 0.0), rho, weight)
+        def raised(rho: np.ndarray, w_rho: np.ndarray) -> np.ndarray:
+            return _raised(np.maximum(w_rho - level, 0.0), rho, weight)
 
         if w.breakpoints is not None:
             values[i], errors[i] = composite_knot_integral(
-                direct, pair.rho1, pair.rho2, w.breakpoints, sqrt_ends=not at_cut
+                raised, w.profile, pair.rho1, pair.rho2, _knot_table(w), sqrt_ends=not at_cut
             )
             continue
         mid = 0.5 * (pair.rho1 + pair.rho2)
         half = 0.5 * (pair.rho2 - pair.rho1)
+
+        def direct(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            rho = mid + half * np.sin(theta)
+            return raised(rho, w.profile(rho)) * half * np.cos(theta)
+
         values[i : i + 1], errors[i : i + 1] = adaptive_gauss(
-            lambda theta, rows: direct(mid + half * np.sin(theta)) * half * np.cos(theta),
-            1, -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort,
+            direct, 1, -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort
         )
     if turning:
         values[turning], errors[turning] = adaptive_gauss(

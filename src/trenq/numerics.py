@@ -16,7 +16,8 @@ interval with x = mid + half*sin(theta), which turns both kinds of endpoint
 singularity into smooth integrands in theta, and integrates them with the
 adaptive panel Gauss-Legendre rule here, which refines a batch of them
 in lockstep (one call per round for all levels of an action profile);
-piecewise profiles use the knot-aligned composite rule instead.
+piecewise profiles use the knot-aligned composite rule instead, whose
+KnotTable samples the segments between knots once for all intervals.
 
 Pchip is the monotone cubic interpolant of sampled wells and action
 profiles, bit-identical to SciPy's PchipInterpolator without importing
@@ -359,82 +360,137 @@ def adaptive_gauss(
     return values, np.array([sum(p[0] for p in ps) for ps in panels])
 
 
-def _segment_samples(
-    lo: float, hi: float, n: int, sqrt_lo: bool, sqrt_hi: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample points and weights for one segment of a composite rule.
+# node counts of the composite knot rule, coarse first: the fine rule gives
+# the value, its difference from the coarse one the error estimate
+_KNOT_RULES = (16, 32)
+_COARSE = _KNOT_RULES[0]
+# nodes and weights of both rules in that order, and u = (x + 1)/2 of the
+# sqrt map: the rule-constant parts of every end segment
+_KNOT_X = np.concatenate([gauss_nodes(n)[0] for n in _KNOT_RULES])
+_KNOT_W = np.concatenate([gauss_nodes(n)[1] for n in _KNOT_RULES])
+_KNOT_U = 0.5 * (_KNOT_X + 1.0)
+# the points and weights of a missing end segment
+_NO_SAMPLES = (np.empty(0), np.empty(0))
 
-    Endpoints flagged as sqrt-singular get the substitution x = end + L*u^2,
-    which regularizes both sqrt and inverse-sqrt behaviour; a segment with
-    both flags is split at its midpoint first.
+
+def _end_samples(
+    lo: float, hi: float, sqrt_lo: bool, sqrt_hi: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of both rules, coarse first, on the end segment [lo, hi].
+
+    An end flagged as sqrt-singular (at most one) gets the substitution
+    x = end + L*u^2, which regularizes both sqrt and inverse-sqrt behaviour.
     """
-    x, w = gauss_nodes(n)
-    if sqrt_lo and sqrt_hi:
-        mid = 0.5 * (lo + hi)
-        xl, wl = _segment_samples(lo, mid, n, True, False)
-        xr, wr = _segment_samples(mid, hi, n, False, True)
-        return np.concatenate([xl, xr]), np.concatenate([wl, wr])
     length = hi - lo
     if sqrt_lo:
-        u = 0.5 * (x + 1.0)
-        return lo + length * u * u, length * u * w
+        lu = length * _KNOT_U
+        return lo + lu * _KNOT_U, lu * _KNOT_W
     if sqrt_hi:
-        u = 0.5 * (x + 1.0)
-        return hi - length * u * u, length * u * w
+        lu = length * _KNOT_U
+        return hi - lu * _KNOT_U, lu * _KNOT_W
     half = 0.5 * length
-    return 0.5 * (lo + hi) + half * x, half * w
+    return 0.5 * (lo + hi) + half * _KNOT_X, half * _KNOT_W
 
 
-def _knot_samples(
-    edges: np.ndarray, n: int, sqrt_ends: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """_segment_samples of every segment between successive edges, in order.
+class KnotTable:
+    """Both rules of composite_knot_integral on every segment between successive knots.
 
-    The plain segments are mapped in one array operation, with the same
-    arithmetic as _segment_samples; with sqrt_ends, the two end segments are
-    mapped on their own, each with the sqrt map at its outer end.
+    points[r], weights[r] and values[r] hold, for rule r (16 then 32 nodes),
+    one row per segment: the Gauss points, their weights and f at them.  The
+    level-independent part of every composite integral over these knots is
+    thus sampled once; samples adds the two end segments of an interval.
+    knots must be strictly ascending.
     """
-    if edges.size == 2:
-        return _segment_samples(float(edges[0]), float(edges[1]), n, sqrt_ends, sqrt_ends)
-    x, w = gauss_nodes(n)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
-    wts = half[:, None] * w
-    if sqrt_ends:
-        pts[0], wts[0] = _segment_samples(float(edges[0]), float(edges[1]), n, True, False)
-        pts[-1], wts[-1] = _segment_samples(float(edges[-2]), float(edges[-1]), n, False, True)
-    return pts.ravel(), wts.ravel()
+
+    def __init__(self, knots: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:
+        self.knots = knots
+        half = 0.5 * (knots[1:] - knots[:-1])
+        mid = 0.5 * (knots[:-1] + knots[1:])
+        rules = [gauss_nodes(n) for n in _KNOT_RULES]
+        self.points = [mid[:, None] + half[:, None] * x for x, _ in rules]
+        self.weights = [half[:, None] * w for _, w in rules]
+        # both rules in one call of f.  One call per rule (Pchip's ascending
+        # path) builds the table sooner, but a process of tabulated wells then
+        # frees no array of 0.5 MB or more, so glibc's dynamic mmap threshold
+        # stays below that size and numpy temporaries of that size elsewhere
+        # are mapped and page-faulted afresh each time: other numpy work in a
+        # predict_batch process ran 10-25 % slower (x86-64 Linux, glibc)
+        values = np.asarray(f(np.concatenate([p.ravel() for p in self.points])), dtype=float)
+        split = self.points[0].size
+        self.values = [
+            values[:split].reshape(self.points[0].shape),
+            values[split:].reshape(self.points[1].shape),
+        ]
+
+    def samples(
+        self, lo: float, hi: float, f: Callable[[np.ndarray], np.ndarray], *, sqrt_ends: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(points, f at them, coarse weights, fine weights) of the composite rule on [lo, hi].
+
+        The partition runs from lo over every knot inside (lo, hi) to hi; the
+        points are those of the coarse rule on each segment in order, then the
+        fine rule's, and the coarse weights belong to the leading points.
+        With sqrt_ends the two end segments get the sqrt map at lo and hi,
+        and without a knot inside, [lo, hi] is split at its midpoint first.
+        Only the end segments are mapped and given to f here; the others come
+        from the table.
+        """
+        knots = self.knots
+        i = int(np.searchsorted(knots, lo, side="right"))
+        j = int(np.searchsorted(knots, hi, side="left"))
+        rows = slice(i, max(i, j - 1))  # the segments between knots[i:j]
+        if j > i:
+            head = _end_samples(lo, knots[i], sqrt_ends, False)
+            tail = _end_samples(knots[j - 1], hi, False, sqrt_ends)
+        elif sqrt_ends:
+            mid = 0.5 * (lo + hi)
+            head, tail = _end_samples(lo, mid, True, False), _end_samples(mid, hi, False, True)
+        else:
+            head, tail = _end_samples(lo, hi, False, False), _NO_SAMPLES
+        ends = np.asarray(f(np.concatenate((head[0], tail[0]))), dtype=float)
+        c = _COARSE
+
+        def coarse_then_fine(h: np.ndarray, table: list[np.ndarray], t: np.ndarray) -> np.ndarray:
+            return np.concatenate(
+                (h[:c], table[0][rows].ravel(), t[:c], h[c:], table[1][rows].ravel(), t[c:])
+            )
+
+        points = coarse_then_fine(head[0], self.points, tail[0])
+        values = coarse_then_fine(ends[: head[0].size], self.values, ends[head[0].size :])
+        coarse = np.concatenate((head[1][:c], self.weights[0][rows].ravel(), tail[1][:c]))
+        fine = np.concatenate((head[1][c:], self.weights[1][rows].ravel(), tail[1][c:]))
+        return points, values, coarse, fine
 
 
 def composite_knot_integral(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    knots: np.ndarray,
+    table: KnotTable,
     *,
     sqrt_ends: bool,
 ) -> tuple[float, float]:
-    """Integrate g over [lo, hi] on a partition aligned with interpolation knots.
+    """Integrate g(x, f(x)) over [lo, hi] on a partition aligned with the table's knots.
 
     Piecewise-defined profiles (monotone cubic interpolants) are smooth only
     between knots, which defeats error estimation on knot-spanning panels.
     Here every segment lies inside one smooth piece, a fixed Gauss rule is
     applied per segment (with a regularizing map at lo and hi when sqrt_ends
     flags both as sqrt-singular) and the 16- vs 32-node difference provides
-    the error estimate.  g must be elementwise: both rules' points go to it
+    the error estimate.  f is the elementwise function the table holds
+    values of, and is evaluated here on the two end segments only
+    (KnotTable.samples); g must be elementwise: both rules' points go to it
     in one call.
 
     Returns (value, error estimate).
     """
     if hi <= lo:
         return 0.0, 0.0
-    inner = knots[(knots > lo) & (knots < hi)]
-    edges = np.concatenate([[lo], inner, [hi]])
-    pts16, wts16 = _knot_samples(edges, 16, sqrt_ends)
-    pts32, wts32 = _knot_samples(edges, 32, sqrt_ends)
-    vals = np.asarray(g(np.concatenate((pts16, pts32))), dtype=float)
-    coarse = float(np.dot(wts16, vals[: pts16.size]))
-    fine = float(np.dot(wts32, vals[pts16.size :]))
+    points, values, coarse_w, fine_w = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
+    vals = np.asarray(g(points, values), dtype=float)
+    coarse = float(np.dot(coarse_w, vals[: coarse_w.size]))
+    fine = float(np.dot(fine_w, vals[coarse_w.size :]))
     return fine, abs(fine - coarse)
 
 

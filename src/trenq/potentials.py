@@ -254,6 +254,12 @@ class LogWell:
     a single-hump well; otherwise, for lambda^2 between the domain-cut floor
     and split_level, the classically allowed set W > lambda^2 may fall apart
     into several intervals (_split_level), which the action rejects.
+
+    The memo fields are filled lazily by the modules that read them, and a
+    well from scale_log_well starts with all of them empty.  _knot_table
+    holds the numerics.KnotTable of a piecewise profile: W is sampled on the
+    knot rule once per well, on its first knot integral, not in to_log_well
+    or by the oracle, so a well that only counts nodes never pays for it.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
@@ -272,6 +278,8 @@ class LogWell:
     _zero_action: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # [scan points, W at them] of the turning-point search, filled by the action module
     _turning_scan: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # [numerics.KnotTable of the breakpoints] of a piecewise profile, filled by the action module
+    _knot_table: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (count, log amplitude) per (lambda, Settings, Z) of each point the
     # oracle's geometric bracket counts on this well, filled by the oracle
     _bracket_counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -13,6 +13,7 @@ from trenq import (
     Tabulated,
     action,
     action_profile,
+    count_bound_states,
     exact_critical_coupling,
     fit_phi,
     scale_log_well,
@@ -225,6 +226,23 @@ def test_zero_action_memo_keyed_by_settings(settings) -> None:
     w4 = scale_log_well(w, 32.0)
     assert w4._zero_action == {} and w4._turning_scan == [] and w4._bracket_counts == {}
     assert action(w4, 0.0, settings) == pytest.approx(2.0 * full, rel=1e-12)
+    # an analytic well never builds a knot table
+    action_profile(w, settings)
+    assert w._knot_table == [] and w4._knot_table == []
+    # a tabulated well builds it on its first knot integral, not in
+    # to_log_well or for a node count, and a rescaled well starts without one
+    tab = to_log_well(_lenz_resampling(1.0, 8.0), settings)
+    assert tab._knot_table == []
+    count_bound_states(tab, 0.5, settings)
+    assert tab._knot_table == []
+    action(tab, 0.5, settings)
+    (table,) = tab._knot_table
+    action_profile(tab, settings)
+    assert tab._knot_table == [table]
+    tab2 = scale_log_well(tab, 2.0)
+    assert tab2._knot_table == []
+    full_tab = action(tab, 0.0, settings)
+    assert action(tab2, 0.0, settings) == pytest.approx(math.sqrt(2.0) * full_tab, rel=1e-12)
 
 
 def test_action_error_estimate_bounds_change(settings, lenz18_well) -> None:

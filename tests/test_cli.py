@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trenq
 from trenq.cli import main
 
 LENZ_A1 = {"family": "lenz", "a": 1.0, "Z": 8.0}
@@ -231,3 +236,40 @@ def test_inline_family_potential(capsys) -> None:
     header, rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 1
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-8)
+
+
+# the module run as a program from an uninstalled checkout: exit 0 on the
+# corrected transform, 3 on the printed variant, and 1 with a one-line error
+# for --output into a missing directory, for a flag the command does not take
+# (spectrum reads no --d), for an --ode-tol above 1e-2, for a potential that
+# breaks the decay rule (Lenz a = 0) and for a printed well whose cut lies
+# where W overflows; never a traceback
+ENTRY_POINT_CASES = {
+    "validate": (["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6"], 0),
+    "validate-printed": (
+        ["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6", "--transform", "printed"], 3
+    ),
+    "output-missing-dir": (["ordering", "--output", "missing/out.csv"], 1),
+    "unread-flag": (["spectrum", "--family", "lenz", "--a", "1", "--Z", "20", "--d", "1"], 1),
+    "ode-tol": (
+        ["validate", "--family", "lenz", "--a", "1", "--n-max", "0", "--l-max", "200", "--ode-tol", "1e4"],
+        1,
+    ),
+    "decay-rule": (["well", "--family", "lenz", "--a", "0", "--Z", "1"], 1),
+    "printed-overflow": (["well", "--family", "lenz", "--a", "0.51", "--transform", "printed"], 1),
+}
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_POINT_CASES.values(), ids=ENTRY_POINT_CASES.keys())
+def test_module_entry_point(argv, code, tmp_path) -> None:
+    env = {**os.environ, "PYTHONPATH": str(Path(trenq.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "trenq.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 1:
+        assert run.stderr.startswith("trenq: error: ") and run.stderr.count("\n") == 1
+    else:
+        assert run.stderr == "" and run.stdout.startswith("# family = lenz")

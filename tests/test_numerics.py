@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -13,15 +14,27 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import trenq
-from trenq import ConvergenceError, action_profile
+from trenq import (
+    ConvergenceError,
+    Lenz,
+    NoSuchLevelError,
+    Settings,
+    Tabulated,
+    action_profile,
+    fit_phi,
+    solve_spectrum,
+    to_log_well,
+)
+from trenq.action import correction_inner_slopes
+from trenq.corrections import delta1_integral
 from trenq.numerics import (
+    KnotTable,
     Pchip,
-    _knot_samples,
-    _segment_samples,
     adaptive_gauss,
     brent,
     false_position,
     false_position_elementwise,
+    gauss_nodes,
     geometric_bracket,
 )
 
@@ -162,20 +175,123 @@ def test_brent_converges_fast_on_smooth_roots() -> None:
     assert z == pytest.approx(900.0, rel=1e-12)
 
 
+def _segment_samples(
+    lo: float, hi: float, n: int, sqrt_lo: bool, sqrt_hi: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: n-node Gauss points and weights of one segment of the composite knot rule.
+
+    An end flagged as sqrt-singular gets the substitution x = end + L*u^2; a
+    segment with both flags is split at its midpoint first.
+    """
+    x, w = gauss_nodes(n)
+    if sqrt_lo and sqrt_hi:
+        mid = 0.5 * (lo + hi)
+        xl, wl = _segment_samples(lo, mid, n, True, False)
+        xr, wr = _segment_samples(mid, hi, n, False, True)
+        return np.concatenate([xl, xr]), np.concatenate([wl, wr])
+    length = hi - lo
+    if sqrt_lo:
+        u = 0.5 * (x + 1.0)
+        return lo + length * u * u, length * u * w
+    if sqrt_hi:
+        u = 0.5 * (x + 1.0)
+        return hi - length * u * u, length * u * w
+    half = 0.5 * length
+    return 0.5 * (lo + hi) + half * x, half * w
+
+
+def _reference_rule(
+    lo: float, hi: float, knots: np.ndarray, sqrt_ends: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, coarse weights, fine weights) of the composite knot rule, segment by segment."""
+    edges = np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+    last = edges.size - 2
+    rules = []
+    for n in (16, 32):
+        segments = [
+            _segment_samples(float(a), float(b), n, sqrt_ends and i == 0, sqrt_ends and i == last)
+            for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
+        ]
+        rules.append([np.concatenate(part) for part in zip(*segments)])
+    (p16, w16), (p32, w32) = rules
+    return np.concatenate((p16, p32)), w16, w32
+
+
+def _reference_knot_integral(g, f, lo, hi, table, *, sqrt_ends):
+    """composite_knot_integral with every point mapped and f evaluated on every call."""
+    if hi <= lo:
+        return 0.0, 0.0
+    points, coarse_w, fine_w = _reference_rule(lo, hi, table.knots, sqrt_ends)
+    vals = np.asarray(g(points, f(points)), dtype=float)
+    coarse = float(np.dot(coarse_w, vals[: coarse_w.size]))
+    fine = float(np.dot(fine_w, vals[coarse_w.size :]))
+    return fine, abs(fine - coarse)
+
+
 @pytest.mark.parametrize("sqrt_ends", [False, True])
 @pytest.mark.parametrize("n_edges", [2, 3, 9])
 def test_knot_samples_match_segment_samples(sqrt_ends: bool, n_edges: int) -> None:
-    edges = np.sort(np.random.default_rng(n_edges).uniform(-2.0, 3.0, n_edges))
-    for n in (16, 32):
-        pts, wts = _knot_samples(edges, n, sqrt_ends)
-        ref = [
-            _segment_samples(
-                float(a), float(b), n, sqrt_ends and i == 0, sqrt_ends and i == n_edges - 2
-            )
-            for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
-        ]
-        assert np.array_equal(pts, np.concatenate([p for p, _ in ref]))
-        assert np.array_equal(wts, np.concatenate([w for _, w in ref]))
+    # the table's samples of [lo, hi] are _segment_samples of every segment
+    # between lo, the n_edges - 2 knots inside and hi, both rules in order,
+    # bit for bit, with lo and hi between knots, on knots and beyond them;
+    # f's values are f at the points, and f is given the end segments only
+    knots = np.sort(np.random.default_rng(n_edges).uniform(-2.0, 3.0, 12))
+    seen = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        seen.append(x.size)
+        return np.cos(3.0 * x) + x
+
+    table = KnotTable(knots, f)
+    assert seen == [11 * (16 + 32)]
+    inside = n_edges - 2
+    intervals = [
+        (0.5 * (knots[2] + knots[3]), 0.3 * knots[2 + inside] + 0.7 * knots[3 + inside]),
+        (knots[2], knots[3 + inside]),
+        (knots[0] - 0.7, 0.5 * (knots[inside - 1] + knots[inside]) if inside else knots[0] - 0.1),
+    ]
+    for lo, hi in intervals:
+        seen.clear()
+        points, values, coarse_w, fine_w = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
+        assert sum(seen) == (2 if inside or sqrt_ends else 1) * 48
+        ref_points, ref_coarse, ref_fine = _reference_rule(lo, hi, knots, sqrt_ends)
+        assert ref_coarse.size == 16 * (inside + 1 + (sqrt_ends and not inside))
+        assert points.tobytes() == ref_points.tobytes()
+        assert coarse_w.tobytes() == ref_coarse.tobytes()
+        assert fine_w.tobytes() == ref_fine.tobytes()
+        assert values.tobytes() == f(ref_points).tobytes()
+
+
+def _tabulated_outputs(w, s: Settings) -> list[str]:
+    """float.hex of the action profile, fit_phi, every level, delta1 and the inner slopes."""
+    prof = action_profile(w, s)
+    out = [*prof.I_values, *prof.quad_error, fit_phi(prof)]
+    for n in range(4):
+        try:
+            out.append(solve_spectrum(w, n, s))
+        except NoSuchLevelError:
+            out.append(math.nan)
+    eps = 0.5 * w.V_m * np.array([0.2, 0.5, 0.8])
+    out += [delta1_integral(w, float(e), s) for e in eps]
+    out += list(correction_inner_slopes(w, eps, 1e-12))
+    return [float(v).hex() for v in out]
+
+
+@pytest.mark.parametrize("a,Z,span", [(0.5, 8.0, 16.8), (1.0, 30.0, 16.8), (2.0, 1e3, 30.0)])
+def test_knot_table_outputs_match_segment_reference(a, Z, span, monkeypatch) -> None:
+    # the per-well knot table changes no output of a 400-sample tabulated
+    # Lenz resampling, bit for bit, against the integral that maps every
+    # segment and evaluates W on every point for each level
+    s = Settings()
+    rho = np.linspace(-span / a, span / a, 400)
+    u = -0.25 * Z / np.cosh(a * rho) ** 2 * np.exp(-2.0 * rho)
+    tab = Tabulated(r_grid=np.exp(rho), U_values=u, q0=2.0 - 2.0 * a, qinf=2.0 + 2.0 * a)
+    got = _tabulated_outputs(to_log_well(tab, s), s)
+    action_module = importlib.import_module("trenq.action")
+    monkeypatch.setattr(action_module, "composite_knot_integral", _reference_knot_integral)
+    want = _tabulated_outputs(to_log_well(tab, s), s)
+    assert got == want
+    assert sum(v != "nan" for v in got[-10:-6]) >= 1  # at least one level
 
 
 def _rough_knots(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +323,7 @@ def _pchip_points(x: np.ndarray) -> list:
     samples of the knot-aligned composite rule and three kinds of scalar."""
     near = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     near = near[(near >= x[0]) & (near <= x[-1])]
-    samples = _knot_samples(x, 32, True)[0]
+    samples = KnotTable(x, np.cos).samples(x[0], x[-1], np.cos, sqrt_ends=True)[0]
     assert np.any(np.diff(samples) < 0.0)
     mid = 0.5 * (x[1] + x[2])
     return [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -268,6 +268,49 @@ def test_hbar_scaling_consistency() -> None:
     assert z_closed == pytest.approx(2.5, abs=1e-14)
     assert z_pred == pytest.approx(z_closed, rel=1e-8)
     assert z_oracle == pytest.approx(z_closed, rel=1e-6)
+
+
+@hypothesis_settings(max_examples=10, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    hbar=st.floats(0.25, 4.0),
+    lam1=st.floats(0.25, 3.0),
+    n=st.integers(0, 1),
+)
+def test_hbar_rescaling_oracle(a: float, hbar: float, lam1: float, n: int) -> None:
+    # dividing the equation by hbar^2 gives Z_c(hbar, lambda) = hbar^2 Z_c(1, lambda / hbar);
+    # the oracle takes lambda directly and is held to its error bar, 15 ode_tol
+    s1 = Settings()
+    w = to_log_well(Lenz(a=a, Z=1.0), s1)
+    z_hbar = exact_critical_coupling(w, hbar * lam1, n, Settings(hbar=hbar))
+    z_one = exact_critical_coupling(w, lam1, n, s1)
+    assert z_hbar == pytest.approx(hbar * hbar * z_one, rel=15.0 * s1.ode_tol)
+
+
+def _state_of(n: int, lam: float) -> QuantumNumbers:
+    """The state (n, l, d) with lambda = l + (d - 2)/2, for lambda a multiple of 1/2."""
+    l = int(lam)
+    return QuantumNumbers(n, l, 2 + round(2.0 * (lam - l)))
+
+
+@hypothesis_settings(max_examples=10, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    hbar=st.sampled_from([0.5, 2.0, 3.0, 5.0]),
+    lam1=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    n=st.integers(0, 3),
+)
+def test_hbar_rescaling_prediction(a: float, hbar: float, lam1: float, n: int) -> None:
+    # the same identity on the prediction route, with phi fitted under each
+    # Settings: the action carries 1/(pi hbar), so phi scales as 1/hbar and
+    # T = nu + phi lambda is unchanged
+    assume((2.0 * hbar * lam1).is_integer())
+    w = to_log_well(Lenz(a=a, Z=1.0), Settings())
+    z = []
+    for s, lam in ((Settings(hbar=hbar), hbar * lam1), (Settings(), lam1)):
+        phi = fit_phi(action_profile(w, s))
+        z.append(critical_coupling(w, _state_of(n, lam), s, t_source=phi))
+    assert z[0] == pytest.approx(hbar * hbar * z[1], rel=Settings().quad_tol)
 
 
 def test_threshold_reports_without_oracle(settings, lenz18_well) -> None:
