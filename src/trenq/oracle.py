@@ -14,7 +14,10 @@ the count steps; Brent's method on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
 integer count certifies it.  The bracket of every search doubles from
 Z = 1, and the counts at those points are kept on the well per lambda, so
-the other thresholds of the well reuse them.  No semiclassical input enters,
+the other thresholds of the well reuse them.  A count's grid depends on Z
+only through its number of steps, so each search keeps the coupling-free
+shape of the well on the grid of its last count, and a count on that grid
+only rescales it.  No semiclassical input enters,
 and no threshold seeds another, which is what makes this module a
 legitimate oracle for the rest of the package.
 
@@ -111,7 +114,9 @@ class NodeCount:
         return float(np.sum(np.log(np.abs(self.pivots)))) + self.log_scale
 
 
-def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
+def count_bound_states(
+    w: LogWell, lam: float, s: Settings, *, _grid: dict | None = None
+) -> NodeCount:
     """Count bound states at effective orbital number lambda > 0.
 
     Integrates hbar^2 Psi'' = (lambda^2 - W) Psi from the left truncation
@@ -128,6 +133,13 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
     instead of ~10 full-grid arrays.  This needs w.base to be elementwise;
     every output equals that of one np.linspace grid, bit for bit.
 
+    `_grid` is exact_critical_coupling's memo of w.base on the grid of its
+    last count, keyed by (rho_l, rho_r, n_steps), which do not depend on Z
+    beyond n_steps.  On a hit each block's W is Z times the memo's slice,
+    the arithmetic of LogWell.profile, so the count is bit-identical; on a
+    miss base is evaluated block by block as without a memo and kept in it
+    (8 B more per step).  Direct callers pass none.
+
     lambda must be finite; lambda = 0 is rejected: the marginal solution is
     not exponential and node counting is ill conditioned there.
     """
@@ -140,25 +152,36 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
     h = min(0.02, _STEP_FACTOR * s.ode_tol**0.25 / k_ref)
     n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     if n_steps > _MAX_STEPS:
-        raise ConvergenceError(
-            f"node counting grid of {n_steps} points exceeds the budget; "
-            "lambda is too close to the marginal case"
-        )
+        raise ConvergenceError(_budget_message(w, lam, hbar, rho_r - rho_l, h, n_steps))
     # the grid is np.linspace(rho_l, rho_r, n_steps), point for point: k * step
     # + rho_l, and rho_r at the end; it is built and swept one block at a time
     step = (rho_r - rho_l) / (n_steps - 1)
+    # the grid's second point minus its first
+    h = (rho_r if n_steps == 2 else rho_l + step) - rho_l
+    c = h * h / 12.0
+    key = (rho_l, rho_r, n_steps)
+    cached = fill = None
+    if _grid is not None:
+        cached = _grid.get(key)
+        if cached is None:
+            _grid.clear()
+            fill = np.empty(n_steps)
     d = np.empty(n_steps)
     for k0 in range(0, n_steps, _BLOCK):
-        rho = np.arange(k0, min(k0 + _BLOCK, n_steps), dtype=float)
-        rho *= step
-        rho += rho_l
-        if k0 + rho.size == n_steps:
-            rho[-1] = rho_r
-        if k0 == 0:
-            h = float(rho[1] - rho[0])
-            c = h * h / 12.0
-        # g = 1 - c f with f = (lambda^2 - W)/hbar^2, in place
-        g = np.asarray(w.profile(rho), dtype=float)
+        k1 = min(k0 + _BLOCK, n_steps)
+        if cached is not None:
+            base = cached[k0:k1]
+        else:
+            rho = np.arange(k0, k1, dtype=float)
+            rho *= step
+            rho += rho_l
+            if k1 == n_steps:
+                rho[-1] = rho_r
+            base = w.base(rho)
+            if fill is not None:
+                fill[k0:k1] = base
+        # g = 1 - c f with f = (lambda^2 - W)/hbar^2, in place on W = Z * base
+        g = np.asarray(w.Z * base, dtype=float)
         np.subtract(lam * lam, g, out=g)
         g /= hbar * hbar
         g *= c
@@ -166,10 +189,12 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
         if k0 == 0:
             g0, g1 = float(g[0]), float(g[1])
         # p_k = (12 - 10 g_k)/g_k, in place
-        block = d[k0 : k0 + g.size]
+        block = d[k0:k1]
         np.multiply(10.0, g, out=block)
         np.subtract(12.0, block, out=block)
         block /= g
+    if fill is not None:
+        _grid[key] = fill
     # d = [v_1/v_0, p_1, ..., p_{N-2}] with v = g u, u_0 = 1
     d = d[:-1]
     d[0] = g1 * math.exp(lam * h / hbar) / g0
@@ -179,6 +204,31 @@ def count_bound_states(w: LogWell, lam: float, s: Settings) -> NodeCount:
         step_stats={"n_steps": n_steps, "h": h, "renormalizations": 0},
         pivots=d,
         log_scale=math.log(g0) - lam * (rho_r - rho_l) / hbar,
+    )
+
+
+def _budget_message(
+    w: LogWell, lam: float, hbar: float, span: float, h: float, n_steps: int
+) -> str:
+    """Why a count's grid is too long: its window span, its step and what set the step."""
+    root = math.sqrt(w.V_m)
+    k_ref = "k_ref = max(sqrt(V_m), lambda)/hbar"
+    marginal = (
+        f"lambda is too close to the marginal case: the window reaches "
+        f"{_WINDOW_LOG:.4g} hbar/lambda past the maximum"
+    )
+    if h == 0.02:
+        cause, hint = "the step cap 0.02", marginal
+    elif root >= max(lam, 1e-2):
+        cause, hint = f"sqrt(V_m) in {k_ref}", "the well is too deep for the grid"
+    elif lam >= 1e-2:
+        cause, hint = f"lambda in {k_ref}", "lambda is too large for the grid"
+    else:
+        cause, hint = f"the floor 1e-2 of {k_ref}", marginal
+    return (
+        f"node counting grid of {n_steps} points exceeds the budget of {_MAX_STEPS}: "
+        f"the window spans {span:.6g} in rho at step {h:.4g}, set by {cause} "
+        f"(sqrt(V_m) = {root:.6g}, lambda = {lam:.6g}, hbar = {hbar:g}); {hint}"
     )
 
 
@@ -215,12 +265,20 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     lambda rebuild those residuals without counting again.  They are the
     same floats, so every threshold is the same in any call order; the
     Brent points and the certification are counted afresh.
+
+    The search keeps one grid memo for its own length, passed to every
+    count: w.base on the grid of the last count, keyed by (rho_l, rho_r,
+    n_steps).  Counts at nearby couplings mostly share a grid, and they then
+    skip evaluating the well; every count is bit-identical to one without
+    the memo.  The memo is not kept on the well, so nothing stays held
+    after the search and no threshold depends on the order of the calls.
     """
     n = quantum_index(n, "radial quantum number n")
     points = w._bracket_counts
+    grid: dict = {}
 
     def count(Z: float) -> NodeCount:
-        return count_bound_states(scale_log_well(w, Z), lam, s)
+        return count_bound_states(scale_log_well(w, Z), lam, s, _grid=grid)
 
     def residual(Z: float) -> float:
         nc = count(Z)

@@ -273,3 +273,20 @@ def test_module_entry_point(argv, code, tmp_path) -> None:
         assert run.stderr.startswith("trenq: error: ") and run.stderr.count("\n") == 1
     else:
         assert run.stderr == "" and run.stdout.startswith("# family = lenz")
+
+
+def test_import_loads_only_scipy_linalg(tmp_path) -> None:
+    # from scipy, `import trenq` may load scipy.linalg and scipy's own private
+    # and version modules only: scipy.interpolate, optimize, sparse or special
+    # would each add to the start-up time of every command
+    env = {**os.environ, "PYTHONPATH": str(Path(trenq.__file__).resolve().parents[1])}
+    code = "import sys, trenq; print(' '.join(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    tops = {".".join(m.split(".")[:2]) for m in loaded}
+    allowed = {"scipy", "scipy.linalg", "scipy.version"}
+    assert "scipy.linalg" in tops
+    assert not {t for t in tops if t not in allowed and not t.startswith("scipy._")}, tops

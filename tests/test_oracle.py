@@ -1,5 +1,6 @@
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from trenq import (
+    ConvergenceError,
     InputError,
     Lenz,
     QuantumNumbers,
@@ -46,6 +48,23 @@ def test_count_rejects_marginal_lambda(settings, lenz18_well) -> None:
     for n in (1.5, np.nan, -1):
         with pytest.raises(InputError):
             exact_critical_coupling(lenz18_well, 0.5, n, settings)
+
+
+@pytest.mark.parametrize(
+    "Z,lam,cause,hint,not_blamed",
+    [
+        # a deep well: sqrt(V_m) sets the step, not lambda
+        (1e12, 2.5, r"step 2\.952e-08, set by sqrt\(V_m\) in k_ref", "the well is too deep", "marginal"),
+        # a marginal lambda: the capped step is fine, the window is too wide
+        (1.0, 1e-5, r"spans 1\.61183e\+06 in rho at step 0\.02, set by the step cap", "marginal", "deep"),
+    ],
+    ids=["deep-well", "small-lambda"],
+)
+def test_grid_budget_error_names_its_cause(Z, lam, cause, hint, not_blamed, settings) -> None:
+    w = to_log_well(Lenz(1.0, Z), settings)
+    with pytest.raises(ConvergenceError, match=cause) as err:
+        count_bound_states(w, lam, settings)
+    assert hint in str(err.value) and not_blamed not in str(err.value)
 
 
 def test_count_reports_stats(settings, lenz18_well) -> None:
@@ -107,19 +126,38 @@ def test_blocked_sweep_matches_one_shot_grid(settings) -> None:
         (to_log_well(Lenz(1.0, 8.0), Settings(hbar=0.5)), 0.5, Settings(hbar=0.5)),
     ]
     assert w_tab.rho_left < rho[0] and rho[-1] < w_tab.rho_right
-    sizes = []
-    for w, lam, s in cases:
-        nc = count_bound_states(w, lam, s)
+
+    def assert_one_shot(nc, w, lam, s) -> None:
         ref = _one_shot_count(w, lam, s)
         assert nc.count == ref["count"]
         assert nc.rho_span == ref["rho_span"]
         assert nc.step_stats == ref["step_stats"]
         assert np.array_equal(nc.pivots, ref["pivots"])
         assert nc.log_scale == ref["log_scale"]
+
+    sizes = []
+    for w, lam, s in cases:
+        nc = count_bound_states(w, lam, s)
+        assert_one_shot(nc, w, lam, s)
         sizes.append(nc.step_stats["n_steps"])
         if len(sizes) == 2:
             node_blocks = set(np.flatnonzero(nc.pivots <= 0.0) // block)
             assert nc.count == 140 and len(node_blocks) >= 4
+        # the search's grid memo: filled by one count, then read by the next
+        # count on the same grid, which must still be the one-shot count
+        grid = {}
+        count_bound_states(w, lam, s, _grid=grid)
+        ((key, base),) = grid.items()
+        assert key == (*nc.rho_span, nc.step_stats["n_steps"])
+        for factor in (1.0 + 1e-9, 1.0 - 1e-9):
+            w_near = scale_log_well(w, w.Z * factor)
+            assert_one_shot(count_bound_states(w_near, lam, s, _grid=grid), w_near, lam, s)
+            assert grid.keys() == {key} and grid[key] is base
+        # a deeper well needs a finer grid: the memo is rebuilt for it, not reused
+        w_deep = scale_log_well(w, 4.0 * w.Z)
+        deep = count_bound_states(w_deep, lam, s, _grid=grid)
+        assert_one_shot(deep, w_deep, lam, s)
+        assert grid.keys() == {(*deep.rho_span, deep.step_stats["n_steps"])} != {key}
     assert sizes[0] < block and sizes[1] > 10 * block and sizes[2] > 3 * block
 
 
@@ -358,20 +396,32 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     # bracket points of each well and lambda counted once, needs 12.06 counts
     # per threshold in grid order (16.40 when every search walked its bracket
     # afresh, 34.69 bisecting the count to 1e-8), and every threshold stays
-    # within 3e-9 of the closed form
+    # within 3e-9 of the closed form.  A count on the grid of the previous
+    # count of its search reads the well from the search's memo: 6.44 fresh
+    # grids per threshold (12.06 when each count evaluated its own)
     import trenq.oracle as oracle_mod
 
     counted_at = []
     counter = oracle_mod.count_bound_states
 
-    def counted(w, *args):
+    def counted(w, *args, **kwargs):
         counted_at.append(w.Z)
-        return counter(w, *args)
+        return counter(w, *args, **kwargs)
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
+    fresh_grids = 0
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
         w = to_log_well(Lenz(a=a, Z=1.0), settings)
+
+        def counting(rho, base=w.base, rho_l=w.rho_left):
+            # the first block of a grid starts at its left end
+            nonlocal fresh_grids
+            if rho[0] == rho_l:
+                fresh_grids += 1
+            return base(rho)
+
+        w = replace(w, base=counting)
         for n in range(4):
             for l in range(4):
                 q = QuantumNumbers(n, l, 3)
@@ -379,6 +429,7 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
                 z_exact, _ = lenz_exact_threshold(a, q)
                 worst = max(worst, abs(z - z_exact) / z_exact)
     assert len(counted_at) / 48 <= 12.5, len(counted_at) / 48
+    assert fresh_grids / 48 <= 6.5, fresh_grids / 48
     assert worst <= 3e-9
 
     # a second threshold of the same well and lambda counts none of the
