@@ -54,7 +54,6 @@ from .potentials import (
     Tietz,
     lambda_of,
     load_potential,
-    scale_log_well,
     to_log_well,
 )
 from .thresholds import (

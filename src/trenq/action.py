@@ -80,9 +80,10 @@ def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray]:
     The points run from rho_left over rho_star to rho_right, all three
     included, and cluster quadratically towards rho_star, where W is flat.
     W is evaluated in one vectorized call on the first search of the well
-    and kept in its _turning_scan memo.
+    and kept in its memo.
     """
-    if not w._turning_scan:
+    scan = w._memo.get("turning_scan")
+    if scan is None:
         u = np.linspace(0.0, 1.0, _SCAN_CELLS + 1) ** 2
         x = np.concatenate(
             (
@@ -91,20 +92,21 @@ def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray]:
             )
         )
         x[0], x[-1] = w.rho_left, w.rho_right
-        w._turning_scan.extend((x, np.asarray(w.profile(x), dtype=float)))
-    x, vals = w._turning_scan
-    return x, vals
+        scan = w._memo["turning_scan"] = x, np.asarray(w.profile(x), dtype=float)
+    return scan
 
 
 def _knot_table(w: LogWell) -> KnotTable:
     """The composite knot rule on every segment between the well's breakpoints, with W there.
 
-    Built on the first knot integral of the well and kept in its _knot_table
-    memo, so W is sampled on the knot rule once per well, not once per level.
+    Built on the first knot integral of the well and kept in its memo, so W
+    is sampled on the knot rule once per well, not once per level, and never
+    for a well that only counts nodes.
     """
-    if not w._knot_table:
-        w._knot_table.append(KnotTable(w.breakpoints, w.profile))
-    return w._knot_table[0]
+    table = w._memo.get("knot_table")
+    if table is None:
+        table = w._memo["knot_table"] = KnotTable(w.breakpoints, w.profile)
+    return table
 
 
 def _scan_cells(vals: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
@@ -286,7 +288,7 @@ def _turning_point_integrals(
     weight(rho) / sqrt(W - lambda2[i]) over the turning pairs[i].
 
     A degenerate pair gives 0.  Piecewise profiles use the knot-aligned
-    composite rule, pair by pair, on the well's _knot_table: only the two
+    composite rule, pair by pair, on the well's knot table: only the two
     end segments of each pair are sampled anew.  A pair at the domain cut
     has no turning point, so the sine map alone makes the integrand smooth.
     All true turning pairs of a smooth profile share one batched adaptive
@@ -345,10 +347,11 @@ def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, floa
 
 def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
     """(I(0), error estimate), computed once per well and Settings."""
-    if s not in w._zero_action:
+    key = ("zero_action", s)
+    if key not in w._memo:
         values, errors = _actions_between(w, np.zeros(1), [turning_points(w, 0.0)], s)
-        w._zero_action[s] = float(values[0]), float(errors[0])
-    return w._zero_action[s]
+        w._memo[key] = float(values[0]), float(errors[0])
+    return w._memo[key]
 
 
 def _actions_between(

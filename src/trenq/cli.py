@@ -297,7 +297,7 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         # validate always sweeps a family at Z = 1, so it takes no --potential or --Z
         if name != "validate":
-            p.add_argument("--potential", type=Path, default=None, help="potential JSON file")
+            p.add_argument("--potential", default=None, help="potential JSON file or JSON text")
             p.add_argument("--Z", type=float, default=1.0, help="coupling for inline families")
         p.add_argument("--family", choices=["lenz", "tietz"], default=None)
         p.add_argument("--a", type=float, default=None, help="Lenz width parameter")

@@ -38,7 +38,7 @@ from scipy.linalg.lapack import dpttrf
 
 from .errors import ConvergenceError, InputError
 from .numerics import brent, geometric_bracket
-from .potentials import LogWell, Settings, quantum_index, scale_log_well
+from .potentials import LogWell, Settings, quantum_index
 
 # grid resolution: h = _STEP_FACTOR * ode_tol^(1/4) / k_max; the grid error of
 # the fourth-order recurrence scales as h^4 and moves a critical coupling by
@@ -115,9 +115,12 @@ class NodeCount:
 
 
 def count_bound_states(
-    w: LogWell, lam: float, s: Settings, *, _grid: dict | None = None
+    w: LogWell, lam: float, s: Settings, *, Z: float | None = None, _grid: dict | None = None
 ) -> NodeCount:
     """Count bound states at effective orbital number lambda > 0.
+
+    The well is W = Z * w.base, with maximum (Z / w.Z) * w.V_m; Z defaults
+    to w.Z and must be positive and finite.
 
     Integrates hbar^2 Psi'' = (lambda^2 - W) Psi from the left truncation
     point with the decaying-branch initial data Psi ~ e^(lambda rho / hbar)
@@ -145,14 +148,18 @@ def count_bound_states(
     """
     if not 0.0 < lam < math.inf:
         raise InputError(f"node counting requires finite lambda > 0, got {lam}")
+    Z = w.Z if Z is None else Z
+    if not 0.0 < Z < math.inf:
+        raise InputError(f"coupling must be positive and finite, got {Z}")
+    V_m = Z / w.Z * w.V_m
     hbar = s.hbar
     rho_l = w.rho_left
     rho_r = max(w.rho_right, w.rho_star + _WINDOW_LOG * hbar / lam)
-    k_ref = max(math.sqrt(w.V_m), lam, 1e-2) / hbar
+    k_ref = max(math.sqrt(V_m), lam, 1e-2) / hbar
     h = min(0.02, _STEP_FACTOR * s.ode_tol**0.25 / k_ref)
     n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     if n_steps > _MAX_STEPS:
-        raise ConvergenceError(_budget_message(w, lam, hbar, rho_r - rho_l, h, n_steps))
+        raise ConvergenceError(_budget_message(V_m, lam, hbar, rho_r - rho_l, h, n_steps))
     # the grid is np.linspace(rho_l, rho_r, n_steps), point for point: k * step
     # + rho_l, and rho_r at the end; it is built and swept one block at a time
     step = (rho_r - rho_l) / (n_steps - 1)
@@ -181,7 +188,7 @@ def count_bound_states(
             if fill is not None:
                 fill[k0:k1] = base
         # g = 1 - c f with f = (lambda^2 - W)/hbar^2, in place on W = Z * base
-        g = np.asarray(w.Z * base, dtype=float)
+        g = np.asarray(Z * base, dtype=float)
         np.subtract(lam * lam, g, out=g)
         g /= hbar * hbar
         g *= c
@@ -208,10 +215,10 @@ def count_bound_states(
 
 
 def _budget_message(
-    w: LogWell, lam: float, hbar: float, span: float, h: float, n_steps: int
+    V_m: float, lam: float, hbar: float, span: float, h: float, n_steps: int
 ) -> str:
     """Why a count's grid is too long: its window span, its step and what set the step."""
-    root = math.sqrt(w.V_m)
+    root = math.sqrt(V_m)
     k_ref = "k_ref = max(sqrt(V_m), lambda)/hbar"
     marginal = (
         f"lambda is too close to the marginal case: the window reaches "
@@ -252,7 +259,7 @@ def _step_residual(count: int, log_amplitude: Callable[[], float], n: int) -> fl
 
 
 def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> float:
-    """Coupling Z at which the node count of w rescaled to Z steps from n to n + 1.
+    """Coupling Z at which the node count of w at coupling Z steps from n to n + 1.
 
     The root is that of the continuous residual _step_residual, whose sign
     the count sets, so Brent's bracket stays valid.  The bracket is expanded
@@ -260,8 +267,8 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     width of 1e-10; the integer count then certifies the transition on both
     sides of the returned value.
 
-    The count and amplitude of every bracket point (Z = 2^k) are kept on the
-    well per lambda and Settings, so the other thresholds of that well and
+    The count and amplitude of every bracket point (Z = 2^k) are kept in the
+    well's memo per lambda and Settings, so the other thresholds of that well and
     lambda rebuild those residuals without counting again.  They are the
     same floats, so every threshold is the same in any call order; the
     Brent points and the certification are counted afresh.
@@ -274,22 +281,21 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     after the search and no threshold depends on the order of the calls.
     """
     n = quantum_index(n, "radial quantum number n")
-    points = w._bracket_counts
     grid: dict = {}
 
     def count(Z: float) -> NodeCount:
-        return count_bound_states(scale_log_well(w, Z), lam, s, _grid=grid)
+        return count_bound_states(w, lam, s, Z=Z, _grid=grid)
 
     def residual(Z: float) -> float:
         nc = count(Z)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
     def bracket_residual(Z: float) -> float:
-        key = (lam, s, Z)
-        if key not in points:
+        key = ("bracket_count", lam, s, Z)
+        if key not in w._memo:
             nc = count(Z)
-            points[key] = nc.count, nc.log_amplitude()
-        c, x = points[key]
+            w._memo[key] = nc.count, nc.log_amplitude()
+        c, x = w._memo[key]
         return _step_residual(c, lambda: x, n)
 
     z = brent(residual, *geometric_bracket(bracket_residual), xtol=0.0, rtol=1e-10)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
 
@@ -255,11 +255,8 @@ class LogWell:
     and split_level, the classically allowed set W > lambda^2 may fall apart
     into several intervals (_split_level), which the action rejects.
 
-    The memo fields are filled lazily by the modules that read them, and a
-    well from scale_log_well starts with all of them empty.  _knot_table
-    holds the numerics.KnotTable of a piecewise profile: W is sampled on the
-    knot rule once per well, on its first knot integral, not in to_log_well
-    or by the oracle, so a well that only counts nodes never pays for it.
+    _memo holds what other modules compute once per well, each under keys
+    of its own; it starts empty and is filled lazily by its readers.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
@@ -274,15 +271,7 @@ class LogWell:
     # knot locations of piecewise-defined profiles; quadratures align on them
     breakpoints: np.ndarray | None = None
     split_level: float | None = None
-    # (I(0), error estimate) per Settings, filled by the action module
-    _zero_action: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # [scan points, W at them] of the turning-point search, filled by the action module
-    _turning_scan: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # [numerics.KnotTable of the breakpoints] of a piecewise profile, filled by the action module
-    _knot_table: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # (count, log amplitude) per (lambda, Settings, Z) of each point the
-    # oracle's geometric bracket counts on this well, filled by the oracle
-    _bracket_counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def profile(self, rho: np.ndarray | float) -> np.ndarray | float:
         """W(rho) = Z * base(rho)."""
@@ -504,24 +493,6 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     )
 
 
-def scale_log_well(w: LogWell, Z: float) -> LogWell:
-    """Rebuild the well at a new coupling Z.
-
-    The maximum location, truncation points and decay rates are coupling
-    independent for W = Z * base, so only the amplitudes change; the memos
-    of the new well start empty.
-    """
-    if not 0.0 < Z < math.inf:
-        raise InputError(f"coupling must be positive and finite, got {Z}")
-    ratio = Z / w.Z
-    return replace(
-        w,
-        Z=Z,
-        V_m=ratio * w.V_m,
-        split_level=None if w.split_level is None else ratio * w.split_level,
-    )
-
-
 _POTENTIAL_KEYS = {
     "lenz": {"family", "a", "Z"},
     "tietz": {"family", "Z"},
@@ -532,6 +503,10 @@ _POTENTIAL_KEYS = {
 def load_potential(source: str | Path | dict) -> RadialPotential:
     """Load a potential from a JSON file, JSON text or an already-parsed dict.
 
+    A str whose first non-blank character is "{" is JSON text; any other str
+    or Path names a file.  The text is never looked up as a file name, so an
+    inline spec of any length loads.
+
     Schema (keys exactly as shown, unknown keys rejected):
         {"family": "lenz", "a": 1.0, "Z": 8.0}
         {"family": "tietz", "Z": 1.0}
@@ -540,10 +515,9 @@ def load_potential(source: str | Path | dict) -> RadialPotential:
     if isinstance(source, dict):
         data = source
     else:
-        path = Path(source)
+        is_text = isinstance(source, str) and source.lstrip().startswith("{")
         try:
-            text = path.read_text() if path.exists() else str(source)
-            data = json.loads(text)
+            data = json.loads(source if is_text else Path(source).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read potential specification: {exc}") from exc
     if not isinstance(data, dict):

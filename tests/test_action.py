@@ -16,7 +16,6 @@ from trenq import (
     count_bound_states,
     exact_critical_coupling,
     fit_phi,
-    scale_log_well,
     t_of,
     to_log_well,
     turning_points,
@@ -167,7 +166,7 @@ def test_turning_points_profile_call_count(make_well, settings, quadratic_well) 
 
     w = replace(w, base=counted)
     turning_points(w, 0.5 * w.V_m)
-    assert len(w._turning_scan) == 2
+    assert len(w._memo["turning_scan"]) == 2
     # the interior levels of an action profile
     lam = 0.5 * math.sqrt(w.V_m) * (1.0 - np.cos(math.pi * np.arange(1, 64) / 64))
     for lambda2 in (lam * lam).tolist():
@@ -213,36 +212,35 @@ def test_fit_phi_matches_t_of_on_each_node(settings, lenz18_profile) -> None:
 
 def test_zero_action_memo_keyed_by_settings(settings) -> None:
     w = to_log_well(Lenz(a=1.0, Z=8.0), settings)
-    assert w._zero_action == {}
+    assert w._memo == {}
     full = action(w, 0.0, settings)
     assert action(w, 0.0, settings) == full
     # a memo keyed by the well alone would return `full` again here
     assert action(w, 0.0, Settings(hbar=2.0)) == pytest.approx(0.5 * full, rel=1e-12)
-    assert set(w._zero_action) == {settings, Settings(hbar=2.0)}
-    # a rescaled well starts afresh, with every memo empty
+    assert ("zero_action", settings) in w._memo and ("zero_action", Settings(hbar=2.0)) in w._memo
+    # the action's and the oracle's entries share the one memo without clashing,
+    # and counting at another coupling leaves the well's own entries alone
     turning_points(w, 1.0)
+    scan = w._memo["turning_scan"]
     exact_critical_coupling(w, 0.5, 0, settings)
-    assert w._turning_scan and w._bracket_counts
-    w4 = scale_log_well(w, 32.0)
-    assert w4._zero_action == {} and w4._turning_scan == [] and w4._bracket_counts == {}
-    assert action(w4, 0.0, settings) == pytest.approx(2.0 * full, rel=1e-12)
+    assert ("bracket_count", 0.5, settings, 1.0) in w._memo
+    assert w._memo["turning_scan"] is scan and action(w, 0.0, settings) == full
     # an analytic well never builds a knot table
     action_profile(w, settings)
-    assert w._knot_table == [] and w4._knot_table == []
+    assert "knot_table" not in w._memo
     # a tabulated well builds it on its first knot integral, not in
-    # to_log_well or for a node count, and a rescaled well starts without one
+    # to_log_well or for a node count, and reuses it after that
     tab = to_log_well(_lenz_resampling(1.0, 8.0), settings)
-    assert tab._knot_table == []
+    assert tab._memo == {}
     count_bound_states(tab, 0.5, settings)
-    assert tab._knot_table == []
+    exact_critical_coupling(tab, 0.5, 0, settings)
+    assert "knot_table" not in tab._memo
     action(tab, 0.5, settings)
-    (table,) = tab._knot_table
+    table = tab._memo["knot_table"]
     action_profile(tab, settings)
-    assert tab._knot_table == [table]
-    tab2 = scale_log_well(tab, 2.0)
-    assert tab2._knot_table == []
-    full_tab = action(tab, 0.0, settings)
-    assert action(tab2, 0.0, settings) == pytest.approx(math.sqrt(2.0) * full_tab, rel=1e-12)
+    assert tab._memo["knot_table"] is table
+    # a copy of the well starts with an empty memo of its own
+    assert replace(tab, base=tab.base)._memo == {}
 
 
 def test_action_error_estimate_bounds_change(settings, lenz18_well) -> None:

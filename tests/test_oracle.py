@@ -20,7 +20,6 @@ from trenq import (
     exact_critical_coupling,
     lenz_analytic_spectrum,
     lenz_exact_threshold,
-    scale_log_well,
     to_log_well,
 )
 
@@ -48,6 +47,9 @@ def test_count_rejects_marginal_lambda(settings, lenz18_well) -> None:
     for n in (1.5, np.nan, -1):
         with pytest.raises(InputError):
             exact_critical_coupling(lenz18_well, 0.5, n, settings)
+    for Z in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InputError):
+            count_bound_states(lenz18_well, 0.5, settings, Z=Z)
 
 
 @pytest.mark.parametrize(
@@ -77,19 +79,24 @@ def test_count_reports_stats(settings, lenz18_well) -> None:
     assert right >= lenz18_well.rho_star + 16.0 / 0.5 * 0.99
 
 
-def _one_shot_count(w, lam: float, s: Settings):
-    """Reference: the whole grid from one np.linspace, f, g and d as full arrays."""
+def _one_shot_count(w, lam: float, s: Settings, Z=None):
+    """Reference: the whole grid from one np.linspace, f, g and d as full arrays.
+
+    The well is counted at coupling Z (w.Z by default), with its maximum
+    scaled as (Z / w.Z) * w.V_m.
+    """
     import trenq.oracle as oracle_mod
 
+    Z = w.Z if Z is None else Z
     hbar = s.hbar
     rho_l = w.rho_left
     rho_r = max(w.rho_right, w.rho_star + oracle_mod._WINDOW_LOG * hbar / lam)
-    k_ref = max(math.sqrt(w.V_m), lam, 1e-2) / hbar
+    k_ref = max(math.sqrt(Z / w.Z * w.V_m), lam, 1e-2) / hbar
     h = min(0.02, oracle_mod._STEP_FACTOR * s.ode_tol**0.25 / k_ref)
     n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     rho = np.linspace(rho_l, rho_r, n_steps)
     h = float(rho[1] - rho[0])
-    f = (lam * lam - np.asarray(w.profile(rho), dtype=float)) / (hbar * hbar)
+    f = (lam * lam - np.asarray(Z * w.base(rho), dtype=float)) / (hbar * hbar)
     g = 1.0 - h * h / 12.0 * f
     d = ((12.0 - 10.0 * g) / g)[:-1]
     d[0] = float(g[1]) * math.exp(lam * h / hbar) / float(g[0])
@@ -127,8 +134,8 @@ def test_blocked_sweep_matches_one_shot_grid(settings) -> None:
     ]
     assert w_tab.rho_left < rho[0] and rho[-1] < w_tab.rho_right
 
-    def assert_one_shot(nc, w, lam, s) -> None:
-        ref = _one_shot_count(w, lam, s)
+    def assert_one_shot(nc, w, lam, s, Z=None) -> None:
+        ref = _one_shot_count(w, lam, s, Z)
         assert nc.count == ref["count"]
         assert nc.rho_span == ref["rho_span"]
         assert nc.step_stats == ref["step_stats"]
@@ -150,13 +157,12 @@ def test_blocked_sweep_matches_one_shot_grid(settings) -> None:
         ((key, base),) = grid.items()
         assert key == (*nc.rho_span, nc.step_stats["n_steps"])
         for factor in (1.0 + 1e-9, 1.0 - 1e-9):
-            w_near = scale_log_well(w, w.Z * factor)
-            assert_one_shot(count_bound_states(w_near, lam, s, _grid=grid), w_near, lam, s)
+            z = w.Z * factor
+            assert_one_shot(count_bound_states(w, lam, s, Z=z, _grid=grid), w, lam, s, z)
             assert grid.keys() == {key} and grid[key] is base
         # a deeper well needs a finer grid: the memo is rebuilt for it, not reused
-        w_deep = scale_log_well(w, 4.0 * w.Z)
-        deep = count_bound_states(w_deep, lam, s, _grid=grid)
-        assert_one_shot(deep, w_deep, lam, s)
+        deep = count_bound_states(w, lam, s, Z=4.0 * w.Z, _grid=grid)
+        assert_one_shot(deep, w, lam, s, 4.0 * w.Z)
         assert grid.keys() == {(*deep.rho_span, deep.step_stats["n_steps"])} != {key}
     assert sizes[0] < block and sizes[1] > 10 * block and sizes[2] > 3 * block
 
@@ -198,7 +204,7 @@ def test_count_consistent_with_analytic_spectrum(settings) -> None:
 def test_count_monotone_in_coupling(settings) -> None:
     w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
     counts = [
-        count_bound_states(scale_log_well(w, z), 0.5, settings).count
+        count_bound_states(w, 0.5, settings, Z=z).count
         for z in np.linspace(0.5, 40.0, 24)
     ]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -324,7 +330,7 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
         return math.exp(x) if x < 0.0 else 1.0 + x
 
     def check_amplitude(w, z: float, lam: float) -> oracle_mod.NodeCount:
-        nc = count_bound_states(scale_log_well(w, z), lam, settings)
+        nc = count_bound_states(w, lam, settings, Z=z)
         # u_0 = 1 and v = g u with g = 1 - h^2 (lam^2 - W)/12, relative to the
         # free growth e^(lam (rho - rho_l))
         rho_l, rho_r = nc.rho_span
@@ -393,10 +399,12 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
 
 def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     # work-count guard, no timing: Brent on the continuous residual, with the
-    # bracket points of each well and lambda counted once, needs 12.06 counts
-    # per threshold in grid order (16.40 when every search walked its bracket
-    # afresh, 34.69 bisecting the count to 1e-8), and every threshold stays
-    # within 3e-9 of the closed form.  A count on the grid of the previous
+    # bracket points of each well and lambda counted once, needs 579 counts,
+    # 12.06 per threshold in grid order (16.40 when every search walked its
+    # bracket afresh, 34.69 bisecting the count to 1e-8), and every threshold
+    # stays within 3e-9 of the closed form.  Every count goes through the
+    # module-level count_bound_states, which the benchmark's spans wrap, at
+    # the coupling it is given as Z.  A count on the grid of the previous
     # count of its search reads the well from the search's memo: 6.44 fresh
     # grids per threshold (12.06 when each count evaluated its own)
     import trenq.oracle as oracle_mod
@@ -404,9 +412,9 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     counted_at = []
     counter = oracle_mod.count_bound_states
 
-    def counted(w, *args, **kwargs):
-        counted_at.append(w.Z)
-        return counter(w, *args, **kwargs)
+    def counted(w, lam, s, *, Z, **kwargs):
+        counted_at.append(Z)
+        return counter(w, lam, s, Z=Z, **kwargs)
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
     fresh_grids = 0
@@ -428,7 +436,7 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
                 z = exact_critical_coupling(w, q.lam, q.n, settings)
                 z_exact, _ = lenz_exact_threshold(a, q)
                 worst = max(worst, abs(z - z_exact) / z_exact)
-    assert len(counted_at) / 48 <= 12.5, len(counted_at) / 48
+    assert len(counted_at) == 579, len(counted_at) / 48
     assert fresh_grids / 48 <= 6.5, fresh_grids / 48
     assert worst <= 3e-9
 

@@ -21,7 +21,6 @@ from trenq import (
     count_bound_states,
     lambda_of,
     load_potential,
-    scale_log_well,
     to_log_well,
     turning_points,
 )
@@ -252,7 +251,6 @@ def test_two_hump_well_rejects_split_action(settings, tmp_path, capsys) -> None:
     p = two_hump_tabulated()
     w = to_log_well(p, settings)
     assert w.split_level == pytest.approx(2.0, rel=1e-3)
-    assert scale_log_well(w, 3.0).split_level == 3.0 * w.split_level
     assert action(w, 0.0, settings) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-6)
     with pytest.raises(PotentialConditionError):
         turning_points(w, 0.25)
@@ -405,18 +403,6 @@ def test_degenerate_well_rejected(settings) -> None:
         to_log_well(p, settings)
 
 
-def test_scale_log_well(settings, lenz18_well) -> None:
-    w2 = scale_log_well(lenz18_well, 2.0)
-    assert w2.V_m == pytest.approx(1.0, rel=1e-12)
-    assert float(w2.profile(0.7)) == pytest.approx(0.25 * float(lenz18_well.profile(0.7)))
-    assert w2.Z == 2.0
-    with pytest.raises(InputError):
-        scale_log_well(w2, -1.0)
-    for Z in (math.nan, math.inf):
-        with pytest.raises(InputError):
-            scale_log_well(w2, Z)
-
-
 def test_tabulated_interpolation_accuracy(settings) -> None:
     # accuracy is limited by the data sampling near the peak, O(h^2)
     p = make_tabulated(lambda rho: 3.0 / np.cosh(rho) ** 2, q0=0.0, qinf=4.0, n=1200)
@@ -479,6 +465,27 @@ def test_load_potential_families(tmp_path) -> None:
     path.write_text(json.dumps(spec))
     p2 = load_potential(path)
     assert np.array_equal(p2.r_grid, p.r_grid)
+
+
+def test_load_potential_inline_tabulated_text(tmp_path, capsys) -> None:
+    # JSON text far longer than a file name is parsed, never looked up as a path
+    r = np.exp(np.linspace(-8.0, 8.0, 40))
+    u = -8.0 / (4.0 * r * r * np.cosh(np.log(r)) ** 2)
+    spec = {"family": "tabulated", "r": r.tolist(), "U": u.tolist(), "q0": 0.0, "qinf": 4.0}
+    text = json.dumps(spec)
+    assert len(text) > 1000
+    path = tmp_path / "pot.json"
+    path.write_text(text)
+    from_file = load_potential(path)
+    for source in (text, " \n" + text):
+        p = load_potential(source)
+        assert np.array_equal(p.r_grid, from_file.r_grid)
+        assert np.array_equal(p.U_values, from_file.U_values)
+    outputs = []
+    for source in (text, str(path)):
+        assert main(["well", "--potential", source, "--samples", "7"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") >= 7
 
 
 def test_load_potential_rejects_bad_input() -> None:
