@@ -12,14 +12,21 @@ runs the sweep in compiled code.  The product of the pivots is the end value
 of the solution, whose growing-branch amplitude changes sign exactly where
 the count steps; Brent's method on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
-integer count certifies it.  The bracket of every search doubles from
-Z = 1, and the counts at those points are kept on the well per lambda, so
-the other thresholds of the well reuse them.  A count's grid depends on Z
-only through its number of steps, so each search keeps the coupling-free
-shape of the well on the grid of its last count, and a count on that grid
-only rescales it.  No semiclassical input enters,
-and no threshold seeds another, which is what makes this module a
-legitimate oracle for the rest of the package.
+integer count certifies it.
+
+Each search runs in two stages.  The coarse stage counts on a grid _COARSEN
+times coarser, at about 1/_COARSEN of the cost per count: its bracket doubles
+from Z = 1, and the counts at those points are kept on the well per lambda,
+so the other thresholds of the well reuse them.  The grid error scales as
+h^4, so the coarse root lies within about 15 ode_tol _COARSEN^4 relative of
+the fine one.  The fine stage brackets the fine root from the coarse one
+within twice that distance and certifies it by fine counts.  A
+count's grid depends on Z only through its number of steps, so each stage
+keeps the coupling-free shape of the well on the grid of its last count,
+and a count on that grid only rescales it.  No semiclassical input enters,
+the coarse root only places the fine bracket, and no threshold seeds
+another, which is what makes this module a legitimate oracle for the rest
+of the package.
 
 The integration window extends beyond the point where the well is cut off:
 near a threshold the incoming node sits far out in the e^(+-lambda rho)
@@ -45,6 +52,10 @@ from .potentials import LogWell, Settings, quantum_index
 # up to about 15 ode_tol relative (1.5e-9 at the 1e-10 default, hk ~ 0.02),
 # well above the 1e-10 width the root-find stops at
 _STEP_FACTOR = 6.6
+# step ratio of a search's coarse counts to its fine ones; at 4 the coarse
+# roots of the criterion-1 grid are in the clean h^4 regime: solved to 1e-12,
+# |z - z_coarse| / (4^4 - 1) is 0.92-1.19x the fine root's own error
+_COARSEN = 4
 _WINDOW_LOG = 0.5 * math.log(1e14)
 _MAX_STEPS = 8_000_000
 # grid points per block of the sweep's set-up: its ~5 block-sized arrays
@@ -115,7 +126,13 @@ class NodeCount:
 
 
 def count_bound_states(
-    w: LogWell, lam: float, s: Settings, *, Z: float | None = None, _grid: dict | None = None
+    w: LogWell,
+    lam: float,
+    s: Settings,
+    *,
+    Z: float | None = None,
+    _grid: dict | None = None,
+    _coarsen: int = 1,
 ) -> NodeCount:
     """Count bound states at effective orbital number lambda > 0.
 
@@ -143,6 +160,12 @@ def count_bound_states(
     miss base is evaluated block by block as without a memo and kept in it
     (8 B more per step).  Direct callers pass none.
 
+    `_coarsen` is exact_critical_coupling's coarse stage: the step, after
+    its 0.02 cap and the budget check, is multiplied by it, but not beyond
+    h k_ref = 1, so that g stays within 1/12 of 1 at any ode_tol (the fine
+    step is never refined).  The default 1 leaves the grid as it is, so
+    direct calls are unchanged; the step taken is in step_stats["h"].
+
     lambda must be finite; lambda = 0 is rejected: the marginal solution is
     not exponential and node counting is ill conditioned there.
     """
@@ -160,6 +183,9 @@ def count_bound_states(
     n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     if n_steps > _MAX_STEPS:
         raise ConvergenceError(_budget_message(V_m, lam, hbar, rho_r - rho_l, h, n_steps))
+    if _coarsen != 1:
+        h = max(h, min(_coarsen * h, 1.0 / k_ref))
+        n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     # the grid is np.linspace(rho_l, rho_r, n_steps), point for point: k * step
     # + rho_l, and rho_r at the end; it is built and swept one block at a time
     step = (rho_r - rho_l) / (n_steps - 1)
@@ -262,43 +288,61 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     """Coupling Z at which the node count of w at coupling Z steps from n to n + 1.
 
     The root is that of the continuous residual _step_residual, whose sign
-    the count sets, so Brent's bracket stays valid.  The bracket is expanded
-    geometrically from Z = 1 (geometric_bracket) and solved to a relative
-    width of 1e-10; the integer count then certifies the transition on both
-    sides of the returned value.
+    the count sets, so Brent's bracket stays valid.  It is found in two
+    stages, each with its own grid memo:
 
-    The count and amplitude of every bracket point (Z = 2^k) are kept in the
-    well's memo per lambda and Settings, so the other thresholds of that well and
-    lambda rebuild those residuals without counting again.  They are the
-    same floats, so every threshold is the same in any call order; the
-    Brent points and the certification are counted afresh.
+    - coarse: counts on a grid _COARSEN times coarser (count_bound_states'
+      `_coarsen`); the bracket is expanded geometrically from Z = 1
+      (geometric_bracket) and solved to a relative width of 1e-6.
+    - fine: counts on the grid ode_tol sets; the bracket is expanded from
+      the coarse root z_c by the ratio 1 + 2 * 15 ode_tol _COARSEN^4 (at
+      most 2) and solved to a relative width of 1e-10; the integer count
+      then certifies the transition on both sides of the returned value.
 
-    The search keeps one grid memo for its own length, passed to every
-    count: w.base on the grid of the last count, keyed by (rho_l, rho_r,
-    n_steps).  Counts at nearby couplings mostly share a grid, and they then
-    skip evaluating the well; every count is bit-identical to one without
-    the memo.  The memo is not kept on the well, so nothing stays held
-    after the search and no threshold depends on the order of the calls.
+    The grid error scales as h^4 and is up to about 15 ode_tol relative on
+    the fine grid, so z_c lies within about _COARSEN^4 times that of the
+    fine root and the first ratio brackets it with a margin of 2 (worst
+    3.84e-7 against 7.68e-7 on the criterion-1 grid).  z_c only places the
+    fine bracket: the root returned is the fine residual's, to 1e-10
+    wherever the bracket starts, and no semiclassical input enters.
+
+    The count and amplitude of every coarse bracket point (Z = 2^k) are kept
+    in the well's memo per lambda and Settings, so the other thresholds of
+    that well and lambda rebuild those residuals without counting again.
+    They are the same floats, so every threshold is the same in any call
+    order; all other points and the certification are counted afresh.
+
+    Each stage passes one grid memo to its counts: w.base on the grid of
+    its last count, keyed by (rho_l, rho_r, n_steps).  Counts at nearby
+    couplings mostly share a grid, and they then skip evaluating the well;
+    every count is bit-identical to one without the memo.  The memos are not
+    kept on the well, so nothing stays held after the search and no
+    threshold depends on the order of the calls.
     """
     n = quantum_index(n, "radial quantum number n")
-    grid: dict = {}
+    grids: dict = {1: {}, _COARSEN: {}}
 
-    def count(Z: float) -> NodeCount:
-        return count_bound_states(w, lam, s, Z=Z, _grid=grid)
+    def count(Z: float, coarsen: int = 1) -> NodeCount:
+        return count_bound_states(w, lam, s, Z=Z, _grid=grids[coarsen], _coarsen=coarsen)
 
-    def residual(Z: float) -> float:
-        nc = count(Z)
+    def residual(Z: float, coarsen: int = 1) -> float:
+        nc = count(Z, coarsen)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
+    def coarse_residual(Z: float) -> float:
+        return residual(Z, _COARSEN)
+
     def bracket_residual(Z: float) -> float:
-        key = ("bracket_count", lam, s, Z)
+        key = ("coarse_bracket_count", lam, s, Z)
         if key not in w._memo:
-            nc = count(Z)
+            nc = count(Z, _COARSEN)
             w._memo[key] = nc.count, nc.log_amplitude()
         c, x = w._memo[key]
         return _step_residual(c, lambda: x, n)
 
-    z = brent(residual, *geometric_bracket(bracket_residual), xtol=0.0, rtol=1e-10)
+    z_c = brent(coarse_residual, *geometric_bracket(bracket_residual), xtol=0.0, rtol=1e-6)
+    ratio = min(2.0, 1.0 + 2.0 * 15.0 * s.ode_tol * _COARSEN**4)
+    z = brent(residual, *geometric_bracket(residual, z_c, ratio), xtol=0.0, rtol=1e-10)
     if count(z * (1.0 - 1e-7)).count != n or count(z * (1.0 + 1e-7)).count != n + 1:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "

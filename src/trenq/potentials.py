@@ -35,7 +35,8 @@ from .numerics import Pchip, brent, sech2
 DOMAIN_CUT = 1e-14
 # largest ode_tol: the Numerov weights g = 1 - h^2 (lambda^2 - W) / (12 hbar^2)
 # of the oracle stay >= 1 - 3.63 sqrt(ode_tol) >= 0.64 (h k <= 6.6 ode_tol^(1/4)
-# with lambda/hbar <= k), so the node count and its amplitude stay defined
+# with lambda/hbar <= k), so the node count and its amplitude stay defined; a
+# search's coarse counts lengthen the step only up to h k = 1 (g >= 11/12)
 _ODE_TOL_MAX = 1e-2
 
 

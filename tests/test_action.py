@@ -223,7 +223,7 @@ def test_zero_action_memo_keyed_by_settings(settings) -> None:
     turning_points(w, 1.0)
     scan = w._memo["turning_scan"]
     exact_critical_coupling(w, 0.5, 0, settings)
-    assert ("bracket_count", 0.5, settings, 1.0) in w._memo
+    assert ("coarse_bracket_count", 0.5, settings, 1.0) in w._memo
     assert w._memo["turning_scan"] is scan and action(w, 0.0, settings) == full
     # an analytic well never builds a knot table
     action_profile(w, settings)

@@ -174,6 +174,16 @@ def test_brent_converges_fast_on_smooth_roots() -> None:
     z = brent(g, *geometric_bracket(g), xtol=0.0, rtol=1e-12)
     assert z == pytest.approx(900.0, rel=1e-12)
 
+    # values so small that the inverse quadratic step's denominator underflows
+    # to 0: that step falls back to bisection instead of dividing by zero
+    for scale in (1e-120, 1e-300):
+
+        def tiny(x: float, scale=scale) -> float:
+            return scale * (math.exp(x) - 2.0)
+
+        root = brent(tiny, 0.0, 2.0, tiny(0.0), tiny(2.0), xtol=0.0, rtol=1e-12)
+        assert root == pytest.approx(math.log(2.0), rel=1e-12)
+
 
 def _segment_samples(
     lo: float, hi: float, n: int, sqrt_lo: bool, sqrt_hi: bool

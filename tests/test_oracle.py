@@ -22,6 +22,7 @@ from trenq import (
     lenz_exact_threshold,
     to_log_well,
 )
+from trenq.numerics import brent, geometric_bracket
 
 
 def test_count_bound_states_examples(settings) -> None:
@@ -79,20 +80,31 @@ def test_count_reports_stats(settings, lenz18_well) -> None:
     assert right >= lenz18_well.rho_star + 16.0 / 0.5 * 0.99
 
 
-def _one_shot_count(w, lam: float, s: Settings, Z=None):
+def _step_rule(w, lam: float, s: Settings, Z=None) -> tuple[float, float, float, float]:
+    """(rho_l, rho_r, k_ref, h): the window and the fine step, before np.linspace rounds it."""
+    import trenq.oracle as oracle_mod
+
+    Z = w.Z if Z is None else Z
+    rho_l = w.rho_left
+    rho_r = max(w.rho_right, w.rho_star + oracle_mod._WINDOW_LOG * s.hbar / lam)
+    k_ref = max(math.sqrt(Z / w.Z * w.V_m), lam, 1e-2) / s.hbar
+    return rho_l, rho_r, k_ref, min(0.02, oracle_mod._STEP_FACTOR * s.ode_tol**0.25 / k_ref)
+
+
+def _one_shot_count(w, lam: float, s: Settings, Z=None, coarsen=1):
     """Reference: the whole grid from one np.linspace, f, g and d as full arrays.
 
     The well is counted at coupling Z (w.Z by default), with its maximum
-    scaled as (Z / w.Z) * w.V_m.
+    scaled as (Z / w.Z) * w.V_m, on a step `coarsen` times the fine one but
+    at most 1/k_ref (and never below the fine one).
     """
     import trenq.oracle as oracle_mod
 
     Z = w.Z if Z is None else Z
     hbar = s.hbar
-    rho_l = w.rho_left
-    rho_r = max(w.rho_right, w.rho_star + oracle_mod._WINDOW_LOG * hbar / lam)
-    k_ref = max(math.sqrt(Z / w.Z * w.V_m), lam, 1e-2) / hbar
-    h = min(0.02, oracle_mod._STEP_FACTOR * s.ode_tol**0.25 / k_ref)
+    rho_l, rho_r, k_ref, h = _step_rule(w, lam, s, Z)
+    if coarsen != 1:
+        h = max(h, min(coarsen * h, 1.0 / k_ref))
     n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     rho = np.linspace(rho_l, rho_r, n_steps)
     h = float(rho[1] - rho[0])
@@ -134,8 +146,8 @@ def test_blocked_sweep_matches_one_shot_grid(settings) -> None:
     ]
     assert w_tab.rho_left < rho[0] and rho[-1] < w_tab.rho_right
 
-    def assert_one_shot(nc, w, lam, s, Z=None) -> None:
-        ref = _one_shot_count(w, lam, s, Z)
+    def assert_one_shot(nc, w, lam, s, Z=None, coarsen=1) -> None:
+        ref = _one_shot_count(w, lam, s, Z, coarsen)
         assert nc.count == ref["count"]
         assert nc.rho_span == ref["rho_span"]
         assert nc.step_stats == ref["step_stats"]
@@ -146,7 +158,17 @@ def test_blocked_sweep_matches_one_shot_grid(settings) -> None:
     for w, lam, s in cases:
         nc = count_bound_states(w, lam, s)
         assert_one_shot(nc, w, lam, s)
+        # the default coarsening is the fine grid itself, bit for bit
+        assert_one_shot(count_bound_states(w, lam, s, _coarsen=1), w, lam, s)
         sizes.append(nc.step_stats["n_steps"])
+        # a coarse count of the search: one np.linspace grid too, with a step
+        # coarsen times as long and about 1/coarsen of the fine steps
+        coarse = count_bound_states(w, lam, s, _coarsen=oracle_mod._COARSEN)
+        assert_one_shot(coarse, w, lam, s, coarsen=oracle_mod._COARSEN)
+        fine_stats, coarse_stats = nc.step_stats, coarse.step_stats
+        ratio = fine_stats["n_steps"] / coarse_stats["n_steps"]
+        assert ratio == pytest.approx(oracle_mod._COARSEN, rel=1e-2)
+        assert coarse_stats["h"] == pytest.approx(oracle_mod._COARSEN * fine_stats["h"], rel=1e-2)
         if len(sizes) == 2:
             node_blocks = set(np.flatnonzero(nc.pivots <= 0.0) // block)
             assert nc.count == 140 and len(node_blocks) >= 4
@@ -398,23 +420,31 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
 
 
 def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
-    # work-count guard, no timing: Brent on the continuous residual, with the
-    # bracket points of each well and lambda counted once, needs 579 counts,
-    # 12.06 per threshold in grid order (16.40 when every search walked its
-    # bracket afresh, 34.69 bisecting the count to 1e-8), and every threshold
-    # stays within 3e-9 of the closed form.  Every count goes through the
-    # module-level count_bound_states, which the benchmark's spans wrap, at
-    # the coupling it is given as Z.  A count on the grid of the previous
-    # count of its search reads the well from the search's memo: 6.44 fresh
-    # grids per threshold (12.06 when each count evaluated its own)
+    # work guard in Numerov steps, no timing: each search finds its root on a
+    # grid _COARSEN times coarser (bracket doubling from Z = 1, its points
+    # counted once per well and lambda, then Brent to 1e-6), then brackets the
+    # fine root from there and certifies it.  On the criterion-1 grid that is
+    # 15.0 counts per threshold, 5.98 of them fine, and 62,767 steps per
+    # threshold, 0.67x the 93,031 of the fine-only search (12.06 counts), and
+    # every threshold stays within 3e-9 of the closed form.  Every count goes
+    # through the module-level count_bound_states, which the benchmark's spans
+    # wrap, at the coupling it is given as Z; its step tells a coarse count
+    # from a fine one.  A count on the grid of the previous count of its stage
+    # reads the well from that stage's memo: 7.08 fresh grids per threshold,
+    # counting both stages' (6.44 in the fine-only search)
     import trenq.oracle as oracle_mod
 
+    coarsen = oracle_mod._COARSEN
     counted_at = []
     counter = oracle_mod.count_bound_states
 
     def counted(w, lam, s, *, Z, **kwargs):
-        counted_at.append(Z)
-        return counter(w, lam, s, Z=Z, **kwargs)
+        nc = counter(w, lam, s, Z=Z, **kwargs)
+        ratio = nc.step_stats["h"] / _step_rule(w, lam, s, Z)[-1]
+        # np.linspace rounds each step down by at most one part in its length
+        assert 0.99 < ratio <= 1.0 + 1e-12 or 0.99 * coarsen < ratio <= coarsen + 1e-12, ratio
+        counted_at.append((Z, ratio > 2.0, nc.step_stats["n_steps"]))
+        return nc
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
     fresh_grids = 0
@@ -436,20 +466,99 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
                 z = exact_critical_coupling(w, q.lam, q.n, settings)
                 z_exact, _ = lenz_exact_threshold(a, q)
                 worst = max(worst, abs(z - z_exact) / z_exact)
-    assert len(counted_at) == 579, len(counted_at) / 48
-    assert fresh_grids / 48 <= 6.5, fresh_grids / 48
+    fine = [steps for _, coarse, steps in counted_at if not coarse]
+    coarse = [steps for _, is_coarse, steps in counted_at if is_coarse]
+    per_threshold = (len(fine) / 48, sum(fine) / 48, len(coarse) / 48, sum(coarse) / 48)
+    assert (sum(fine) + sum(coarse)) / 48 <= 0.8 * 93_031, per_threshold
+    assert len(fine) / 48 <= 6.5, per_threshold
+    assert fresh_grids / 48 <= 7.5, fresh_grids / 48
     assert worst <= 3e-9
 
     # a second threshold of the same well and lambda counts none of the
-    # bracket points the first one counted
+    # coarse bracket points the first one counted
     w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
     counted_at.clear()
     exact_critical_coupling(w, 0.5, 0, settings)
-    first = set(counted_at)
+    first = {Z for Z, coarse, _ in counted_at if coarse}
     counted_at.clear()
     exact_critical_coupling(w, 0.5, 2, settings)
     assert {1.0, 2.0} <= first
-    assert first.isdisjoint(counted_at)
+    assert first.isdisjoint(Z for Z, coarse, _ in counted_at if coarse)
+
+
+def _fine_only_threshold(w, lam: float, n: int, s: Settings) -> float:
+    """The single-stage search on fine counts: bracket doubling from Z = 1, Brent to 1e-10."""
+    import trenq.oracle as oracle_mod
+
+    def residual(Z: float) -> float:
+        nc = count_bound_states(w, lam, s, Z=Z)
+        return oracle_mod._step_residual(nc.count, nc.log_amplitude, n)
+
+    return brent(residual, *geometric_bracket(residual), xtol=0.0, rtol=1e-10)
+
+
+def test_coarse_first_matches_fine_only_route(settings, monkeypatch) -> None:
+    # the coarse root only places the fine bracket: every threshold is the
+    # fine residual's root, as the fine-only search finds it, to the 1e-10
+    # Brent width; on the criterion-1 grid the coarse root is close enough
+    # for the first fine step to bracket it (worst 3.84e-7 against 7.68e-7)
+    import trenq.oracle as oracle_mod
+
+    starts = []
+    bracket = oracle_mod.geometric_bracket
+
+    def recorded(f, start=1.0, ratio=2.0):
+        starts.append((start, ratio))
+        return bracket(f, start, ratio)
+
+    monkeypatch.setattr(oracle_mod, "geometric_bracket", recorded)
+
+    def check(w, lam: float, n: int, s: Settings) -> float:
+        starts.clear()
+        z = exact_critical_coupling(w, lam, n, s)
+        assert z == pytest.approx(_fine_only_threshold(w, lam, n, s), rel=1e-10)
+        (coarse_start, _), (z_coarse, ratio) = starts
+        assert coarse_start == 1.0
+        return abs(z - z_coarse) / z / (ratio - 1.0)
+
+    for s in (settings, Settings(hbar=0.5), Settings(ode_tol=1e-8)):
+        first_steps = []
+        for a in (0.5, 1.0, 2.0):
+            w = to_log_well(Lenz(a=a, Z=1.0), s)
+            for n in range(4):
+                for l in range(4):
+                    q = QuantumNumbers(n, l, 3)
+                    first_steps.append(check(w, q.lam, q.n, s))
+        if s == settings:
+            assert max(first_steps) <= 1.0, max(first_steps)
+    # 400 samples of Lenz(1, 1), evenly spaced in rho where W > 1e-14 of its peak
+    half = math.log(4.0 / 1e-14) / 2.0
+    rho = np.linspace(-half, half, 400)
+    tab = Tabulated(
+        r_grid=np.exp(rho),
+        U_values=-0.25 / np.cosh(rho) ** 2 * np.exp(-2.0 * rho),
+        q0=0.0,
+        qinf=4.0,
+    )
+    w_tab = to_log_well(tab, settings)
+    printed = to_log_well(Lenz(a=1.0, Z=1.0), settings, transform_exponent=1)
+    for n in range(3):
+        check(w_tab, 0.5, n, settings)
+        for lam in (0.5, 1.5):
+            check(printed, lam, n, settings)
+    # at the loosest ode_tol, _COARSEN times the fine step would make the
+    # Numerov weight g = 1 - (h lambda)^2/12 at the left end negative; the
+    # coarse step stops at 1/k_ref, and at the fine step once that is longer;
+    # at lambda 200.5 the residual near the step is ~1e-113, where Brent's
+    # interpolation denominator underflows to 0
+    for tol, lam in ((1e-2, 45.5), (1e-2, 120.5), (1e-3, 200.5)):
+        loose = Settings(ode_tol=tol)
+        w = to_log_well(Lenz(a=1.0, Z=1.0), loose)
+        *_, k_ref, h = _step_rule(w, lam, loose, 1.0)
+        assert (oracle_mod._COARSEN * h * lam) ** 2 > 12.0
+        coarse = count_bound_states(w, lam, loose, _coarsen=oracle_mod._COARSEN)
+        assert coarse.step_stats["h"] == pytest.approx(max(h, 1.0 / k_ref), rel=1e-3)
+        check(w, lam, 0, loose)
 
 
 @hypothesis_settings(max_examples=8, deadline=None)
