@@ -335,16 +335,6 @@ def _turning_point_integrals(
     return values, errors
 
 
-def _action_with_error(w: LogWell, lam: float, s: Settings) -> tuple[float, float]:
-    if not lam >= 0.0:
-        raise InputError(f"lambda must be nonnegative, got {lam}")
-    if lam == 0.0:
-        return _zero_action(w, s)
-    lambda2 = lam * lam
-    values, errors = _actions_between(w, np.array([lambda2]), [turning_points(w, lambda2)], s)
-    return float(values[0]), float(errors[0])
-
-
 def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
     """(I(0), error estimate), computed once per well and Settings."""
     key = ("zero_action", s)
@@ -381,7 +371,12 @@ def action(w: LogWell, lam: float, s: Settings) -> float:
     PotentialConditionError where turning_points does: for lambda^2 below
     the split_level of a well with several humps.
     """
-    return _action_with_error(w, lam, s)[0]
+    if not lam >= 0.0:
+        raise InputError(f"lambda must be nonnegative, got {lam}")
+    if lam == 0.0:
+        return _zero_action(w, s)[0]
+    lambda2 = lam * lam
+    return float(_actions_between(w, np.array([lambda2]), [turning_points(w, lambda2)], s)[0][0])
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,7 @@ import numpy as np
 from .action import action_profile, fit_phi
 from .corrections import solve_spectrum
 from .effective import ordering_table, t_effective, t_ren
-from .errors import (
-    ConvergenceError,
-    DegenerateWellError,
-    InputError,
-    NoSuchLevelError,
-    PotentialConditionError,
-    TrenqError,
-)
+from .errors import ConvergenceError, InputError, NoSuchLevelError
 from .potentials import (
     Lenz,
     QuantumNumbers,
@@ -72,14 +65,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 def _emit(args: argparse.Namespace, header: list[str], rows: list[list], comments: list[str]) -> None:
     if args.format == "json":
-        records = []
-        for row in rows:
-            rec = {}
-            for key, val in zip(header, row):
-                if isinstance(val, (np.floating, np.integer)):
-                    val = val.item()
-                rec[key] = val
-            records.append(rec)
+        records = [dict(zip(header, row)) for row in rows]
         text = json.dumps(records, indent=2) + "\n"
     else:
         lines = list(comments)
@@ -377,15 +363,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args)
-    except (InputError, PotentialConditionError, NoSuchLevelError) as exc:
+    except InputError as exc:
         print(f"trenq: error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, DegenerateWellError) as exc:
+    except ConvergenceError as exc:
         print(f"trenq: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except TrenqError as exc:  # pragma: no cover - safety net
-        print(f"trenq: error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -6,18 +6,18 @@ class TrenqError(Exception):
 
 
 class InputError(TrenqError):
-    """Invalid user input: bad potential file, bad flags, bad schema."""
+    """Invalid input: bad potential file, flags or schema, or an unusable well or level."""
 
 
-class PotentialConditionError(TrenqError):
+class PotentialConditionError(InputError):
     """The potential violates the short-range decay conditions r^2 U -> 0."""
 
 
-class DegenerateWellError(TrenqError):
+class DegenerateWellError(InputError):
     """The transformed well is numerically zero; nothing to compute."""
 
 
-class NoSuchLevelError(TrenqError):
+class NoSuchLevelError(InputError):
     """The requested level does not exist for this well depth."""
 
 

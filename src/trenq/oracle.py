@@ -15,18 +15,22 @@ its sign taken from the count, locates every critical coupling, and the
 integer count certifies it.
 
 Each search runs in two stages.  The coarse stage counts on a grid _COARSEN
-times coarser, at about 1/_COARSEN of the cost per count: its bracket doubles
-from Z = 1, and the counts at those points are kept on the well per lambda,
-so the other thresholds of the well reuse them.  The grid error scales as
-h^4, so the coarse root lies within about 15 ode_tol _COARSEN^4 relative of
-the fine one.  The fine stage brackets the fine root from the coarse one
-within twice that distance and certifies it by fine counts.  A
-count's grid depends on Z only through its number of steps, so each stage
-keeps the coupling-free shape of the well on the grid of its last count,
-and a count on that grid only rescales it.  No semiclassical input enters,
-the coarse root only places the fine bracket, and no threshold seeds
-another, which is what makes this module a legitimate oracle for the rest
-of the package.
+times coarser, at about 1/_COARSEN of the cost per count: its bracket
+doubles from Z = 1 and Brent solves it to 1e-6.  The count and amplitude of
+every coarse point are kept on the well per lambda, Settings and Z, so the
+other thresholds of the well reuse its bracket points and a repeated search
+counts nothing coarse; they are the same floats either way, so no threshold
+depends on the order of the calls.  The grid error scales as h^4, so the
+coarse root lies within about 15 ode_tol _COARSEN^4 relative of the fine
+one.  The fine stage brackets the fine root from the coarse one within
+twice that distance, solves it to 1e-10 and certifies it by fine counts,
+which are not kept.  A count's grid depends on Z only through its number of
+steps, so the search keeps the coupling-free shape of the well on the grid
+of its last count, one memo for both stages since they run one after the
+other, and a count on that grid only rescales it.  No semiclassical input
+enters, the coarse root only places the fine bracket, and no threshold
+seeds another, which is what makes this module a legitimate oracle for the
+rest of the package.
 
 The integration window extends beyond the point where the well is cut off:
 near a threshold the incoming node sits far out in the e^(+-lambda rho)
@@ -160,8 +164,8 @@ def count_bound_states(
     miss base is evaluated block by block as without a memo and kept in it
     (8 B more per step).  Direct callers pass none.
 
-    `_coarsen` is exact_critical_coupling's coarse stage: the step, after
-    its 0.02 cap and the budget check, is multiplied by it, but not beyond
+    `_coarsen` is the coarse stage's step ratio: the step, after its 0.02
+    cap and the budget check, is multiplied by it, but not beyond
     h k_ref = 1, so that g stays within 1/12 of 1 at any ode_tol (the fine
     step is never refined).  The default 1 leaves the grid as it is, so
     direct calls are unchanged; the step taken is in step_stats["h"].
@@ -288,62 +292,33 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     """Coupling Z at which the node count of w at coupling Z steps from n to n + 1.
 
     The root is that of the continuous residual _step_residual, whose sign
-    the count sets, so Brent's bracket stays valid.  It is found in two
-    stages, each with its own grid memo:
-
-    - coarse: counts on a grid _COARSEN times coarser (count_bound_states'
-      `_coarsen`); the bracket is expanded geometrically from Z = 1
-      (geometric_bracket) and solved to a relative width of 1e-6.
-    - fine: counts on the grid ode_tol sets; the bracket is expanded from
-      the coarse root z_c by the ratio 1 + 2 * 15 ode_tol _COARSEN^4 (at
-      most 2) and solved to a relative width of 1e-10; the integer count
-      then certifies the transition on both sides of the returned value.
-
-    The grid error scales as h^4 and is up to about 15 ode_tol relative on
-    the fine grid, so z_c lies within about _COARSEN^4 times that of the
-    fine root and the first ratio brackets it with a margin of 2 (worst
-    3.84e-7 against 7.68e-7 on the criterion-1 grid).  z_c only places the
-    fine bracket: the root returned is the fine residual's, to 1e-10
-    wherever the bracket starts, and no semiclassical input enters.
-
-    The count and amplitude of every coarse bracket point (Z = 2^k) are kept
-    in the well's memo per lambda and Settings, so the other thresholds of
-    that well and lambda rebuild those residuals without counting again.
-    They are the same floats, so every threshold is the same in any call
-    order; all other points and the certification are counted afresh.
-
-    Each stage passes one grid memo to its counts: w.base on the grid of
-    its last count, keyed by (rho_l, rho_r, n_steps).  Counts at nearby
-    couplings mostly share a grid, and they then skip evaluating the well;
-    every count is bit-identical to one without the memo.  The memos are not
-    kept on the well, so nothing stays held after the search and no
-    threshold depends on the order of the calls.
+    the count sets, so Brent's bracket stays valid.  The coarse residual
+    counts with count_bound_states' `_coarsen` and keeps its points on the
+    well; the fine stage expands its bracket from the coarse root by the
+    ratio 1 + 2 * 15 ode_tol _COARSEN^4 (at most 2), and the integer count
+    certifies the transition on both sides of the returned value.
     """
     n = quantum_index(n, "radial quantum number n")
-    grids: dict = {1: {}, _COARSEN: {}}
+    grid: dict = {}
 
-    def count(Z: float, coarsen: int = 1) -> NodeCount:
-        return count_bound_states(w, lam, s, Z=Z, _grid=grids[coarsen], _coarsen=coarsen)
+    def coarse(Z: float) -> float:
+        key = ("coarse_count", lam, s, Z)
+        if key not in w._memo:
+            nc = count_bound_states(w, lam, s, Z=Z, _grid=grid, _coarsen=_COARSEN)
+            w._memo[key] = nc.count, nc.log_amplitude()
+        count, x = w._memo[key]
+        return _step_residual(count, lambda: x, n)
 
-    def residual(Z: float, coarsen: int = 1) -> float:
-        nc = count(Z, coarsen)
+    def fine(Z: float) -> float:
+        nc = count_bound_states(w, lam, s, Z=Z, _grid=grid)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
-    def coarse_residual(Z: float) -> float:
-        return residual(Z, _COARSEN)
-
-    def bracket_residual(Z: float) -> float:
-        key = ("coarse_bracket_count", lam, s, Z)
-        if key not in w._memo:
-            nc = count(Z, _COARSEN)
-            w._memo[key] = nc.count, nc.log_amplitude()
-        c, x = w._memo[key]
-        return _step_residual(c, lambda: x, n)
-
-    z_c = brent(coarse_residual, *geometric_bracket(bracket_residual), xtol=0.0, rtol=1e-6)
+    z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=1e-6)
     ratio = min(2.0, 1.0 + 2.0 * 15.0 * s.ode_tol * _COARSEN**4)
-    z = brent(residual, *geometric_bracket(residual, z_c, ratio), xtol=0.0, rtol=1e-10)
-    if count(z * (1.0 - 1e-7)).count != n or count(z * (1.0 + 1e-7)).count != n + 1:
+    z = brent(fine, *geometric_bracket(fine, z_c, ratio), xtol=0.0, rtol=1e-10)
+    below = count_bound_states(w, lam, s, Z=z * (1.0 - 1e-7), _grid=grid).count
+    above = count_bound_states(w, lam, s, Z=z * (1.0 + 1e-7), _grid=grid).count
+    if (below, above) != (n, n + 1):
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "
             "the state may be marginal at this lambda"

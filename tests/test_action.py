@@ -20,7 +20,7 @@ from trenq import (
     to_log_well,
     turning_points,
 )
-from trenq.action import _action_with_error, _turning_pairs, correction_inner_slopes
+from trenq.action import _actions_between, _turning_pairs, _zero_action, correction_inner_slopes
 from trenq.numerics import gauss_nodes
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
@@ -29,6 +29,15 @@ ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
 def lenz_action_closed(a: float, Z: float, lam: float) -> float:
     """Exact action of the sech^2 well: (sqrt(Z/2) - lambda)/a."""
     return (math.sqrt(0.5 * Z) - lam) / a
+
+
+def _action_and_error(w, lam: float, s: Settings) -> tuple[float, float]:
+    """(I(lambda), error estimate) from the kernels that action() calls."""
+    if lam == 0.0:
+        return _zero_action(w, s)
+    lambda2 = lam * lam
+    values, errors = _actions_between(w, np.array([lambda2]), [turning_points(w, lambda2)], s)
+    return float(values[0]), float(errors[0])
 
 
 def test_turning_points_interior(settings, lenz18_well) -> None:
@@ -148,8 +157,9 @@ def test_batched_turning_points_bit_identical(make_well, settings, quadratic_wel
             assert _sign_change_within(f, ref.rho2, 1e-15)
     assert interior >= 60
     for lam, value, err in zip(prof.lambda_grid, prof.I_values, prof.quad_error):
-        ref_value, ref_err = _action_with_error(w, float(lam), settings)
+        ref_value, ref_err = _action_and_error(w, float(lam), settings)
         assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex())
+        assert action(w, float(lam), settings).hex() == ref_value.hex()
 
 
 @TURNING_WELLS
@@ -223,7 +233,7 @@ def test_zero_action_memo_keyed_by_settings(settings) -> None:
     turning_points(w, 1.0)
     scan = w._memo["turning_scan"]
     exact_critical_coupling(w, 0.5, 0, settings)
-    assert ("coarse_bracket_count", 0.5, settings, 1.0) in w._memo
+    assert ("coarse_count", 0.5, settings, 1.0) in w._memo
     assert w._memo["turning_scan"] is scan and action(w, 0.0, settings) == full
     # an analytic well never builds a knot table
     action_profile(w, settings)
@@ -246,8 +256,8 @@ def test_zero_action_memo_keyed_by_settings(settings) -> None:
 def test_action_error_estimate_bounds_change(settings, lenz18_well) -> None:
     tight = Settings(quad_tol=settings.quad_tol / 2)
     for lam in (0.0, 0.5, 1.3):
-        v1, e1 = _action_with_error(lenz18_well, lam, settings)
-        v2, _ = _action_with_error(lenz18_well, lam, tight)
+        v1, e1 = _action_and_error(lenz18_well, lam, settings)
+        v2 = action(lenz18_well, lam, tight)
         assert abs(v1 - v2) <= max(e1, 1e-15)
 
 

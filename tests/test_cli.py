@@ -242,8 +242,8 @@ def test_inline_family_potential(capsys) -> None:
 # corrected transform, 3 on the printed variant, and 1 with a one-line error
 # for --output into a missing directory, for a flag the command does not take
 # (spectrum reads no --d), for an --ode-tol above 1e-2, for a potential that
-# breaks the decay rule (Lenz a = 0) and for a printed well whose cut lies
-# where W overflows; never a traceback
+# breaks the decay rule (Lenz a = 0), for a printed well whose cut lies
+# where W overflows and for a well that is numerically zero; never a traceback
 ENTRY_POINT_CASES = {
     "validate": (["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6"], 0),
     "validate-printed": (
@@ -257,6 +257,7 @@ ENTRY_POINT_CASES = {
     ),
     "decay-rule": (["well", "--family", "lenz", "--a", "0", "--Z", "1"], 1),
     "printed-overflow": (["well", "--family", "lenz", "--a", "0.51", "--transform", "printed"], 1),
+    "zero-well": (["well", "--family", "lenz", "--a", "1", "--Z", "1e-15"], 1),
 }
 
 

@@ -429,9 +429,9 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     # every threshold stays within 3e-9 of the closed form.  Every count goes
     # through the module-level count_bound_states, which the benchmark's spans
     # wrap, at the coupling it is given as Z; its step tells a coarse count
-    # from a fine one.  A count on the grid of the previous count of its stage
-    # reads the well from that stage's memo: 7.08 fresh grids per threshold,
-    # counting both stages' (6.44 in the fine-only search)
+    # from a fine one.  A count on the grid of the previous count reads the
+    # well from the search's one grid memo: 7.08 fresh grids per threshold
+    # (6.44 in the fine-only search)
     import trenq.oracle as oracle_mod
 
     coarsen = oracle_mod._COARSEN
@@ -478,12 +478,17 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     # coarse bracket points the first one counted
     w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
     counted_at.clear()
-    exact_critical_coupling(w, 0.5, 0, settings)
+    z_first = exact_critical_coupling(w, 0.5, 0, settings)
     first = {Z for Z, coarse, _ in counted_at if coarse}
     counted_at.clear()
     exact_critical_coupling(w, 0.5, 2, settings)
     assert {1.0, 2.0} <= first
     assert first.isdisjoint(Z for Z, coarse, _ in counted_at if coarse)
+    # the well keeps every coarse count, the coarse Brent's too: the same
+    # search again returns the same float from fine counts alone
+    counted_at.clear()
+    assert exact_critical_coupling(w, 0.5, 0, settings).hex() == z_first.hex()
+    assert counted_at and not any(coarse for _, coarse, _ in counted_at)
 
 
 def _fine_only_threshold(w, lam: float, n: int, s: Settings) -> float:
