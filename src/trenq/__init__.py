@@ -58,7 +58,6 @@ from .potentials import (
 )
 from .thresholds import (
     ThresholdReport,
-    base_action_integral,
     critical_coupling,
     lenz_exact_threshold,
     threshold_reports,

@@ -449,7 +449,8 @@ def fit_phi(profile: ActionProfile) -> float:
 
         phi = integral(lambda * t(lambda)) / integral(lambda^2)
 
-    Both integrals use a fixed 64-node Gauss-Legendre rule.
+    Both integrals use a fixed 64-node Gauss-Legendre rule; InputError where
+    the interpolant's cubic term overflows (V_m above about 3e205).
     """
     top = profile.lambda_max
     if top <= 0.0:
@@ -457,10 +458,12 @@ def fit_phi(profile: ActionProfile) -> float:
     x, wts = gauss_nodes(64)
     lam = 0.5 * top * (x + 1.0)
     # t_of on every node at once
-    t_vals = np.maximum(profile.Phi_m - profile._interp(np.minimum(lam, top)), 0.0)
-    num = float(np.dot(wts, lam * t_vals))
-    den = float(np.dot(wts, lam * lam))
-    return num / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_vals = np.maximum(profile.Phi_m - profile._interp(np.minimum(lam, top)), 0.0)
+        phi = float(np.dot(wts, lam * t_vals)) / float(np.dot(wts, lam * lam))
+    if not math.isfinite(phi):
+        raise InputError(f"the fit of phi overflows at sqrt(V_m) = {top:g}: the well is too deep")
+    return phi
 
 
 def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.ndarray:

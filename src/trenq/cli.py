@@ -113,10 +113,6 @@ def _states(args: argparse.Namespace) -> list[QuantumNumbers]:
     ]
 
 
-def _fitted_phi(args: argparse.Namespace, s: Settings) -> float:
-    return fit_phi(action_profile(_well(args, s), s))
-
-
 def _run_well(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise InputError("need at least 2 samples")
@@ -141,7 +137,8 @@ def _run_action(args: argparse.Namespace) -> int:
 
 
 def _run_phi(args: argparse.Namespace) -> int:
-    phi = _fitted_phi(args, _settings(args))
+    s = _settings(args)
+    phi, _ = _resolve_phi(args, s, _well(args, s))
     if args.format == "json":
         _emit(args, ["phi"], [[phi]], [])
     else:
@@ -149,12 +146,13 @@ def _run_phi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_phi(args: argparse.Namespace, s: Settings) -> tuple[float, str]:
-    if args.phi is not None:
+def _resolve_phi(args: argparse.Namespace, s: Settings, well=None) -> tuple[float, str]:
+    # phi and validate take no --phi flag
+    if getattr(args, "phi", None) is not None:
         return args.phi, "override"
-    if args.potential is not None or args.family is not None:
-        return _fitted_phi(args, s), "fitted"
-    return _DEFAULT_PHI, "default"
+    if well is None and args.potential is None and args.family is None:
+        return _DEFAULT_PHI, "default"
+    return fit_phi(action_profile(_well(args, s) if well is None else well, s)), "fitted"
 
 
 def _run_tren(args: argparse.Namespace) -> int:
@@ -219,10 +217,7 @@ def _report_rows(reports) -> list[list]:
 def _run_threshold(args: argparse.Namespace) -> int:
     s = _settings(args)
     well = _well(args, s)
-    if args.phi is not None:
-        phi, source = args.phi, "override"
-    else:
-        phi, source = fit_phi(action_profile(well, s)), "fitted"
+    phi, source = _resolve_phi(args, s, well)
     reports = threshold_reports(well, _states(args), s, t_source=phi, with_oracle=args.oracle)
     comments = [f"# phi = {_fmt(phi)} ({source})"] if args.format == "csv" else []
     _emit(args, _REPORT_HEADER, _report_rows(reports), comments)
@@ -246,7 +241,7 @@ def _run_validate(args: argparse.Namespace) -> int:
     s = _settings(args)
     p = _family_potential(args.family, args.a, 1.0)
     well = _log_well(args, p, s)
-    phi = fit_phi(action_profile(well, s))
+    phi, _ = _resolve_phi(args, s, well)
     reports = threshold_reports(well, _states(args), s, t_source=phi, with_oracle=True)
     compared = [r.rel_err_ren for r in reports if r.rel_err_ren is not None]
     if not compared:

@@ -114,8 +114,9 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
         return action(w, lam, s) - target
 
     top = math.sqrt(w.V_m)
-    g0 = g(0.0)
+    g0 = phi_m - target
     if g0 <= 0.0:
         # exactly at threshold: the level appears at lambda = 0
         return 0.0
-    return brent(g, 0.0, top, g0, g(top), xtol=1e-14 * top, rtol=1e-14)
+    # the action is exactly 0 at the top, where the turning points meet
+    return brent(g, 0.0, top, g0, -target, xtol=1e-14 * top, rtol=1e-14)

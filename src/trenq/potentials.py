@@ -48,10 +48,12 @@ class Settings:
     quad_tol:   quadrature tolerance; the action I(lambda) is computed to
                 quad_tol * max(1, I), the inner correction integral to an
                 absolute quad_tol.
-    ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/4); the oracle's
-                critical couplings then carry a grid error of up to about
-                15 * ode_tol relative (1.5e-9 at the default), which
-                is not estimated at run time.  At most _ODE_TOL_MAX.
+    ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/4); on a smooth
+                well the oracle's critical couplings then carry a grid error
+                of up to about 15 * ode_tol relative (1.5e-9 at the default),
+                not estimated at run time.  A Tabulated W is only C^1: on 400
+                samples of Lenz(1, 1), Z_c(0, l = 0) at the default is 2.6e-7
+                off an ode_tol = 1e-14 reference.  At most _ODE_TOL_MAX.
 
     The truncation of the rho-line is fixed by DOMAIN_CUT, not set here.
     """
@@ -180,8 +182,10 @@ class Tabulated:
             raise InputError("tabulated potential needs matching 1-d r and U arrays (>= 4 points)")
         if not np.all((r > 0.0) & (r < np.inf)) or not np.all(np.diff(r) > 0.0):
             raise InputError("tabulated r grid must be strictly ascending, positive and finite")
-        if not np.all((u < 0.0) & (u > -np.inf)):
-            raise InputError("tabulated U values must all be negative and finite")
+        with np.errstate(over="ignore"):
+            w = -2.0 * r * r * u
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise InputError("tabulated U must give W = -2 r^2 U positive and finite at every sample")
         if not (math.isfinite(self.q0) and math.isfinite(self.qinf)):
             raise InputError(
                 f"tabulated decay exponents must be finite, got q0 = {self.q0}, qinf = {self.qinf}"
@@ -189,7 +193,6 @@ class Tabulated:
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "U_values", u)
         rho = np.log(r)
-        w = -2.0 * r * r * u
         log_w = Pchip(rho, np.log(w))
         lo, hi = log_w.x[0], log_w.x[-1]
         object.__setattr__(self, "_log_w", log_w)

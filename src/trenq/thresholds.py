@@ -6,10 +6,10 @@ renormalized effective quantum number:
     (1 / pi hbar) * integral sqrt(W) d rho = T_ren(nu, lambda).
 
 Every LogWell is W = Z * base, so the left side scales as sqrt(Z) and the
-critical coupling is available in closed form from the base integral.  For
+critical coupling Z * (target / I(0))^2 is available in closed form.  For
 a family given as a factory Z -> LogWell it is found by Brent's method on
 the smooth, monotone depth dependence, inside a bracket grown from the
-coupling that the same sqrt(Z) scaling predicts from the well at Z = 1.
+coupling that the same sqrt(Z) law predicts from the well at Z = 1.
 The unrenormalized variant (target T instead of T_ren) is kept for
 comparison: renormalization always lowers the predicted threshold, by the
 exact factor 1 - 1/(4 T^2) on the closed-form route.
@@ -48,12 +48,12 @@ class ThresholdReport:
     rel_err_unren: float | None = None
 
 
-def base_action_integral(w: LogWell, s: Settings) -> float:
-    """A0 = integral sqrt(w.base) d rho, tails included.
-
-    For W = Z * base the total action is Phi_m = sqrt(Z) * A0 / (pi hbar).
-    """
-    return math.pi * s.hbar * action(w, 0.0, s) / math.sqrt(w.Z)
+def _sqrt_z_coupling(Z: float, i0: float, target: float) -> float:
+    """Z * (target / i0)^2, the sqrt(Z) law's root; nan unless 0 < i0 < inf."""
+    if not 0.0 < i0 < math.inf:
+        return math.nan
+    r = target / i0
+    return Z * r * r
 
 
 def critical_coupling(
@@ -71,33 +71,31 @@ def critical_coupling(
     renormalized=False) with the deficit taken from t_source (a fitted
     linear slope or a sampled action profile).  Without well_factory the
     family is w rescaled, W = Z * base, and the coupling follows in closed
-    form from base_action_integral, whose I(0) the well keeps per Settings.
-    With well_factory, a callable Z -> LogWell, the coupling is found by
-    Brent's method to 1e-12 relative.  Its bracket grows out of
-    the guess (target / I(1))^2, with I(1) the action of the well at Z = 1:
+    form from I(0), which the well keeps per Settings (InputError if the
+    coupling is not finite).  With well_factory, a callable Z -> LogWell,
+    it is found by Brent's method to 1e-12 relative.  Its bracket grows out
+    of the guess (target / I(1))^2, with I(1) the action of the well at Z = 1:
     the guess is the root, up to quadrature error, when the action grows
     like sqrt(Z) (every linear family), and a start point when it does not.
-    Without a positive finite I(1) the bracket doubles from Z = 1.
+    Without a positive finite guess the bracket doubles from Z = 1.
     """
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
     if well_factory is None:
-        a0 = base_action_integral(w, s)
-        if not 0.0 < a0 < math.inf:
-            raise InputError(f"base action integral must be positive and finite, got {a0}")
-        return (math.pi * s.hbar * target / a0) ** 2
+        i0 = action(w, 0.0, s)
+        z = _sqrt_z_coupling(w.Z, i0, target)
+        if not 0.0 <= z < math.inf:
+            raise InputError(f"no finite critical coupling from I(0) = {i0:g} at Z = {w.Z:g}")
+        return z
 
     i1 = action(well_factory(1.0), 0.0, s)
 
     def overshoot(Z: float) -> float:
         return (i1 if Z == 1.0 else action(well_factory(Z), 0.0, s)) - target
 
-    z_guess = (target / i1) * (target / i1) if 0.0 < i1 < math.inf else math.nan
-    if 0.0 < z_guess < math.inf:
-        bracket = geometric_bracket(overshoot, z_guess, 1.0 + _GUESS_STEP)
-    else:
-        bracket = geometric_bracket(overshoot)
-    return brent(overshoot, *bracket, xtol=0.0, rtol=1e-12)
+    z_guess = _sqrt_z_coupling(1.0, i1, target)
+    start, ratio = (z_guess, 1.0 + _GUESS_STEP) if 0.0 < z_guess < math.inf else (1.0, 2.0)
+    return brent(overshoot, *geometric_bracket(overshoot, start, ratio), xtol=0.0, rtol=1e-12)
 
 
 def lenz_exact_threshold(

@@ -307,6 +307,10 @@ def test_fit_phi_coupling_independent(settings) -> None:
         w = to_log_well(Lenz(a=1.0, Z=Z), settings)
         phis.append(fit_phi(action_profile(w, settings)))
     assert abs(phis[0] - phis[1]) <= 1e-10
+    # up to V_m ~ 3e205: beyond, the interpolant's cubic term overflows
+    w = to_log_well(Lenz(a=1.0, Z=1e300), settings)
+    with pytest.raises(InputError, match="overflows"):
+        fit_phi(action_profile(w, settings))
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

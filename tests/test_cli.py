@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import trenq
 from trenq.cli import main
@@ -238,12 +244,71 @@ def test_inline_family_potential(capsys) -> None:
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-8)
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# JSON values a spec field may hold besides a number in range
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, True, False, "nan", "inf", "x"])
+_Z = _log_uniform(1e-300, 1e300) | _ODD
+_ANALYTIC = st.fixed_dictionaries(
+    {"family": st.just("lenz"), "a": _log_uniform(1e-3, 1e3) | _ODD, "Z": _Z}
+) | st.fixed_dictionaries({"family": st.just("tietz"), "Z": _Z})
+_MAGNITUDE = _log_uniform(1e-3, 1e3) | _log_uniform(1e-300, 1e300)
+# the decay rule asks for q0 < 2 < qinf
+_EXPONENT = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 6.0])
+
+
+@st.composite
+def _tabulated(draw) -> dict:
+    r = sorted(draw(st.lists(_MAGNITUDE, min_size=4, max_size=8, unique=True)))
+    shape = draw(st.sampled_from(["ascending", "ascending", "repeated", "unordered"]))
+    if shape == "repeated":
+        r[1] = r[0]
+    elif shape == "unordered":
+        r.reverse()
+    u = [-draw(_MAGNITUDE) for _ in r]
+    if draw(st.integers(0, 3)) == 0:
+        u[draw(st.integers(0, len(u) - 1))] *= -1.0
+    return {"family": "tabulated", "r": r, "U": u, "q0": draw(_EXPONENT), "qinf": draw(_EXPONENT)}
+
+
+# small grids keep every command fast; the flags change no code path
+_FUZZ_ARGV = [
+    ["well", "--samples", "5"],
+    ["phi"],
+    ["spectrum", "--n-max", "2"],
+    ["threshold", "--n-max", "1", "--l-max", "1"],
+]
+
+
+# in-process, so capsys is out: it is a function-scoped fixture, which
+# hypothesis's health check rejects under @given
+@hypothesis_settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(spec=_ANALYTIC | _tabulated())
+def test_cli_fuzz_exits_cleanly(spec) -> None:
+    for argv in _FUZZ_ARGV:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--potential", json.dumps(spec)])
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 0:
+            assert err.getvalue() == "" and "nan" not in out.getvalue(), (argv, out.getvalue())
+        else:
+            text = err.getvalue()
+            assert text.startswith(("trenq: error: ", "trenq: numerical failure: ")), (argv, text)
+            assert text.count("\n") == 1 and "Traceback" not in text, (argv, text)
+
+
 # the module run as a program from an uninstalled checkout: exit 0 on the
 # corrected transform, 3 on the printed variant, and 1 with a one-line error
 # for --output into a missing directory, for a flag the command does not take
 # (spectrum reads no --d), for an --ode-tol above 1e-2, for a potential that
 # breaks the decay rule (Lenz a = 0), for a printed well whose cut lies
-# where W overflows and for a well that is numerically zero; never a traceback
+# where W overflows, for a well that is numerically zero, for a critical
+# coupling beyond the double range (Lenz a = 1e200), for a phi fit that
+# overflows (Z = 1e300) and for tabulated samples whose W overflows; never a
+# traceback
 ENTRY_POINT_CASES = {
     "validate": (["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6"], 0),
     "validate-printed": (
@@ -258,6 +323,16 @@ ENTRY_POINT_CASES = {
     "decay-rule": (["well", "--family", "lenz", "--a", "0", "--Z", "1"], 1),
     "printed-overflow": (["well", "--family", "lenz", "--a", "0.51", "--transform", "printed"], 1),
     "zero-well": (["well", "--family", "lenz", "--a", "1", "--Z", "1e-15"], 1),
+    "coupling-overflow": (["threshold", "--potential", '{"family":"lenz","a":1e200,"Z":1}'], 1),
+    "phi-overflow": (["phi", "--potential", '{"family":"lenz","a":1,"Z":1e300}'], 1),
+    "tabulated-overflow": (
+        [
+            "well",
+            "--potential",
+            '{"family":"tabulated","r":[1e-300,1,2,1e300],"U":[-1,-1,-1,-1e-300],"q0":1,"qinf":4}',
+        ],
+        1,
+    ),
 }
 
 

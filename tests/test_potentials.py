@@ -508,6 +508,10 @@ def test_load_potential_rejects_bad_input() -> None:
             Tabulated(r_grid=r, U_values=u, q0=0.0, qinf=4.0)
     with pytest.raises(InputError):
         Tabulated(r_grid=np.append(r[:-1], np.inf), U_values=-np.ones(9), q0=0.0, qinf=4.0)
+    # W = -2 r^2 U overflows at r = 1e300, and underflows to 0 at r = 1e-300
+    for r_bad, u_bad in (([1.0, 2.0, 3.0, 1e300], -1e-300), ([1e-300, 1.0, 2.0, 3.0], -1.0)):
+        with pytest.raises(InputError, match="positive and finite"):
+            Tabulated(r_grid=r_bad, U_values=[u_bad] * 4, q0=1.0, qinf=4.0)
     for q0, qinf in ((np.nan, 4.0), (0.0, np.inf), (-np.inf, 4.0), (0.0, np.nan)):
         with pytest.raises(InputError):
             Tabulated(r_grid=r, U_values=-np.ones(9), q0=q0, qinf=qinf)

@@ -17,7 +17,6 @@ from trenq import (
     Tietz,
     action,
     action_profile,
-    base_action_integral,
     critical_coupling,
     exact_critical_coupling,
     fit_phi,
@@ -27,15 +26,6 @@ from trenq import (
     threshold_reports,
     to_log_well,
 )
-
-
-def test_base_action_integral_closed_form(settings) -> None:
-    # integral of sqrt(sech^2(a x)/2) is pi/(a sqrt(2))
-    for a in (0.5, 1.0, 2.0):
-        w = to_log_well(Lenz(a=a, Z=8.0), settings)
-        assert base_action_integral(w, settings) == pytest.approx(
-            math.pi / (a * math.sqrt(2.0)), rel=1e-9
-        )
 
 
 def test_critical_coupling_reference_values(settings, lenz18_well) -> None:
@@ -60,9 +50,9 @@ def test_critical_coupling_reference_values(settings, lenz18_well) -> None:
         decay_left=1.0,
         decay_right=1.0,
     )
-    with pytest.raises(InputError, match="base action integral"):
+    with pytest.raises(InputError, match="no finite critical coupling"):
         critical_coupling(flat, q, settings, t_source=1.0)
-    with pytest.raises(InputError, match="base action integral"):
+    with pytest.raises(InputError, match="no finite critical coupling"):
         threshold_reports(flat, [q], settings, t_source=1.0)
 
 
