@@ -205,13 +205,6 @@ def _exponential_tail(w_end: float, lambda2: float, rate: float) -> float:
     return (2.0 / rate) * (v - lam * math.atan2(v, lam))
 
 
-def _well_slope(w: LogWell, rho: np.ndarray) -> np.ndarray:
-    if w.base_deriv is not None:
-        return np.asarray(w.profile_deriv(rho), dtype=float)
-    delta = 1e-7 * np.maximum(1.0, np.abs(rho))
-    return (w.profile(rho + delta) - w.profile(rho - delta)) / (2.0 * delta)
-
-
 def _well_curvature(w: LogWell, rho: np.ndarray) -> np.ndarray:
     """W''(rho): a central difference of W' where it is known, else a second difference of W."""
     if w.base_deriv is not None:
@@ -229,51 +222,6 @@ def _raised(gap: np.ndarray, rho: np.ndarray, weight: _Weight) -> np.ndarray:
     return np.where(positive, weight(rho) / np.sqrt(np.where(positive, gap, 1.0)), 0.0)
 
 
-def _turning_ratio(
-    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], weight: _Weight
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Integrand in theta of _raised(W - lambda^2, rho, weight) in the Q form, over many pairs.
-
-    Q(theta) = (W - lambda^2) / ((rho - rho1)(rho2 - rho)).  Under
-    rho = mid + c*sin(theta) the product of root distances equals
-    c^2 cos^2 theta, so Q is the smooth positive factor of W - lambda^2 with
-    the simple turning-point zeros divided out; integrands written in terms
-    of Q avoid the endpoint roundoff amplification of the naive sqrt forms.
-
-    Two refinements keep Q accurate at the extreme quadrature nodes, where
-    the root distances are ~cos^2(theta) and a one-ulp root displacement
-    would otherwise be amplified by the inverse: the stored roots are
-    Newton-corrected inside the denominator, and 1 +- sin(theta) is
-    evaluated through cos^2 on the cancelling side.
-
-    Row i of theta in the returned f(theta, rows) belongs to lambda2[rows[i]]
-    and its pair, as numerics.adaptive_gauss evaluates a batch.
-    """
-    rho1, rho2 = ends = np.array([[pair.rho1 for pair in pairs], [pair.rho2 for pair in pairs]])
-    # residual Newton shifts of the stored roots (a fraction of an ulp each)
-    slope = _well_slope(w, ends)
-    shift = np.asarray(w.profile(ends), dtype=float) - lambda2
-    corr1, corr2 = np.divide(shift, slope, out=np.zeros_like(shift), where=slope != 0.0)
-    params = np.array((0.5 * (rho1 + rho2), 0.5 * (rho2 - rho1), lambda2, corr1, corr2))
-
-    def f_theta(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        mid, half, lam2, corr1, corr2 = params[:, rows, None]
-        sin_t = np.sin(theta)
-        cos_t = np.cos(theta)
-        cos2 = cos_t * cos_t
-        one_plus = np.where(sin_t < 0.0, cos2 / (1.0 - sin_t), 1.0 + sin_t)
-        one_minus = np.where(sin_t > 0.0, cos2 / (1.0 + sin_t), 1.0 - sin_t)
-        rho = mid + half * sin_t
-        gap = np.asarray(w.profile(rho), dtype=float) - lam2
-        d1 = half * one_plus + corr1  # rho - (rho1 + newton shift)
-        d2 = half * one_minus - corr2  # (rho2 + newton shift) - rho
-        value = _raised(np.maximum(gap / np.maximum(d1 * d2, 1e-300), 0.0), rho, weight)
-        # W - lambda^2 = (half cos(theta))^2 Q and d rho = half cos(theta) d theta
-        return half * half * cos2 * value if weight is None else value
-
-    return f_theta
-
-
 def _turning_point_integrals(
     w: LogWell,
     lambda2: np.ndarray,
@@ -289,48 +237,48 @@ def _turning_point_integrals(
 
     A degenerate pair gives 0.  Piecewise profiles use the knot-aligned
     composite rule, pair by pair, on the well's knot table: only the two
-    end segments of each pair are sampled anew.  A pair at the domain cut
-    has no turning point, so the sine map alone makes the integrand smooth.
-    All true turning pairs of a smooth profile share one batched adaptive
-    quadrature in the Q form of _turning_ratio, where each gets the value it
-    would get alone.  The adaptive rules stop at an error estimate of
+    end segments of each pair are sampled anew.  All pairs of a smooth
+    profile, at the domain cut or at true turning points, share one batched
+    adaptive quadrature under rho = mid + half*sin(theta), where each gets
+    the value it would get alone.  d rho = half*cos(theta) d theta vanishes
+    like sqrt(W - lambda^2) at simple turning points: it cancels the
+    inverse square root of the weight form and turns the square-root ends
+    of the plain form into smooth ones, so the integrand needs no
+    derivative of W.  The adaptive rules stop at an error estimate of
     max(tol, rtol * |value|).
     Returns (values, error estimates).
     """
     values = np.zeros(len(pairs))
     errors = np.zeros(len(pairs))
-    turning = []
+    smooth = []
     for i, pair in enumerate(pairs):
         if pair.degenerate:
             continue  # an empty interval
-        at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
-        if w.breakpoints is None and not at_cut:
-            turning.append(i)
+        if w.breakpoints is None:
+            smooth.append(i)
             continue
         level = float(lambda2[i])
 
         def raised(rho: np.ndarray, w_rho: np.ndarray) -> np.ndarray:
             return _raised(np.maximum(w_rho - level, 0.0), rho, weight)
 
-        if w.breakpoints is not None:
-            values[i], errors[i] = composite_knot_integral(
-                raised, w.profile, pair.rho1, pair.rho2, _knot_table(w), sqrt_ends=not at_cut
-            )
-            continue
-        mid = 0.5 * (pair.rho1 + pair.rho2)
-        half = 0.5 * (pair.rho2 - pair.rho1)
-
-        def direct(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            rho = mid + half * np.sin(theta)
-            return raised(rho, w.profile(rho)) * half * np.cos(theta)
-
-        values[i : i + 1], errors[i : i + 1] = adaptive_gauss(
-            direct, 1, -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort
+        at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
+        values[i], errors[i] = composite_knot_integral(
+            raised, w.profile, pair.rho1, pair.rho2, _knot_table(w), sqrt_ends=not at_cut
         )
-    if turning:
-        values[turning], errors[turning] = adaptive_gauss(
-            _turning_ratio(w, lambda2[turning], [pairs[i] for i in turning], weight),
-            len(turning), -0.5 * math.pi, 0.5 * math.pi, tol, rtol=rtol, best_effort=best_effort,
+    if smooth:
+        rho1, rho2 = np.array([[pairs[i].rho1 for i in smooth], [pairs[i].rho2 for i in smooth]])
+        params = np.array((0.5 * (rho1 + rho2), 0.5 * (rho2 - rho1), lambda2[smooth]))
+
+        def f_theta(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            mid, half, lam2 = params[:, rows, None]
+            rho = mid + half * np.sin(theta)
+            gap = np.maximum(np.asarray(w.profile(rho), dtype=float) - lam2, 0.0)
+            return _raised(gap, rho, weight) * half * np.cos(theta)
+
+        values[smooth], errors[smooth] = adaptive_gauss(
+            f_theta, len(smooth), -0.5 * math.pi, 0.5 * math.pi, tol,
+            rtol=rtol, best_effort=best_effort,
         )
     return values, errors
 
@@ -477,12 +425,13 @@ def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.n
 
         F'(eps) = -(1/sqrt 2) * integral W'' (W - lambda^2)^(-1/2) d rho,
 
-    an integrand of the same Q form as the action (weight -W''/sqrt 2, see
-    _turning_point_integrals), with W'' from _well_curvature.  All levels
-    share one batched root search and one batched quadrature, each to an
-    absolute tol, saturating where that cannot be met; a scalar epsilon is
-    one level.  An epsilon outside [0, V_m/2], nan included, puts lambda^2
-    outside [0, V_m] and raises InputError.
+    the weight form of _turning_point_integrals (weight -W''/sqrt 2), whose
+    sine map cancels the inverse square root at the turning points, with W''
+    from _well_curvature.  All levels share one batched root search and one
+    batched quadrature, each to an absolute tol, saturating where that
+    cannot be met; a scalar epsilon is one level.  An epsilon outside
+    [0, V_m/2], nan included, puts lambda^2 outside [0, V_m] and raises
+    InputError.
     """
     lambda2 = w.V_m - 2.0 * np.asarray(epsilon, dtype=float).ravel()
 

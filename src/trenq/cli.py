@@ -87,6 +87,8 @@ def _settings(args: argparse.Namespace) -> Settings:
 
 def _family_potential(family: str, a: float | None, Z: float):
     if family == "tietz":
+        if a is not None:
+            raise InputError("family 'tietz' takes no --a: its width is fixed at 1/2")
         return Tietz(Z=Z)
     if a is None:
         raise InputError("family 'lenz' requires --a")
@@ -99,9 +101,14 @@ def _log_well(args: argparse.Namespace, p, s: Settings):
 
 def _well(args: argparse.Namespace, s: Settings):
     if args.potential is not None:
+        given = (("--family", args.family), ("--a", args.a), ("--Z", args.Z))
+        flags = [flag for flag, value in given if value is not None]
+        if flags:
+            raise InputError(f"--potential sets the whole well and takes no {', '.join(flags)}")
         return _log_well(args, load_potential(args.potential), s)
     if args.family is not None:
-        return _log_well(args, _family_potential(args.family, args.a, args.Z), s)
+        Z = 1.0 if args.Z is None else args.Z
+        return _log_well(args, _family_potential(args.family, args.a, Z), s)
     raise InputError(f"command '{args.command}' requires --potential or --family")
 
 
@@ -279,7 +286,9 @@ def _build_parser() -> _Parser:
         # validate always sweeps a family at Z = 1, so it takes no --potential or --Z
         if name != "validate":
             p.add_argument("--potential", default=None, help="potential JSON file or JSON text")
-            p.add_argument("--Z", type=float, default=1.0, help="coupling for inline families")
+            p.add_argument(
+                "--Z", type=float, default=None, help="coupling for inline families (default 1)"
+            )
         p.add_argument("--family", choices=["lenz", "tietz"], default=None)
         p.add_argument("--a", type=float, default=None, help="Lenz width parameter")
         p.add_argument(

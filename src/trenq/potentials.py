@@ -535,16 +535,32 @@ def load_potential(source: str | Path | dict) -> RadialPotential:
     missing = _POTENTIAL_KEYS[family] - set(data)
     if missing:
         raise InputError(f"missing keys for family {family!r}: {sorted(missing)}")
+    if family == "lenz":
+        return Lenz(a=_number(data["a"], "a"), Z=_number(data["Z"], "Z"))
+    if family == "tietz":
+        return Tietz(Z=_number(data["Z"], "Z"))
+    return Tabulated(
+        r_grid=_numbers(data["r"], "r"),
+        U_values=_numbers(data["U"], "U"),
+        q0=_number(data["q0"], "q0"),
+        qinf=_number(data["qinf"], "qinf"),
+    )
+
+
+def _number(value, key: str) -> float:
+    """value as a float; InputError unless it is a number (a bool is not, nor a numeric string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"potential key {key!r} must be a JSON number, got {value!r}")
     try:
-        if family == "lenz":
-            return Lenz(a=float(data["a"]), Z=float(data["Z"]))
-        if family == "tietz":
-            return Tietz(Z=float(data["Z"]))
-        return Tabulated(
-            r_grid=np.asarray(data["r"], dtype=float),
-            U_values=np.asarray(data["U"], dtype=float),
-            q0=float(data["q0"]),
-            qinf=float(data["qinf"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid potential parameters: {exc}") from exc
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise InputError(f"potential key {key!r} is beyond the double range") from None
+
+
+def _numbers(values, key: str) -> np.ndarray:
+    """values as a float array, every element checked by _number before NumPy converts it."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # NumPy bools become bools, NumPy floats floats
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"potential key {key!r} must be a JSON array of numbers, got {values!r}")
+    return np.array([_number(v, key) for v in values], dtype=float)

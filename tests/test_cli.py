@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -226,6 +226,20 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     assert main(argv) == 1
     assert main(["spectrum", "--family", "lenz", "--a", "1", "--Z", "20", "--d", "1"]) == 1
     capsys.readouterr()
+    # a well flag the well would drop: --a on Tietz (width 1/2), and any of
+    # --family, --a and --Z beside --potential, which sets the whole well
+    inline = json.dumps(LENZ_A1)
+    for argv in (
+        ["spectrum", "--family", "tietz", "--a", "3", "--Z", "20"],
+        ["validate", "--family", "tietz", "--a", "7"],
+        ["spectrum", "--potential", inline, "--family", "tietz", "--Z", "99", "--a", "3"],
+        ["phi", "--potential", inline, "--family", "lenz"],
+        ["well", "--potential", inline, "--a", "1"],
+        ["threshold", "--potential", inline, "--Z", "1"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("trenq: error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_output_into_missing_directory(tmp_path, capsys) -> None:
@@ -286,6 +300,14 @@ _FUZZ_ARGV = [
 # hypothesis's health check rejects under @given
 @hypothesis_settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(spec=_ANALYTIC | _tabulated())
+# deep or narrow wells whose level search runs to within rounding of V_m,
+# where the action integrand must stay finite: the spectrum quadrature of
+# both Tietz wells exits 2, the phi fit of Lenz(1e5, 1e300) overflows
+# (exit 1), and the coupling of Lenz(1e200, 1e12) is not finite (exit 1)
+@example(spec={"family": "tietz", "Z": 10**28.5})
+@example(spec={"family": "tietz", "Z": 1.849e32})
+@example(spec={"family": "lenz", "a": 1e5, "Z": 1e300})
+@example(spec={"family": "lenz", "a": 1e200, "Z": 1e12})
 def test_cli_fuzz_exits_cleanly(spec) -> None:
     for argv in _FUZZ_ARGV:
         out, err = io.StringIO(), io.StringIO()

@@ -515,6 +515,25 @@ def test_load_potential_rejects_bad_input() -> None:
     for q0, qinf in ((np.nan, 4.0), (0.0, np.inf), (-np.inf, 4.0), (0.0, np.nan)):
         with pytest.raises(InputError):
             Tabulated(r_grid=r, U_values=-np.ones(9), q0=q0, qinf=qinf)
+    # JSON booleans and numeric strings are not numbers, also inside r and U,
+    # where NumPy would turn [1, true] into [1, 1]
+    tab = {"family": "tabulated", "r": [1.0, 2.0, 3.0, 4.0], "U": [-1.0] * 4, "q0": 1.0, "qinf": 4.0}
+    for key, bad in (("a", True), ("Z", "8"), ("a", None), ("Z", [8.0])):
+        with pytest.raises(InputError, match=f"'{key}' must be a JSON number"):
+            load_potential({"family": "lenz", "a": 1.0, "Z": 8.0, key: bad})
+    with pytest.raises(InputError, match="'Z' must be a JSON number"):
+        load_potential('{"family": "tietz", "Z": false}')
+    for key, bad in (("q0", True), ("qinf", "4"), ("r", [1.0, True, 3.0, 4.0]), ("U", [-1.0, -1.0, "-1", -1.0])):
+        with pytest.raises(InputError, match=f"'{key}' must be a JSON number"):
+            load_potential({**tab, key: bad})
+    with pytest.raises(InputError, match="'U' must be a JSON array"):
+        load_potential({**tab, "U": "-1"})
+    with pytest.raises(InputError, match="beyond the double range"):
+        load_potential('{"family": "tietz", "Z": 1' + "0" * 400 + "}")
+    # NumPy numbers from a dict source still pass
+    assert load_potential({"family": "lenz", "a": np.float32(0.5), "Z": np.int64(8)}) == Lenz(a=0.5, Z=8.0)
+    loaded = load_potential({**tab, "r": np.array(tab["r"]), "q0": np.float64(1.0)})
+    assert np.array_equal(loaded.r_grid, tab["r"])
 
 
 def test_settings_validation() -> None:
