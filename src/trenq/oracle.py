@@ -15,22 +15,34 @@ its sign taken from the count, locates every critical coupling, and the
 integer count certifies it.
 
 Each search runs in two stages.  The coarse stage counts on a grid _COARSEN
-times coarser, at about 1/_COARSEN of the cost per count: its bracket
-doubles from Z = 1 and Brent solves it to 1e-6.  The count and amplitude of
-every coarse point are kept on the well per lambda, Settings and Z, so the
-other thresholds of the well reuse its bracket points and a repeated search
-counts nothing coarse; they are the same floats either way, so no threshold
-depends on the order of the calls.  The grid error scales as h^4, so the
-coarse root lies within about 15 ode_tol _COARSEN^4 relative of the fine
-one.  The fine stage brackets the fine root from the coarse one within
-twice that distance, solves it to 1e-10 and certifies it by fine counts,
-which are not kept.  A count's grid depends on Z only through its number of
-steps, so the search keeps the coupling-free shape of the well on the grid
-of its last count, one memo for both stages since they run one after the
-other, and a count on that grid only rescales it.  No semiclassical input
-enters, the coarse root only places the fine bracket, and no threshold
-seeds another, which is what makes this module a legitimate oracle for the
-rest of the package.
+times coarser, made of every _COARSEN-th point of the fine grid, at about
+1/_COARSEN of the cost per count: its bracket doubles from Z = 1 and Brent
+solves it to 1e-9.  The count and amplitude of every coarse point are kept on
+the well per lambda, Settings and Z, so the other thresholds of the well
+reuse its bracket points and a repeated search counts nothing coarse; they
+are the same floats either way, so no threshold depends on the order of the
+calls.  The grid error scales as h^4, so the coarse root lies about
+_COARSEN^4 times the fine grid error from the fine one.  The fine stage
+brackets the fine root from the coarse one within twice the largest such
+distance measured, solves it to 1e-11 and certifies it by fine counts, which
+are not kept.  On a smooth well the two roots z_c and z then extrapolate
+(L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)) to
+
+    z_R = (_COARSEN^4 z - z_c) / (_COARSEN^4 - 1),
+
+whose error is of order h^6; the grid rule h ~ ode_tol^(1/6) is set so that
+it stays below ode_tol / 10, for ode_tol up to _EXTRAPOLATE_MAX.  Where the
+coarse step is not _COARSEN times the fine one at the roots (its
+h k_ref = 1 cap, at loose ode_tol), z is returned as it is, and where that
+cap holds at every coupling the fine stage alone searches from Z = 1.
+
+A count's grid depends on Z only through its number of steps, so the search
+keeps the coupling-free shape of the well on the grid of its last count, one
+memo for both stages since they run one after the other, and a count on that
+grid only rescales it.  No semiclassical input enters, the coarse root only
+places the fine bracket and corrects the fine root by the grid error the two
+roots measure, and no threshold seeds another, which is what makes this
+module a legitimate oracle for the rest of the package.
 
 The integration window extends beyond the point where the well is cut off:
 near a threshold the incoming node sits far out in the e^(+-lambda rho)
@@ -51,15 +63,24 @@ from .errors import ConvergenceError, InputError
 from .numerics import brent, geometric_bracket
 from .potentials import LogWell, Settings, quantum_index
 
-# grid resolution: h = _STEP_FACTOR * ode_tol^(1/4) / k_max; the grid error of
-# the fourth-order recurrence scales as h^4 and moves a critical coupling by
-# up to about 15 ode_tol relative (1.5e-9 at the 1e-10 default, hk ~ 0.02),
-# well above the 1e-10 width the root-find stops at
-_STEP_FACTOR = 6.6
-# step ratio of a search's coarse counts to its fine ones; at 4 the coarse
-# roots of the criterion-1 grid are in the clean h^4 regime: solved to 1e-12,
-# |z - z_coarse| / (4^4 - 1) is 0.92-1.19x the fine root's own error
+# grid resolution: h = ode_tol^(1/6) * min(_STEP_CAP, _STEP_FACTOR / k_ref).  The
+# fine root's grid error scales as h^4, at most _FINE_ERROR * ode_tol^(2/3)
+# relative on the criterion-1 grid (measured 0.0137: 2.95e-9 at the 1e-10
+# default), and the Richardson extrapolation of the coarse and fine roots
+# leaves an h^6 error, below ode_tol / 10 on that grid under Settings(),
+# hbar = 0.5 and ode_tol = 1e-8 (7.5e-12, 5.6e-12 and 7.0e-10).  _STEP_FACTOR
+# bounds h k_ref, the resolution of the local wavenumber; _STEP_CAP bounds h
+# where k_ref is small, for the shallow states whose error is set by the
+# shape of the well rather than by k_ref (0.0162 at the default)
+_STEP_FACTOR = 1.6
+_STEP_CAP = 0.75
+_FINE_ERROR = 0.015
+# step ratio of a search's coarse counts to its fine ones
 _COARSEN = 4
+# loosest ode_tol extrapolated: beyond it the coarse grid of the shallow
+# states leaves the h^4 regime (at 1e-4 the extrapolated Z_c(0, l = 0) of
+# Lenz(2, 1) was 1.0e-4 off, its fine root 8.6e-6)
+_EXTRAPOLATE_MAX = 1e-6
 _WINDOW_LOG = 0.5 * math.log(1e14)
 _MAX_STEPS = 8_000_000
 # grid points per block of the sweep's set-up: its ~5 block-sized arrays
@@ -101,6 +122,21 @@ def _count_nonpositive_pivots(d: np.ndarray) -> int:
         d[start] = min(d[start], -_TINY)
         count += 1
     return count
+
+
+def _k_ref(w: LogWell, lam: float, hbar: float, Z: float) -> float:
+    """Largest local wavenumber of the well at coupling Z, floored at 1e-2 / hbar."""
+    return max(math.sqrt(Z / w.Z * w.V_m), lam, 1e-2) / hbar
+
+
+def _step(k_ref: float, ode_tol: float, coarsen: int = 1) -> float:
+    """Grid step at k_ref, times coarsen but not beyond h k_ref = 1 nor below the step.
+
+    h k_ref grows with k_ref, so a coarse step capped at one k_ref is capped
+    at every larger one.
+    """
+    h = ode_tol ** (1.0 / 6.0) * min(_STEP_CAP, _STEP_FACTOR / k_ref)
+    return max(h, min(coarsen * h, 1.0 / k_ref))
 
 
 @dataclass(frozen=True)
@@ -159,13 +195,14 @@ def count_bound_states(
 
     `_grid` is exact_critical_coupling's memo of w.base on the grid of its
     last count, keyed by (rho_l, rho_r, n_steps), which do not depend on Z
-    beyond n_steps.  On a hit each block's W is Z times the memo's slice,
-    the arithmetic of LogWell.profile, so the count is bit-identical; on a
-    miss base is evaluated block by block as without a memo and kept in it
-    (8 B more per step).  Direct callers pass none.
+    beyond n_steps.  On a hit each block reads the memo's slice of base in
+    place of evaluating it, so the count is bit-identical; on a miss base is
+    evaluated block by block as without a memo and kept in it (8 B more per
+    step).  Direct callers pass none.
 
-    `_coarsen` is the coarse stage's step ratio: the step, after its 0.02
-    cap and the budget check, is multiplied by it, but not beyond
+    The fine grid has a multiple of _COARSEN steps, so that `_coarsen`, the
+    coarse stage's step ratio, picks every _coarsen-th of its points: the
+    step, after the budget check, is multiplied by it, but not beyond
     h k_ref = 1, so that g stays within 1/12 of 1 at any ode_tol (the fine
     step is never refined).  The default 1 leaves the grid as it is, so
     direct calls are unchanged; the step taken is in step_stats["h"].
@@ -178,24 +215,31 @@ def count_bound_states(
     Z = w.Z if Z is None else Z
     if not 0.0 < Z < math.inf:
         raise InputError(f"coupling must be positive and finite, got {Z}")
-    V_m = Z / w.Z * w.V_m
     hbar = s.hbar
     rho_l = w.rho_left
     rho_r = max(w.rho_right, w.rho_star + _WINDOW_LOG * hbar / lam)
-    k_ref = max(math.sqrt(V_m), lam, 1e-2) / hbar
-    h = min(0.02, _STEP_FACTOR * s.ode_tol**0.25 / k_ref)
-    n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
+    k_ref = _k_ref(w, lam, hbar, Z)
+    h = _step(k_ref, s.ode_tol)
+    # a whole number of coarse steps, so a coarse grid is every _COARSEN-th point
+    n_steps = _COARSEN * int(math.ceil((rho_r - rho_l) / (_COARSEN * h))) + 1
     if n_steps > _MAX_STEPS:
-        raise ConvergenceError(_budget_message(V_m, lam, hbar, rho_r - rho_l, h, n_steps))
+        V_m = Z / w.Z * w.V_m
+        capped = _STEP_CAP * k_ref <= _STEP_FACTOR
+        raise ConvergenceError(_budget_message(V_m, lam, hbar, rho_r - rho_l, h, n_steps, capped))
     if _coarsen != 1:
-        h = max(h, min(_coarsen * h, 1.0 / k_ref))
+        h = _step(k_ref, s.ode_tol, _coarsen)
         n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     # the grid is np.linspace(rho_l, rho_r, n_steps), point for point: k * step
     # + rho_l, and rho_r at the end; it is built and swept one block at a time
     step = (rho_r - rho_l) / (n_steps - 1)
     # the grid's second point minus its first
     h = (rho_r if n_steps == 2 else rho_l + step) - rho_l
+    # u = h^2 (lambda^2 - Z base) / (12 hbar^2) = alpha + beta base, g = 1 - u;
+    # p is formed from u, since g ~ 1 rounded to a double keeps only ~1e-11
+    # of u ~ 1e-5 where W ~ 0, which moved the roots by ~4e-12 at random
     c = h * h / 12.0
+    alpha = c * (lam * lam) / (hbar * hbar)
+    beta = -c * Z / (hbar * hbar)
     key = (rho_l, rho_r, n_steps)
     cached = fill = None
     if _grid is not None:
@@ -204,6 +248,7 @@ def count_bound_states(
             _grid.clear()
             fill = np.empty(n_steps)
     d = np.empty(n_steps)
+    buffer = np.empty(min(_BLOCK, n_steps))
     for k0 in range(0, n_steps, _BLOCK):
         k1 = min(k0 + _BLOCK, n_steps)
         if cached is not None:
@@ -217,19 +262,17 @@ def count_bound_states(
             base = w.base(rho)
             if fill is not None:
                 fill[k0:k1] = base
-        # g = 1 - c f with f = (lambda^2 - W)/hbar^2, in place on W = Z * base
-        g = np.asarray(Z * base, dtype=float)
-        np.subtract(lam * lam, g, out=g)
-        g /= hbar * hbar
-        g *= c
-        np.subtract(1.0, g, out=g)
+        u = buffer[: k1 - k0]
+        np.multiply(base, beta, out=u)
+        u += alpha
         if k0 == 0:
-            g0, g1 = float(g[0]), float(g[1])
-        # p_k = (12 - 10 g_k)/g_k, in place
+            g0, g1 = 1.0 - float(u[0]), 1.0 - float(u[1])
+        # p_k = (12 - 10 g_k)/g_k = 2 + 12 u_k/(1 - u_k)
         block = d[k0:k1]
-        np.multiply(10.0, g, out=block)
-        np.subtract(12.0, block, out=block)
-        block /= g
+        np.subtract(1.0, u, out=block)
+        np.divide(u, block, out=block)
+        block *= 12.0
+        block += 2.0
     if fill is not None:
         _grid[key] = fill
     # d = [v_1/v_0, p_1, ..., p_{N-2}] with v = g u, u_0 = 1
@@ -245,17 +288,20 @@ def count_bound_states(
 
 
 def _budget_message(
-    V_m: float, lam: float, hbar: float, span: float, h: float, n_steps: int
+    V_m: float, lam: float, hbar: float, span: float, h: float, n_steps: int, capped: bool
 ) -> str:
-    """Why a count's grid is too long: its window span, its step and what set the step."""
+    """Why a count's grid is too long: its window span, its step and what set the step.
+
+    `capped` says the step is the cap _STEP_CAP ode_tol^(1/6), not set by k_ref.
+    """
     root = math.sqrt(V_m)
     k_ref = "k_ref = max(sqrt(V_m), lambda)/hbar"
     marginal = (
         f"lambda is too close to the marginal case: the window reaches "
         f"{_WINDOW_LOG:.4g} hbar/lambda past the maximum"
     )
-    if h == 0.02:
-        cause, hint = "the step cap 0.02", marginal
+    if capped:
+        cause, hint = f"the step cap {_STEP_CAP:g} ode_tol^(1/6)", marginal
     elif root >= max(lam, 1e-2):
         cause, hint = f"sqrt(V_m) in {k_ref}", "the well is too deep for the grid"
     elif lam >= 1e-2:
@@ -295,8 +341,16 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     the count sets, so Brent's bracket stays valid.  The coarse residual
     counts with count_bound_states' `_coarsen` and keeps its points on the
     well; the fine stage expands its bracket from the coarse root by the
-    ratio 1 + 2 * 15 ode_tol _COARSEN^4 (at most 2), and the integer count
-    certifies the transition on both sides of the returned value.
+    ratio 1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) (at most 2), and the
+    integer fine counts certify the transition within z (1 +- 1e-7) of the
+    fine root z.  On a smooth well, for ode_tol up to _EXTRAPOLATE_MAX and
+    where the coarse step at both roots is _COARSEN times the fine one, the
+    Richardson value z_R of the module docstring is returned: it lies
+    |z - z_c| / (_COARSEN^4 - 1) from z, the fine root's estimated grid
+    error, inside the certified window wherever that error is below 1e-7.
+    Elsewhere z itself is returned: a Tabulated W is only C^1, and there
+    z_R was no better than z.  Where the coarse step is capped at every
+    coupling the search is the fine stage alone.
     """
     n = quantum_index(n, "radial quantum number n")
     grid: dict = {}
@@ -313,9 +367,20 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
         nc = count_bound_states(w, lam, s, Z=Z, _grid=grid)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
-    z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=1e-6)
-    ratio = min(2.0, 1.0 + 2.0 * 15.0 * s.ode_tol * _COARSEN**4)
-    z = brent(fine, *geometric_bracket(fine, z_c, ratio), xtol=0.0, rtol=1e-10)
+    def coarsens(Z: float) -> bool:
+        k_ref = _k_ref(w, lam, s.hbar, Z)
+        return _step(k_ref, s.ode_tol, _COARSEN) == _COARSEN * _step(k_ref, s.ode_tol)
+
+    # k_ref is least as Z -> 0, so a coarse step capped there is capped at
+    # every coupling, and a coarse stage would repeat the fine one's work
+    z_c = None
+    if coarsens(0.0):
+        z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=1e-9)
+        ratio = min(2.0, 1.0 + 2.0 * _COARSEN**4 * _FINE_ERROR * s.ode_tol ** (2.0 / 3.0))
+        bracket = geometric_bracket(fine, z_c, ratio)
+    else:
+        bracket = geometric_bracket(fine)
+    z = brent(fine, *bracket, xtol=0.0, rtol=1e-11)
     below = count_bound_states(w, lam, s, Z=z * (1.0 - 1e-7), _grid=grid).count
     above = count_bound_states(w, lam, s, Z=z * (1.0 + 1e-7), _grid=grid).count
     if (below, above) != (n, n + 1):
@@ -323,7 +388,11 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "
             "the state may be marginal at this lambda"
         )
-    return z
+    if z_c is None or w.breakpoints is not None or s.ode_tol > _EXTRAPOLATE_MAX:
+        return z
+    if not (coarsens(z) and coarsens(z_c)):
+        return z
+    return (_COARSEN**4 * z - z_c) / (_COARSEN**4 - 1)
 
 
 def lenz_analytic_spectrum(a: float, Z: float, hbar: float = 1.0) -> list[float]:

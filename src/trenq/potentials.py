@@ -34,9 +34,10 @@ from .numerics import Pchip, brent, sech2
 # when it truncates the infinite rho-line
 DOMAIN_CUT = 1e-14
 # largest ode_tol: the Numerov weights g = 1 - h^2 (lambda^2 - W) / (12 hbar^2)
-# of the oracle stay >= 1 - 3.63 sqrt(ode_tol) >= 0.64 (h k <= 6.6 ode_tol^(1/4)
-# with lambda/hbar <= k), so the node count and its amplitude stay defined; a
-# search's coarse counts lengthen the step only up to h k = 1 (g >= 11/12)
+# of the oracle stay >= 1 - (1.6 ode_tol^(1/6))^2 / 12 >= 0.954 (h k <=
+# 1.6 ode_tol^(1/6) <= 0.743 with lambda/hbar <= k), so the node count and its
+# amplitude stay defined; a search's coarse counts lengthen the step only up
+# to h k = 1 (g >= 11/12)
 _ODE_TOL_MAX = 1e-2
 
 
@@ -48,12 +49,19 @@ class Settings:
     quad_tol:   quadrature tolerance; the action I(lambda) is computed to
                 quad_tol * max(1, I), the inner correction integral to an
                 absolute quad_tol.
-    ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/4); on a smooth
-                well the oracle's critical couplings then carry a grid error
-                of up to about 15 * ode_tol relative (1.5e-9 at the default),
-                not estimated at run time.  A Tabulated W is only C^1: on 400
-                samples of Lenz(1, 1), Z_c(0, l = 0) at the default is 2.6e-7
-                off an ode_tol = 1e-14 reference.  At most _ODE_TOL_MAX.
+    ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/6).  On a smooth
+                well, for ode_tol up to 1e-6, the oracle's critical
+                couplings are within ode_tol / 10 relative (7.5e-12 at the
+                default on the criterion-1 grid), down to about 1e-12, where
+                rounding and the root-find tolerances stop them; they are
+                extrapolated from the roots on the grid and on one 4x
+                coarser.  Looser ode_tol keeps the grid's own error, up to
+                about 0.015 ode_tol^(2/3).  Not estimated at run time.  A
+                Tabulated W is only C^1 and is not extrapolated: on 400
+                samples of Lenz(1, 1), Z_c(0, l = 0) at the default is 3.0e-7
+                off an ode_tol = 1e-14 reference, and moves between 1.1e-7
+                and 5.7e-7 as the step changes by a few percent.  At most
+                _ODE_TOL_MAX.
 
     The truncation of the rho-line is fixed by DOMAIN_CUT, not set here.
     """
