@@ -257,9 +257,10 @@ class LogWell:
     base must be elementwise: its value at a point may not depend on the
     other points of the array it is given, since the oracle evaluates the
     well one block of its grid at a time.
-    rho_left/rho_right are the outermost points at which the scan of the
-    search window sees W fall to DOMAIN_CUT * V_m, so a dip below the cut
-    between two humps stays inside the truncated domain; all
+    rho_left/rho_right are the outermost points at which W falls to
+    DOMAIN_CUT * V_m (where the scan of the search window sees it, for a
+    well without closed-form cuts), so a dip below the cut between two
+    humps stays inside the truncated domain; all
     quadratures and integrations run on this finite window, with analytic
     exponential-tail corrections where they matter.  decay_left/decay_right
     are the exponential rates of W at the two ends.  split_level is None for
@@ -450,10 +451,14 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     which is the short-range condition r^2 U -> 0, and for the chosen
     exponent; otherwise PotentialConditionError names every end that fails.
 
-    One vectorized evaluation of the profile on a _SCAN_POINTS grid across a
-    search window serves the maximum (_locate_maximum) and brackets both
-    domain cuts (_find_cut).  The well does not depend on s: the cuts sit at
-    the constant DOMAIN_CUT.  A cut that lies where W is no longer a finite
+    The standard well of a Lenz (and so Tietz) potential, (Z/2) sech^2(a rho),
+    takes its maximum (0, Z/2) and its domain cuts rho = -+acosh(DOMAIN_CUT^(-1/2)) / a
+    in closed form, at the cost of one evaluation of the profile.  Tabulated
+    wells and the printed variant are scanned: one vectorized evaluation of
+    the profile on a _SCAN_POINTS grid across a search window serves the
+    maximum (_locate_maximum), brackets both domain cuts (_find_cut) and
+    gives split_level.  The well does not depend on s: the cuts sit at the
+    constant DOMAIN_CUT.  A cut that lies where W is no longer a finite
     float also raises PotentialConditionError.
     """
     e = transform_exponent
@@ -481,14 +486,25 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     def profile(rho):
         return Z * base(rho)
 
-    grid = np.linspace(*window, _SCAN_POINTS)
-    vals = np.asarray(profile(grid), dtype=float)
-    vmax, rho_star = _locate_maximum(profile, grid, vals)
-    if vmax <= DOMAIN_CUT:
-        raise DegenerateWellError("transformed well is numerically zero")
-    target = DOMAIN_CUT * vmax
-    rho_left = _find_cut(profile, grid, vals, target, rate_left, -1)
-    rho_right = _find_cut(profile, grid, vals, target, rate_right, +1)
+    if isinstance(p, Lenz) and e == 2:
+        # (Z/2) sech^2(a rho) peaks at 0 and falls to DOMAIN_CUT of its peak
+        # at cosh(a rho) = DOMAIN_CUT^(-1/2); one hump by construction
+        vmax, rho_star = float(profile(0.0)), 0.0
+        if vmax <= DOMAIN_CUT:
+            raise DegenerateWellError("transformed well is numerically zero")
+        cut = math.acosh(DOMAIN_CUT**-0.5) / p.a
+        rho_left, rho_right, split_level = -cut, cut, None
+    else:
+        grid = np.linspace(*window, _SCAN_POINTS)
+        vals = np.asarray(profile(grid), dtype=float)
+        vmax, rho_star = _locate_maximum(profile, grid, vals)
+        if vmax <= DOMAIN_CUT:
+            raise DegenerateWellError("transformed well is numerically zero")
+        target = DOMAIN_CUT * vmax
+        rho_left = _find_cut(profile, grid, vals, target, rate_left, -1)
+        rho_right = _find_cut(profile, grid, vals, target, rate_right, +1)
+        # the printed sech^2-type analytic wells have one hump too
+        split_level = None if isinstance(p, Lenz) else _split_level(vals, target)
     return LogWell(
         base=base,
         Z=Z,
@@ -500,8 +516,7 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
         decay_right=rate_right,
         base_deriv=base_deriv,
         breakpoints=breakpoints,
-        # the sech^2-type analytic wells have one hump by construction
-        split_level=None if isinstance(p, Lenz) else _split_level(vals, target),
+        split_level=split_level,
     )
 
 

@@ -198,7 +198,9 @@ def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
 
 
 def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
-    # work-count guard: one window scan, ~9 zooms and two short Brent solves
+    # work-count guard: the standard Lenz and Tietz (a = 0.5) wells evaluate
+    # their base once, at the closed-form peak; tabulated wells and the
+    # printed variant take one window scan, ~9 zooms and two short Brent solves
     calls = [0]
 
     def counting(parts):
@@ -220,7 +222,85 @@ def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
     for p, exponent in GEOMETRY_CASES:
         calls[0] = 0
         to_log_well(p, settings, transform_exponent=exponent)
-        assert 0 < calls[0] <= 40, (p, exponent, calls[0])
+        bound = 1 if isinstance(p, Lenz) and exponent == 2 else 40
+        assert 0 < calls[0] <= bound, (p, exponent, calls[0])
+
+
+def scanned_lenz_geometry(p: Lenz) -> tuple[float, float, float, float]:
+    """(V_m, rho_star, rho_left, rho_right) of the standard Lenz well by the window scan.
+
+    The route that tabulated wells take: _locate_maximum and _find_cut on
+    the same profile and window, raising where that route raises.
+    """
+    rate_left, rate_right = 2.0 - p.q_origin, p.q_infinity - 2.0
+    if min(rate_left, rate_right) <= 0.0:
+        raise PotentialConditionError("W does not vanish")
+    base, _, window = potentials._lenz_well_parts(p)
+
+    def profile(rho):
+        return p.Z * base(rho)
+
+    grid = np.linspace(*window, potentials._SCAN_POINTS)
+    vals = np.asarray(profile(grid), dtype=float)
+    vmax, rho_star = potentials._locate_maximum(profile, grid, vals)
+    if vmax <= potentials.DOMAIN_CUT:
+        raise DegenerateWellError("transformed well is numerically zero")
+    target = potentials.DOMAIN_CUT * vmax
+    return (
+        vmax,
+        rho_star,
+        potentials._find_cut(profile, grid, vals, target, rate_left, -1),
+        potentials._find_cut(profile, grid, vals, target, rate_right, +1),
+    )
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 2.0, 1e3])
+@pytest.mark.parametrize("Z", [1e-12, 1.0, 8.0, 1e6, 1e300])
+def test_closed_form_lenz_geometry_matches_scan(a: float, Z: float, settings) -> None:
+    # a = 0.5 is the Tietz family
+    p = Lenz(a, Z)
+    w = to_log_well(p, settings)
+    vmax, rho_star, rho_left, rho_right = scanned_lenz_geometry(p)
+    assert abs(w.V_m - vmax) <= math.ulp(vmax)
+    assert abs(w.rho_star - rho_star) <= 1e-12
+    assert w.rho_left == pytest.approx(rho_left, rel=1e-13)
+    assert w.rho_right == pytest.approx(rho_right, rel=1e-13)
+    assert w.split_level is None
+
+
+def test_closed_form_lenz_raises_where_scan_raises(settings) -> None:
+    # DegenerateWellError for V_m = Z/2 at or below DOMAIN_CUT, and
+    # PotentialConditionError for an a whose decay rates 2 -+ 2a round to a
+    # zero rate (a <= 1e-16); the closed form raises for exactly the inputs
+    # the scan does
+    edge = 2.0 * potentials.DOMAIN_CUT
+    couplings = [1e-300, 1e-15, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 1e-13]
+    widths = [1e-17, 5e-17, 1e-16, 1e-10, 1e-3, 1.0, 1e3, -1.0, 0.0]
+    raised = set()
+    for a in widths:
+        for Z in couplings:
+            p = Lenz(a, float(Z))
+            try:
+                scanned_lenz_geometry(p)
+            except (DegenerateWellError, PotentialConditionError) as exc:
+                with pytest.raises(type(exc)):
+                    to_log_well(p, settings)
+                raised.add(type(exc))
+            else:
+                w = to_log_well(p, settings)
+                assert w.rho_left < w.rho_star < w.rho_right
+    assert raised == {DegenerateWellError, PotentialConditionError}
+
+
+@pytest.mark.parametrize("a", [1.2e-16, 1e-13, 1e-11])
+def test_closed_form_lenz_geometry_at_tiny_width(a: float, settings) -> None:
+    # the scan never finished here: on the flat top sech^2(a rho) = 1 of
+    # width ~1e-8 / a its zooms drift away from rho_star = 0 to where the
+    # float spacing exceeds their 1e-13 stop
+    w = to_log_well(Lenz(a, 3.0), settings)
+    assert (w.V_m, w.rho_star) == (1.5, 0.0)
+    assert w.rho_right == -w.rho_left == pytest.approx(math.acosh(1e7) / a, rel=1e-15)
+    assert cut_residual(w) <= 1e-12
 
 
 def two_hump_tabulated() -> Tabulated:
