@@ -10,9 +10,9 @@ successive values is the pivot of an LDL^T factorization of a symmetric
 tridiagonal matrix, a sign change is a nonpositive pivot, and LAPACK's dpttrf
 runs the sweep in compiled code.  The product of the pivots is the end value
 of the solution, whose growing-branch amplitude changes sign exactly where
-the count steps; Brent's method on a residual built from that amplitude, with
+the count steps; a root-find on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
-integer count certifies it.
+integer counts at the ends of its bracket certify it.
 
 Each search runs in two stages.  The coarse stage counts on a grid _COARSEN
 times coarser, made of every _COARSEN-th point of the fine grid, at about
@@ -24,8 +24,12 @@ are the same floats either way, so no threshold depends on the order of the
 calls.  The grid error scales as h^4, so the coarse root lies about
 _COARSEN^4 times the fine grid error from the fine one.  The fine stage
 brackets the fine root from the coarse one within twice the largest such
-distance measured, solves it to 1e-11 and certifies it by fine counts, which
-are not kept.  On a smooth well the two roots z_c and z then extrapolate
+distance measured and finishes on the secant root of that bracket: on the
+step the fine residual is nearly linear in Z, so after one secant count the
+error bound of the next secant root, taken from the three points, is far
+below the 1e-11 width Brent stopped at (_secant_finish).  The tightest fine
+counts of n and n + 1 met on the way certify the root; fine counts are not
+kept.  On a smooth well the two roots z_c and z then extrapolate
 (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)) to
 
     z_R = (_COARSEN^4 z - z_c) / (_COARSEN^4 - 1),
@@ -68,7 +72,7 @@ from .potentials import LogWell, Settings, quantum_index
 # relative on the criterion-1 grid (measured 0.0137: 2.95e-9 at the 1e-10
 # default), and the Richardson extrapolation of the coarse and fine roots
 # leaves an h^6 error, below ode_tol / 10 on that grid under Settings(),
-# hbar = 0.5 and ode_tol = 1e-8 (7.5e-12, 5.6e-12 and 7.0e-10).  _STEP_FACTOR
+# hbar = 0.5 and ode_tol = 1e-8 (6.9e-12, 5.3e-12 and 7.0e-10).  _STEP_FACTOR
 # bounds h k_ref, the resolution of the local wavenumber; _STEP_CAP bounds h
 # where k_ref is small, for the shallow states whose error is set by the
 # shape of the well rather than by k_ref (0.0162 at the default)
@@ -89,6 +93,15 @@ _BLOCK = 16384
 _TINY = np.finfo(float).tiny
 # residual size for counts off the n -> n + 1 step, above any 1 + log A met
 _OFF_STEP = 1e6
+# most levels lenz_analytic_spectrum returns, ~32 MB as a list of floats
+_SPECTRUM_MAX_LEVELS = 1_000_000
+# relative width of a fine root: Brent's stopping width, and the bound a
+# secant finish meets
+_FINE_RTOL = 1e-11
+# secant steps a fine finish takes before Brent takes over: on the
+# criterion-1 grid one meets the bound up to ode_tol = 1e-8 and two at 1e-6;
+# at 1e-4 one search of 48 needed more than four
+_SECANT_STEPS = 4
 
 
 def _count_nonpositive_pivots(d: np.ndarray) -> int:
@@ -162,7 +175,9 @@ class NodeCount:
         count steps, since that is where the last sign change enters the
         window.  It is a smooth function of the coupling away from there.
         """
-        return float(np.sum(np.log(np.abs(self.pivots)))) + self.log_scale
+        logs = np.abs(self.pivots)
+        np.log(logs, out=logs)
+        return float(np.add.reduce(logs)) + self.log_scale
 
 
 def count_bound_states(
@@ -334,23 +349,81 @@ def _step_residual(count: int, log_amplitude: Callable[[], float], n: int) -> fl
     return size if count == n + 1 else -size
 
 
+def _secant_finish(
+    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
+) -> float:
+    """Root of the fine residual f on its sign-change bracket, by secant steps.
+
+    On the step the residual is the signed growing-branch amplitude, smooth
+    and nearly linear in the coupling.  Each step counts at the secant root s
+    of the bracket [lo, hi] and keeps s in place of the end of its sign
+    (regula falsi), so the ends stay the tightest points counted n and n + 1.
+    By the remainder of linear interpolation, s is off the root r by
+
+        r - s = -f[lo, hi, r] (r - lo) (r - hi) / f[lo, hi],
+
+    so once three points are counted, s is returned as soon as
+
+        |f[x_0, x_1, x_2]| (s - lo) (hi - s) <= _FINE_RTOL s |f[lo, hi]|,
+
+    with the second divided difference of the last three points in place of
+    f[lo, hi, r]: the bound is then below the width at which Brent stops.  An
+    s that rounds to an end is returned as it is.  Brent takes over a bracket
+    with an end off the step, where the residual is the constant _OFF_STEP,
+    and a finish that has not met the bound in _SECANT_STEPS steps.
+    """
+    if max(-flo, fhi) < _OFF_STEP:
+        points = [(lo, flo), (hi, fhi)]
+        for _ in range(_SECANT_STEPS):
+            slope = (fhi - flo) / (hi - lo)
+            s = lo - flo / slope
+            if not lo < s < hi:
+                return s
+            if len(points) > 2:
+                (x0, f0), (x1, f1), (x2, f2) = points[-3:]
+                f012 = ((f2 - f1) / (x2 - x1) - (f1 - f0) / (x1 - x0)) / (x2 - x0)
+                if abs(f012) * (s - lo) * (hi - s) <= _FINE_RTOL * s * slope:
+                    return s
+            fs = f(s)
+            if fs == 0.0:
+                return s
+            if fs < 0.0:
+                lo, flo = s, fs
+            else:
+                hi, fhi = s, fs
+            points.append((s, fs))
+    return brent(f, lo, hi, flo, fhi, xtol=0.0, rtol=_FINE_RTOL)
+
+
 def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> float:
     """Coupling Z at which the node count of w at coupling Z steps from n to n + 1.
 
     The root is that of the continuous residual _step_residual, whose sign
-    the count sets, so Brent's bracket stays valid.  The coarse residual
-    counts with count_bound_states' `_coarsen` and keeps its points on the
-    well; the fine stage expands its bracket from the coarse root by the
-    ratio 1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) (at most 2), and the
-    integer fine counts certify the transition within z (1 +- 1e-7) of the
-    fine root z.  On a smooth well, for ode_tol up to _EXTRAPOLATE_MAX and
-    where the coarse step at both roots is _COARSEN times the fine one, the
-    Richardson value z_R of the module docstring is returned: it lies
-    |z - z_c| / (_COARSEN^4 - 1) from z, the fine root's estimated grid
-    error, inside the certified window wherever that error is below 1e-7.
+    the count sets, so every bracket stays a sign-change bracket.  The coarse
+    residual counts with count_bound_states' `_coarsen` and keeps its points
+    on the well; the fine stage expands its bracket from the coarse root by
+    the ratio 1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) (at most 2) and
+    finishes on the secant root of that bracket (_secant_finish).
+
+    The fine residual records the tightest couplings it counted at exactly
+    n and at exactly n + 1.  Counts do not decrease as Z rises (W = Z base
+    with base > 0), so exactly one n -> n + 1 step lies between those two,
+    and the fine root z must lie between them too: that certifies it, with no
+    count beyond the search's own.  Earlier versions counted again at
+    z (1 +- 1e-7), which also showed that no other step lies within 1e-7 of
+    z.  That isolation is not part of the contract: the certified bracket
+    already holds the one n -> n + 1 step and no other, and the steps of
+    other n at the same lambda are other thresholds of the well, not a
+    property of this one.
+
+    On a smooth well, for ode_tol up to _EXTRAPOLATE_MAX and where the coarse
+    step at both roots is _COARSEN times the fine one, the Richardson value
+    z_R of the module docstring is returned: it lies |z - z_c| /
+    (_COARSEN^4 - 1) from z, the fine root's estimated grid error.
     Elsewhere z itself is returned: a Tabulated W is only C^1, and there
     z_R was no better than z.  Where the coarse step is capped at every
-    coupling the search is the fine stage alone.
+    coupling the search is the fine stage alone, solved by Brent from a
+    bracket doubling from Z = 1.
     """
     n = quantum_index(n, "radial quantum number n")
     grid: dict = {}
@@ -363,8 +436,15 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
         count, x = w._memo[key]
         return _step_residual(count, lambda: x, n)
 
+    # the tightest fine couplings counted at exactly n and at exactly n + 1
+    ends = [-math.inf, math.inf]
+
     def fine(Z: float) -> float:
         nc = count_bound_states(w, lam, s, Z=Z, _grid=grid)
+        if nc.count == n:
+            ends[0] = max(ends[0], Z)
+        elif nc.count == n + 1:
+            ends[1] = min(ends[1], Z)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
     def coarsens(Z: float) -> bool:
@@ -377,13 +457,10 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     if coarsens(0.0):
         z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=1e-9)
         ratio = min(2.0, 1.0 + 2.0 * _COARSEN**4 * _FINE_ERROR * s.ode_tol ** (2.0 / 3.0))
-        bracket = geometric_bracket(fine, z_c, ratio)
+        z = _secant_finish(fine, *geometric_bracket(fine, z_c, ratio))
     else:
-        bracket = geometric_bracket(fine)
-    z = brent(fine, *bracket, xtol=0.0, rtol=1e-11)
-    below = count_bound_states(w, lam, s, Z=z * (1.0 - 1e-7), _grid=grid).count
-    above = count_bound_states(w, lam, s, Z=z * (1.0 + 1e-7), _grid=grid).count
-    if (below, above) != (n, n + 1):
+        z = brent(fine, *geometric_bracket(fine), xtol=0.0, rtol=_FINE_RTOL)
+    if not -math.inf < ends[0] <= z <= ends[1] < math.inf:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "
             "the state may be marginal at this lambda"
@@ -401,6 +478,8 @@ def lenz_analytic_spectrum(a: float, Z: float, hbar: float = 1.0) -> list[float]
     The well (Z/2) sech^2(a rho) holds states at lambda_n = a hbar (sigma - n)
     with sigma (sigma + 1) = Z / (2 a^2 hbar^2); all positive members are
     returned in descending order.  The n = 0 entry exists for every Z > 0.
+    A well of more than _SPECTRUM_MAX_LEVELS levels (sigma beyond it, about
+    Z > 2e12 a^2 hbar^2) raises InputError before the list is built.
     """
     for name, value in (("a", a), ("Z", Z), ("hbar", hbar)):
         if not 0.0 < value < math.inf:
@@ -410,4 +489,9 @@ def lenz_analytic_spectrum(a: float, Z: float, hbar: float = 1.0) -> list[float]
     if not math.isfinite(sigma):
         raise InputError(f"analytic spectrum of a = {a}, Z = {Z}, hbar = {hbar} overflows")
     # lambda_n > 0 exactly for the integers n < sigma
+    if math.ceil(sigma) > _SPECTRUM_MAX_LEVELS:
+        raise InputError(
+            f"analytic spectrum of a = {a}, Z = {Z}, hbar = {hbar} has {math.ceil(sigma)} "
+            f"levels, more than the {_SPECTRUM_MAX_LEVELS} it returns at most"
+        )
     return [a * hbar * (sigma - n) for n in range(math.ceil(sigma))]

@@ -51,7 +51,7 @@ class Settings:
                 absolute quad_tol.
     ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/6).  On a smooth
                 well, for ode_tol up to 1e-6, the oracle's critical
-                couplings are within ode_tol / 10 relative (7.5e-12 at the
+                couplings are within ode_tol / 10 relative (6.9e-12 at the
                 default on the criterion-1 grid), down to about 1e-12, where
                 rounding and the root-find tolerances stop them; they are
                 extrapolated from the roots on the grid and on one 4x

@@ -216,6 +216,25 @@ def test_analytic_spectrum() -> None:
             lenz_analytic_spectrum(*args)
 
 
+def test_analytic_spectrum_bounds_its_levels() -> None:
+    # a deep well holds ~sigma levels: past 10^6 of them the call raises
+    # before it builds the list (a = 0.5, Z = 1e20 has 1.4e10), and up to
+    # that bound it returns every level
+    import trenq.oracle as oracle_mod
+
+    bound = oracle_mod._SPECTRUM_MAX_LEVELS
+    with pytest.raises(InputError, match="14142135624 levels"):
+        lenz_analytic_spectrum(0.5, 1e20)
+    # sigma = bound - 1/2 holds exactly `bound` levels, sigma = bound + 1/2 one more
+    for sigma, raises in ((bound - 0.5, False), (bound + 0.5, True)):
+        Z = 2.0 * sigma * (sigma + 1.0)
+        if raises:
+            with pytest.raises(InputError, match="more than the"):
+                lenz_analytic_spectrum(1.0, Z)
+        else:
+            assert len(lenz_analytic_spectrum(1.0, Z)) == bound
+
+
 def test_count_consistent_with_analytic_spectrum(settings) -> None:
     rng = np.random.default_rng(7)
     checked = 0
@@ -373,6 +392,8 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
         # residual size A itself agrees to 1e-12, i.e. ~1e-11 in Z there, the
         # 1e-11 width the root-find stops at
         assert abs(residual_size(nc.log_amplitude()) - residual_size(expected)) <= 1e-12
+        # log_amplitude sums the same logs as the plain expression, bit for bit
+        assert nc.log_amplitude() == log_product(nc.pivots) + nc.log_scale
         return nc
 
     def check_step(w, z_c: float, lam: float, n: int) -> None:
@@ -432,14 +453,16 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     # work guard in Numerov steps, no timing: each search finds its root on a
     # grid _COARSEN times coarser (bracket doubling from Z = 1, its points
     # counted once per well and lambda, then Brent to 1e-9), then brackets the
-    # fine root from there, certifies it and extrapolates the two roots.  On
-    # the criterion-1 grid that is 15.90 counts per threshold, 6.00 of them
-    # fine, and 40,547 steps per threshold, and every threshold stays within
-    # 7.5e-12 of the closed form, ode_tol / 10 at most.  Every count goes
+    # fine root from there and finishes on one secant step, certified by the
+    # bracket's own counts, and extrapolates the two roots.  On the
+    # criterion-1 grid that is 12.92 counts per threshold, 3.00 of them fine,
+    # and 26,294 steps per threshold, and every threshold stays within
+    # 6.9e-12 of the closed form, ode_tol / 10 at most.  Every count goes
     # through the module-level count_bound_states, which the benchmark's spans
     # wrap, at the coupling it is given as Z; its step tells a coarse count
     # from a fine one.  A count on the grid of the previous count reads the
-    # well from the search's one grid memo: 6.27 fresh grids per threshold
+    # well from the search's one grid memo: 6.27 fresh grids per threshold, as
+    # before the secant finish, whose dropped counts were all on a held grid
     import trenq.oracle as oracle_mod
 
     coarsen = oracle_mod._COARSEN
@@ -477,8 +500,8 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     fine = [steps for _, coarse, steps in counted_at if not coarse]
     coarse = [steps for _, is_coarse, steps in counted_at if is_coarse]
     per_threshold = (len(fine) / 48, sum(fine) / 48, len(coarse) / 48, sum(coarse) / 48)
-    assert (sum(fine) + sum(coarse)) / 48 <= 45_000, per_threshold
-    assert len(fine) / 48 <= 6.5, per_threshold
+    assert (sum(fine) + sum(coarse)) / 48 <= 29_000, per_threshold
+    assert len(fine) / 48 <= 3.1, per_threshold
     assert fresh_grids / 48 <= 6.8, fresh_grids / 48
     assert worst <= 0.1 * settings.ode_tol, worst
 
@@ -500,18 +523,47 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
 
 
 def _search_roots(monkeypatch) -> list:
-    """The roots each Brent call of the oracle returns, in order, for the caller to clear."""
+    """(solver, root) of each Brent call and secant finish of the oracle, in order.
+
+    A finish that hands over to Brent records Brent's root and then its own.
+    The caller clears the list.
+    """
     import trenq.oracle as oracle_mod
 
     roots = []
-    solve = oracle_mod.brent
+    for name in ("brent", "_secant_finish"):
+        solve = getattr(oracle_mod, name)
 
-    def recorded(*args, **kwargs):
-        roots.append(solve(*args, **kwargs))
-        return roots[-1]
+        def recorded(*args, solve=solve, name=name, **kwargs):
+            roots.append((name, solve(*args, **kwargs)))
+            return roots[-1][1]
 
-    monkeypatch.setattr(oracle_mod, "brent", recorded)
+        monkeypatch.setattr(oracle_mod, name, recorded)
     return roots
+
+
+def _fine_counts(monkeypatch) -> list:
+    """(Z, count) of each fine count of the oracle, in order, for the caller to clear."""
+    import trenq.oracle as oracle_mod
+
+    counts = []
+    counter = oracle_mod.count_bound_states
+
+    def counted(*args, **kwargs):
+        nc = counter(*args, **kwargs)
+        if kwargs.get("_coarsen", 1) == 1:
+            counts.append((kwargs["Z"], nc.count))
+        return nc
+
+    monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
+    return counts
+
+
+def _certified_bracket(counts: list, n: int) -> tuple[float, float]:
+    """The tightest couplings counted at exactly n and exactly n + 1 (-inf, inf if none)."""
+    below = max((Z for Z, count in counts if count == n), default=-math.inf)
+    above = min((Z for Z, count in counts if count == n + 1), default=math.inf)
+    return below, above
 
 
 @pytest.mark.parametrize(
@@ -522,10 +574,11 @@ def _search_roots(monkeypatch) -> list:
 def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
     # on a smooth well ode_tol bounds the relative error of the returned
     # coupling by ode_tol / 10; on the criterion-1 grid the worst errors are
-    # 7.5e-12, 5.6e-12 and 7.0e-10.  The returned value is the Richardson
-    # value of the coarse and fine roots, which lies within the window
-    # z (1 +- 1e-7) around the fine root z that the counts certify
+    # 6.9e-12, 5.3e-12 and 7.0e-10.  The returned value is the Richardson
+    # value of the coarse root and the fine root, which every finish reaches
+    # by secant steps alone, inside the bracket of fine counts n and n + 1
     roots = _search_roots(monkeypatch)
+    counts = _fine_counts(monkeypatch)
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
         w = to_log_well(Lenz(a=a, Z=1.0), s)
@@ -533,10 +586,13 @@ def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
             for l in range(4):
                 q = QuantumNumbers(n, l, 3)
                 roots.clear()
+                counts.clear()
                 z = exact_critical_coupling(w, q.lam, q.n, s)
-                z_coarse, z_fine = roots
+                (coarse, z_coarse), (finish, z_fine) = roots
+                assert (coarse, finish) == ("brent", "_secant_finish")
                 assert z == (256.0 * z_fine - z_coarse) / 255.0
-                assert abs(z - z_fine) <= 1e-7 * z_fine
+                below, above = _certified_bracket(counts, q.n)
+                assert below <= z_fine <= above
                 z_exact, _ = lenz_exact_threshold(a, q, s.hbar)
                 worst = max(worst, abs(z - z_exact) / z_exact)
     assert worst <= 0.1 * s.ode_tol, worst
@@ -552,8 +608,8 @@ def test_loose_ode_tol_is_not_extrapolated(monkeypatch) -> None:
     w = to_log_well(Lenz(a=2.0, Z=1.0), loose)
     q = QuantumNumbers(0, 0, 3)
     z = exact_critical_coupling(w, q.lam, q.n, loose)
-    z_coarse, z_fine = roots
-    assert z == z_fine
+    (_, z_coarse), (finish, z_fine) = roots[0], roots[-1]
+    assert finish == "_secant_finish" and z == z_fine
     z_exact, _ = lenz_exact_threshold(2.0, q)
     assert abs(z - z_exact) <= 0.015 * loose.ode_tol ** (2.0 / 3.0) * z_exact
     assert abs((256.0 * z_fine - z_coarse) / 255.0 - z_exact) > 5e-5 * z_exact
@@ -582,19 +638,25 @@ def test_tabulated_oracle_is_not_extrapolated(settings, monkeypatch) -> None:
     roots = _search_roots(monkeypatch)
     w = to_log_well(_lenz_samples(400), settings)
     z = exact_critical_coupling(w, 0.5, 0, settings)
-    assert len(roots) == 2 and z == roots[-1]
+    assert [name for name, _ in roots] == ["brent", "_secant_finish"] and z == roots[-1][1]
     reference = 1.5000060388506669
     assert abs(z - reference) <= 3.1e-7 * reference
 
 
-def _fine_only_threshold(w, lam: float, n: int, s: Settings) -> float:
-    """The single-stage search on fine counts: bracket doubling from Z = 1, Brent to 1e-11."""
+def _fine_residual(w, lam: float, n: int, s: Settings):
+    """The oracle's fine residual of the n -> n + 1 step, as a function of Z."""
     import trenq.oracle as oracle_mod
 
     def residual(Z: float) -> float:
         nc = oracle_mod.count_bound_states(w, lam, s, Z=Z)
         return oracle_mod._step_residual(nc.count, nc.log_amplitude, n)
 
+    return residual
+
+
+def _fine_only_threshold(w, lam: float, n: int, s: Settings) -> float:
+    """The single-stage search on fine counts: bracket doubling from Z = 1, Brent to 1e-11."""
+    residual = _fine_residual(w, lam, n, s)
     return brent(residual, *geometric_bracket(residual), xtol=0.0, rtol=1e-11)
 
 
@@ -620,10 +682,11 @@ def test_coarse_first_matches_fine_only_route(settings, monkeypatch) -> None:
         starts.clear()
         roots.clear()
         exact_critical_coupling(w, lam, n, s)
-        z = roots[-1]
+        (coarse, z_coarse), (finish, z) = roots[0], roots[-1]
+        assert (coarse, finish) == ("brent", "_secant_finish")
         assert z == pytest.approx(_fine_only_threshold(w, lam, n, s), rel=2e-11)
-        (coarse_start, _), (z_coarse, ratio) = starts
-        assert coarse_start == 1.0 and z_coarse == roots[0]
+        (coarse_start, _), (fine_start, ratio) = starts
+        assert coarse_start == 1.0 and fine_start == z_coarse
         return abs(z - z_coarse) / z / (ratio - 1.0)
 
     for s in (settings, Settings(hbar=0.5), Settings(ode_tol=1e-8)):
@@ -643,16 +706,115 @@ def test_coarse_first_matches_fine_only_route(settings, monkeypatch) -> None:
             check(printed, lam, n, settings)
 
 
+@hypothesis_settings(max_examples=12, deadline=None)
+@given(a=st.floats(0.5, 2.0), n=st.integers(0, 3), l=st.integers(0, 3))
+def test_secant_finish_is_certified_and_matches_closed_bracket(a: float, n: int, l: int) -> None:
+    # the fine root lies in a bracket whose fine counts are exactly n and
+    # n + 1, and agrees with the same residual solved by Brent on that bracket
+    # at rtol 1e-13 to 2e-12; the returned threshold is its Richardson value
+    s = Settings()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        roots = _search_roots(monkeypatch)
+        counts = _fine_counts(monkeypatch)
+        w = to_log_well(Lenz(a=a, Z=1.0), s)
+        lam = QuantumNumbers(n, l, 3).lam
+        z = exact_critical_coupling(w, lam, n, s)
+    (_, z_coarse), (finish, z_fine) = roots[0], roots[-1]
+    assert finish == "_secant_finish" and z == (256.0 * z_fine - z_coarse) / 255.0
+    below, above = _certified_bracket(counts, n)
+    assert below <= z_fine <= above
+    residual = _fine_residual(w, lam, n, s)
+    f_below, f_above = residual(below), residual(above)
+    assert f_below < 0.0 < f_above
+    reference = brent(residual, below, above, f_below, f_above, xtol=0.0, rtol=1e-13)
+    assert z_fine == pytest.approx(reference, rel=2e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "f,root,lo,hi",
+    [(math.log, 1.0, 0.999, 1.001), (lambda x: math.exp(x) - math.e, 1.0, 0.998, 1.001)],
+    ids=["concave", "convex"],
+)
+def test_secant_finish_meets_its_bound(f, root, lo, hi, monkeypatch) -> None:
+    # on a smooth residual whose first secant root is ~3e-10 off, the finish
+    # takes a second secant step because its bound says so, and returns a
+    # root within _FINE_RTOL (1e-13 off here), without Brent
+    import trenq.oracle as oracle_mod
+
+    roots = _search_roots(monkeypatch)
+    calls = []
+
+    def counted(x: float) -> float:
+        calls.append(x)
+        return f(x)
+
+    z = oracle_mod._secant_finish(counted, lo, hi, counted(lo), counted(hi))
+    assert [name for name, _ in roots] == ["_secant_finish"]
+    assert len(calls) == 2 + 2
+    assert abs(z - root) <= oracle_mod._FINE_RTOL * root
+
+
+def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
+    # Brent takes over a bracket with an end off the step, where the residual
+    # is the constant _OFF_STEP, and a finish that has not met its bound in
+    # _SECANT_STEPS steps; its root is then Brent's on the bracket it is given
+    import trenq.oracle as oracle_mod
+
+    roots = _search_roots(monkeypatch)
+    w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
+    residual = _fine_residual(w, 0.5, 1, settings)
+    # the n = 0 and n = 1 thresholds of lambda = 0.5 are 1.5 and 7.5: count 0 at Z = 1
+    lo, hi = 1.0, 7.6
+    f_lo, f_hi = residual(lo), residual(hi)
+    assert f_lo == -oracle_mod._OFF_STEP and 0.0 < f_hi < oracle_mod._OFF_STEP
+    z = oracle_mod._secant_finish(residual, lo, hi, f_lo, f_hi)
+    assert [name for name, _ in roots] == ["brent", "_secant_finish"]
+    assert z == brent(residual, lo, hi, f_lo, f_hi, xtol=0.0, rtol=oracle_mod._FINE_RTOL)
+    assert z == pytest.approx(7.5, rel=1e-6)
+
+    # regula falsi on a strongly convex residual keeps its far end, and its
+    # steps creep up from the near one, short of the bound
+    roots.clear()
+    calls = []
+
+    def convex(x: float) -> float:
+        calls.append(x)
+        return math.expm1(20.0 * x) - 1.0
+
+    root = math.log(2.0) / 20.0
+    z = oracle_mod._secant_finish(convex, 0.0, 1.0, convex(0.0), convex(1.0))
+    assert [name for name, _ in roots] == ["brent", "_secant_finish"]
+    assert len(calls) > 2 + oracle_mod._SECANT_STEPS
+    assert z == pytest.approx(root, rel=2e-11)
+
+
+def test_unclean_transition_raises(settings, monkeypatch) -> None:
+    # a count that jumps from n to n + 2 has no coupling counted n + 1, so no
+    # bracket certifies an n -> n + 1 step and the search raises
+    import trenq.oracle as oracle_mod
+
+    counter = oracle_mod.count_bound_states
+
+    def doubled(*args, **kwargs):
+        nc = counter(*args, **kwargs)
+        return replace(nc, count=2 * nc.count)
+
+    monkeypatch.setattr(oracle_mod, "count_bound_states", doubled)
+    w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
+    with pytest.raises(ConvergenceError, match="not clean"):
+        exact_critical_coupling(w, 0.5, 0, settings)
+
+
 @pytest.mark.parametrize("tol,lam", [(1e-2, 45.5), (1e-2, 120.5), (1e-3, 200.5)])
 def test_capped_coarse_step_searches_fine_only(tol, lam, monkeypatch) -> None:
     # at loose ode_tol and a large k_ref, _COARSEN times the fine step would
     # take h k_ref to ~3; the coarse step stops at 1/k_ref, so it is capped
     # at every coupling and a coarse stage would repeat fine work.  The search
-    # is then the fine-only one, root for root, and returns the certified fine
-    # root: Lenz(1, 1) at lambda 120.5 and ode_tol = 1e-2 took 48 counts with
-    # the coarse stage against 43 fine-only.  At lambda 200.5 the residual
-    # near the step is ~1e-113, where Brent's interpolation denominator
-    # underflows to 0
+    # is then the fine-only one, root for root and count for count (Brent,
+    # certified by its own bracket), and returns that fine root: Lenz(1, 1) at
+    # lambda 120.5 and ode_tol = 1e-2 took 48 counts with the coarse stage
+    # against 43 fine-only.  At lambda 200.5 the residual near the step is
+    # ~1e-113, where Brent's interpolation denominator underflows to 0
     import trenq.oracle as oracle_mod
 
     loose = Settings(ode_tol=tol)
@@ -666,17 +828,18 @@ def test_capped_coarse_step_searches_fine_only(tol, lam, monkeypatch) -> None:
     counter = oracle_mod.count_bound_states
 
     def counted(*args, **kwargs):
-        counts.append(kwargs.get("_coarsen", 1))
+        counts.append((kwargs["Z"], kwargs.get("_coarsen", 1)))
         return counter(*args, **kwargs)
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
+    roots = _search_roots(monkeypatch)
     z = exact_critical_coupling(w, lam, 0, loose)
-    searched = len(counts)
-    assert set(counts) == {1}
+    searched = list(counts)
+    assert [name for name, _ in roots] == ["brent"]
+    assert {coarsen for _, coarsen in searched} == {1}
     counts.clear()
     assert z == _fine_only_threshold(w, lam, 0, loose)
-    # the fine-only search plus the two certification counts
-    assert searched == len(counts) + 2
+    assert searched == counts
 
 
 def test_numerov_weights_bounded_at_loosest_ode_tol() -> None:
