@@ -309,7 +309,8 @@ def _build_parser() -> _Parser:
 
     def oracle(p: _Parser) -> None:
         p.add_argument("--ode-tol", type=float, default=Settings.ode_tol,
-                       help="sets the node-counting grid of the exact oracle")
+                       help="sets the node-counting grid of the exact oracle; "
+                       "0 < ODE_TOL <= 1e-7")
 
     def dimension(p: _Parser) -> None:
         p.add_argument("--d", type=int, default=3, help="space dimension")

@@ -17,17 +17,17 @@ integer counts at the ends of its bracket certify it.
 Each search runs in two stages.  The coarse stage counts on a grid _COARSEN
 times coarser, made of every _COARSEN-th point of the fine grid, at about
 1/_COARSEN of the cost per count: its bracket doubles from Z = 1 and Brent
-solves it to 1e-9.  The count and amplitude of every coarse point are kept on
-the well per lambda, Settings and Z, so the other thresholds of the well
-reuse its bracket points and a repeated search counts nothing coarse; they
-are the same floats either way, so no threshold depends on the order of the
-calls.  The grid error scales as h^4, so the coarse root lies about
-_COARSEN^4 times the fine grid error from the fine one.  The fine stage
-brackets the fine root from the coarse one within twice the largest such
-distance measured and finishes on the secant root of that bracket: on the
-step the fine residual is nearly linear in Z, so after one secant count the
-error bound of the next secant root, taken from the three points, is far
-below the 1e-11 width Brent stopped at (_secant_finish).  The tightest fine
+solves it to min(1e-9, 10 ode_tol).  The count and amplitude of every coarse
+point are kept on the well per lambda, Settings and Z, so the other
+thresholds of the well reuse its bracket points and a repeated search
+counts nothing coarse; they are the same floats either way, so no threshold
+depends on the order of the calls.  The grid error scales as h^4, so the
+coarse root lies about _COARSEN^4 times the fine grid error from the fine
+one.  The fine stage brackets the fine root from the coarse one within twice
+the largest such distance measured and finishes on the secant root of that
+bracket: on the step the fine residual is nearly linear in Z, so after one
+secant count the error bound of the next secant root, taken from the three
+points, is far below the 1e-11 width Brent stopped at (_secant_finish).  The tightest fine
 counts of n and n + 1 met on the way certify the root; fine counts are not
 kept.  On a smooth well the two roots z_c and z then extrapolate
 (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)) to
@@ -35,10 +35,9 @@ kept.  On a smooth well the two roots z_c and z then extrapolate
     z_R = (_COARSEN^4 z - z_c) / (_COARSEN^4 - 1),
 
 whose error is of order h^6; the grid rule h ~ ode_tol^(1/6) is set so that
-it stays below ode_tol / 10, for ode_tol up to _EXTRAPOLATE_MAX.  Where the
-coarse step is not _COARSEN times the fine one at the roots (its
-h k_ref = 1 cap, at loose ode_tol), z is returned as it is, and where that
-cap holds at every coupling the fine stage alone searches from Z = 1.
+it stays below max(ode_tol / 10, 1e-12) over the whole range of
+Settings.ode_tol, in which the coarse grid stays in the h^4 regime.  A
+Tabulated well returns z.
 
 A count's grid depends on Z only through its number of steps, so the search
 keeps the coupling-free shape of the well on the grid of its last count, one
@@ -81,10 +80,6 @@ _STEP_CAP = 0.75
 _FINE_ERROR = 0.015
 # step ratio of a search's coarse counts to its fine ones
 _COARSEN = 4
-# loosest ode_tol extrapolated: beyond it the coarse grid of the shallow
-# states leaves the h^4 regime (at 1e-4 the extrapolated Z_c(0, l = 0) of
-# Lenz(2, 1) was 1.0e-4 off, its fine root 8.6e-6)
-_EXTRAPOLATE_MAX = 1e-6
 _WINDOW_LOG = 0.5 * math.log(1e14)
 _MAX_STEPS = 8_000_000
 # grid points per block of the sweep's set-up: its ~5 block-sized arrays
@@ -99,8 +94,8 @@ _SPECTRUM_MAX_LEVELS = 1_000_000
 # secant finish meets
 _FINE_RTOL = 1e-11
 # secant steps a fine finish takes before Brent takes over: on the
-# criterion-1 grid one meets the bound up to ode_tol = 1e-8 and two at 1e-6;
-# at 1e-4 one search of 48 needed more than four
+# criterion-1 grid one meets the bound at every ode_tol measured, 1e-15 to
+# 1e-7
 _SECANT_STEPS = 4
 
 
@@ -135,21 +130,6 @@ def _count_nonpositive_pivots(d: np.ndarray) -> int:
         d[start] = min(d[start], -_TINY)
         count += 1
     return count
-
-
-def _k_ref(w: LogWell, lam: float, hbar: float, Z: float) -> float:
-    """Largest local wavenumber of the well at coupling Z, floored at 1e-2 / hbar."""
-    return max(math.sqrt(Z / w.Z * w.V_m), lam, 1e-2) / hbar
-
-
-def _step(k_ref: float, ode_tol: float, coarsen: int = 1) -> float:
-    """Grid step at k_ref, times coarsen but not beyond h k_ref = 1 nor below the step.
-
-    h k_ref grows with k_ref, so a coarse step capped at one k_ref is capped
-    at every larger one.
-    """
-    h = ode_tol ** (1.0 / 6.0) * min(_STEP_CAP, _STEP_FACTOR / k_ref)
-    return max(h, min(coarsen * h, 1.0 / k_ref))
 
 
 @dataclass(frozen=True)
@@ -216,10 +196,9 @@ def count_bound_states(
     step).  Direct callers pass none.
 
     The fine grid has a multiple of _COARSEN steps, so that `_coarsen`, the
-    coarse stage's step ratio, picks every _coarsen-th of its points: the
-    step, after the budget check, is multiplied by it, but not beyond
-    h k_ref = 1, so that g stays within 1/12 of 1 at any ode_tol (the fine
-    step is never refined).  The default 1 leaves the grid as it is, so
+    coarse stage's step ratio (a divisor of _COARSEN), picks every
+    _coarsen-th of its points: after the budget check the grid keeps
+    1/_coarsen of its steps.  The default 1 leaves the grid as it is, so
     direct calls are unchanged; the step taken is in step_stats["h"].
 
     lambda must be finite; lambda = 0 is rejected: the marginal solution is
@@ -233,17 +212,16 @@ def count_bound_states(
     hbar = s.hbar
     rho_l = w.rho_left
     rho_r = max(w.rho_right, w.rho_star + _WINDOW_LOG * hbar / lam)
-    k_ref = _k_ref(w, lam, hbar, Z)
-    h = _step(k_ref, s.ode_tol)
+    # the largest local wavenumber of the well, floored at 1e-2 / hbar
+    k_ref = max(math.sqrt(Z / w.Z * w.V_m), lam, 1e-2) / hbar
+    h = s.ode_tol ** (1.0 / 6.0) * min(_STEP_CAP, _STEP_FACTOR / k_ref)
     # a whole number of coarse steps, so a coarse grid is every _COARSEN-th point
     n_steps = _COARSEN * int(math.ceil((rho_r - rho_l) / (_COARSEN * h))) + 1
     if n_steps > _MAX_STEPS:
         V_m = Z / w.Z * w.V_m
         capped = _STEP_CAP * k_ref <= _STEP_FACTOR
         raise ConvergenceError(_budget_message(V_m, lam, hbar, rho_r - rho_l, h, n_steps, capped))
-    if _coarsen != 1:
-        h = _step(k_ref, s.ode_tol, _coarsen)
-        n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
+    n_steps = (n_steps - 1) // _coarsen + 1
     # the grid is np.linspace(rho_l, rho_r, n_steps), point for point: k * step
     # + rho_l, and rho_r at the end; it is built and swept one block at a time
     step = (rho_r - rho_l) / (n_steps - 1)
@@ -401,29 +379,24 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     The root is that of the continuous residual _step_residual, whose sign
     the count sets, so every bracket stays a sign-change bracket.  The coarse
     residual counts with count_bound_states' `_coarsen` and keeps its points
-    on the well; the fine stage expands its bracket from the coarse root by
-    the ratio 1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) (at most 2) and
-    finishes on the secant root of that bracket (_secant_finish).
+    on the well; Brent solves it to min(1e-9, 10 ode_tol), since its error
+    enters the Richardson value divided by _COARSEN^4 - 1.  The fine stage
+    expands its bracket from the coarse root by the ratio
+    1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) and finishes on the secant
+    root of that bracket (_secant_finish).
 
     The fine residual records the tightest couplings it counted at exactly
     n and at exactly n + 1.  Counts do not decrease as Z rises (W = Z base
     with base > 0), so exactly one n -> n + 1 step lies between those two,
     and the fine root z must lie between them too: that certifies it, with no
-    count beyond the search's own.  Earlier versions counted again at
-    z (1 +- 1e-7), which also showed that no other step lies within 1e-7 of
-    z.  That isolation is not part of the contract: the certified bracket
-    already holds the one n -> n + 1 step and no other, and the steps of
-    other n at the same lambda are other thresholds of the well, not a
-    property of this one.
+    count beyond the search's own.  It does not show that no other step lies
+    near z: the steps of other n at the same lambda are other thresholds of
+    the well, not a property of this one.
 
-    On a smooth well, for ode_tol up to _EXTRAPOLATE_MAX and where the coarse
-    step at both roots is _COARSEN times the fine one, the Richardson value
-    z_R of the module docstring is returned: it lies |z - z_c| /
-    (_COARSEN^4 - 1) from z, the fine root's estimated grid error.
-    Elsewhere z itself is returned: a Tabulated W is only C^1, and there
-    z_R was no better than z.  Where the coarse step is capped at every
-    coupling the search is the fine stage alone, solved by Brent from a
-    bracket doubling from Z = 1.
+    On a smooth well the Richardson value z_R of the module docstring is
+    returned: it lies |z - z_c| / (_COARSEN^4 - 1) from z, the fine root's
+    estimated grid error.  A Tabulated W is only C^1, and there z_R was no
+    better than z, so z itself is returned.
     """
     n = quantum_index(n, "radial quantum number n")
     grid: dict = {}
@@ -447,27 +420,15 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
             ends[1] = min(ends[1], Z)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
-    def coarsens(Z: float) -> bool:
-        k_ref = _k_ref(w, lam, s.hbar, Z)
-        return _step(k_ref, s.ode_tol, _COARSEN) == _COARSEN * _step(k_ref, s.ode_tol)
-
-    # k_ref is least as Z -> 0, so a coarse step capped there is capped at
-    # every coupling, and a coarse stage would repeat the fine one's work
-    z_c = None
-    if coarsens(0.0):
-        z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=1e-9)
-        ratio = min(2.0, 1.0 + 2.0 * _COARSEN**4 * _FINE_ERROR * s.ode_tol ** (2.0 / 3.0))
-        z = _secant_finish(fine, *geometric_bracket(fine, z_c, ratio))
-    else:
-        z = brent(fine, *geometric_bracket(fine), xtol=0.0, rtol=_FINE_RTOL)
+    z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=min(1e-9, 10.0 * s.ode_tol))
+    ratio = 1.0 + 2.0 * _COARSEN**4 * _FINE_ERROR * s.ode_tol ** (2.0 / 3.0)
+    z = _secant_finish(fine, *geometric_bracket(fine, z_c, ratio))
     if not -math.inf < ends[0] <= z <= ends[1] < math.inf:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "
             "the state may be marginal at this lambda"
         )
-    if z_c is None or w.breakpoints is not None or s.ode_tol > _EXTRAPOLATE_MAX:
-        return z
-    if not (coarsens(z) and coarsens(z_c)):
+    if w.breakpoints is not None:
         return z
     return (_COARSEN**4 * z - z_c) / (_COARSEN**4 - 1)
 

@@ -33,12 +33,14 @@ from .numerics import Pchip, brent, sech2
 # fraction of the well maximum below which to_log_well treats W as zero
 # when it truncates the infinite rho-line
 DOMAIN_CUT = 1e-14
-# largest ode_tol: the Numerov weights g = 1 - h^2 (lambda^2 - W) / (12 hbar^2)
-# of the oracle stay >= 1 - (1.6 ode_tol^(1/6))^2 / 12 >= 0.954 (h k <=
-# 1.6 ode_tol^(1/6) <= 0.743 with lambda/hbar <= k), so the node count and its
-# amplitude stay defined; a search's coarse counts lengthen the step only up
-# to h k = 1 (g >= 11/12)
-_ODE_TOL_MAX = 1e-2
+# largest ode_tol: up to it the oracle's coarse grid, 4x the fine step, stays
+# in the h^4 regime, so every smooth-well threshold is the Richardson value
+# of its coarse and fine roots and meets ode_tol / 10 (criterion-1 grid: 7.1e-9
+# and 5.6e-9 at 1e-7 under hbar 1 and 0.5; at 1e-6 Lenz(2, 1)'s Z_c(0, l = 0)
+# was 1.43e-7 off under hbar 0.5, its coarse/fine error ratio 295, not 256).
+# The coarse step has h k <= 6.4 ode_tol^(1/6) <= 0.44 (lambda/hbar <= k), so
+# the Numerov weights g = 1 - h^2 (lambda^2 - W) / (12 hbar^2) stay >= 0.984
+_ODE_TOL_MAX = 1e-7
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,17 @@ class Settings:
                 quad_tol * max(1, I), the inner correction integral to an
                 absolute quad_tol.
     ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/6).  On a smooth
-                well, for ode_tol up to 1e-6, the oracle's critical
-                couplings are within ode_tol / 10 relative (6.9e-12 at the
-                default on the criterion-1 grid), down to about 1e-12, where
-                rounding and the root-find tolerances stop them; they are
-                extrapolated from the roots on the grid and on one 4x
-                coarser.  Looser ode_tol keeps the grid's own error, up to
-                about 0.015 ode_tol^(2/3).  Not estimated at run time.  A
-                Tabulated W is only C^1 and is not extrapolated: on 400
-                samples of Lenz(1, 1), Z_c(0, l = 0) at the default is 3.0e-7
-                off an ode_tol = 1e-14 reference, and moves between 1.1e-7
-                and 5.7e-7 as the step changes by a few percent.  At most
-                _ODE_TOL_MAX.
+                well the oracle's critical couplings are within
+                max(ode_tol / 10, 1e-12) relative (6.9e-12 at the default on
+                the criterion-1 grid); they are extrapolated from the roots
+                on the grid and on one 4x coarser.  Below ~5e-13 rounding on
+                the longer grid raises that floor (1.5e-12 at 1e-14).  Not
+                estimated at run time.  A Tabulated W is only C^1 and is not
+                extrapolated: on 400 samples of Lenz(1, 1), Z_c(0, l = 0) at
+                the default is 3.0e-7 off an ode_tol = 1e-14 reference, and
+                moves between 1.1e-7 and 5.7e-7 as the step changes by a few
+                percent.  At most _ODE_TOL_MAX = 1e-7: beyond it the coarse
+                grid leaves the h^4 regime.
 
     The truncation of the rho-line is fixed by DOMAIN_CUT, not set here.
     """

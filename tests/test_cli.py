@@ -209,8 +209,8 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     assert main(["validate", "--family", "lenz", "--a", "inf"]) == 1
     assert main(["phi", "--family", "lenz", "--a", "1", "--quad-tol", "nan"]) == 1
     assert main(["validate", "--family", "tietz", "--tol", "nan"]) == 1
-    # an ode_tol above 1e-2 is rejected before the oracle's grid weights turn negative
-    argv = ["validate", "--family", "lenz", "--a", "1", "--n-max", "0", "--l-max", "200", "--ode-tol", "1e4"]
+    # an ode_tol above 1e-7, where the oracle's error bound no longer holds, is rejected
+    argv = ["validate", "--family", "lenz", "--a", "1", "--n-max", "0", "--l-max", "200", "--ode-tol", "1e-3"]
     assert main(argv) == 1
     # a negative grid bound is rejected by the parser
     assert main(["spectrum", "--family", "tietz", "--n-max", "-1"]) == 1
@@ -325,7 +325,7 @@ def test_cli_fuzz_exits_cleanly(spec) -> None:
 # the module run as a program from an uninstalled checkout: exit 0 on the
 # corrected transform, 3 on the printed variant, and 1 with a one-line error
 # for --output into a missing directory, for a flag the command does not take
-# (spectrum reads no --d), for an --ode-tol above 1e-2, for a potential that
+# (spectrum reads no --d), for an --ode-tol above 1e-7, for a potential that
 # breaks the decay rule (Lenz a = 0), for a printed well whose cut lies
 # where W overflows, for a well that is numerically zero, for a critical
 # coupling beyond the double range (Lenz a = 1e200), for a phi fit that
@@ -339,7 +339,7 @@ ENTRY_POINT_CASES = {
     "output-missing-dir": (["ordering", "--output", "missing/out.csv"], 1),
     "unread-flag": (["spectrum", "--family", "lenz", "--a", "1", "--Z", "20", "--d", "1"], 1),
     "ode-tol": (
-        ["validate", "--family", "lenz", "--a", "1", "--n-max", "0", "--l-max", "200", "--ode-tol", "1e4"],
+        ["validate", "--family", "lenz", "--a", "1", "--n-max", "0", "--l-max", "200", "--ode-tol", "1e-3"],
         1,
     ),
     "decay-rule": (["well", "--family", "lenz", "--a", "0", "--Z", "1"], 1),

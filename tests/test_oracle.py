@@ -98,19 +98,18 @@ def _one_shot_count(w, lam: float, s: Settings, Z=None, coarsen=1):
 
     The well is counted at coupling Z (w.Z by default), with its maximum
     scaled as (Z / w.Z) * w.V_m.  The fine grid has a multiple of _COARSEN
-    steps; a coarse one has a step `coarsen` times the fine one but at most
-    1/k_ref (and never below the fine one).
+    steps; a coarse one has a step `coarsen` times the fine one.
     """
     import trenq.oracle as oracle_mod
 
     Z = w.Z if Z is None else Z
     hbar = s.hbar
-    rho_l, rho_r, k_ref, h = _step_rule(w, lam, s, Z)
+    rho_l, rho_r, _, h = _step_rule(w, lam, s, Z)
     if coarsen == 1:
         m = oracle_mod._COARSEN
         n_steps = m * int(math.ceil((rho_r - rho_l) / (m * h))) + 1
     else:
-        h = max(h, min(coarsen * h, 1.0 / k_ref))
+        h = coarsen * h
         n_steps = int(math.ceil((rho_r - rho_l) / h)) + 1
     rho = np.linspace(rho_l, rho_r, n_steps)
     h = float(rho[1] - rho[0])
@@ -568,15 +567,28 @@ def _certified_bracket(counts: list, n: int) -> tuple[float, float]:
 
 @pytest.mark.parametrize(
     "s",
-    [Settings(), Settings(hbar=0.5), Settings(ode_tol=1e-8)],
-    ids=["default", "hbar-0.5", "ode-tol-1e-8"],
+    [
+        Settings(),
+        Settings(hbar=0.5),
+        Settings(ode_tol=1e-8),
+        Settings(ode_tol=1e-7),
+        Settings(ode_tol=1e-7, hbar=0.5),
+        Settings(ode_tol=1e-11),
+        Settings(ode_tol=1e-11, hbar=0.5),
+    ],
+    ids=["default", "hbar-0.5", "ode-tol-1e-8", "ode-tol-1e-7", "ode-tol-1e-7-hbar-0.5",
+         "ode-tol-1e-11", "ode-tol-1e-11-hbar-0.5"],
 )
 def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
     # on a smooth well ode_tol bounds the relative error of the returned
-    # coupling by ode_tol / 10; on the criterion-1 grid the worst errors are
-    # 6.9e-12, 5.3e-12 and 7.0e-10.  The returned value is the Richardson
-    # value of the coarse root and the fine root, which every finish reaches
-    # by secant steps alone, inside the bracket of fine counts n and n + 1
+    # coupling by ode_tol / 10, from the loosest ode_tol accepted, 1e-7, down
+    # to 1e-11; on the criterion-1 grid the worst errors are 6.9e-12,
+    # 5.3e-12, 7.0e-10, 7.1e-9, 5.6e-9, 6.9e-13 and 5.4e-13.  At 1e-11 the
+    # coarse root is solved to 10 ode_tol: its error enters the Richardson
+    # value divided by 255, and solved to 1e-9 it left 1.06e-12.  The
+    # returned value is the Richardson value of the coarse root and the fine
+    # root, which every finish reaches by secant steps alone, inside the
+    # bracket of fine counts n and n + 1
     roots = _search_roots(monkeypatch)
     counts = _fine_counts(monkeypatch)
     worst = 0.0
@@ -596,23 +608,6 @@ def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
                 z_exact, _ = lenz_exact_threshold(a, q, s.hbar)
                 worst = max(worst, abs(z - z_exact) / z_exact)
     assert worst <= 0.1 * s.ode_tol, worst
-
-
-def test_loose_ode_tol_is_not_extrapolated(monkeypatch) -> None:
-    # above _EXTRAPOLATE_MAX the coarse grid of a shallow state leaves the h^4
-    # regime: at ode_tol = 1e-4 the Richardson value of Lenz(2, 1)'s
-    # Z_c(0, l = 0) is 1.0e-4 off the closed form, its fine root 8.6e-6, within
-    # the fine grid's 0.015 ode_tol^(2/3)
-    roots = _search_roots(monkeypatch)
-    loose = Settings(ode_tol=1e-4)
-    w = to_log_well(Lenz(a=2.0, Z=1.0), loose)
-    q = QuantumNumbers(0, 0, 3)
-    z = exact_critical_coupling(w, q.lam, q.n, loose)
-    (_, z_coarse), (finish, z_fine) = roots[0], roots[-1]
-    assert finish == "_secant_finish" and z == z_fine
-    z_exact, _ = lenz_exact_threshold(2.0, q)
-    assert abs(z - z_exact) <= 0.015 * loose.ode_tol ** (2.0 / 3.0) * z_exact
-    assert abs((256.0 * z_fine - z_coarse) / 255.0 - z_exact) > 5e-5 * z_exact
 
 
 def _lenz_samples(count: int, a: float = 1.0) -> Tabulated:
@@ -805,61 +800,28 @@ def test_unclean_transition_raises(settings, monkeypatch) -> None:
         exact_critical_coupling(w, 0.5, 0, settings)
 
 
-@pytest.mark.parametrize("tol,lam", [(1e-2, 45.5), (1e-2, 120.5), (1e-3, 200.5)])
-def test_capped_coarse_step_searches_fine_only(tol, lam, monkeypatch) -> None:
-    # at loose ode_tol and a large k_ref, _COARSEN times the fine step would
-    # take h k_ref to ~3; the coarse step stops at 1/k_ref, so it is capped
-    # at every coupling and a coarse stage would repeat fine work.  The search
-    # is then the fine-only one, root for root and count for count (Brent,
-    # certified by its own bracket), and returns that fine root: Lenz(1, 1) at
-    # lambda 120.5 and ode_tol = 1e-2 took 48 counts with the coarse stage
-    # against 43 fine-only.  At lambda 200.5 the residual near the step is
-    # ~1e-113, where Brent's interpolation denominator underflows to 0
-    import trenq.oracle as oracle_mod
-
-    loose = Settings(ode_tol=tol)
-    w = to_log_well(Lenz(a=1.0, Z=1.0), loose)
-    *_, k_ref, h = _step_rule(w, lam, loose, 1e-300)
-    assert oracle_mod._COARSEN * h * k_ref > 1.0
-    coarse = count_bound_states(w, lam, loose, _coarsen=oracle_mod._COARSEN)
-    assert coarse.step_stats["h"] == pytest.approx(1.0 / k_ref, rel=1e-3)
-
-    counts = []
-    counter = oracle_mod.count_bound_states
-
-    def counted(*args, **kwargs):
-        counts.append((kwargs["Z"], kwargs.get("_coarsen", 1)))
-        return counter(*args, **kwargs)
-
-    monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
-    roots = _search_roots(monkeypatch)
-    z = exact_critical_coupling(w, lam, 0, loose)
-    searched = list(counts)
-    assert [name for name, _ in roots] == ["brent"]
-    assert {coarsen for _, coarsen in searched} == {1}
-    counts.clear()
-    assert z == _fine_only_threshold(w, lam, 0, loose)
-    assert searched == counts
-
-
 def test_numerov_weights_bounded_at_loosest_ode_tol() -> None:
-    # at the loosest ode_tol the fine step has h k_ref <= _STEP_FACTOR
-    # 1e-2^(1/6) = 0.743, so the Numerov weight g = 1 - h^2 (lambda^2 - W) /
-    # (12 hbar^2), least where W = 0, stays >= 1 - 0.743^2 / 12 = 0.954; at a
+    # at the loosest ode_tol, 1e-7, the fine step has h k_ref <= _STEP_FACTOR
+    # 1e-7^(1/6) = 0.109 and a search's coarse step, _COARSEN times it,
+    # h k_ref <= 0.436, so the Numerov weight g = 1 - h^2 (lambda^2 - W) /
+    # (12 hbar^2), least where W = 0, stays >= 1 - 0.436^2 / 12 = 0.984; at a
     # large lambda k_ref = lambda / hbar and the bound is reached
+    import trenq.oracle as oracle_mod
     from trenq.potentials import _ODE_TOL_MAX
 
+    assert _ODE_TOL_MAX == 1e-7
     loose = Settings(ode_tol=_ODE_TOL_MAX)
     lam = 200.5
     w = to_log_well(Lenz(a=1.0, Z=1.0), loose)
-    nc = count_bound_states(w, lam, loose)
-    h = nc.step_stats["h"]
-    assert 0.74 <= h * lam <= 0.743
-    assert 1.0 - (h * lam) ** 2 / 12.0 >= 0.954
-    rho_l, rho_r = nc.rho_span
-    g0 = math.exp(nc.log_scale + lam * (rho_r - rho_l))
-    assert g0 == pytest.approx(1.0 - (h * lam) ** 2 / 12.0, rel=1e-6)
-    assert nc.count == 0
+    for coarsen, least, most in ((1, 0.1089, 0.10901), (oracle_mod._COARSEN, 0.4355, 0.43603)):
+        nc = count_bound_states(w, lam, loose, _coarsen=coarsen)
+        h = nc.step_stats["h"]
+        assert least <= h * lam <= most
+        assert 1.0 - (h * lam) ** 2 / 12.0 >= 0.984
+        rho_l, rho_r = nc.rho_span
+        g0 = math.exp(nc.log_scale + lam * (rho_r - rho_l))
+        assert g0 == pytest.approx(1.0 - (h * lam) ** 2 / 12.0, rel=1e-6)
+        assert nc.count == 0
 
 
 @hypothesis_settings(max_examples=8, deadline=None)

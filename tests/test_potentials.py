@@ -625,7 +625,9 @@ def test_settings_validation() -> None:
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 Settings(**{name: bad})
-    # a grid this coarse would make the oracle's Numerov weights negative
-    with pytest.raises(InputError):
-        Settings(ode_tol=1e4)
-    Settings(ode_tol=1e-2)
+    # beyond 1e-7 the oracle's coarse grid leaves the h^4 regime, and its
+    # Richardson value the ode_tol / 10 bound
+    for bad in (1e4, 1e-2, 1.1e-7):
+        with pytest.raises(InputError):
+            Settings(ode_tol=bad)
+    Settings(ode_tol=1e-7)
