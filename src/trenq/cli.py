@@ -43,6 +43,10 @@ from .thresholds import threshold_reports
 
 _DEFAULT_PHI = 1.75  # universal slope for atom-like wells; override per potential
 _TRANSFORM_EXPONENTS = {"corrected": 2, "printed": 1}
+# most --samples of `well` and --points of `action`, checked before any array
+# is built: the action profile's batched quadrature holds ~12 KB a point
+# (1.2 GB at the cap), the well's CSV rows ~0.5 KB a sample
+_MAX_POINTS = 100_000
 
 
 def _fmt(x) -> str:
@@ -121,8 +125,8 @@ def _states(args: argparse.Namespace) -> list[QuantumNumbers]:
 
 
 def _run_well(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise InputError("need at least 2 samples")
+    if not 2 <= args.samples <= _MAX_POINTS:
+        raise InputError(f"--samples must lie between 2 and {_MAX_POINTS}, got {args.samples}")
     well = _well(args, _settings(args))
     rho = np.linspace(well.rho_left, well.rho_right, args.samples)
     w_vals = np.asarray(well.profile(rho), dtype=float)
@@ -133,6 +137,8 @@ def _run_well(args: argparse.Namespace) -> int:
 
 
 def _run_action(args: argparse.Namespace) -> int:
+    if args.points > _MAX_POINTS:
+        raise InputError(f"--points must be at most {_MAX_POINTS}, got {args.points}")
     s = _settings(args)
     profile = action_profile(_well(args, s), s, n_points=args.points)
     rows = [
@@ -316,11 +322,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--d", type=int, default=3, help="space dimension")
 
     p = command("well", _run_well, "sample the transformed well")
-    p.add_argument("--samples", type=int, default=1001)
+    p.add_argument("--samples", type=int, default=1001, help=f"2 to {_MAX_POINTS}")
 
     p = command("action", _run_action, "sample the action profile")
     semiclassical(p)
-    p.add_argument("--points", type=int, default=65)
+    p.add_argument("--points", type=int, default=65, help=f"5 to {_MAX_POINTS}")
 
     semiclassical(command("phi", _run_phi, "fit the linear deficit slope"))
 

@@ -170,8 +170,10 @@ class Tabulated:
 
     Inside the sampled range the transformed well is exp of the monotone
     cubic interpolant (numerics.Pchip, Fritsch-Carlson) of ln W against
-    rho = ln r, which keeps W positive and, since the interpolant does not
-    overshoot, puts every extremum of W at a sample.  It is C^1 only, so W''
+    rho = ln r, which keeps W positive.  Each piece of the interpolant stays
+    between its end values, also at peaks and dips, so every extremum of W
+    lies at a sample: to_log_well takes the peak, the cut cells and
+    split_level from the samples on this ground.  It is C^1 only, so W''
     jumps at the samples.  Outside, the declared power laws |U| ~ r^(-q0)
     (origin) and r^(-qinf) (infinity) continue the well exponentially in rho.
     """
@@ -259,15 +261,14 @@ class LogWell:
     other points of the array it is given, since the oracle evaluates the
     well one block of its grid at a time.
     rho_left/rho_right are the outermost points at which W falls to
-    DOMAIN_CUT * V_m (where the scan of the search window sees it, for a
-    well without closed-form cuts), so a dip below the cut between two
-    humps stays inside the truncated domain; all
-    quadratures and integrations run on this finite window, with analytic
-    exponential-tail corrections where they matter.  decay_left/decay_right
-    are the exponential rates of W at the two ends.  split_level is None for
-    a single-hump well; otherwise, for lambda^2 between the domain-cut floor
-    and split_level, the classically allowed set W > lambda^2 may fall apart
-    into several intervals (_split_level), which the action rejects.
+    DOMAIN_CUT * V_m, so a dip below the cut between two humps stays inside
+    the truncated domain; all quadratures and integrations run on this
+    finite window, with analytic exponential-tail corrections where they
+    matter.  decay_left/decay_right are the exponential rates of W at the
+    two ends.  split_level is None for a single-hump well; otherwise, for
+    lambda^2 between the domain-cut floor and split_level, the classically
+    allowed set W > lambda^2 may fall apart into several intervals
+    (_split_level), which the action rejects.
 
     _memo holds what other modules compute once per well, each under keys
     of its own; it starts empty and is filled lazily by its readers.
@@ -296,12 +297,6 @@ class LogWell:
         return self.Z * self.base_deriv(rho)
 
 
-_SCAN_POINTS = 4097
-_ZOOM_POINTS = 65
-# k of the zoom grid's points lo + k (hi - lo)/64, np.linspace's arithmetic
-_ZOOM_STEPS = np.arange(float(_ZOOM_POINTS))
-
-
 def _split_level(vals: np.ndarray, depth: float) -> float | None:
     """Highest level below which {W > level} can split, from samples of W.
 
@@ -320,91 +315,6 @@ def _split_level(vals: np.ndarray, depth: float) -> float | None:
     return float(np.max(rim[dips])) if np.any(dips) else None
 
 
-def _zoom_grid(lo: float, hi: float) -> np.ndarray:
-    """np.linspace(lo, hi, _ZOOM_POINTS), bit for bit, without its call overhead."""
-    x = _ZOOM_STEPS * ((hi - lo) / (_ZOOM_POINTS - 1))
-    x += lo
-    x[-1] = hi
-    return x
-
-
-def _locate_maximum(
-    profile: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, vals: np.ndarray
-) -> tuple[float, float]:
-    """(V_m, rho_star) from the window scan `vals = profile(grid)`, refined by zooms.
-
-    The bracket starts as the two grid cells next to the scan's argmax; each
-    zoom evaluates the profile on _ZOOM_POINTS points across the bracket and
-    narrows it to the two cells next to their argmax (1/32 of its width),
-    until it is narrower than 1e-13 (relative to |rho| beyond 1), about nine
-    zooms.  The best value seen is kept and replaced only by a strictly
-    larger one, so V_m is never below the scan maximum and a grid point that
-    already holds the top stays put.
-    """
-    k = int(np.argmax(vals))
-    vmax, rho_star = float(vals[k]), float(grid[k])
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    while hi - lo > 1e-13 * max(1.0, abs(rho_star)):
-        x = _zoom_grid(lo, hi)
-        v = np.asarray(profile(x))
-        j = int(np.argmax(v))
-        if v[j] > vmax:
-            vmax, rho_star = float(v[j]), float(x[j])
-        lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
-    return vmax, rho_star
-
-
-def _find_cut(
-    profile: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    vals: np.ndarray,
-    target: float,
-    rate: float,
-    direction: int,
-) -> float:
-    """Outermost point on one side where W drops to `target`.
-
-    The window scan `vals = profile(grid)` brackets the outermost crossing of
-    `target` on the `direction` side (-1 left, +1 right) in one grid cell;
-    Brent's method solves inside it from the two scan values.  When W is
-    still above `target` at the window end, the bracket comes from stepping
-    outward from there in growing steps; a step that lands where W is not a
-    finite float is halved back towards the last finite point, and
-    PotentialConditionError is raised when 200 steps find no crossing.
-    """
-
-    def f(rho: float) -> float:
-        return float(profile(rho)) - target
-
-    above = np.flatnonzero(vals > target)
-    if above.size == 0:
-        raise PotentialConditionError("no point of the window scan lies above DOMAIN_CUT * V_m")
-    edge = int(above[0]) if direction < 0 else int(above[-1])
-    x_in, f_in = float(grid[edge]), float(vals[edge]) - target
-    outer = edge + direction
-    if 0 <= outer < grid.size:
-        x_out, f_out = float(grid[outer]), float(vals[outer]) - target
-    else:
-        step = max(1.0, 2.0 / rate)
-        x_out = x_in + direction * step
-        # e^(-rho) of the printed variant overflows beyond rho = -709
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_out = f(x_out)
-            for _ in range(201):
-                if f_out <= 0.0:
-                    break
-                if math.isfinite(f_out):
-                    x_in, f_in = x_out, f_out
-                    x_out += direction * step
-                    step *= 1.5
-                else:  # step back towards the last finite W
-                    x_out = 0.5 * (x_in + x_out)
-                f_out = f(x_out)
-            else:
-                raise PotentialConditionError("W does not reach DOMAIN_CUT * V_m while finite")
-    return brent(f, x_in, x_out, f_in, f_out, xtol=1e-14 * (grid[1] - grid[0]), rtol=1e-14)
-
-
 def _lenz_well_parts(p: Lenz):
     a = p.a
 
@@ -415,12 +325,7 @@ def _lenz_well_parts(p: Lenz):
         rho = np.asarray(rho, dtype=float)
         return -a * sech2(a * rho) * np.tanh(a * rho)
 
-    return base, base_deriv, (-25.0 / a, 25.0 / a)
-
-
-def _tabulated_well_parts(p: Tabulated):
-    lo, hi = p._log_w.x[0], p._log_w.x[-1]
-    return p.well_value, None, (lo - 5.0, hi + 5.0)
+    return base, base_deriv
 
 
 def _printed_parts(base, base_deriv):
@@ -434,7 +339,92 @@ def _printed_parts(base, base_deriv):
         rho = np.asarray(rho, dtype=float)
         return (base_deriv(rho) - base(rho)) * np.exp(-rho)
 
-    return printed, None if base_deriv is None else printed_deriv
+    return printed, printed_deriv
+
+
+def _tabulated_geometry(p: Tabulated) -> tuple[float, float, float, float, float | None]:
+    """(V_m, rho_star, rho_left, rho_right, split_level) of a tabulated well, off its samples.
+
+    The interpolant keeps every piece between its end values, so the top
+    sample is the maximum, and on each side the outermost crossing of the
+    cut lies in the power-law continuation, in closed form, when the end
+    sample is above the cut, and otherwise in the outermost knot cell that
+    straddles it, where Brent's method solves the monotone cubic ln W.
+    """
+    log_w, x = p._log_w, p._log_w.x
+    ys = log_w(x)
+    vals = np.exp(ys)  # what well_value returns at the samples
+    k = int(np.argmax(vals))
+    vmax = float(vals[k])
+    if vmax <= DOMAIN_CUT:
+        raise DegenerateWellError("transformed well is numerically zero")
+    target = DOMAIN_CUT * vmax
+    log_target = math.log(target)
+    lo, hi, w_lo, w_hi = p._ends
+    above = np.flatnonzero(ys > log_target)
+    cuts = []
+    sides = ((above[0], -1, lo, w_lo, p.q0), (above[-1], 1, hi, w_hi, p.qinf))
+    for i, step, end, w_end, q in sides:
+        j = i + step
+        if not 0 <= j < x.size:
+            cut = end + math.log(target / w_end) / (2.0 - q)
+        else:
+            cut = brent(lambda rho: log_w(rho) - log_target, x[i], x[j],
+                        ys[i] - log_target, ys[j] - log_target,
+                        xtol=1e-14 * (x[j] - x[i]) * step, rtol=1e-14)
+        if not math.isfinite(cut):
+            raise PotentialConditionError("W reaches DOMAIN_CUT * V_m only beyond the float range")
+        cuts.append(float(cut))
+    return vmax, float(x[k]), cuts[0], cuts[1], _split_level(vals, target)
+
+
+_LN2 = math.log(2.0)
+
+
+def _lenz_geometry(p: Lenz, e: int, profile) -> tuple[float, float, float, float]:
+    """(V_m, rho_star, rho_left, rho_right) of W = (Z/2) sech^2(a rho) e^((e - 2) rho).
+
+    The standard well (e = 2) peaks at 0 and falls to DOMAIN_CUT of its
+    peak at cosh(a rho) = DOMAIN_CUT^(-1/2).  The printed one (e = 1) has a
+    concave ln W, peaks where 2a tanh(a rho) = -1 and decays at rate c =
+    2a -+ 1 on either side; there e^(-2|x|) <= sech^2 x <= 4 e^(-2|x|) puts
+    each cut between the distances ln(Z / (2 target)) / c and
+    ln(4 Z / target) / c from 0 (a factor 2 beyond the bound, which is tight
+    to rounding), and Brent's method solves ln W = ln target there with
+    2 ln sech computed stably.  A printed peak or cut where the profile is
+    not a positive finite float raises PotentialConditionError.
+    """
+    a = p.a
+    if e == 2:
+        rho_star, vmax = 0.0, float(profile(0.0))
+    else:
+        rho_star = -math.atanh(0.5 / a) / a
+        with np.errstate(over="ignore"):
+            vmax = float(profile(rho_star))
+    if vmax <= DOMAIN_CUT:
+        raise DegenerateWellError("transformed well is numerically zero")
+    if e == 2:
+        cut = math.acosh(DOMAIN_CUT**-0.5) / a
+        return vmax, rho_star, -cut, cut
+    if vmax == math.inf:
+        raise PotentialConditionError("the printed well overflows at its peak")
+    target = DOMAIN_CUT * vmax
+    log_ratio = math.log(0.5 * p.Z) - math.log(target)
+
+    def f(rho: float) -> float:
+        x = abs(a * rho)
+        return log_ratio + 2.0 * (_LN2 - x - math.log1p(math.exp(-2.0 * x))) - rho
+
+    cuts = []
+    for side, rate in ((-1.0, 2.0 * a - 1.0), (1.0, 2.0 * a + 1.0)):
+        inner, outer = side * log_ratio / rate, side * (log_ratio + 3.0 * _LN2) / rate
+        xtol = 1e-14 * abs(outer - inner)
+        cuts.append(brent(f, inner, outer, f(inner), f(outer), xtol=xtol, rtol=1e-14))
+    # e^(-rho) overflows beyond rho = -709, and sech^2 underflows far out
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(0.0 < float(profile(cut)) < math.inf for cut in cuts):
+            raise PotentialConditionError("W is not a positive finite float at a domain cut")
+    return vmax, rho_star, cuts[0], cuts[1]
 
 
 def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2) -> LogWell:
@@ -442,9 +432,8 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
 
     The standard transform is W(rho) = -2 e^(2 rho) U(e^rho); passing
     transform_exponent=1 selects the printed variant -2 e^rho U(e^rho) =
-    W e^(-rho) instead, built from the standard well of any family and kept
-    for the discrimination diagnostics only (it does not reproduce exact
-    thresholds).
+    W e^(-rho) instead, kept for the discrimination diagnostics only (it
+    does not reproduce exact thresholds).
 
     Under exponent e the well decays as e^(rate rho) with rate e - q_origin
     as rho -> -infinity (r -> 0) and q_infinity - e as rho -> +infinity.
@@ -452,15 +441,14 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     which is the short-range condition r^2 U -> 0, and for the chosen
     exponent; otherwise PotentialConditionError names every end that fails.
 
-    The standard well of a Lenz (and so Tietz) potential, (Z/2) sech^2(a rho),
-    takes its maximum (0, Z/2) and its domain cuts rho = -+acosh(DOMAIN_CUT^(-1/2)) / a
-    in closed form, at the cost of one evaluation of the profile.  Tabulated
-    wells and the printed variant are scanned: one vectorized evaluation of
-    the profile on a _SCAN_POINTS grid across a search window serves the
-    maximum (_locate_maximum), brackets both domain cuts (_find_cut) and
-    gives split_level.  The well does not depend on s: the cuts sit at the
-    constant DOMAIN_CUT.  A cut that lies where W is no longer a finite
-    float also raises PotentialConditionError.
+    Each family reads its peak and its cuts at DOMAIN_CUT * V_m off its own
+    definition: a Lenz (and so Tietz) well in closed form, or by Brent's
+    method in a closed-form bracket for the printed variant (_lenz_geometry);
+    a tabulated well off its samples, which also give split_level
+    (_tabulated_geometry).  The printed variant of a tabulated
+    U is the standard well of U/r, whose decay exponents are one higher.
+    The well does not depend on s.  A cut beyond the float range, or where
+    W is not a positive finite float, also raises PotentialConditionError.
     """
     e = transform_exponent
     if e not in (1, 2):
@@ -474,38 +462,20 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
             f"and qinf = {qinf:g} above {max(e, 2)}"
         )
 
+    split_level = None
     if isinstance(p, Lenz):
         Z, breakpoints = p.Z, None
-        base, base_deriv, window = _lenz_well_parts(p)
+        base, base_deriv = _lenz_well_parts(p)
+        if e == 1:
+            base, base_deriv = _printed_parts(base, base_deriv)
+        vmax, rho_star, rho_left, rho_right = _lenz_geometry(p, e, lambda rho: Z * base(rho))
     else:
+        if e == 1:
+            # -2 e^rho U(e^rho) = -2 e^(2 rho) (U/r)(e^rho)
+            p = Tabulated(p.r_grid, p.U_values / p.r_grid, q0 + 1.0, qinf + 1.0)
         Z, breakpoints = 1.0, np.asarray(p._log_w.x, dtype=float)
-        base, base_deriv, window = _tabulated_well_parts(p)
-    if e == 1:
-        base, base_deriv = _printed_parts(base, base_deriv)
-    rate_left, rate_right = e - q0, qinf - e
-
-    def profile(rho):
-        return Z * base(rho)
-
-    if isinstance(p, Lenz) and e == 2:
-        # (Z/2) sech^2(a rho) peaks at 0 and falls to DOMAIN_CUT of its peak
-        # at cosh(a rho) = DOMAIN_CUT^(-1/2); one hump by construction
-        vmax, rho_star = float(profile(0.0)), 0.0
-        if vmax <= DOMAIN_CUT:
-            raise DegenerateWellError("transformed well is numerically zero")
-        cut = math.acosh(DOMAIN_CUT**-0.5) / p.a
-        rho_left, rho_right, split_level = -cut, cut, None
-    else:
-        grid = np.linspace(*window, _SCAN_POINTS)
-        vals = np.asarray(profile(grid), dtype=float)
-        vmax, rho_star = _locate_maximum(profile, grid, vals)
-        if vmax <= DOMAIN_CUT:
-            raise DegenerateWellError("transformed well is numerically zero")
-        target = DOMAIN_CUT * vmax
-        rho_left = _find_cut(profile, grid, vals, target, rate_left, -1)
-        rho_right = _find_cut(profile, grid, vals, target, rate_right, +1)
-        # the printed sech^2-type analytic wells have one hump too
-        split_level = None if isinstance(p, Lenz) else _split_level(vals, target)
+        base, base_deriv = p.well_value, None
+        vmax, rho_star, rho_left, rho_right, split_level = _tabulated_geometry(p)
     return LogWell(
         base=base,
         Z=Z,
@@ -513,8 +483,8 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
         rho_star=rho_star,
         rho_left=rho_left,
         rho_right=rho_right,
-        decay_left=rate_left,
-        decay_right=rate_right,
+        decay_left=e - q0,
+        decay_right=qinf - e,
         base_deriv=base_deriv,
         breakpoints=breakpoints,
         split_level=split_level,

@@ -14,6 +14,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 import trenq
+import trenq.cli as cli
 from trenq.cli import main
 
 LENZ_A1 = {"family": "lenz", "a": 1.0, "Z": 8.0}
@@ -225,6 +226,10 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     argv = ["well", "--family", "tietz", "--samples", "3", "--d", "1", "--ode-tol", "5", "--hbar", "7"]
     assert main(argv) == 1
     assert main(["spectrum", "--family", "lenz", "--a", "1", "--Z", "20", "--d", "1"]) == 1
+    # one past the size cap, rejected before anything is built
+    too_many = str(cli._MAX_POINTS + 1)
+    assert main(["well", "--family", "lenz", "--a", "1", "--samples", too_many]) == 1
+    assert main(["action", "--family", "lenz", "--a", "1", "--points", too_many]) == 1
     capsys.readouterr()
     # a well flag the well would drop: --a on Tietz (width 1/2), and any of
     # --family, --a and --Z beside --potential, which sets the whole well
@@ -329,8 +334,9 @@ def test_cli_fuzz_exits_cleanly(spec) -> None:
 # breaks the decay rule (Lenz a = 0), for a printed well whose cut lies
 # where W overflows, for a well that is numerically zero, for a critical
 # coupling beyond the double range (Lenz a = 1e200), for a phi fit that
-# overflows (Z = 1e300) and for tabulated samples whose W overflows; never a
-# traceback
+# overflows (Z = 1e300), for tabulated samples whose W overflows and for
+# --samples or --points beyond cli._MAX_POINTS, which would not fit in memory;
+# never a traceback
 ENTRY_POINT_CASES = {
     "validate": (["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6"], 0),
     "validate-printed": (
@@ -345,6 +351,8 @@ ENTRY_POINT_CASES = {
     "decay-rule": (["well", "--family", "lenz", "--a", "0", "--Z", "1"], 1),
     "printed-overflow": (["well", "--family", "lenz", "--a", "0.51", "--transform", "printed"], 1),
     "zero-well": (["well", "--family", "lenz", "--a", "1", "--Z", "1e-15"], 1),
+    "samples-cap": (["well", "--family", "lenz", "--a", "1", "--samples", "1000000000000"], 1),
+    "points-cap": (["action", "--family", "lenz", "--a", "1", "--points", "1000000000000"], 1),
     "coupling-overflow": (["threshold", "--potential", '{"family":"lenz","a":1e200,"Z":1}'], 1),
     "phi-overflow": (["phi", "--potential", '{"family":"lenz","a":1,"Z":1e300}'], 1),
     "tabulated-overflow": (

@@ -402,12 +402,31 @@ def test_pchip_interpolates_and_is_c1() -> None:
         assert np.allclose(end_slope[:-1], c1[1:], rtol=0.0, atol=1e-12 * slope_scale)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_pchip_does_not_overshoot_monotone_data(sign: float) -> None:
+def _shaped_values(kind: str) -> np.ndarray:
+    """40 values: monotone with flat runs and jumps of three orders of magnitude, or not."""
+    rng = np.random.default_rng(7)
+    steps = rng.choice([0.0, 0.01, 1.0, 10.0], 40)
+    if kind == "rising":
+        return np.cumsum(steps)
+    if kind == "falling":
+        return -np.cumsum(steps)
+    if kind == "peaks":
+        # sharp peaks and dips, flat tops and a plateau at the global maximum
+        y = np.cumsum(steps * rng.choice([-1.0, 1.0], 40))
+        y[20:23] = y.max() + 1.0
+        return y
+    # a symmetric hump sampled without a centre point: two top samples equal to rounding
+    return 1.0 / np.cosh(np.linspace(-3.0, 3.0, 40)) ** 2
+
+
+@pytest.mark.parametrize("kind", ["rising", "falling", "peaks", "hump"])
+def test_pchip_keeps_each_piece_between_its_end_values(kind: str) -> None:
+    # every piece is monotone, so an extremum of the interpolant sits at a
+    # knot, also on data that rises and falls: a tabulated well takes its
+    # peak and its cut cells from its samples on this ground
     rng = np.random.default_rng(7)
     x = np.cumsum(rng.uniform(0.05, 2.0, 40))
-    # monotone, with flat runs and jumps of three orders of magnitude
-    y = sign * np.cumsum(rng.choice([0.0, 0.01, 1.0, 10.0], 40))
+    y = _shaped_values(kind)
     r = np.linspace(x[0], x[-1], 20001)
     v = Pchip(x, y)(r)
     piece = np.minimum(np.searchsorted(x, r, side="right") - 1, x.size - 2)
@@ -415,7 +434,11 @@ def test_pchip_does_not_overshoot_monotone_data(sign: float) -> None:
     hi = np.maximum(y[piece], y[piece + 1])
     tol = 1e-12 * np.abs(y).max()
     assert np.all(v >= lo - tol) and np.all(v <= hi + tol)
-    assert np.all(sign * np.diff(v) >= -tol)
+    # consecutive points of one piece follow the sign of its secant
+    same = piece[1:] == piece[:-1]
+    secant = np.sign(y[piece + 1] - y[piece])[:-1]
+    assert np.all(secant[same] * np.diff(v)[same] >= -tol)
+    assert v.max() <= y.max() + tol and v.min() >= y.min() - tol
 
 
 def test_import_loads_no_scipy_interpolate() -> None:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from trenq import (
 )
 from trenq.action import _turning_pairs
 from trenq.cli import main
+from trenq.numerics import Pchip
 
 
 def make_tabulated(profile, q0: float, qinf: float, rho_span=(-8.0, 8.0), n=400) -> Tabulated:
@@ -49,8 +50,8 @@ def cut_residual(w) -> float:
 
 
 # (potential, transform exponent); the exponent-1 Lenz(0.6, 1) has its left
-# cut near -164, far outside the scanned window [-41.7, 41.7], and the
-# tabulated Lenz sampled on [-8, 8] has both cuts outside its window [-13, 13]
+# cut near -164, the tabulated Lenz sampled on [-17, 17] both cuts in its end
+# cells and the one sampled on [-8, 8] both in its power-law continuation
 GEOMETRY_CASES = [
     (Lenz(1.0, 8.0), 2),
     (Lenz(0.5, 1e4), 2),
@@ -59,6 +60,7 @@ GEOMETRY_CASES = [
     (Lenz(1.0, 8.0), 1),
     (lenz_tabulated((-17.0, 17.0)), 2),
     (lenz_tabulated((-8.0, 8.0)), 2),
+    (lenz_tabulated((-17.0, 17.0)), 1),
 ]
 
 
@@ -166,21 +168,6 @@ def test_well_max_shifted_tabulated_bump(settings) -> None:
     assert rs == pytest.approx(shift, abs=5e-3)
 
 
-def test_zoom_grid_matches_linspace() -> None:
-    # the maximum's zooms build their grid by np.linspace's own arithmetic;
-    # it must give the same points, bit for bit, down to the narrowest bracket
-    rng = np.random.default_rng(3)
-    for k in range(2000):
-        if k % 2:
-            lo = rng.uniform(-60.0, 60.0)
-            hi = lo + 10.0 ** rng.uniform(-14.0, 1.0)
-        else:
-            # a bracket ending just past zero: only the end point set to hi keeps it
-            lo, hi = -(10.0 ** rng.uniform(-3.0, 1.5)), 10.0 ** rng.uniform(-17.0, -3.0)
-        got = potentials._zoom_grid(lo, hi)
-        assert got.tobytes() == np.linspace(lo, hi, potentials._ZOOM_POINTS).tobytes()
-
-
 def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
     w = lenz18_well
     cut = potentials.DOMAIN_CUT * w.V_m
@@ -199,80 +186,53 @@ def test_log_well_truncation_and_scaling(settings, lenz18_well) -> None:
 
 def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
     # work-count guard: the standard Lenz and Tietz (a = 0.5) wells evaluate
-    # their base once, at the closed-form peak; tabulated wells and the
-    # printed variant take one window scan, ~9 zooms and two short Brent solves
+    # their base once, at the closed-form peak, and the printed Lenz well three
+    # times (at its peak and its two cuts); a tabulated well evaluates its
+    # interpolant once on the samples and a few times in the Brent solve of a
+    # cut in a knot cell, and its printed well twice in building the well of
+    # U/r (1-4 calls on the wells here)
     calls = [0]
+    parts = potentials._lenz_well_parts
 
-    def counting(parts):
-        def wrapped(p):
-            base, *rest = parts(p)
+    def counting_parts(p):
+        base, base_deriv = parts(p)
 
-            def counted(rho):
-                calls[0] += 1
-                return base(rho)
+        def counted(rho):
+            calls[0] += 1
+            return base(rho)
 
-            return (counted, *rest)
+        return counted, base_deriv
 
-        return wrapped
+    pchip_call = Pchip.__call__
 
-    monkeypatch.setattr(potentials, "_lenz_well_parts", counting(potentials._lenz_well_parts))
-    monkeypatch.setattr(
-        potentials, "_tabulated_well_parts", counting(potentials._tabulated_well_parts)
-    )
+    def counting_pchip(self, r):
+        calls[0] += 1
+        return pchip_call(self, r)
+
+    monkeypatch.setattr(potentials, "_lenz_well_parts", counting_parts)
+    monkeypatch.setattr(Pchip, "__call__", counting_pchip)
     for p, exponent in GEOMETRY_CASES:
         calls[0] = 0
         to_log_well(p, settings, transform_exponent=exponent)
-        bound = 1 if isinstance(p, Lenz) and exponent == 2 else 40
+        bound = (1 if exponent == 2 else 3) if isinstance(p, Lenz) else 6
         assert 0 < calls[0] <= bound, (p, exponent, calls[0])
-
-
-def scanned_lenz_geometry(p: Lenz) -> tuple[float, float, float, float]:
-    """(V_m, rho_star, rho_left, rho_right) of the standard Lenz well by the window scan.
-
-    The route that tabulated wells take: _locate_maximum and _find_cut on
-    the same profile and window, raising where that route raises.
-    """
-    rate_left, rate_right = 2.0 - p.q_origin, p.q_infinity - 2.0
-    if min(rate_left, rate_right) <= 0.0:
-        raise PotentialConditionError("W does not vanish")
-    base, _, window = potentials._lenz_well_parts(p)
-
-    def profile(rho):
-        return p.Z * base(rho)
-
-    grid = np.linspace(*window, potentials._SCAN_POINTS)
-    vals = np.asarray(profile(grid), dtype=float)
-    vmax, rho_star = potentials._locate_maximum(profile, grid, vals)
-    if vmax <= potentials.DOMAIN_CUT:
-        raise DegenerateWellError("transformed well is numerically zero")
-    target = potentials.DOMAIN_CUT * vmax
-    return (
-        vmax,
-        rho_star,
-        potentials._find_cut(profile, grid, vals, target, rate_left, -1),
-        potentials._find_cut(profile, grid, vals, target, rate_right, +1),
-    )
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 2.0, 1e3])
 @pytest.mark.parametrize("Z", [1e-12, 1.0, 8.0, 1e6, 1e300])
 def test_closed_form_lenz_geometry_matches_scan(a: float, Z: float, settings) -> None:
-    # a = 0.5 is the Tietz family
-    p = Lenz(a, Z)
-    w = to_log_well(p, settings)
-    vmax, rho_star, rho_left, rho_right = scanned_lenz_geometry(p)
-    assert abs(w.V_m - vmax) <= math.ulp(vmax)
-    assert abs(w.rho_star - rho_star) <= 1e-12
-    assert w.rho_left == pytest.approx(rho_left, rel=1e-13)
-    assert w.rho_right == pytest.approx(rho_right, rel=1e-13)
-    assert w.split_level is None
+    # a = 0.5 is the Tietz family; the scan is a dense grid of the well
+    # itself, which never rises above the closed-form peak
+    w = to_log_well(Lenz(a, Z), settings)
+    assert (w.V_m, w.rho_star, w.split_level) == (0.5 * Z, 0.0, None)
+    assert cut_residual(w) <= 1e-12
+    assert np.max(w.profile(np.linspace(w.rho_left, w.rho_right, 20001))) <= w.V_m
 
 
-def test_closed_form_lenz_raises_where_scan_raises(settings) -> None:
-    # DegenerateWellError for V_m = Z/2 at or below DOMAIN_CUT, and
-    # PotentialConditionError for an a whose decay rates 2 -+ 2a round to a
-    # zero rate (a <= 1e-16); the closed form raises for exactly the inputs
-    # the scan does
+def test_closed_form_lenz_raises_on_stated_inputs(settings) -> None:
+    # DegenerateWellError exactly where V_m = Z/2 is at or below DOMAIN_CUT,
+    # and PotentialConditionError exactly where a decay rate 2 -+ 2a is <= 0
+    # (a <= 1e-16 rounds 2 - 2a to 2); the decay rule is checked first
     edge = 2.0 * potentials.DOMAIN_CUT
     couplings = [1e-300, 1e-15, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 1e-13]
     widths = [1e-17, 5e-17, 1e-16, 1e-10, 1e-3, 1.0, 1e3, -1.0, 0.0]
@@ -280,23 +240,24 @@ def test_closed_form_lenz_raises_where_scan_raises(settings) -> None:
     for a in widths:
         for Z in couplings:
             p = Lenz(a, float(Z))
-            try:
-                scanned_lenz_geometry(p)
-            except (DegenerateWellError, PotentialConditionError) as exc:
-                with pytest.raises(type(exc)):
-                    to_log_well(p, settings)
-                raised.add(type(exc))
+            if min(2.0 - p.q_origin, p.q_infinity - 2.0) <= 0.0:
+                expected = PotentialConditionError
+            elif 0.5 * Z <= potentials.DOMAIN_CUT:
+                expected = DegenerateWellError
             else:
                 w = to_log_well(p, settings)
                 assert w.rho_left < w.rho_star < w.rho_right
+                continue
+            with pytest.raises(expected):
+                to_log_well(p, settings)
+            raised.add(expected)
     assert raised == {DegenerateWellError, PotentialConditionError}
 
 
 @pytest.mark.parametrize("a", [1.2e-16, 1e-13, 1e-11])
 def test_closed_form_lenz_geometry_at_tiny_width(a: float, settings) -> None:
-    # the scan never finished here: on the flat top sech^2(a rho) = 1 of
-    # width ~1e-8 / a its zooms drift away from rho_star = 0 to where the
-    # float spacing exceeds their 1e-13 stop
+    # on the flat top sech^2(a rho) = 1 of width ~1e-8 / a a search for the
+    # peak would drift away from rho_star = 0; the closed form stays there
     w = to_log_well(Lenz(a, 3.0), settings)
     assert (w.V_m, w.rho_star) == (1.5, 0.0)
     assert w.rho_right == -w.rho_left == pytest.approx(math.acosh(1e7) / a, rel=1e-15)
@@ -412,35 +373,50 @@ def test_printed_transform_variant(settings) -> None:
     rho = np.linspace(-4.0, 4.0, 41)
     expected = 4.0 * np.exp(-rho) / np.cosh(rho) ** 2
     assert np.max(np.abs(w.profile(rho) - expected)) <= 1e-12 * np.max(expected)
-    # locating a flat maximum in x is sqrt(eps)-limited; the value is not
-    assert w.rho_star == pytest.approx(math.atanh(-0.5), abs=1e-6)
-    assert w.V_m == pytest.approx(8.0 * math.exp(-math.atanh(-0.5)) * 0.75 / 2.0, rel=1e-12)
+    # the peak, where 2a tanh(a rho) = -1, in closed form
+    assert w.rho_star == math.atanh(-0.5)
+    assert w.V_m == pytest.approx(8.0 * math.exp(-math.atanh(-0.5)) * 0.75 / 2.0, rel=1e-15)
     assert cut_residual(w) <= 1e-12
-    # slow left decay (rate 2a - 1 = 0.2): the cut lies far outside the scan
+    # slow left decay (rate 2a - 1 = 0.2) puts the cut near -164
     w = to_log_well(Lenz(a=0.6, Z=1.0), settings, transform_exponent=1)
     assert w.rho_left < -25.0 / 0.6 - 100.0
     assert cut_residual(w) <= 1e-12
-    # rate 0.06 puts the cut at -541.6, inside the float range, although the
-    # outward walk first steps past rho = -709, where e^(-rho) overflows
+    # rate 0.06 puts the cut at -541.6, where e^(-rho) is still finite
     w = to_log_well(Lenz(0.53, 1.0), settings, transform_exponent=1)
     assert -709.0 < w.rho_left < -500.0
     assert cut_residual(w) <= 1e-12
-    # Tietz decays too slowly on the left for this variant; left rates 2a - 1 =
-    # 0.02 (Lenz) and 1 - q0 = 0.01 (tabulated) put the cut beyond -709
-    slow = make_tabulated(lambda rho: 1.0 / np.cosh(rho) ** 2, q0=0.99, qinf=4.0)
-    for p in (Tietz(1.0), Lenz(0.51, 1.0), slow):
+    # Tietz decays too slowly on the left for this variant, and left rate
+    # 2a - 1 = 0.02 puts the Lenz cut where e^(-rho) overflows
+    for p in (Tietz(1.0), Lenz(0.51, 1.0)):
         with pytest.raises(PotentialConditionError):
             to_log_well(p, settings, transform_exponent=1)
+    # a tabulated well with left rate 1 - q0 = 0.01 is the standard well of
+    # U/r with q0 = 1.99, its cut far out in the power-law continuation
+    slow = make_tabulated(lambda rho: 1.0 / np.cosh(rho) ** 2, q0=0.99, qinf=4.0)
+    w = to_log_well(slow, settings, transform_exponent=1)
+    assert -2600.0 < w.rho_left < -2500.0
+    assert cut_residual(w) <= 1e-12
 
 
 def test_printed_variant_is_standard_well_times_exp(settings) -> None:
-    # every family's exponent-1 well is its standard well times e^(-rho); Z = 8
-    # and Z = 1 scale exactly, so the profiles agree bit for bit
+    # the Lenz exponent-1 well is its standard well times e^(-rho); Z = 8
+    # scales exactly, so the profiles agree bit for bit
     rho = np.linspace(-30.0, 30.0, 241)
-    for p in (Lenz(1.0, 8.0), lenz_tabulated((-17.0, 17.0))):
-        w1 = to_log_well(p, settings, transform_exponent=1)
-        w2 = to_log_well(p, settings)
-        assert w1.profile(rho).tobytes() == (w2.profile(rho) * np.exp(-rho)).tobytes()
+    w1 = to_log_well(Lenz(1.0, 8.0), settings, transform_exponent=1)
+    w2 = to_log_well(Lenz(1.0, 8.0), settings)
+    assert w1.profile(rho).tobytes() == (w2.profile(rho) * np.exp(-rho)).tobytes()
+    # a tabulated one is, bit for bit, the standard well of U/r, whose decay
+    # exponents are one higher, and equals W e^(-rho) at the samples
+    p = lenz_tabulated((-17.0, 17.0))
+    w1 = to_log_well(p, settings, transform_exponent=1)
+    w_r = to_log_well(Tabulated(p.r_grid, p.U_values / p.r_grid, p.q0 + 1.0, p.qinf + 1.0), settings)
+    assert w1.profile(rho).tobytes() == w_r.profile(rho).tobytes()
+    geometry = ("V_m", "rho_star", "rho_left", "rho_right", "split_level")
+    assert [getattr(w1, k) for k in geometry] == [getattr(w_r, k) for k in geometry]
+    assert (w1.decay_left, w1.decay_right) == (1.0 - p.q0, p.qinf - 1.0)
+    x = np.log(p.r_grid)
+    w2 = to_log_well(p, settings)
+    assert np.max(np.abs(w1.profile(x) / (w2.profile(x) * np.exp(-x)) - 1.0)) <= 1e-14
     assert w1.base_deriv is None  # the tabulated well has no closed-form slope
     a, Z = 0.8, 3.0
     w1 = to_log_well(Lenz(a, Z), settings, transform_exponent=1)
@@ -475,6 +451,50 @@ def test_single_hump_well_never_splits(a, log_height, centre, n, span) -> None:
     assert w.split_level is None
     for f in (0.01, 0.3, 0.9, 0.999):
         assert math.isfinite(action(w, math.sqrt(f * w.V_m), s))
+
+
+@hypothesis_settings(max_examples=40, deadline=None)
+@given(
+    humps=st.lists(
+        st.tuples(st.floats(-2.0, 4.0), st.floats(0.3, 3.0), st.floats(-15.0, 15.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    top=st.floats(0.3, 1.0),
+    n=st.integers(5, 300),
+    span=st.tuples(st.floats(-30.0, -1.0), st.floats(1.0, 30.0)),
+    q0=st.floats(-1.0, 1.9),
+    qinf=st.floats(2.1, 6.0),
+    exponent=st.sampled_from([1, 2]),
+)
+# two narrow humps with a dip below the cut between them, and a flat top
+@example(
+    humps=[(0.0, 3.0, -10.0), (-1.0, 3.0, 10.0)], top=1.0, n=200, span=(-20.0, 20.0),
+    q0=0.0, qinf=4.0, exponent=2,
+)
+@example(humps=[(1.0, 1.0, 0.0)], top=0.5, n=41, span=(-8.0, 8.0), q0=0.5, qinf=3.0, exponent=1)
+def test_sampled_well_geometry(humps, top, n, span, q0, qinf, exponent) -> None:
+    # a well of one to three sech^2 humps (log10 height, width, centre)
+    # sampled on n points, scaled so that its top sample is the first hump's
+    # height and cut flat at `top` of it (top = 1 keeps the peak), under
+    # either transform (the printed one needs q0 < 1): no point of it rises
+    # above V_m, and it meets DOMAIN_CUT * V_m at both cuts
+    s = Settings()
+    rho = np.linspace(*span, n)
+    w = sum(10.0**h / np.cosh(a * (rho - c)) ** 2 for h, a, c in humps)
+    w = np.minimum(w / w.max(), top) * 10.0 ** humps[0][0]
+    if exponent == 1:
+        q0 = min(q0, 0.9)
+    p = Tabulated(np.exp(rho), -0.5 * w * np.exp(-exponent * rho), q0, qinf)
+    well = to_log_well(p, s, transform_exponent=exponent)
+    assert well.rho_left < well.rho_star < well.rho_right
+    grid = np.concatenate((np.linspace(well.rho_left, well.rho_right, 20001), rho))
+    # the slack is for rounding of the cubic in ln W (1.8e-15 at worst in 3000 draws)
+    assert np.max(well.profile(grid)) <= well.V_m * (1.0 + 1e-14)
+    assert cut_residual(well) <= 1e-12
+    # the cuts are the outermost crossings: no sample beyond them is above the cut
+    beyond = rho[(rho < well.rho_left) | (rho > well.rho_right)]
+    assert np.all(well.profile(beyond) <= potentials.DOMAIN_CUT * well.V_m * (1.0 + 1e-12))
 
 
 def test_degenerate_well_rejected(settings) -> None:
