@@ -58,7 +58,7 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     scan (_scan_cells) and is refined by numerics.false_position to a
     bracket of 1e-15 relative width.
     """
-    x, vals = _turning_scan(w)
+    x, vals, c = _turning_scan(w)
     pair = _edge_pair(w, lambda2, max(vals[0], vals[-1]))
     if pair is not None:
         return pair
@@ -67,20 +67,22 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
         return float(w.profile(rho)) - lambda2
 
     roots = []
-    for i in _scan_cells(vals, np.array([lambda2]))[0].tolist():
+    for i in _scan_cells(vals, c, np.array([lambda2]))[0].tolist():
         lo, hi = float(x[i]), float(x[i + 1])
         flo, fhi = float(vals[i]) - lambda2, float(vals[i + 1]) - lambda2
         roots.append(false_position(f, lo, hi, flo, fhi, rtol=1e-15))
     return TurningPair(*roots)
 
 
-def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray]:
-    """(points, W at them): _SCAN_CELLS + 1 points on each side of rho_star.
+def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray, int]:
+    """(points, W at them, index of rho_star among the points).
 
-    The points run from rho_left over rho_star to rho_right, all three
-    included, and cluster quadratically towards rho_star, where W is flat.
-    W is evaluated in one vectorized call on the first search of the well
-    and kept in its memo.
+    _SCAN_CELLS + 1 points on each side of rho_star run from rho_left over
+    rho_star to rho_right, all three included, and cluster quadratically
+    towards rho_star, where W is flat.  A piecewise well's breakpoints inside
+    the domain join them, so each root is refined on one smooth piece (a cell
+    across the knot at the end of a flat top took up to 28 calls a pair).
+    W is evaluated once, vectorized, on the first search and kept in the memo.
     """
     scan = w._memo.get("turning_scan")
     if scan is None:
@@ -92,7 +94,12 @@ def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray]:
             )
         )
         x[0], x[-1] = w.rho_left, w.rho_right
-        scan = w._memo["turning_scan"] = x, np.asarray(w.profile(x), dtype=float)
+        c = _SCAN_CELLS
+        if w.breakpoints is not None:
+            b = w.breakpoints
+            x = np.union1d(x, b[(b > w.rho_left) & (b < w.rho_right)])
+            c = int(np.searchsorted(x, w.rho_star))
+        scan = w._memo["turning_scan"] = x, np.asarray(w.profile(x), dtype=float), c
     return scan
 
 
@@ -109,19 +116,19 @@ def _knot_table(w: LogWell) -> KnotTable:
     return table
 
 
-def _scan_cells(vals: np.ndarray, lambda2: np.ndarray) -> np.ndarray:
+def _scan_cells(vals: np.ndarray, c: int, lambda2: np.ndarray) -> np.ndarray:
     """Scan cells holding the turning points of each level lambda2[m].
 
     Row m is (i, j): the cells [x[i], x[i + 1]] and [x[j], x[j + 1]] of the
-    scan points x.  The left cell starts at the last point before rho_star
-    with W <= lambda2, the right one ends at the first point after it, so
-    on a well with several humps, at a level above its split_level, they
-    hold the pair around rho_star.  Every level must lie above the
-    domain-cut floor and below W(rho_star).
+    scan points x, of which x[c] is rho_star.  The left cell starts at the
+    last point before rho_star with W <= lambda2, the right one ends at the
+    first point after it, so on a well with several humps, at a level above
+    its split_level, they hold the pair around rho_star.  Every level must
+    lie above the domain-cut floor and below W(rho_star).
     """
     below = vals[None, :] <= lambda2[:, None]
-    left = _SCAN_CELLS - 1 - np.argmax(below[:, _SCAN_CELLS - 1 :: -1], axis=1)
-    right = _SCAN_CELLS + np.argmax(below[:, _SCAN_CELLS + 1 :], axis=1)
+    left = c - 1 - np.argmax(below[:, c - 1 :: -1], axis=1)
+    right = c + np.argmax(below[:, c + 1 :], axis=1)
     return np.stack((left, right), axis=1)
 
 
@@ -164,14 +171,14 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
     (Python 3.11 on a 2-core Xeon), and solve_spectrum makes one
     single-level call per root-finding step.
     """
-    x, vals = _turning_scan(w)
+    x, vals, c = _turning_scan(w)
     floor = max(vals[0], vals[-1])
     pairs = [_edge_pair(w, v, floor) for v in lambda2.tolist()]
     interior = [i for i, pair in enumerate(pairs) if pair is None]
     k = len(interior)
     # roots 0..k-1 lie left of the maximum, k..2k-1 right of it
     targets = np.tile(lambda2[interior], 2)
-    cells = _scan_cells(vals, lambda2[interior]).T.ravel()
+    cells = _scan_cells(vals, c, lambda2[interior]).T.ravel()
 
     def f(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.asarray(w.profile(rho), dtype=float) - targets[idx]

@@ -61,8 +61,10 @@ class Settings:
                 extrapolated: on 400 samples of Lenz(1, 1), Z_c(0, l = 0) at
                 the default is 3.0e-7 off an ode_tol = 1e-14 reference, and
                 moves between 1.1e-7 and 5.7e-7 as the step changes by a few
-                percent.  At most _ODE_TOL_MAX = 1e-7: beyond it the coarse
-                grid leaves the h^4 regime.
+                percent, as it does when the grid's end moves with rho_star
+                across a flat top (-3.2e-7 to 4.0e-7 over 0.08 on 400 samples
+                of Lenz(1.21, 84.6)).  At most _ODE_TOL_MAX = 1e-7: beyond it
+                the coarse grid leaves the h^4 regime.
 
     The truncation of the rho-line is fixed by DOMAIN_CUT, not set here.
     """
@@ -381,31 +383,23 @@ def _tabulated_geometry(p: Tabulated) -> tuple[float, float, float, float, float
 _LN2 = math.log(2.0)
 
 
-def _lenz_geometry(p: Lenz, e: int, profile) -> tuple[float, float, float, float]:
-    """(V_m, rho_star, rho_left, rho_right) of W = (Z/2) sech^2(a rho) e^((e - 2) rho).
+def _printed_lenz_geometry(p: Lenz, profile) -> tuple[float, float, float, float]:
+    """(V_m, rho_star, rho_left, rho_right) of the printed well (Z/2) sech^2(a rho) e^(-rho).
 
-    The standard well (e = 2) peaks at 0 and falls to DOMAIN_CUT of its
-    peak at cosh(a rho) = DOMAIN_CUT^(-1/2).  The printed one (e = 1) has a
-    concave ln W, peaks where 2a tanh(a rho) = -1 and decays at rate c =
-    2a -+ 1 on either side; there e^(-2|x|) <= sech^2 x <= 4 e^(-2|x|) puts
-    each cut between the distances ln(Z / (2 target)) / c and
+    ln W is concave; it peaks where 2a tanh(a rho) = -1 and decays at rate
+    c = 2a -+ 1 on either side.  There e^(-2|x|) <= sech^2 x <= 4 e^(-2|x|)
+    puts each cut between the distances ln(Z / (2 target)) / c and
     ln(4 Z / target) / c from 0 (a factor 2 beyond the bound, which is tight
     to rounding), and Brent's method solves ln W = ln target there with
-    2 ln sech computed stably.  A printed peak or cut where the profile is
+    2 ln sech computed stably.  A peak or cut where profile, the well, is
     not a positive finite float raises PotentialConditionError.
     """
     a = p.a
-    if e == 2:
-        rho_star, vmax = 0.0, float(profile(0.0))
-    else:
-        rho_star = -math.atanh(0.5 / a) / a
-        with np.errstate(over="ignore"):
-            vmax = float(profile(rho_star))
+    rho_star = -math.atanh(0.5 / a) / a
+    with np.errstate(over="ignore"):
+        vmax = float(profile(rho_star))
     if vmax <= DOMAIN_CUT:
         raise DegenerateWellError("transformed well is numerically zero")
-    if e == 2:
-        cut = math.acosh(DOMAIN_CUT**-0.5) / a
-        return vmax, rho_star, -cut, cut
     if vmax == math.inf:
         raise PotentialConditionError("the printed well overflows at its peak")
     target = DOMAIN_CUT * vmax
@@ -443,12 +437,13 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
 
     Each family reads its peak and its cuts at DOMAIN_CUT * V_m off its own
     definition: a Lenz (and so Tietz) well in closed form, or by Brent's
-    method in a closed-form bracket for the printed variant (_lenz_geometry);
-    a tabulated well off its samples, which also give split_level
-    (_tabulated_geometry).  The printed variant of a tabulated
-    U is the standard well of U/r, whose decay exponents are one higher.
-    The well does not depend on s.  A cut beyond the float range, or where
-    W is not a positive finite float, also raises PotentialConditionError.
+    method in a closed-form bracket for the printed variant
+    (_printed_lenz_geometry); a tabulated well off its samples, which also
+    give split_level (_tabulated_geometry).  The printed variant of a
+    tabulated U is the standard well of U/r, whose decay exponents are one
+    higher.  The well does not depend on s.  A cut beyond the float range,
+    W not a positive finite float at a cut or at a sample of -2 r U, or a
+    q0 + 1 that rounds to 2 also raises PotentialConditionError.
     """
     e = transform_exponent
     if e not in (1, 2):
@@ -468,11 +463,25 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
         base, base_deriv = _lenz_well_parts(p)
         if e == 1:
             base, base_deriv = _printed_parts(base, base_deriv)
-        vmax, rho_star, rho_left, rho_right = _lenz_geometry(p, e, lambda rho: Z * base(rho))
+            vmax, rho_star, rho_left, rho_right = _printed_lenz_geometry(p, lambda x: Z * base(x))
+        else:
+            # (Z/2) sech^2(a rho) peaks at 0 and falls to DOMAIN_CUT of its peak
+            # at cosh(a rho) = DOMAIN_CUT^(-1/2); one hump by construction
+            vmax, rho_star = float(Z * base(0.0)), 0.0
+            if vmax <= DOMAIN_CUT:
+                raise DegenerateWellError("transformed well is numerically zero")
+            cut = math.acosh(DOMAIN_CUT**-0.5) / p.a
+            rho_left, rho_right = -cut, cut
     else:
         if e == 1:
             # -2 e^rho U(e^rho) = -2 e^(2 rho) (U/r)(e^rho)
-            p = Tabulated(p.r_grid, p.U_values / p.r_grid, q0 + 1.0, qinf + 1.0)
+            if q0 + 1.0 >= 2.0:  # within an ulp below q0 = 1, flat at r -> 0
+                raise PotentialConditionError("W does not vanish at r -> 0: q0 + 1 rounds to 2")
+            try:
+                with np.errstate(over="ignore"):
+                    p = Tabulated(p.r_grid, p.U_values / p.r_grid, q0 + 1.0, qinf + 1.0)
+            except InputError:  # U/r or -2 r U leaves the float range at a sample
+                raise PotentialConditionError("printed W = -2 r U is out of float range") from None
         Z, breakpoints = 1.0, np.asarray(p._log_w.x, dtype=float)
         base, base_deriv = p.well_value, None
         vmax, rho_star, rho_left, rho_right, split_level = _tabulated_geometry(p)

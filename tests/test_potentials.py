@@ -396,6 +396,21 @@ def test_printed_transform_variant(settings) -> None:
     w = to_log_well(slow, settings, transform_exponent=1)
     assert -2600.0 < w.rho_left < -2500.0
     assert cut_residual(w) <= 1e-12
+    # q0 an ulp below 1: q0 + 1 rounds to 2, so the continuation of U/r would
+    # be flat; with the left end sample above the cut (span -8) the closed-form
+    # cut divided by zero, and below it (span -40) the well was silently flat
+    q0 = math.nextafter(1.0, 0.0)
+    for span in ((-8.0, 8.0), (-40.0, 8.0)):
+        flat = make_tabulated(lambda rho: 1.0 / np.cosh(rho) ** 2, q0=q0, qinf=4.0, rho_span=span)
+        with pytest.raises(PotentialConditionError, match="rounds to 2"):
+            to_log_well(flat, settings, transform_exponent=1)
+    # samples down to r = e^-368, where W and U are finite floats but U/r is not
+    rho = np.linspace(-368.0, 5.0, 400)
+    r = np.exp(rho)
+    deep = Tabulated(r, -2.0 * np.exp(-1.05 * np.abs(rho)) / r / r, q0=0.95, qinf=3.05)
+    assert to_log_well(deep, settings).V_m > 0.0
+    with pytest.raises(PotentialConditionError, match="out of float range"):
+        to_log_well(deep, settings, transform_exponent=1)
 
 
 def test_printed_variant_is_standard_well_times_exp(settings) -> None:
