@@ -212,15 +212,6 @@ def _exponential_tail(w_end: float, lambda2: float, rate: float) -> float:
     return (2.0 / rate) * (v - lam * math.atan2(v, lam))
 
 
-def _well_curvature(w: LogWell, rho: np.ndarray) -> np.ndarray:
-    """W''(rho): a central difference of W' where it is known, else a second difference of W."""
-    if w.base_deriv is not None:
-        delta = 1e-5 * np.maximum(1.0, np.abs(rho))
-        return (w.profile_deriv(rho + delta) - w.profile_deriv(rho - delta)) / (2.0 * delta)
-    delta = 1e-4 * np.maximum(1.0, np.abs(rho))
-    return (w.profile(rho + delta) - 2.0 * w.profile(rho) + w.profile(rho - delta)) / (delta * delta)
-
-
 def _raised(gap: np.ndarray, rho: np.ndarray, weight: _Weight) -> np.ndarray:
     """sqrt(gap) for weight None, else weight(rho) / sqrt(gap) (0 where gap is 0)."""
     if weight is None:
@@ -300,12 +291,12 @@ def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
 
 
 def _actions_between(
-    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], s: Settings
+    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], s: Settings, *, best_effort=False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(I, error estimate) at every lambda2[i] over its turning pairs[i]."""
+    """(I, error) at each lambda2[i] over its turning pairs[i]; best_effort as in adaptive_gauss."""
     scale = math.pi * s.hbar
     values, errors = _turning_point_integrals(
-        w, lambda2, pairs, None, s.quad_tol * scale, rtol=s.quad_tol
+        w, lambda2, pairs, None, s.quad_tol * scale, rtol=s.quad_tol, best_effort=best_effort
     )
     for i, pair in enumerate(pairs):
         if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
@@ -433,17 +424,17 @@ def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.n
         F'(eps) = -(1/sqrt 2) * integral W'' (W - lambda^2)^(-1/2) d rho,
 
     the weight form of _turning_point_integrals (weight -W''/sqrt 2), whose
-    sine map cancels the inverse square root at the turning points, with W''
-    from _well_curvature.  All levels share one batched root search and one
-    batched quadrature, each to an absolute tol, saturating where that
-    cannot be met; a scalar epsilon is one level.  An epsilon outside
-    [0, V_m/2], nan included, puts lambda^2 outside [0, V_m] and raises
-    InputError.
+    sine map cancels the inverse square root at the turning points, with the
+    exact W'' = Z * base_curv that the well states.  All levels share one
+    batched root search and one batched quadrature, each to an absolute tol,
+    saturating where that cannot be met; a scalar epsilon is one level.  An
+    epsilon outside [0, V_m/2], nan included, puts lambda^2 outside [0, V_m]
+    and raises InputError.
     """
     lambda2 = w.V_m - 2.0 * np.asarray(epsilon, dtype=float).ravel()
 
     def weight(rho: np.ndarray) -> np.ndarray:
-        return _well_curvature(w, rho) / -math.sqrt(2.0)
+        return w.Z * w.base_curv(rho) / -math.sqrt(2.0)
 
     values, _ = _turning_point_integrals(
         w, lambda2, _turning_pairs(w, lambda2), weight, tol, best_effort=True

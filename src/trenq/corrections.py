@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .action import action, correction_inner_slopes
+from .action import _actions_between, action, correction_inner_slopes, turning_points
 from .errors import InputError, NoSuchLevelError
 from .numerics import brent
 from .potentials import LogWell, Settings, quantum_index
@@ -55,18 +55,17 @@ def delta1_integral(w: LogWell, epsilon: float, s: Settings) -> float:
     """First defect correction from the curvature integral.
 
     Computes (hbar / 24 pi) * d^2 F / d eps^2 with F the inner integral of
-    the squared well slope.  F' comes integrated by parts
-    (action.correction_inner_slopes; J. L. Dunham, Phys. Rev. 41, 713
-    (1932)), so F'' needs only a first difference: a fixed 4-point central
+    the squared well slope.  F' comes integrated by parts, over the well's
+    exact W'' (action.correction_inner_slopes; J. L. Dunham, Phys. Rev. 41,
+    713 (1932)), so F'' needs only a first difference: a fixed 4-point central
     stencil with step h = min(1e-3 V_m, eps / 2.5, (V_m/2 - eps) / 2.5),
     which amplifies quadrature noise by 1/h, not 1/h^2.  The formal energy
     lies in (0, V_m/2), the range of the formal well.
 
     On a Tabulated well the PCHIP interpolant is only C^1, so W'' jumps at
-    the samples and this delta1 does not converge as they are refined: on
-    400, 800 and 3200 samples of Lenz(1, 8) over rho in [-30, 30] it is off
-    from the closed form by +135 %, +157 % and -67 % at eps = 0.4, and by
-    +12.5 %, -4.4 % and +7.3 % at eps = 1.0.
+    the samples and delta1 does not converge as they are refined: on 400,
+    800 and 3200 samples of Lenz(1, 8) over rho in [-30, 30] it is off by
+    +135 %, +158 % and -67 % at eps = 0.4, and +12.5 %, -4.3 % and +7.3 % at 1.
     """
     v_lim = 0.5 * w.V_m
     if not 0.0 < epsilon < v_lim:
@@ -96,8 +95,10 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
 
     The condition I(lambda_n) = n + 1/2 + Phi_m - sqrt(Phi_m^2 + 1/4) is
     solved for lambda_n by Brent's method on the smooth, decreasing action
-    over [0, sqrt(V_m)].  Raises NoSuchLevelError when the well is too
-    shallow to hold level n.
+    over [0, sqrt(V_m)].  Brent runs its own convergence test, so an action
+    that cannot meet quad_tol saturates (best_effort), as near a deep well's
+    top, where W - lambda^2 is rounding noise; Phi_m = I(0) stays strict.
+    Raises NoSuchLevelError when the well is too shallow to hold level n.
     """
     threshold = ground_state_threshold(n)
     phi_m = action(w, 0.0, s)
@@ -111,7 +112,9 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
         return math.sqrt(w.V_m)
 
     def g(lam: float) -> float:
-        return action(w, lam, s) - target
+        pair = [turning_points(w, lam * lam)]
+        values, _ = _actions_between(w, np.array([lam * lam]), pair, s, best_effort=True)
+        return float(values[0]) - target
 
     top = math.sqrt(w.V_m)
     g0 = phi_m - target

@@ -316,7 +316,7 @@ def adaptive_gauss(
     saturated value is returned.  The estimator is conservative near
     endpoints, so saturated values are usually far more accurate than the
     reported estimate; best_effort is meant for callers that run their own
-    convergence test on top (e.g. difference stencils).
+    convergence test on top (a difference stencil, a root search).
     """
     if b <= a:
         return np.zeros(k), np.zeros(k)
@@ -545,6 +545,13 @@ class Pchip:
         # the scalar path works on Python floats
         self._x_list = x.tolist()
         self._c_rows = self.c.T.tolist()
+
+    def derivatives(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives at r, each off the piece [x[i], x[i+1]) that holds it."""
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        c0, c1, c2, _ = self.c[:, i]
+        s = r - self.x[i]
+        return (3.0 * c0 * s + 2.0 * c1) * s + c2, 6.0 * c0 * s + 2.0 * c1
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
         if not (isinstance(r, np.ndarray) and r.ndim):

@@ -241,6 +241,13 @@ class Tabulated:
             out[right] = w_hi * np.exp((2.0 - self.qinf) * (rho_arr[right] - hi))
         return out
 
+    def well_curvature(self, rho: np.ndarray) -> np.ndarray:
+        """W'' = W ((ln W)'' + (ln W)'^2) off each point's cubic piece, (2 - q)^2 W beyond it."""
+        lo, hi = self._ends[:2]
+        slope, curv = self._log_w.derivatives(np.clip(rho, lo, hi))
+        beyond = ((2.0 - self.q0) ** 2, (2.0 - self.qinf) ** 2)
+        return self.well_value(rho) * np.select([rho < lo, rho > hi], beyond, curv + slope * slope)
+
     @property
     def q_origin(self) -> float:
         return self.q0
@@ -258,10 +265,10 @@ class LogWell:
     """The transformed well W(rho) = Z * base(rho) with its maximum and truncated domain.
 
     Z is the coupling (1 for a tabulated well), base the coupling-free shape
-    and base_deriv its derivative, or None where it has no closed form.
-    base must be elementwise: its value at a point may not depend on the
-    other points of the array it is given, since the oracle evaluates the
-    well one block of its grid at a time.
+    and base_curv its exact second derivative, W'' = Z * base_curv.  base
+    must be elementwise: its value at a point may not depend on the other
+    points of the array it is given, since the oracle evaluates the well one
+    block of its grid at a time.
     rho_left/rho_right are the outermost points at which W falls to
     DOMAIN_CUT * V_m, so a dip below the cut between two humps stays inside
     the truncated domain; all quadratures and integrations run on this
@@ -284,7 +291,7 @@ class LogWell:
     rho_right: float
     decay_left: float
     decay_right: float
-    base_deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    base_curv: Callable[[np.ndarray], np.ndarray]
     # knot locations of piecewise-defined profiles; quadratures align on them
     breakpoints: np.ndarray | None = None
     split_level: float | None = None
@@ -293,10 +300,6 @@ class LogWell:
     def profile(self, rho: np.ndarray | float) -> np.ndarray | float:
         """W(rho) = Z * base(rho)."""
         return self.Z * self.base(rho)
-
-    def profile_deriv(self, rho: np.ndarray | float) -> np.ndarray | float:
-        """W'(rho) = Z * base_deriv(rho); only for a well with a base_deriv."""
-        return self.Z * self.base_deriv(rho)
 
 
 def _split_level(vals: np.ndarray, depth: float) -> float | None:
@@ -318,30 +321,33 @@ def _split_level(vals: np.ndarray, depth: float) -> float | None:
 
 
 def _lenz_well_parts(p: Lenz):
+    """base b = (1/2) sech^2(a rho) and b'' = a^2 sech^2 (3 tanh^2 - 1) = 4 a^2 b (1 - 3 b)."""
     a = p.a
 
     def base(rho):
         return 0.5 * sech2(a * np.asarray(rho, dtype=float))
 
-    def base_deriv(rho):
-        rho = np.asarray(rho, dtype=float)
-        return -a * sech2(a * rho) * np.tanh(a * rho)
+    def base_curv(rho):
+        b = base(rho)
+        return 4.0 * a * a * b * (1.0 - 3.0 * b)
 
-    return base, base_deriv
+    return base, base_curv
 
 
-def _printed_parts(base, base_deriv):
-    """base e^(-rho) and its derivative (base' - base) e^(-rho): the printed variant."""
+def _printed_lenz_parts(p: Lenz):
+    """The printed base b e^(-rho) and (b'' - 2 b' + b) e^(-rho), b' = -2 a b tanh(a rho)."""
+    base, base_curv = _lenz_well_parts(p)
 
     def printed(rho):
         rho = np.asarray(rho, dtype=float)
         return base(rho) * np.exp(-rho)
 
-    def printed_deriv(rho):
+    def printed_curv(rho):
         rho = np.asarray(rho, dtype=float)
-        return (base_deriv(rho) - base(rho)) * np.exp(-rho)
+        b = base(rho)
+        return (base_curv(rho) + 4.0 * p.a * b * np.tanh(p.a * rho) + b) * np.exp(-rho)
 
-    return printed, printed_deriv
+    return printed, printed_curv
 
 
 def _tabulated_geometry(p: Tabulated) -> tuple[float, float, float, float, float | None]:
@@ -460,11 +466,11 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
     split_level = None
     if isinstance(p, Lenz):
         Z, breakpoints = p.Z, None
-        base, base_deriv = _lenz_well_parts(p)
         if e == 1:
-            base, base_deriv = _printed_parts(base, base_deriv)
+            base, base_curv = _printed_lenz_parts(p)
             vmax, rho_star, rho_left, rho_right = _printed_lenz_geometry(p, lambda x: Z * base(x))
         else:
+            base, base_curv = _lenz_well_parts(p)
             # (Z/2) sech^2(a rho) peaks at 0 and falls to DOMAIN_CUT of its peak
             # at cosh(a rho) = DOMAIN_CUT^(-1/2); one hump by construction
             vmax, rho_star = float(Z * base(0.0)), 0.0
@@ -483,7 +489,7 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
             except InputError:  # U/r or -2 r U leaves the float range at a sample
                 raise PotentialConditionError("printed W = -2 r U is out of float range") from None
         Z, breakpoints = 1.0, np.asarray(p._log_w.x, dtype=float)
-        base, base_deriv = p.well_value, None
+        base, base_curv = p.well_value, p.well_curvature
         vmax, rho_star, rho_left, rho_right, split_level = _tabulated_geometry(p)
     return LogWell(
         base=base,
@@ -494,7 +500,7 @@ def to_log_well(p: RadialPotential, s: Settings, *, transform_exponent: int = 2)
         rho_right=rho_right,
         decay_left=e - q0,
         decay_right=qinf - e,
-        base_deriv=base_deriv,
+        base_curv=base_curv,
         breakpoints=breakpoints,
         split_level=split_level,
     )

@@ -32,7 +32,5 @@ def quadratic_well() -> LogWell:
         rho_right=2.0,
         decay_left=1.0,
         decay_right=1.0,
-        base_deriv=lambda r: np.where(
-            np.abs(np.asarray(r, dtype=float)) < 2.0, -2.0 * np.asarray(r, dtype=float), 0.0
-        ),
+        base_curv=lambda r: np.where(np.abs(np.asarray(r, dtype=float)) < 2.0, -2.0, 0.0),
     )

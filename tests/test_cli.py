@@ -306,9 +306,10 @@ _FUZZ_ARGV = [
 @hypothesis_settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(spec=_ANALYTIC | _tabulated())
 # deep or narrow wells whose level search runs to within rounding of V_m,
-# where the action integrand must stay finite: the spectrum quadrature of
-# both Tietz wells exits 2, the phi fit of Lenz(1e5, 1e300) overflows
-# (exit 1), and the coupling of Lenz(1e200, 1e12) is not finite (exit 1)
+# where the action integrand must stay finite: the spectrum of both Tietz
+# wells exits 0 (its quadrature saturates there, and the levels are exact),
+# the phi fit of Lenz(1e5, 1e300) overflows (exit 1), and the coupling of
+# Lenz(1e200, 1e12) is not finite (exit 1)
 @example(spec={"family": "tietz", "Z": 10**28.5})
 @example(spec={"family": "tietz", "Z": 1.849e32})
 @example(spec={"family": "lenz", "a": 1e5, "Z": 1e300})

@@ -154,6 +154,21 @@ def test_adaptive_gauss_rows_match_batch_of_one() -> None:
     assert all(v == 0.0 for v in np.concatenate(adaptive_gauss(f, 3, 1.0, 1.0, tol)))
 
 
+@pytest.mark.parametrize("sign,where,calls", [(-1.0, "up to", 61), (1.0, "down to", 62)])
+def test_geometric_bracket_without_sign_change_raises(sign: float, where: str, calls: int) -> None:
+    # a constant f never changes sign: the walk gives up after 60 steps up
+    # (or, from f(start) > 0, one step and 60 more down)
+    xs = []
+
+    def f(x: float) -> float:
+        xs.append(x)
+        return sign
+
+    with pytest.raises(ConvergenceError, match=f"no sign change of f {where}"):
+        geometric_bracket(f)
+    assert len(xs) == calls
+
+
 def test_brent_converges_fast_on_smooth_roots() -> None:
     calls = []
 

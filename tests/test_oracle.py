@@ -54,20 +54,27 @@ def test_count_rejects_marginal_lambda(settings, lenz18_well) -> None:
 
 
 @pytest.mark.parametrize(
-    "Z,lam,cause,hint,not_blamed",
+    "Z,lam,hbar,cause,hint,not_blamed",
     [
         # a deep well: sqrt(V_m) sets the step, not lambda
-        (1e12, 2.5, r"step 4\.875e-08, set by sqrt\(V_m\) in k_ref", "the well is too deep", "marginal"),
+        (1e12, 2.5, 1.0, r"step 4\.875e-08, set by sqrt\(V_m\) in k_ref", "the well is too deep",
+         "marginal"),
         # a marginal lambda: the capped step is fine, the window is too wide
-        (1.0, 1e-5, r"spans 1\.61183e\+06 in rho at step 0\.01616, set by the step cap 0\.75 ode_tol",
+        (1.0, 1e-5, 1.0,
+         r"spans 1\.61183e\+06 in rho at step 0\.01616, set by the step cap 0\.75 ode_tol",
          "marginal", "deep"),
+        # a shallow well at a large lambda: lambda sets the step
+        (1.0, 1e4, 1.0, r"step 3\.447e-06, set by lambda in k_ref", "lambda is too large", "deep"),
+        # sqrt(V_m) and lambda both below 1e-2: the floor of k_ref sets the step
+        (1e-6, 1e-3, 1e-6, r"step 3\.447e-06, set by the floor 1e-2 of k_ref", "marginal", "deep"),
     ],
-    ids=["deep-well", "small-lambda"],
+    ids=["deep-well", "small-lambda", "large-lambda", "k-ref-floor"],
 )
-def test_grid_budget_error_names_its_cause(Z, lam, cause, hint, not_blamed, settings) -> None:
-    w = to_log_well(Lenz(1.0, Z), settings)
+def test_grid_budget_error_names_its_cause(Z, lam, hbar, cause, hint, not_blamed) -> None:
+    s = Settings(hbar=hbar)
+    w = to_log_well(Lenz(1.0, Z), s)
     with pytest.raises(ConvergenceError, match=cause) as err:
-        count_bound_states(w, lam, settings)
+        count_bound_states(w, lam, s)
     assert hint in str(err.value) and not_blamed not in str(err.value)
 
 

@@ -117,12 +117,14 @@ def test_log_well_point_values(settings) -> None:
 
 
 def test_log_well_matches_literal_transform(settings, lenz18_well) -> None:
-    # oracle: the literal map W(rho) = -2 e^(2 rho) U(e^rho)
-    p = Lenz(a=1.0, Z=8.0)
+    # oracle: the literal map W(rho) = -2 e^(2 rho) U(e^rho), with U the
+    # potential's own; the tabulated Lenz sampled on [-5, 5] is continued by
+    # its power laws beyond
     rho = np.linspace(-6.0, 6.0, 101)
-    literal = -2.0 * np.exp(2.0 * rho) * p(np.exp(rho))
-    direct = lenz18_well.profile(rho)
-    assert np.max(np.abs(direct - literal)) <= 1e-12 * np.max(np.abs(direct))
+    for p in (Lenz(a=1.0, Z=8.0), lenz_tabulated((-5.0, 5.0))):
+        literal = -2.0 * np.exp(2.0 * rho) * p(np.exp(rho))
+        direct = to_log_well(p, settings).profile(rho)
+        assert np.max(np.abs(direct - literal)) <= 1e-12 * np.max(np.abs(direct))
     # frozen spot value from the same oracle
     assert float(lenz18_well.profile(1.0)) == pytest.approx(1.6798973664561048, rel=1e-12)
 
@@ -195,13 +197,13 @@ def test_to_log_well_profile_call_count(settings, monkeypatch) -> None:
     parts = potentials._lenz_well_parts
 
     def counting_parts(p):
-        base, base_deriv = parts(p)
+        base, base_curv = parts(p)
 
         def counted(rho):
             calls[0] += 1
             return base(rho)
 
-        return counted, base_deriv
+        return counted, base_curv
 
     pchip_call = Pchip.__call__
 
@@ -426,20 +428,58 @@ def test_printed_variant_is_standard_well_times_exp(settings) -> None:
     w1 = to_log_well(p, settings, transform_exponent=1)
     w_r = to_log_well(Tabulated(p.r_grid, p.U_values / p.r_grid, p.q0 + 1.0, p.qinf + 1.0), settings)
     assert w1.profile(rho).tobytes() == w_r.profile(rho).tobytes()
+    assert w1.base_curv(rho).tobytes() == w_r.base_curv(rho).tobytes()
     geometry = ("V_m", "rho_star", "rho_left", "rho_right", "split_level")
     assert [getattr(w1, k) for k in geometry] == [getattr(w_r, k) for k in geometry]
     assert (w1.decay_left, w1.decay_right) == (1.0 - p.q0, p.qinf - 1.0)
     x = np.log(p.r_grid)
     w2 = to_log_well(p, settings)
     assert np.max(np.abs(w1.profile(x) / (w2.profile(x) * np.exp(-x)) - 1.0)) <= 1e-14
-    assert w1.base_deriv is None  # the tabulated well has no closed-form slope
+    # the printed Lenz well's W'' against its closed form,
+    # (Z/2) e^(-rho) sech^2 (2 a^2 (3 tanh^2 - 1) + 4 a tanh + 1)
     a, Z = 0.8, 3.0
     w1 = to_log_well(Lenz(a, Z), settings, transform_exponent=1)
     rho = np.linspace(-10.0, 10.0, 201)
+    t = np.tanh(a * rho)
     expected = (
-        -0.5 * Z * np.exp(-rho) / np.cosh(a * rho) ** 2 * (1.0 + 2.0 * a * np.tanh(a * rho))
+        0.5 * Z * np.exp(-rho) / np.cosh(a * rho) ** 2
+        * (2.0 * a * a * (3.0 * t * t - 1.0) + 4.0 * a * t + 1.0)
     )
-    assert np.max(np.abs(w1.profile_deriv(rho) - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(w1.Z * w1.base_curv(rho) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+CURVATURE_CASES = [
+    (Lenz(1.0, 8.0), 2),
+    (Lenz(2.0, 3.0), 2),
+    (Tietz(5.0), 2),
+    (Lenz(0.8, 3.0), 1),
+    (lenz_tabulated((-17.0, 17.0)), 2),
+    (lenz_tabulated((-17.0, 17.0)), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "p,exponent",
+    CURVATURE_CASES,
+    ids=["lenz1", "lenz2", "tietz", "printed-lenz", "tabulated", "printed-tabulated"],
+)
+def test_well_curvature_matches_second_difference(p, exponent, settings) -> None:
+    # every family states W'' = Z base_curv exactly; a central second
+    # difference of W agrees to its own error, truncation h^2 W''''/12 plus
+    # rounding ~eps W / h^2.  A tabulated well is checked at its piece
+    # midpoints, where W is one cubic piece on either side, and beyond its
+    # data, in the power-law continuations
+    w = to_log_well(p, settings, transform_exponent=exponent)
+    if isinstance(p, Lenz):
+        rho, h, bound = np.linspace(w.rho_left, w.rho_right, 2001), 1e-4, 5e-7
+    else:
+        x = w.breakpoints
+        beyond = np.linspace(1.0, 5.0, 9)
+        rho = np.concatenate((x[0] - beyond, 0.5 * (x[1:] + x[:-1]), x[-1] + beyond))
+        h, bound = 1e-5, 1e-5
+    exact = w.Z * w.base_curv(rho)
+    second = (w.profile(rho + h) - 2.0 * w.profile(rho) + w.profile(rho - h)) / (h * h)
+    assert np.max(np.abs(second - exact)) <= bound * np.max(np.abs(exact))
 
 
 @hypothesis_settings(max_examples=10, deadline=None)

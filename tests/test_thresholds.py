@@ -42,6 +42,7 @@ def test_critical_coupling_reference_values(settings, lenz18_well) -> None:
 
     flat = LogWell(
         base=zero,
+        base_curv=zero,
         Z=1.0,
         V_m=1.0,
         rho_star=0.0,
