@@ -291,7 +291,7 @@ def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
 
 
 def _actions_between(
-    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], s: Settings, *, best_effort=False
+    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], s: Settings, *, best_effort: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """(I, error) at each lambda2[i] over its turning pairs[i]; best_effort as in adaptive_gauss."""
     scale = math.pi * s.hbar
