@@ -165,11 +165,7 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
 
     numerics.false_position_elementwise takes the steps of the two scalar
     searches of turning_points from the same scan cells, so every root is
-    the same, bit for bit.  turning_points itself stays scalar: on the
-    interior levels of an action profile of Lenz(1, 50), a batch of one
-    level took 330-380 us per call against 60-90 us for the scalar search
-    (Python 3.11 on a 2-core Xeon), and solve_spectrum makes one
-    single-level call per root-finding step.
+    the same, bit for bit.
     """
     x, vals, c = _turning_scan(w)
     floor = max(vals[0], vals[-1])
@@ -223,7 +219,6 @@ def _raised(gap: np.ndarray, rho: np.ndarray, weight: _Weight) -> np.ndarray:
 def _turning_point_integrals(
     w: LogWell,
     lambda2: np.ndarray,
-    pairs: list[TurningPair],
     weight: _Weight,
     tol: float,
     *,
@@ -231,7 +226,14 @@ def _turning_point_integrals(
     best_effort: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of sqrt(W - lambda2[i]) (weight None) or of
-    weight(rho) / sqrt(W - lambda2[i]) over the turning pairs[i].
+    weight(rho) / sqrt(W - lambda2[i]) between the turning points of lambda2[i].
+
+    The turning points of one level come from the scalar turning_points,
+    those of several from one batched search (_turning_pairs), with the
+    same roots: a batch of one took 210-250 us per level against 43-49 us
+    for the scalar search on Lenz(1, 50) and Lenz(0.7, 3e4) (Python 3.11 on
+    a 2-core Xeon), and solve_spectrum integrates one level per
+    root-finding step.
 
     A degenerate pair gives 0.  Piecewise profiles use the knot-aligned
     composite rule, pair by pair, on the well's knot table: only the two
@@ -243,9 +245,14 @@ def _turning_point_integrals(
     inverse square root of the weight form and turns the square-root ends
     of the plain form into smooth ones, so the integrand needs no
     derivative of W.  The adaptive rules stop at an error estimate of
-    max(tol, rtol * |value|).
-    Returns (values, error estimates).
+    max(tol, rtol * |value|).  Where the domain was cut, not bounded by
+    turning points, the plain form adds the exponential tails beyond the
+    cuts.  Returns (values, error estimates).
     """
+    if lambda2.size == 1:
+        pairs = [turning_points(w, float(lambda2[0]))]
+    else:
+        pairs = _turning_pairs(w, lambda2)
     values = np.zeros(len(pairs))
     errors = np.zeros(len(pairs))
     smooth = []
@@ -278,6 +285,11 @@ def _turning_point_integrals(
             f_theta, len(smooth), -0.5 * math.pi, 0.5 * math.pi, tol,
             rtol=rtol, best_effort=best_effort,
         )
+    if weight is None:
+        for i, pair in enumerate(pairs):
+            if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
+                for end, rate in ((w.rho_left, w.decay_left), (w.rho_right, w.decay_right)):
+                    values[i] += _exponential_tail(float(w.profile(end)), lambda2[i], rate)
     return values, errors
 
 
@@ -285,24 +297,19 @@ def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
     """(I(0), error estimate), computed once per well and Settings."""
     key = ("zero_action", s)
     if key not in w._memo:
-        values, errors = _actions_between(w, np.zeros(1), [turning_points(w, 0.0)], s)
+        values, errors = _actions(w, np.zeros(1), s)
         w._memo[key] = float(values[0]), float(errors[0])
     return w._memo[key]
 
 
-def _actions_between(
-    w: LogWell, lambda2: np.ndarray, pairs: list[TurningPair], s: Settings, *, best_effort: bool = False
+def _actions(
+    w: LogWell, lambda2: np.ndarray, s: Settings, *, best_effort: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(I, error) at each lambda2[i] over its turning pairs[i]; best_effort as in adaptive_gauss."""
+    """(I, error) at each lambda2[i]; best_effort as in adaptive_gauss."""
     scale = math.pi * s.hbar
     values, errors = _turning_point_integrals(
-        w, lambda2, pairs, None, s.quad_tol * scale, rtol=s.quad_tol, best_effort=best_effort
+        w, lambda2, None, s.quad_tol * scale, rtol=s.quad_tol, best_effort=best_effort
     )
-    for i, pair in enumerate(pairs):
-        if pair.rho1 == w.rho_left and pair.rho2 == w.rho_right:
-            # the domain was cut, not bounded by turning points: add the tails
-            values[i] += _exponential_tail(float(w.profile(w.rho_left)), lambda2[i], w.decay_left)
-            values[i] += _exponential_tail(float(w.profile(w.rho_right)), lambda2[i], w.decay_right)
     return values / scale, errors / scale
 
 
@@ -321,8 +328,7 @@ def action(w: LogWell, lam: float, s: Settings) -> float:
         raise InputError(f"lambda must be nonnegative, got {lam}")
     if lam == 0.0:
         return _zero_action(w, s)[0]
-    lambda2 = lam * lam
-    return float(_actions_between(w, np.array([lambda2]), [turning_points(w, lambda2)], s)[0][0])
+    return float(_actions(w, np.array([lam * lam]), s)[0][0])
 
 
 @dataclass(frozen=True)
@@ -363,7 +369,7 @@ def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile
     values = np.empty(n_points)
     errors = np.empty(n_points)
     values[0], errors[0] = _zero_action(w, s)
-    values[1:], errors[1:] = _actions_between(w, lambda2[1:], _turning_pairs(w, lambda2[1:]), s)
+    values[1:], errors[1:] = _actions(w, lambda2[1:], s)
     interp = Pchip(grid, values)
     return ActionProfile(
         lambda_grid=grid,
@@ -436,7 +442,5 @@ def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.n
     def weight(rho: np.ndarray) -> np.ndarray:
         return w.Z * w.base_curv(rho) / -math.sqrt(2.0)
 
-    values, _ = _turning_point_integrals(
-        w, lambda2, _turning_pairs(w, lambda2), weight, tol, best_effort=True
-    )
+    values, _ = _turning_point_integrals(w, lambda2, weight, tol, best_effort=True)
     return values.reshape(np.shape(epsilon))

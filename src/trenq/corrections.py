@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .action import _actions_between, action, correction_inner_slopes, turning_points
+from .action import _actions, action, correction_inner_slopes
 from .errors import InputError, NoSuchLevelError
 from .numerics import brent
 from .potentials import LogWell, Settings, quantum_index
@@ -106,20 +106,15 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
         raise NoSuchLevelError(
             f"level n = {n} needs total action >= {threshold:g}, well has {phi_m:g}"
         )
-    target = (n + 0.5) + phi_m - math.hypot(phi_m, 0.5)
-    target = min(target, phi_m)
-    if target <= 0.0:
-        return math.sqrt(w.V_m)
+    # n + 1/2 + Phi_m - sqrt(Phi_m^2 + 1/4) without its cancellation, in [0, Phi_m]
+    target = min(n + 0.5 + resum_delta(delta1_matched(phi_m)), phi_m)
 
     def g(lam: float) -> float:
-        pair = [turning_points(w, lam * lam)]
-        values, _ = _actions_between(w, np.array([lam * lam]), pair, s, best_effort=True)
+        values, _ = _actions(w, np.array([lam * lam]), s, best_effort=True)
         return float(values[0]) - target
 
     top = math.sqrt(w.V_m)
-    g0 = phi_m - target
-    if g0 <= 0.0:
-        # exactly at threshold: the level appears at lambda = 0
-        return 0.0
-    # the action is exactly 0 at the top, where the turning points meet
-    return brent(g, 0.0, top, g0, -target, xtol=1e-14 * top, rtol=1e-14)
+    # the action is exactly 0 at the top, where the turning points meet; brent
+    # returns an end where g is 0: 0 for a level exactly at threshold, the
+    # top where the target is 0
+    return brent(g, 0.0, top, phi_m - target, -target, xtol=1e-14 * top, rtol=1e-14)

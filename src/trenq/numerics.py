@@ -18,6 +18,9 @@ adaptive panel Gauss-Legendre rule here, which refines a batch of them
 in lockstep (one call per round for all levels of an action profile);
 piecewise profiles use the knot-aligned composite rule instead, whose
 KnotTable samples the segments between knots once for all intervals.
+Both take a value from a 2n-node Gauss rule and its error estimate from
+the n-node one, on rows of both rules (gauss_pair_rows, one row per panel
+or segment) that gauss_pair_sums reduces.
 
 Pchip is the monotone cubic interpolant of sampled wells and action
 profiles, bit-identical to SciPy's PchipInterpolator without importing
@@ -28,13 +31,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_PANELS = 200
 # step cap of each root search
 _MAX_ITER = 200
@@ -45,11 +48,10 @@ _RATIO_GROWTH = 1024.0
 _SORTED_MIN = 2048
 
 
+@cache
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached."""
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def sech2(x: np.ndarray | float) -> np.ndarray | float:
@@ -267,23 +269,48 @@ def brent(
     raise ConvergenceError(f"brent did not converge in {_MAX_ITER} steps; last x = {xcur}")
 
 
+@cache
+def _gauss_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node then the 2n-node Gauss-Legendre rule on [-1, 1]."""
+    (x1, w1), (x2, w2) = gauss_nodes(n), gauss_nodes(2 * n)
+    return np.concatenate((x1, x2)), np.concatenate((w1, w2))
+
+
+def gauss_pair_rows(
+    lo: np.ndarray | float, hi: np.ndarray | float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the n- and 2n-node Gauss-Legendre rules, one row per [lo[i], hi[i]].
+
+    Each row holds the n coarse nodes first, then the 2n fine ones, mapped
+    linearly onto its interval; gauss_pair_sums reduces rows of integrand
+    values at these points.
+    """
+    x, w = _gauss_pair(n)
+    lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * x, half * w
+
+
+def gauss_pair_sums(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, fine) rule sums of every row of values at the points of gauss_pair_rows.
+
+    Each row is summed on its own, so a row of a batch equals a batch of one,
+    bit for bit.
+    """
+    n = values.shape[1] // 3
+    terms = values * weights
+    return terms[:, :n].sum(axis=1), terms[:, n:].sum(axis=1)
+
+
 def _panel_estimates(f: Callable, panels: list[tuple[int, float, float]]) -> list[tuple]:
     """(128-node value, error estimate vs the 64-node value) of every panel.
 
     A panel (row, lo, hi) is [lo, hi] of integrand row; all take one call of f.
     """
-    x64, w64 = gauss_nodes(64)
-    x128, w128 = gauss_nodes(128)
-    half = np.array([0.5 * (hi - lo) for _, lo, hi in panels])
-    mid = np.array([0.5 * (lo + hi) for _, lo, hi in panels])
-    rows = np.array([p[0] for p in panels])
-    vals = f(mid[:, None] + half[:, None] * np.concatenate((x64, x128)), rows)
-    out = []
-    for h, row in zip(half.tolist(), vals):
-        v64 = h * float(np.dot(w64, row[:64]))
-        v128 = h * float(np.dot(w128, row[64:]))
-        out.append((v128, abs(v128 - v64)))
-    return out
+    rows, lo, hi = (np.array(column) for column in zip(*panels))
+    points, weights = gauss_pair_rows(lo, hi, 64)
+    coarse, fine = gauss_pair_sums(f(points, rows), weights)
+    return list(zip(fine.tolist(), np.abs(fine - coarse).tolist()))
 
 
 def adaptive_gauss(
@@ -362,106 +389,81 @@ def adaptive_gauss(
     return values, np.array([sum(p[0] for p in ps) for ps in panels])
 
 
-# node counts of the composite knot rule, coarse first: the fine rule gives
-# the value, its difference from the coarse one the error estimate
-_KNOT_RULES = (16, 32)
-_COARSE = _KNOT_RULES[0]
-# nodes and weights of both rules in that order, and u = (x + 1)/2 of the
-# sqrt map: the rule-constant parts of every end segment
-_KNOT_X = np.concatenate([gauss_nodes(n)[0] for n in _KNOT_RULES])
-_KNOT_W = np.concatenate([gauss_nodes(n)[1] for n in _KNOT_RULES])
-_KNOT_U = 0.5 * (_KNOT_X + 1.0)
-# the points and weights of a missing end segment
-_NO_SAMPLES = (np.empty(0), np.empty(0))
+# nodes of the coarse rule of the composite knot rule (the fine rule has
+# twice as many): the fine rule gives the value, its difference from the
+# coarse one the error estimate
+_KNOT_NODES = 16
 
 
-def _end_samples(
+def _end_row(
     lo: float, hi: float, sqrt_lo: bool, sqrt_hi: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of both rules, coarse first, on the end segment [lo, hi].
+    """Points and weights of both knot rules on the end segment [lo, hi], as one row.
 
     An end flagged as sqrt-singular (at most one) gets the substitution
     x = end + L*u^2, which regularizes both sqrt and inverse-sqrt behaviour.
     """
-    length = hi - lo
-    if sqrt_lo:
-        lu = length * _KNOT_U
-        return lo + lu * _KNOT_U, lu * _KNOT_W
-    if sqrt_hi:
-        lu = length * _KNOT_U
-        return hi - lu * _KNOT_U, lu * _KNOT_W
-    half = 0.5 * length
-    return 0.5 * (lo + hi) + half * _KNOT_X, half * _KNOT_W
+    if not (sqrt_lo or sqrt_hi):
+        return gauss_pair_rows(lo, hi, _KNOT_NODES)
+    x, w = _gauss_pair(_KNOT_NODES)
+    u = 0.5 * (x + 1.0)
+    lu = (hi - lo) * u
+    return (lo + lu * u if sqrt_lo else hi - lu * u)[None], (lu * w)[None]
 
 
 class KnotTable:
     """Both rules of composite_knot_integral on every segment between successive knots.
 
-    points[r], weights[r] and values[r] hold, for rule r (16 then 32 nodes),
-    one row per segment: the Gauss points, their weights and f at them.  The
-    level-independent part of every composite integral over these knots is
-    thus sampled once; samples adds the two end segments of an interval.
-    knots must be strictly ascending.
+    points, weights and values hold one row per segment, laid out by
+    gauss_pair_rows (16 coarse nodes, then 32 fine ones): the Gauss points,
+    their weights and f at them.  The level-independent part of every
+    composite integral over these knots is thus sampled once; samples adds
+    the two end segments of an interval.  knots must be strictly ascending.
     """
 
     def __init__(self, knots: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:
         self.knots = knots
-        half = 0.5 * (knots[1:] - knots[:-1])
-        mid = 0.5 * (knots[:-1] + knots[1:])
-        rules = [gauss_nodes(n) for n in _KNOT_RULES]
-        self.points = [mid[:, None] + half[:, None] * x for x, _ in rules]
-        self.weights = [half[:, None] * w for _, w in rules]
+        self.points, self.weights = gauss_pair_rows(knots[:-1], knots[1:], _KNOT_NODES)
         # both rules in one call of f.  One call per rule (Pchip's ascending
         # path) builds the table sooner, but a process of tabulated wells then
         # frees no array of 0.5 MB or more, so glibc's dynamic mmap threshold
         # stays below that size and numpy temporaries of that size elsewhere
         # are mapped and page-faulted afresh each time: other numpy work in a
         # predict_batch process ran 10-25 % slower (x86-64 Linux, glibc)
-        values = np.asarray(f(np.concatenate([p.ravel() for p in self.points])), dtype=float)
-        split = self.points[0].size
-        self.values = [
-            values[:split].reshape(self.points[0].shape),
-            values[split:].reshape(self.points[1].shape),
-        ]
+        self.values = np.asarray(f(self.points.ravel()), dtype=float).reshape(self.points.shape)
 
     def samples(
         self, lo: float, hi: float, f: Callable[[np.ndarray], np.ndarray], *, sqrt_ends: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(points, f at them, coarse weights, fine weights) of the composite rule on [lo, hi].
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, f at them, weights) of the composite rule on [lo, hi], one row per segment.
 
         The partition runs from lo over every knot inside (lo, hi) to hi; the
-        points are those of the coarse rule on each segment in order, then the
-        fine rule's, and the coarse weights belong to the leading points.
-        With sqrt_ends the two end segments get the sqrt map at lo and hi,
-        and without a knot inside, [lo, hi] is split at its midpoint first.
-        Only the end segments are mapped and given to f here; the others come
-        from the table.
+        rows are the head segment's, the table's and the tail segment's, in
+        that order, each laid out by gauss_pair_rows.  With sqrt_ends the two
+        end segments get the sqrt map at lo and hi, and without a knot
+        inside, [lo, hi] is split at its midpoint first; with neither,
+        [lo, hi] is one row.  Only the end segments are mapped and given to
+        f here; the others come from the table.
         """
         knots = self.knots
         i = int(np.searchsorted(knots, lo, side="right"))
         j = int(np.searchsorted(knots, hi, side="left"))
         rows = slice(i, max(i, j - 1))  # the segments between knots[i:j]
         if j > i:
-            head = _end_samples(lo, knots[i], sqrt_ends, False)
-            tail = _end_samples(knots[j - 1], hi, False, sqrt_ends)
+            ends = [_end_row(lo, knots[i], sqrt_ends, False)]
+            ends.append(_end_row(knots[j - 1], hi, False, sqrt_ends))
         elif sqrt_ends:
             mid = 0.5 * (lo + hi)
-            head, tail = _end_samples(lo, mid, True, False), _end_samples(mid, hi, False, True)
+            ends = [_end_row(lo, mid, True, False), _end_row(mid, hi, False, True)]
         else:
-            head, tail = _end_samples(lo, hi, False, False), _NO_SAMPLES
-        ends = np.asarray(f(np.concatenate((head[0], tail[0]))), dtype=float)
-        c = _COARSE
-
-        def coarse_then_fine(h: np.ndarray, table: list[np.ndarray], t: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                (h[:c], table[0][rows].ravel(), t[:c], h[c:], table[1][rows].ravel(), t[c:])
-            )
-
-        points = coarse_then_fine(head[0], self.points, tail[0])
-        values = coarse_then_fine(ends[: head[0].size], self.values, ends[head[0].size :])
-        coarse = np.concatenate((head[1][:c], self.weights[0][rows].ravel(), tail[1][:c]))
-        fine = np.concatenate((head[1][c:], self.weights[1][rows].ravel(), tail[1][c:]))
-        return points, values, coarse, fine
+            ends = [_end_row(lo, hi, False, False)]
+        points, weights = (np.concatenate(part) for part in zip(*ends))
+        values = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
+        tables = (self.points, self.values, self.weights)
+        return tuple(
+            np.concatenate((end[:1], table[rows], end[1:]))
+            for end, table in zip((points, values, weights), tables)
+        )
 
 
 def composite_knot_integral(
@@ -482,17 +484,16 @@ def composite_knot_integral(
     flags both as sqrt-singular) and the 16- vs 32-node difference provides
     the error estimate.  f is the elementwise function the table holds
     values of, and is evaluated here on the two end segments only
-    (KnotTable.samples); g must be elementwise: both rules' points go to it
-    in one call.
+    (KnotTable.samples); g must be elementwise: the rows of both rules' points
+    go to it in one call.
 
     Returns (value, error estimate).
     """
     if hi <= lo:
         return 0.0, 0.0
-    points, values, coarse_w, fine_w = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
-    vals = np.asarray(g(points, values), dtype=float)
-    coarse = float(np.dot(coarse_w, vals[: coarse_w.size]))
-    fine = float(np.dot(fine_w, vals[coarse_w.size :]))
+    points, values, weights = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
+    coarse, fine = gauss_pair_sums(np.asarray(g(points, values), dtype=float), weights)
+    coarse, fine = float(coarse.sum()), float(fine.sum())
     return fine, abs(fine - coarse)
 
 
@@ -539,16 +540,19 @@ class Pchip:
         self._pieces = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]))
         self.x = x
         self.c = self._pieces[:4]
-        # knot indices for np.interp; x[-1] maps into the last piece
-        self._index = np.arange(x.size, dtype=float)
-        self._index[-1] = x.size - 2
+        # the knots inside: the number at or below r is the piece of r
+        self._inner = x[1:-1]
         # the scalar path works on Python floats
         self._x_list = x.tolist()
         self._c_rows = self.c.T.tolist()
 
+    def _piece(self, r: np.ndarray) -> np.ndarray:
+        """Index i of the piece [x[i], x[i+1]) that holds each r; x[-1] is in the last piece."""
+        return np.searchsorted(self._inner, r, side="right")
+
     def derivatives(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First and second derivatives at r, each off the piece [x[i], x[i+1]) that holds it."""
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        i = self._piece(r)
         c0, c1, c2, _ = self.c[:, i]
         s = r - self.x[i]
         return (3.0 * c0 * s + 2.0 * c1) * s + c2, 6.0 * c0 * s + 2.0 * c1
@@ -570,16 +574,9 @@ class Pchip:
             pieces = np.repeat(self._pieces, np.diff(edges), axis=1)
             s = np.subtract(r, pieces[4], out=pieces[4])
         else:
-            # the interpolated knot index floors to the piece, or, within
-            # rounding of the piece's end, rounds up onto the next one
             flat = r.ravel()
-            i = np.interp(flat, x, self._index).astype(np.intp)
-            pieces = self._pieces.take(i, axis=1)
+            pieces = self._pieces.take(self._piece(flat), axis=1)
             s = np.subtract(flat, pieces[4], out=pieces[4])
-            if s.size and s.min() < 0.0:
-                up = s < 0.0
-                pieces[:, up] = self._pieces[:, i[up] - 1]
-                s[up] = flat[up] - s[up]
         # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s = r - x[i], in place
         c0, c1, c2, c3 = pieces[0], pieces[1], pieces[2], pieces[3]
         c2 *= s

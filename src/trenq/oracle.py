@@ -300,7 +300,7 @@ def _budget_message(
     elif lam >= 1e-2:
         cause, hint = f"lambda in {k_ref}", "lambda is too large for the grid"
     else:
-        cause, hint = f"the floor 1e-2 of {k_ref}", marginal
+        cause, hint = f"the floor 1e-2 of {k_ref}", "hbar is too small for the grid"
     return (
         f"node counting grid of {n_steps} points exceeds the budget of {_MAX_STEPS}: "
         f"the window spans {span:.6g} in rho at step {h:.4g}, set by {cause} "

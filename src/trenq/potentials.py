@@ -49,8 +49,8 @@ class Settings:
 
     hbar:       Planck constant in the chosen units (mass is fixed to 1).
     quad_tol:   quadrature tolerance; the action I(lambda) is computed to
-                quad_tol * max(1, I), the inner correction integral to an
-                absolute quad_tol.
+                quad_tol * max(1, I), the slopes of the inner correction
+                integral to an absolute max(1e-12, 1e-3 quad_tol).
     ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/6).  On a smooth
                 well the oracle's critical couplings are within
                 max(ode_tol / 10, 1e-12) relative (6.9e-12 at the default on

@@ -20,7 +20,7 @@ from trenq import (
     to_log_well,
     turning_points,
 )
-from trenq.action import _actions_between, _turning_pairs, _zero_action, correction_inner_slopes
+from trenq.action import _actions, _turning_pairs, _zero_action, correction_inner_slopes
 from trenq.numerics import gauss_nodes
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
@@ -35,8 +35,7 @@ def _action_and_error(w, lam: float, s: Settings) -> tuple[float, float]:
     """(I(lambda), error estimate) from the kernels that action() calls."""
     if lam == 0.0:
         return _zero_action(w, s)
-    lambda2 = lam * lam
-    values, errors = _actions_between(w, np.array([lambda2]), [turning_points(w, lambda2)], s)
+    values, errors = _actions(w, np.array([lam * lam]), s)
     return float(values[0]), float(errors[0])
 
 

@@ -162,6 +162,9 @@ def test_delta1_integral_range_errors(settings, lenz18_well) -> None:
         delta1_integral(lenz18_well, 0.0, settings)
     with pytest.raises(InputError):
         delta1_integral(lenz18_well, 2.0, settings)
+    # inside the range, but a subnormal epsilon leaves a step of 0
+    with pytest.raises(InputError, match="no room for the difference stencil"):
+        delta1_integral(lenz18_well, 5e-324, settings)
 
 
 def test_ground_state_threshold_values() -> None:
@@ -195,13 +198,17 @@ def test_solve_spectrum_exact_integer_case(settings) -> None:
     w3 = to_log_well(Lenz(a=1.0, Z=3.0), settings)
     with pytest.raises(NoSuchLevelError):
         solve_spectrum(w3, 1, settings)
+    # Lenz(a, 4 a^2) has sigma = 1, so level 1 sits exactly at threshold
+    for a in (0.5, 1.0, 2.0):
+        w = to_log_well(Lenz(a=a, Z=4.0 * a * a), settings)
+        assert abs(solve_spectrum(w, 1, settings)) <= 1e-12 * math.sqrt(w.V_m)
 
 
 @pytest.mark.parametrize("a,Z", [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0)])
 def test_solve_spectrum_action_count(a: float, Z: float, settings, monkeypatch) -> None:
     # work-count guard, no timing: each level is a smooth root-find on the
     # action (bisecting it took 50-51 action calls per level); I(0) comes
-    # from action, every step of the search from _actions_between
+    # from action, every step of the search from _actions
     import trenq.corrections as corrections
 
     calls = []
@@ -214,7 +221,7 @@ def test_solve_spectrum_action_count(a: float, Z: float, settings, monkeypatch) 
         return wrapper
 
     monkeypatch.setattr(corrections, "action", counted(action))
-    monkeypatch.setattr(corrections, "_actions_between", counted(corrections._actions_between))
+    monkeypatch.setattr(corrections, "_actions", counted(corrections._actions))
     w = to_log_well(Lenz(a=a, Z=Z), settings)
     analytic = lenz_analytic_spectrum(a, Z)
     for n in range(min(len(analytic), 4)):

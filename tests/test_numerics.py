@@ -35,6 +35,8 @@ from trenq.numerics import (
     false_position,
     false_position_elementwise,
     gauss_nodes,
+    gauss_pair_rows,
+    gauss_pair_sums,
     geometric_bracket,
 )
 
@@ -84,13 +86,13 @@ def _one_integrand_gauss(f, a: float, b: float, tol: float, *, best_effort: bool
 
     Same rules as adaptive_gauss (worst active panel split, freeze when a
     split does not halve its estimate, at most 200 panels), with each rule
-    evaluated in its own call of f.
+    evaluated in its own call of f and summed as numpy sums a 1-d array.
     """
 
     def estimate(lo: float, hi: float) -> tuple[float, float]:
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         v64, v128 = (
-            half * float(np.dot(wts, f(mid + half * x)))
+            float((f(mid + half * x) * (half * wts)).sum())
             for x, wts in (np.polynomial.legendre.leggauss(n) for n in (64, 128))
         )
         return v128, abs(v128 - v64)
@@ -200,20 +202,39 @@ def test_brent_converges_fast_on_smooth_roots() -> None:
         assert root == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_gauss_pair_rows_match_row_alone(n: int) -> None:
+    # the row helpers give each row of a batch what that row gets alone, bit
+    # for bit, and the fine sum of a row is the 2n-node rule applied directly
+    lo = np.array([-1.0, 0.3, 2.0, -7.5])
+    hi = np.array([1.0, 0.9, 5.5, -7.25])
+
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.exp(np.sin(3.0 * x)) + x * x
+
+    points, weights = gauss_pair_rows(lo, hi, n)
+    assert points.shape == weights.shape == (4, 3 * n)
+    coarse, fine = gauss_pair_sums(f(points), weights)
+    x, w = gauss_nodes(2 * n)
+    for i in range(4):
+        p, wt = gauss_pair_rows(lo[i], hi[i], n)
+        c, v = gauss_pair_sums(f(p), wt)
+        assert (p.tobytes(), wt.tobytes()) == (points[i].tobytes(), weights[i].tobytes())
+        assert (c[0].hex(), v[0].hex()) == (coarse[i].hex(), fine[i].hex())
+        half, mid = 0.5 * (hi[i] - lo[i]), 0.5 * (lo[i] + hi[i])
+        direct = half * float(np.dot(w, f(mid + half * x)))
+        assert fine[i] == pytest.approx(direct, rel=1e-15)
+
+
 def _segment_samples(
     lo: float, hi: float, n: int, sqrt_lo: bool, sqrt_hi: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference: n-node Gauss points and weights of one segment of the composite knot rule.
 
-    An end flagged as sqrt-singular gets the substitution x = end + L*u^2; a
-    segment with both flags is split at its midpoint first.
+    An end flagged as sqrt-singular (at most one) gets the substitution
+    x = end + L*u^2.
     """
     x, w = gauss_nodes(n)
-    if sqrt_lo and sqrt_hi:
-        mid = 0.5 * (lo + hi)
-        xl, wl = _segment_samples(lo, mid, n, True, False)
-        xr, wr = _segment_samples(mid, hi, n, False, True)
-        return np.concatenate([xl, xr]), np.concatenate([wl, wr])
     length = hi - lo
     if sqrt_lo:
         u = 0.5 * (x + 1.0)
@@ -227,39 +248,43 @@ def _segment_samples(
 
 def _reference_rule(
     lo: float, hi: float, knots: np.ndarray, sqrt_ends: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, coarse weights, fine weights) of the composite knot rule, segment by segment."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the composite knot rule, built segment by segment.
+
+    Each segment is one row: its 16-node points, then its 32-node points.  With
+    sqrt_ends and no knot inside, [lo, hi] is split at its midpoint first.
+    """
     edges = np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+    if sqrt_ends and edges.size == 2:
+        edges = np.array([lo, 0.5 * (lo + hi), hi])
     last = edges.size - 2
-    rules = []
-    for n in (16, 32):
-        segments = [
-            _segment_samples(float(a), float(b), n, sqrt_ends and i == 0, sqrt_ends and i == last)
-            for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
-        ]
-        rules.append([np.concatenate(part) for part in zip(*segments)])
-    (p16, w16), (p32, w32) = rules
-    return np.concatenate((p16, p32)), w16, w32
+    rows = []
+    for i, (a, b) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        sqrt_lo, sqrt_hi = sqrt_ends and i == 0, sqrt_ends and i == last
+        rules = [_segment_samples(a, b, n, sqrt_lo, sqrt_hi) for n in (16, 32)]
+        rows.append([np.concatenate(part) for part in zip(*rules)])
+    points, weights = (np.array(part) for part in zip(*rows))
+    return points, weights
 
 
 def _reference_knot_integral(g, f, lo, hi, table, *, sqrt_ends):
     """composite_knot_integral with every point mapped and f evaluated on every call."""
     if hi <= lo:
         return 0.0, 0.0
-    points, coarse_w, fine_w = _reference_rule(lo, hi, table.knots, sqrt_ends)
-    vals = np.asarray(g(points, f(points)), dtype=float)
-    coarse = float(np.dot(coarse_w, vals[: coarse_w.size]))
-    fine = float(np.dot(fine_w, vals[coarse_w.size :]))
+    points, weights = _reference_rule(lo, hi, table.knots, sqrt_ends)
+    coarse, fine = gauss_pair_sums(np.asarray(g(points, f(points)), dtype=float), weights)
+    coarse, fine = float(coarse.sum()), float(fine.sum())
     return fine, abs(fine - coarse)
 
 
 @pytest.mark.parametrize("sqrt_ends", [False, True])
 @pytest.mark.parametrize("n_edges", [2, 3, 9])
 def test_knot_samples_match_segment_samples(sqrt_ends: bool, n_edges: int) -> None:
-    # the table's samples of [lo, hi] are _segment_samples of every segment
-    # between lo, the n_edges - 2 knots inside and hi, both rules in order,
-    # bit for bit, with lo and hi between knots, on knots and beyond them;
-    # f's values are f at the points, and f is given the end segments only
+    # the table's samples of [lo, hi] are the rows of _segment_samples of
+    # every segment between lo, the n_edges - 2 knots inside and hi, both
+    # rules in order, bit for bit, with lo and hi between knots, on knots and
+    # beyond them; f's values are f at the points, and f is given the end
+    # segments only
     knots = np.sort(np.random.default_rng(n_edges).uniform(-2.0, 3.0, 12))
     seen = []
 
@@ -277,13 +302,13 @@ def test_knot_samples_match_segment_samples(sqrt_ends: bool, n_edges: int) -> No
     ]
     for lo, hi in intervals:
         seen.clear()
-        points, values, coarse_w, fine_w = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
+        points, values, weights = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
         assert sum(seen) == (2 if inside or sqrt_ends else 1) * 48
-        ref_points, ref_coarse, ref_fine = _reference_rule(lo, hi, knots, sqrt_ends)
-        assert ref_coarse.size == 16 * (inside + 1 + (sqrt_ends and not inside))
+        ref_points, ref_weights = _reference_rule(lo, hi, knots, sqrt_ends)
+        assert ref_points.shape == (inside + 1 + (sqrt_ends and not inside), 48)
+        assert points.shape == weights.shape == values.shape == ref_points.shape
         assert points.tobytes() == ref_points.tobytes()
-        assert coarse_w.tobytes() == ref_coarse.tobytes()
-        assert fine_w.tobytes() == ref_fine.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
         assert values.tobytes() == f(ref_points).tobytes()
 
 
@@ -348,7 +373,7 @@ def _pchip_points(x: np.ndarray) -> list:
     samples of the knot-aligned composite rule and three kinds of scalar."""
     near = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     near = near[(near >= x[0]) & (near <= x[-1])]
-    samples = KnotTable(x, np.cos).samples(x[0], x[-1], np.cos, sqrt_ends=True)[0]
+    samples = KnotTable(x, np.cos).samples(x[0], x[-1], np.cos, sqrt_ends=True)[0].ravel()
     assert np.any(np.diff(samples) < 0.0)
     mid = 0.5 * (x[1] + x[2])
     return [

@@ -66,7 +66,8 @@ def test_count_rejects_marginal_lambda(settings, lenz18_well) -> None:
         # a shallow well at a large lambda: lambda sets the step
         (1.0, 1e4, 1.0, r"step 3\.447e-06, set by lambda in k_ref", "lambda is too large", "deep"),
         # sqrt(V_m) and lambda both below 1e-2: the floor of k_ref sets the step
-        (1e-6, 1e-3, 1e-6, r"step 3\.447e-06, set by the floor 1e-2 of k_ref", "marginal", "deep"),
+        (1e-6, 1e-3, 1e-6, r"step 3\.447e-06, set by the floor 1e-2 of k_ref", "hbar is too small",
+         "marginal"),
     ],
     ids=["deep-well", "small-lambda", "large-lambda", "k-ref-floor"],
 )
