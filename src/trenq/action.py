@@ -70,7 +70,7 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     for i in _scan_cells(vals, c, np.array([lambda2]))[0].tolist():
         lo, hi = float(x[i]), float(x[i + 1])
         flo, fhi = float(vals[i]) - lambda2, float(vals[i + 1]) - lambda2
-        roots.append(false_position(f, lo, hi, flo, fhi, rtol=1e-15))
+        roots.append(false_position(f, lo, hi, flo, fhi))
     return TurningPair(*roots)
 
 
@@ -185,7 +185,6 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
         x[cells + 1],
         vals[cells] - targets,
         vals[cells + 1] - targets,
-        rtol=1e-15,
     )
     for j, i in enumerate(interior):
         pairs[i] = TurningPair(float(roots[j]), float(roots[k + j]))
@@ -196,8 +195,8 @@ def _exponential_tail(w_end: float, lambda2: float, rate: float) -> float:
     """Closed-form integral of sqrt(W - lambda^2) over an exponential tail.
 
     Assumes W = w_end * exp(-rate * x) for x >= 0, valid once the domain cut
-    is reached; exact for the power-law continuations and accurate to a
-    relative DOMAIN_CUT for the analytic families.
+    is reached; exact on the power-law end pieces of a tabulated well and
+    accurate to a relative DOMAIN_CUT for the analytic families.
     """
     if w_end <= lambda2:
         return 0.0
@@ -370,13 +369,14 @@ def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile
     errors = np.empty(n_points)
     values[0], errors[0] = _zero_action(w, s)
     values[1:], errors[1:] = _actions(w, lambda2[1:], s)
-    interp = Pchip(grid, values)
     return ActionProfile(
         lambda_grid=grid,
         I_values=values,
         Phi_m=float(values[0]),
         quad_error=errors,
-        _interp=interp,
+        # Pchip's default flat end pieces: I depends on lambda^2, and is 0
+        # beyond sqrt(V_m)
+        _interp=Pchip(grid, values),
     )
 
 
@@ -384,12 +384,12 @@ def t_of(profile: ActionProfile, lam: float) -> float:
     """Action deficit t(lambda) = I(0) - I(lambda), interpolated off-grid.
 
     t(0) = 0 exactly and t is nondecreasing up to lambda = sqrt(V_m), where
-    it equals Phi_m.
+    it equals Phi_m.  lambda may exceed sqrt(V_m) by 1e-12 relative, where
+    the interpolant's flat end piece holds I at its value at sqrt(V_m).
     """
     top = profile.lambda_max
     if not 0.0 <= lam <= top * (1.0 + 1e-12):
         raise InputError(f"lambda = {lam:g} outside the sampled range [0, {top:g}]")
-    lam = min(lam, top)
     return max(profile.Phi_m - float(profile._interp(lam)), 0.0)
 
 
@@ -401,8 +401,9 @@ def fit_phi(profile: ActionProfile) -> float:
 
         phi = integral(lambda * t(lambda)) / integral(lambda^2)
 
-    Both integrals use a fixed 64-node Gauss-Legendre rule; InputError where
-    the interpolant's cubic term overflows (V_m above about 3e205).
+    Both integrals use a fixed 64-node Gauss-Legendre rule, whose nodes all
+    lie inside (0, sqrt(V_m)), on the cubic pieces of the interpolant;
+    InputError where its cubic term overflows (V_m above about 3e205).
     """
     top = profile.lambda_max
     if top <= 0.0:
@@ -411,7 +412,7 @@ def fit_phi(profile: ActionProfile) -> float:
     lam = 0.5 * top * (x + 1.0)
     # t_of on every node at once
     with np.errstate(over="ignore", invalid="ignore"):
-        t_vals = np.maximum(profile.Phi_m - profile._interp(np.minimum(lam, top)), 0.0)
+        t_vals = np.maximum(profile.Phi_m - profile._interp(lam), 0.0)
         phi = float(np.dot(wts, lam * t_vals)) / float(np.dot(wts, lam * lam))
     if not math.isfinite(phi):
         raise InputError(f"the fit of phi overflows at sqrt(V_m) = {top:g}: the well is too deep")

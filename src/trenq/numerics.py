@@ -23,8 +23,8 @@ the n-node one, on rows of both rules (gauss_pair_rows, one row per panel
 or segment) that gauss_pair_sums reduces.
 
 Pchip is the monotone cubic interpolant of sampled wells and action
-profiles, bit-identical to SciPy's PchipInterpolator without importing
-scipy.interpolate.
+profiles, bit-identical to SciPy's PchipInterpolator inside its knots
+without importing scipy.interpolate, and linear beyond them.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .errors import ConvergenceError
 _MAX_PANELS = 200
 # step cap of each root search
 _MAX_ITER = 200
+# relative bracket width at which false position stops
+_FALSE_POSITION_RTOL = 1e-15
 # geometric_bracket: growth of a step ratio's excess over 1 per step
 _RATIO_GROWTH = 1024.0
 # Pchip: ascending 1-d arguments of at least this many points find their
@@ -68,8 +70,6 @@ def false_position(
     hi: float,
     flo: float,
     fhi: float,
-    *,
-    rtol: float,
 ) -> float:
     """Root of f on a sign-change bracket by Illinois false position, end values given.
 
@@ -77,12 +77,12 @@ def false_position(
     part of the bracket with the sign change.  When the same end survives
     two steps running, its value is halved (the Illinois rule: M. Dowell
     and P. Jarratt, BIT 11, 168 (1971)), so both ends close in
-    superlinearly instead of one end sticking.  With tol = rtol *
-    max(|lo|, |hi|), a step lands at least tol/2 inside the bracket, so
-    once an end sits on the root within rounding noise the next step
-    closes the bracket.  A zero of f, at an end or a step, is returned as
-    the root; otherwise the loop stops with the midpoint once
-    hi - lo <= tol.
+    superlinearly instead of one end sticking.  With tol =
+    _FALSE_POSITION_RTOL * max(|lo|, |hi|), a step lands at least tol/2
+    inside the bracket, so once an end sits on the root within rounding
+    noise the next step closes the bracket.  A zero of f, at an end or a
+    step, is returned as the root; otherwise the loop stops with the
+    midpoint once hi - lo <= tol.
     """
     if flo == 0.0:
         return lo
@@ -93,7 +93,7 @@ def false_position(
     lo_positive = flo > 0.0
     moved = 0  # the end the last step moved: -1 lo, +1 hi, 0 none yet
     for _ in range(_MAX_ITER):
-        tol = rtol * max(abs(lo), abs(hi))
+        tol = _FALSE_POSITION_RTOL * max(abs(lo), abs(hi))
         if hi - lo <= tol:
             break
         x = min(max(lo - flo * (hi - lo) / (fhi - flo), lo + 0.5 * tol), hi - 0.5 * tol)
@@ -119,8 +119,6 @@ def false_position_elementwise(
     hi: np.ndarray,
     flo: np.ndarray,
     fhi: np.ndarray,
-    *,
-    rtol: float,
 ) -> np.ndarray:
     """Many independent false_position searches at once, each bit-identical to it.
 
@@ -143,7 +141,7 @@ def false_position_elementwise(
     live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     for _ in range(_MAX_ITER):
         a, b = lo[live], hi[live]
-        tol = rtol * np.maximum(np.abs(a), np.abs(b))
+        tol = _FALSE_POSITION_RTOL * np.maximum(np.abs(a), np.abs(b))
         done = b - a <= tol
         roots[live[done]] = 0.5 * (a[done] + b[done])
         live = live[~done]
@@ -498,7 +496,7 @@ def composite_knot_integral(
 
 
 class Pchip:
-    """Monotone piecewise cubic Hermite interpolant (PCHIP) of knots x and values y.
+    """Monotone cubic Hermite interpolant (PCHIP) of knots x and values y, with linear end pieces.
 
     The slopes are those of Fritsch and Carlson (SIAM J. Numer. Anal. 17,
     238 (1980)): at an inner knot the weighted harmonic mean of the two
@@ -510,14 +508,20 @@ class Pchip:
     and evaluation repeat the arithmetic of SciPy's PchipInterpolator
     operation for operation, so the coefficients c, of shape (4, n - 1) and
     in powers 3, 2, 1, 0 of r - x[i] on [x[i], x[i+1]), and every value
-    equal SciPy's bit for bit.  x must be strictly ascending with n >= 3.
+    inside [x[0], x[-1]] equal SciPy's bit for bit; x[-1] closes the last
+    cubic piece.  x must be strictly ascending with n >= 3.
 
-    Arguments must lie in [x[0], x[-1]]; x[-1] belongs to the last piece.
-    No caller evaluates outside, and the value there is undefined.  A
-    scalar argument returns a float.
+    Beyond the knots the interpolant is linear: slope tails[0] left of x[0]
+    from y[0], slope tails[1] right of x[-1] from the value of the last cubic
+    piece at x[-1].  These two end pieces are stored and evaluated as cubic
+    pieces with c0 = c1 = 0, so the value is nan at nan, at +-inf and
+    wherever (r - x)^3 overflows (|r - x| above about 5e102).  A scalar
+    argument returns a float.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, tails: tuple[float, float] = (0.0, 0.0)
+    ) -> None:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         h = x[1:] - x[:-1]
@@ -536,48 +540,55 @@ class Pchip:
         end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, end))
         d = np.concatenate((end[:1], inner, end[1:]))
         t = (d[:-1] + d[1:] - 2 * m) / h
-        # rows c0, c1, c2, c3 and x[i] of every piece, gathered together
-        self._pieces = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]))
+        # rows c0, c1, c2, c3 and the anchor of every piece: the left tail,
+        # the cubic pieces and the right tail, the tails with c0 = c1 = 0
+        pieces = np.zeros((5, x.size + 1))
+        pieces[:, 1:-1] = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]
+        # the last cubic piece at x[-1], by the arithmetic of __call__ (on
+        # Python floats, which overflow without a warning)
+        c0, c1, c2, c3, _ = pieces[:, -2].tolist()
+        s = float(h[-1])
+        y_end = ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
+        pieces[2:, 0] = tails[0], y[0], x[0]
+        pieces[2:, -1] = tails[1], y_end, x[-1]
+        self._pieces = pieces
         self.x = x
-        self.c = self._pieces[:4]
-        # the knots inside: the number at or below r is the piece of r
-        self._inner = x[1:-1]
+        self.c = pieces[:4, 1:-1]
+        # piece k holds the r with edges[k - 1] <= r < edges[k]: x[-1] closes
+        # the last cubic piece, and the right tail starts just above it
+        self._edges = x.copy()
+        self._edges[-1] = np.nextafter(x[-1], np.inf)
         # the scalar path works on Python floats
-        self._x_list = x.tolist()
-        self._c_rows = self.c.T.tolist()
+        self._edge_list = self._edges.tolist()
+        self._rows = pieces.T.tolist()
 
     def _piece(self, r: np.ndarray) -> np.ndarray:
-        """Index i of the piece [x[i], x[i+1]) that holds each r; x[-1] is in the last piece."""
-        return np.searchsorted(self._inner, r, side="right")
+        """Index of the piece that holds each r: 0 the left tail, len(x) the right tail."""
+        return np.searchsorted(self._edges, r, side="right")
 
     def derivatives(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and second derivatives at r, each off the piece [x[i], x[i+1]) that holds it."""
-        i = self._piece(r)
-        c0, c1, c2, _ = self.c[:, i]
-        s = r - self.x[i]
+        """First and second derivatives at r off the piece that holds it: (slope, 0) in a tail."""
+        c0, c1, c2, _, anchor = self._pieces[:, self._piece(r)]
+        s = r - anchor
         return (3.0 * c0 * s + 2.0 * c1) * s + c2, 6.0 * c0 * s + 2.0 * c1
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
         if not (isinstance(r, np.ndarray) and r.ndim):
             r = float(r)
-            xs = self._x_list
-            i = min(bisect_right(xs, r), len(xs) - 1) - 1
-            c0, c1, c2, c3 = self._c_rows[i]
-            s = r - xs[i]
+            c0, c1, c2, c3, anchor = self._rows[bisect_right(self._edge_list, r)]
+            s = r - anchor
             z = s * s
             return ((c3 + c2 * s) + c1 * z) + c0 * (z * s)
-        x = self.x
         if r.ndim == 1 and r.size >= _SORTED_MIN and np.all(r[1:] >= r[:-1]):
-            # the points of piece k lie between the positions of x[k] and x[k+1] in r
-            edges = np.searchsorted(r, x)
-            edges[0], edges[-1] = 0, r.size
-            pieces = np.repeat(self._pieces, np.diff(edges), axis=1)
+            # the points of piece k lie between the positions of edges[k - 1] and edges[k] in r
+            counts = np.diff(np.concatenate(([0], np.searchsorted(r, self._edges), [r.size])))
+            pieces = np.repeat(self._pieces, counts, axis=1)
             s = np.subtract(r, pieces[4], out=pieces[4])
         else:
             flat = r.ravel()
             pieces = self._pieces.take(self._piece(flat), axis=1)
             s = np.subtract(flat, pieces[4], out=pieces[4])
-        # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s = r - x[i], in place
+        # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s = r - anchor, in place
         c0, c1, c2, c3 = pieces[0], pieces[1], pieces[2], pieces[3]
         c2 *= s
         c2 += c3

@@ -170,14 +170,15 @@ def Tietz(Z: float) -> Lenz:
 class Tabulated:
     """Potential given by samples (r_i, U_i) with declared decay exponents.
 
-    Inside the sampled range the transformed well is exp of the monotone
-    cubic interpolant (numerics.Pchip, Fritsch-Carlson) of ln W against
-    rho = ln r, which keeps W positive.  Each piece of the interpolant stays
-    between its end values, also at peaks and dips, so every extremum of W
-    lies at a sample: to_log_well takes the peak, the cut cells and
-    split_level from the samples on this ground.  It is C^1 only, so W''
-    jumps at the samples.  Outside, the declared power laws |U| ~ r^(-q0)
-    (origin) and r^(-qinf) (infinity) continue the well exponentially in rho.
+    The transformed well is exp of one piecewise function ln W of rho = ln r
+    on the whole line (numerics.Pchip), which keeps W positive.  Inside the
+    sampled range it is the monotone cubic interpolant (Fritsch-Carlson) of
+    ln W; each of its pieces stays between its end values, also at peaks and
+    dips, so every extremum of W lies at a sample: to_log_well takes the
+    peak, the cut cells and split_level from the samples on this ground.  It
+    is C^1 only, so W'' jumps at the samples.  Its two end pieces are the
+    declared power laws |U| ~ r^(-q0) (origin) and r^(-qinf) (infinity), lines
+    of slope 2 - q0 and 2 - qinf in ln W.
     """
 
     r_grid: np.ndarray
@@ -185,8 +186,6 @@ class Tabulated:
     q0: float
     qinf: float
     _log_w: Pchip = field(init=False, repr=False, compare=False)
-    # (lo, hi, W(lo), W(hi)) at the ends of the data in rho
-    _ends: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r_grid, dtype=float)
@@ -205,11 +204,8 @@ class Tabulated:
             )
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "U_values", u)
-        rho = np.log(r)
-        log_w = Pchip(rho, np.log(w))
-        lo, hi = log_w.x[0], log_w.x[-1]
+        log_w = Pchip(np.log(r), np.log(w), (2.0 - self.q0, 2.0 - self.qinf))
         object.__setattr__(self, "_log_w", log_w)
-        object.__setattr__(self, "_ends", (lo, hi, math.exp(log_w(lo)), math.exp(log_w(hi))))
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
         rho = np.log(r)
@@ -217,36 +213,14 @@ class Tabulated:
         return -0.5 * w * np.exp(-2.0 * rho)
 
     def well_value(self, rho: np.ndarray | float) -> np.ndarray | float:
-        """Transformed well W(rho) with power-law continuation outside the data."""
-        lo, hi, w_lo, w_hi = self._ends
-        if not isinstance(rho, np.ndarray):
-            # one point: the array branches' arithmetic on a Python float
-            rho = float(rho)
-            if rho < lo:
-                return float(w_lo * np.exp((2.0 - self.q0) * (rho - lo)))
-            if rho > hi:
-                return float(w_hi * np.exp((2.0 - self.qinf) * (rho - hi)))
-            return float(np.exp(self._log_w(rho)))
-        rho_arr = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho_arr)
-        if rho_arr.size and lo <= rho_arr.min() and rho_arr.max() <= hi:
-            np.exp(self._log_w(rho_arr), out=out)
-        else:
-            out.fill(np.nan)  # nan is neither inside nor outside the data
-            inside = (rho_arr >= lo) & (rho_arr <= hi)
-            out[inside] = np.exp(self._log_w(rho_arr[inside]))
-            left = rho_arr < lo
-            right = rho_arr > hi
-            out[left] = w_lo * np.exp((2.0 - self.q0) * (rho_arr[left] - lo))
-            out[right] = w_hi * np.exp((2.0 - self.qinf) * (rho_arr[right] - hi))
-        return out
+        """W(rho) = exp(ln W(rho)): a float for a scalar rho, else an array of rho's shape."""
+        w = np.exp(self._log_w(rho))
+        return np.asarray(w) if isinstance(rho, np.ndarray) else float(w)
 
     def well_curvature(self, rho: np.ndarray) -> np.ndarray:
-        """W'' = W ((ln W)'' + (ln W)'^2) off each point's cubic piece, (2 - q)^2 W beyond it."""
-        lo, hi = self._ends[:2]
-        slope, curv = self._log_w.derivatives(np.clip(rho, lo, hi))
-        beyond = ((2.0 - self.q0) ** 2, (2.0 - self.qinf) ** 2)
-        return self.well_value(rho) * np.select([rho < lo, rho > hi], beyond, curv + slope * slope)
+        """W'' = W ((ln W)'' + (ln W)'^2) off each point's piece: (2 - q)^2 W on an end piece."""
+        slope, curv = self._log_w.derivatives(rho)
+        return self.well_value(rho) * (curv + slope * slope)
 
     @property
     def q_origin(self) -> float:
@@ -355,9 +329,10 @@ def _tabulated_geometry(p: Tabulated) -> tuple[float, float, float, float, float
 
     The interpolant keeps every piece between its end values, so the top
     sample is the maximum, and on each side the outermost crossing of the
-    cut lies in the power-law continuation, in closed form, when the end
-    sample is above the cut, and otherwise in the outermost knot cell that
-    straddles it, where Brent's method solves the monotone cubic ln W.
+    cut lies on the power-law end piece, in closed form from the end sample,
+    when that sample is above the cut, and otherwise in the outermost knot
+    cell that straddles it, where Brent's method solves the monotone cubic
+    ln W.
     """
     log_w, x = p._log_w, p._log_w.x
     ys = log_w(x)
@@ -368,14 +343,12 @@ def _tabulated_geometry(p: Tabulated) -> tuple[float, float, float, float, float
         raise DegenerateWellError("transformed well is numerically zero")
     target = DOMAIN_CUT * vmax
     log_target = math.log(target)
-    lo, hi, w_lo, w_hi = p._ends
     above = np.flatnonzero(ys > log_target)
     cuts = []
-    sides = ((above[0], -1, lo, w_lo, p.q0), (above[-1], 1, hi, w_hi, p.qinf))
-    for i, step, end, w_end, q in sides:
+    for i, step, q in ((above[0], -1, p.q0), (above[-1], 1, p.qinf)):
         j = i + step
         if not 0 <= j < x.size:
-            cut = end + math.log(target / w_end) / (2.0 - q)
+            cut = x[i] + math.log(target / vals[i]) / (2.0 - q)
         else:
             cut = brent(lambda rho: log_w(rho) - log_target, x[i], x[j],
                         ys[i] - log_target, ys[j] - log_target,

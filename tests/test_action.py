@@ -286,6 +286,10 @@ def test_deficit_linearity(settings, lenz18_profile) -> None:
     worst = max(abs(t_of(lenz18_profile, float(v)) - v) for v in lam_probe)
     assert worst <= 1e-8
     assert t_of(lenz18_profile, 2.0) == pytest.approx(lenz18_profile.Phi_m, abs=1e-12)
+    # up to 1e-12 beyond sqrt(V_m) the interpolant's flat end piece holds I
+    # at its value at sqrt(V_m), which is below the rounding of Phi_m
+    beyond = t_of(lenz18_profile, 2.0 * (1.0 + 1e-12))
+    assert beyond == t_of(lenz18_profile, 2.0) == lenz18_profile.Phi_m
     with pytest.raises(InputError):
         t_of(lenz18_profile, 2.1)
     with pytest.raises(InputError):

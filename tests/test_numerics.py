@@ -58,7 +58,7 @@ def test_false_position_elementwise_matches_scalar() -> None:
         return sign[idx] * (np.tanh(x) * 4.0 - targets[idx])
 
     idx = np.arange(targets.size)
-    roots = false_position_elementwise(f, lo, hi, f(lo, idx), f(hi, idx), rtol=1e-15)
+    roots = false_position_elementwise(f, lo, hi, f(lo, idx), f(hi, idx))
     batch_calls = calls.copy()
     for i, (t, root) in enumerate(zip(targets, roots)):
         n = [0]
@@ -67,7 +67,7 @@ def test_false_position_elementwise_matches_scalar() -> None:
             n[0] += 1
             return float(sign[i] * (np.tanh(x) * 4.0 - t))
 
-        ref = false_position(g, -4.0, 4.0, g(-4.0), g(4.0), rtol=1e-15)
+        ref = false_position(g, -4.0, 4.0, g(-4.0), g(4.0))
         assert root.hex() == ref.hex()
         assert batch_calls[i] == n[0]
         assert root == pytest.approx(math.atanh(t / 4.0), rel=1e-14, abs=1e-15)
@@ -76,9 +76,9 @@ def test_false_position_elementwise_matches_scalar() -> None:
     assert batch_calls[41] == batch_calls[42] == 2
     assert max(batch_calls.values()) <= 18  # with the two end values; bisection takes ~55 steps
     with pytest.raises(ConvergenceError):
-        false_position_elementwise(f, lo[:1], hi[:1], np.ones(1), np.ones(1), rtol=1e-15)
+        false_position_elementwise(f, lo[:1], hi[:1], np.ones(1), np.ones(1))
     with pytest.raises(ConvergenceError):
-        false_position(math.tanh, 1.0, 2.0, math.tanh(1.0), math.tanh(2.0), rtol=1e-15)
+        false_position(math.tanh, 1.0, 2.0, math.tanh(1.0), math.tanh(2.0))
 
 
 def _one_integrand_gauss(f, a: float, b: float, tol: float, *, best_effort: bool) -> tuple:
@@ -440,6 +440,34 @@ def test_pchip_interpolates_and_is_c1() -> None:
         assert np.allclose(end_value, y[1:], rtol=0.0, atol=1e-13 * np.abs(y).max())
         slope_scale = np.abs(np.diff(y) / h).max()
         assert np.allclose(end_slope[:-1], c1[1:], rtol=0.0, atol=1e-12 * slope_scale)
+
+
+def test_pchip_tails_are_lines_on_every_path() -> None:
+    # beyond the knots the interpolant is y[0] + slope (r - x[0]) on the left
+    # and p(x[-1]) + slope (r - x[-1]) on the right, with the slopes given,
+    # of both signs, and the scalar, unsorted and ascending-block paths agree
+    # bit for bit on both sides of each end knot, far out and at nan (which
+    # no ascending block holds)
+    x, y = _rough_knots(0, 30)
+    for x, y, tails in ((x, y, (0.7, -1.3)), (-x[::-1], y[::-1], (-0.4, 2.5))):
+        p = Pchip(x, y, tails)
+        probes = np.array([
+            np.nextafter(x[0], -np.inf), x[0], x[-1], np.nextafter(x[-1], np.inf),
+            x[0] - 1e3, x[-1] + 1e3, math.nan,
+        ])
+        scalar = np.array([p(float(r)) for r in probes])
+        assert p(probes[::-1])[::-1].tobytes() == scalar.tobytes()
+        block = np.sort(np.concatenate((np.linspace(x[0] - 5.0, x[-1] + 5.0, 16384), probes[:-1])))
+        got = p(block)[np.searchsorted(block, probes[:-1])]
+        assert got.tobytes() == scalar[:-1].tobytes()
+        assert math.isnan(scalar[-1])
+        y_end = p(float(x[-1]))
+        left, right = probes[[0, 4]], probes[[3, 5]]
+        assert np.array_equal(p(left), y[0] + tails[0] * (left - x[0]))
+        assert np.array_equal(p(right), y_end + tails[1] * (right - x[-1]))
+        for side, slope in ((left, tails[0]), (right, tails[1])):
+            d1, d2 = p.derivatives(side)
+            assert np.all(d1 == slope) and np.all(d2 == 0.0)
 
 
 def _shaped_values(kind: str) -> np.ndarray:

@@ -570,7 +570,8 @@ def test_tabulated_interpolation_accuracy(settings) -> None:
 
 
 def _masked_well_value(p: Tabulated, rho):
-    """Reference for Tabulated.well_value: masks for the data and each side of it."""
+    """Reference for Tabulated.well_value: masks for the data and each side of
+    it, where ln W continues as the line ln W_end + (2 - q)(rho - end)."""
     rho_arr = np.asarray(rho, dtype=float)
     lo, hi = p._log_w.x[0], p._log_w.x[-1]
     out = np.full_like(rho_arr, np.nan)  # nan lies in none of the masks
@@ -578,14 +579,14 @@ def _masked_well_value(p: Tabulated, rho):
     out[inside] = np.exp(p._log_w(rho_arr[inside]))
     left = rho_arr < lo
     right = rho_arr > hi
-    out[left] = math.exp(p._log_w(lo)) * np.exp((2.0 - p.q0) * (rho_arr[left] - lo))
-    out[right] = math.exp(p._log_w(hi)) * np.exp((2.0 - p.qinf) * (rho_arr[right] - hi))
+    out[left] = np.exp(p._log_w(lo) + (2.0 - p.q0) * (rho_arr[left] - lo))
+    out[right] = np.exp(p._log_w(hi) + (2.0 - p.qinf) * (rho_arr[right] - hi))
     return out if isinstance(rho, np.ndarray) else float(out)
 
 
 def test_tabulated_well_value_matches_masked_formula() -> None:
-    # inputs inside the data take the unmasked path; the others straddle both
-    # ends or hold nan, which gives nan
+    # scalars, 0-d and n-d arrays, inside the data, straddling both ends or
+    # holding nan, which gives nan
     p = make_tabulated(lambda rho: 3.0 / np.cosh(rho) ** 2, q0=0.5, qinf=3.0)
     rng = np.random.default_rng(5)
     inputs = [
@@ -600,6 +601,18 @@ def test_tabulated_well_value_matches_masked_formula() -> None:
         assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
         hexes = [[v.hex() for v in np.ravel(x).tolist()] for x in (got, ref)]
         assert hexes[0] == hexes[1]
+
+
+def test_tabulated_tails_match_power_law_product() -> None:
+    # over 40 units beyond the data, exp of the line ln W stays within 1e-14
+    # relative of the product form W_end exp((2 - q)(rho - end)); the two
+    # differ by the rounding of exp's argument
+    p = make_tabulated(lambda rho: 3.0 / np.cosh(rho) ** 2, q0=0.5, qinf=3.0)
+    lo, hi = p._log_w.x[0], p._log_w.x[-1]
+    for end, q, side in ((lo, p.q0, -1.0), (hi, p.qinf, 1.0)):
+        rho = end + side * np.linspace(0.0, 40.0, 4001)[1:]
+        product = math.exp(p._log_w(end)) * np.exp((2.0 - q) * (rho - end))
+        assert np.max(np.abs(p.well_value(rho) / product - 1.0)) <= 1e-14
 
 
 def test_load_potential_families(tmp_path) -> None:
