@@ -24,7 +24,6 @@ from .numerics import (
     KnotTable,
     Pchip,
     adaptive_gauss,
-    composite_knot_integral,
     false_position,
     false_position_elementwise,
     gauss_nodes,
@@ -56,22 +55,9 @@ def turning_points(w: LogWell, lambda2: float) -> TurningPair:
     a well with several humps, lambda2 below its split_level raises
     PotentialConditionError.  Each root starts from its cell of the well's
     scan (_scan_cells) and is refined by numerics.false_position to a
-    bracket of 1e-15 relative width.
+    bracket of 1e-15 relative width (_turning_pairs).
     """
-    x, vals, c = _turning_scan(w)
-    pair = _edge_pair(w, lambda2, max(vals[0], vals[-1]))
-    if pair is not None:
-        return pair
-
-    def f(rho: float) -> float:
-        return float(w.profile(rho)) - lambda2
-
-    roots = []
-    for i in _scan_cells(vals, c, np.array([lambda2]))[0].tolist():
-        lo, hi = float(x[i]), float(x[i + 1])
-        flo, fhi = float(vals[i]) - lambda2, float(vals[i + 1]) - lambda2
-        roots.append(false_position(f, lo, hi, flo, fhi))
-    return TurningPair(*roots)
+    return _turning_pairs(w, np.array([lambda2]))[0]
 
 
 def _turning_scan(w: LogWell) -> tuple[np.ndarray, np.ndarray, int]:
@@ -108,11 +94,15 @@ def _knot_table(w: LogWell) -> KnotTable:
 
     Built on the first knot integral of the well and kept in its memo, so W
     is sampled on the knot rule once per well, not once per level, and never
-    for a well that only counts nodes.
+    for a well that only counts nodes.  The table's W is w.profile's
+    Z * base without a reference to w: through w.profile the memo would hold
+    a cycle, which keeps the table's 0.5 MB arrays until the cyclic garbage
+    collector runs (the peak RSS of a predict_batch run rose from 64 to 75 MB).
     """
     table = w._memo.get("knot_table")
     if table is None:
-        table = w._memo["knot_table"] = KnotTable(w.breakpoints, w.profile)
+        Z, base = w.Z, w.base
+        table = w._memo["knot_table"] = KnotTable(w.breakpoints, lambda rho: Z * base(rho))
     return table
 
 
@@ -126,10 +116,12 @@ def _scan_cells(vals: np.ndarray, c: int, lambda2: np.ndarray) -> np.ndarray:
     its split_level, they hold the pair around rho_star.  Every level must
     lie above the domain-cut floor and below W(rho_star).
     """
-    below = vals[None, :] <= lambda2[:, None]
-    left = c - 1 - np.argmax(below[:, c - 1 :: -1], axis=1)
-    right = c + np.argmax(below[:, c + 1 :], axis=1)
-    return np.stack((left, right), axis=1)
+    below = vals <= lambda2[:, None]
+    # filled in place by ndarray.argmax: np.stack and np.argmax took twice as long for one level
+    cells = np.empty((lambda2.size, 2), dtype=np.intp)
+    cells[:, 0] = c - 1 - below[:, c - 1 :: -1].argmax(axis=1)
+    cells[:, 1] = c + below[:, c + 1 :].argmax(axis=1)
+    return cells
 
 
 def _edge_pair(w: LogWell, lambda2: float, floor: float) -> TurningPair | None:
@@ -161,33 +153,49 @@ def _edge_pair(w: LogWell, lambda2: float, floor: float) -> TurningPair | None:
 
 
 def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
-    """turning_points for every entry of lambda2, in one batched root search.
+    """The turning pair of every level lambda2[m], as turning_points describes it.
 
-    numerics.false_position_elementwise takes the steps of the two scalar
-    searches of turning_points from the same scan cells, so every root is
-    the same, bit for bit.
+    One scan of the well, one edge test per level (_edge_pair) and one cell
+    choice for all levels with true turning points (_scan_cells).  A lone
+    such level is refined by numerics.false_position on Python floats, several
+    by numerics.false_position_elementwise, which takes the same steps from
+    the same cells, so every root is the same either way, bit for bit.  On
+    Lenz(1, 50) the scalar search takes a fifth of the time of a batch of
+    one, and a batch of 64 levels a seventh of the time of 64 scalar
+    searches (Python 3.11 on a 2-core Xeon); solve_spectrum asks for one
+    level per root-finding step, an action profile for 64.
     """
     x, vals, c = _turning_scan(w)
     floor = max(vals[0], vals[-1])
     pairs = [_edge_pair(w, v, floor) for v in lambda2.tolist()]
     interior = [i for i, pair in enumerate(pairs) if pair is None]
     k = len(interior)
-    # roots 0..k-1 lie left of the maximum, k..2k-1 right of it
-    targets = np.tile(lambda2[interior], 2)
-    cells = _scan_cells(vals, c, lambda2[interior]).T.ravel()
+    if k == 0:
+        return pairs
+    levels = lambda2 if k == lambda2.size else lambda2[interior]
+    # the left then the right cell of each level in turn
+    cells = _scan_cells(vals, c, levels).ravel()
+    if k == 1:
+        level = float(levels[0])
 
-    def f(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.asarray(w.profile(rho), dtype=float) - targets[idx]
+        def f(rho: float) -> float:
+            return float(w.profile(rho)) - level
 
-    roots = false_position_elementwise(
-        f,
-        x[cells],
-        x[cells + 1],
-        vals[cells] - targets,
-        vals[cells + 1] - targets,
-    )
-    for j, i in enumerate(interior):
-        pairs[i] = TurningPair(float(roots[j]), float(roots[k + j]))
+        roots = []
+        for i in cells.tolist():
+            flo, fhi = float(vals[i]) - level, float(vals[i + 1]) - level
+            roots.append(false_position(f, float(x[i]), float(x[i + 1]), flo, fhi))
+    else:
+        targets = levels.repeat(2)
+
+        def f_batch(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return np.asarray(w.profile(rho), dtype=float) - targets[idx]
+
+        roots = false_position_elementwise(
+            f_batch, x[cells], x[cells + 1], vals[cells] - targets, vals[cells + 1] - targets
+        ).tolist()
+    for i, rho1, rho2 in zip(interior, roots[::2], roots[1::2]):
+        pairs[i] = TurningPair(rho1, rho2)
     return pairs
 
 
@@ -227,13 +235,7 @@ def _turning_point_integrals(
     """Integrals of sqrt(W - lambda2[i]) (weight None) or of
     weight(rho) / sqrt(W - lambda2[i]) between the turning points of lambda2[i].
 
-    The turning points of one level come from the scalar turning_points,
-    those of several from one batched search (_turning_pairs), with the
-    same roots: a batch of one took 210-250 us per level against 43-49 us
-    for the scalar search on Lenz(1, 50) and Lenz(0.7, 3e4) (Python 3.11 on
-    a 2-core Xeon), and solve_spectrum integrates one level per
-    root-finding step.
-
+    The turning pairs of all levels come from one search (_turning_pairs).
     A degenerate pair gives 0.  Piecewise profiles use the knot-aligned
     composite rule, pair by pair, on the well's knot table: only the two
     end segments of each pair are sampled anew.  All pairs of a smooth
@@ -248,10 +250,7 @@ def _turning_point_integrals(
     turning points, the plain form adds the exponential tails beyond the
     cuts.  Returns (values, error estimates).
     """
-    if lambda2.size == 1:
-        pairs = [turning_points(w, float(lambda2[0]))]
-    else:
-        pairs = _turning_pairs(w, lambda2)
+    pairs = _turning_pairs(w, lambda2)
     values = np.zeros(len(pairs))
     errors = np.zeros(len(pairs))
     smooth = []
@@ -267,8 +266,8 @@ def _turning_point_integrals(
             return _raised(np.maximum(w_rho - level, 0.0), rho, weight)
 
         at_cut = pair.rho1 == w.rho_left and pair.rho2 == w.rho_right
-        values[i], errors[i] = composite_knot_integral(
-            raised, w.profile, pair.rho1, pair.rho2, _knot_table(w), sqrt_ends=not at_cut
+        values[i], errors[i] = _knot_table(w).integral(
+            raised, pair.rho1, pair.rho2, sqrt_ends=not at_cut
         )
     if smooth:
         rho1, rho2 = np.array([[pairs[i].rho1 for i in smooth], [pairs[i].rho2 for i in smooth]])
@@ -316,12 +315,15 @@ def action(w: LogWell, lam: float, s: Settings) -> float:
     """Semiclassical action I(lambda) between the turning points.
 
     Endpoint square-root singularities are removed by the sine substitution
-    before quadrature; the absolute error is kept below
-    quad_tol * max(1, result).  At lambda = 0 the integral runs over the
-    truncated domain and exact exponential-tail corrections are added; that
-    value is computed once per well and Settings and then reused.  Raises
-    PotentialConditionError where turning_points does: for lambda^2 below
-    the split_level of a well with several humps.
+    before quadrature; on a smooth well the absolute error is kept below
+    quad_tol * max(1, result).  A tabulated well takes the fixed 16/32-node
+    knot rule, not held to that goal: under the printed transform it misses
+    it up to 290-fold where a turning point lies next to a knot.  At
+    lambda = 0 the integral runs over the truncated domain and exact
+    exponential-tail corrections are added; that value is computed once per
+    well and Settings and then reused.  Raises PotentialConditionError where
+    turning_points does: for lambda^2 below the split_level of a well with
+    several humps.
     """
     if not lam >= 0.0:
         raise InputError(f"lambda must be nonnegative, got {lam}")

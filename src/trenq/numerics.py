@@ -3,9 +3,11 @@
 Root-finding comes in three forms: Illinois false position, for turning
 points, which start from a bracketing cell of a scan of the well and need
 about seven steps where bisection took ~55; an elementwise-vectorized form
-of it that takes exactly the same steps for many brackets at once; and
-Brent's method, for the smooth monotone outer equations, the domain cuts
-of a log well and the oracle's continuous node-count residual.
+of it that takes exactly the same steps for many brackets at once (the
+turning-pair search of the action module takes the scalar form for one
+level, this one for several); and Brent's method, for the smooth monotone
+outer equations, the domain cuts of a log well and the oracle's continuous
+node-count residual.
 geometric_bracket finds the sign change on (0, inf) that the outer solves
 start from: the oracle's by doubling from 1, the factory route of the
 thresholds from a close guess with a step that starts small and grows.
@@ -16,8 +18,9 @@ interval with x = mid + half*sin(theta), which turns both kinds of endpoint
 singularity into smooth integrands in theta, and integrates them with the
 adaptive panel Gauss-Legendre rule here, which refines a batch of them
 in lockstep (one call per round for all levels of an action profile);
-piecewise profiles use the knot-aligned composite rule instead, whose
-KnotTable samples the segments between knots once for all intervals.
+piecewise profiles use the knot-aligned composite rule instead,
+KnotTable.integral, whose table holds the profile sampled on the segments
+between knots once for all intervals.
 Both take a value from a 2n-node Gauss rule and its error estimate from
 the n-node one, on rows of both rules (gauss_pair_rows, one row per panel
 or segment) that gauss_pair_sums reduces.
@@ -410,17 +413,22 @@ def _end_row(
 
 
 class KnotTable:
-    """Both rules of composite_knot_integral on every segment between successive knots.
+    """The composite knot rule of f on every segment between successive knots.
 
-    points, weights and values hold one row per segment, laid out by
-    gauss_pair_rows (16 coarse nodes, then 32 fine ones): the Gauss points,
-    their weights and f at them.  The level-independent part of every
-    composite integral over these knots is thus sampled once; samples adds
-    the two end segments of an interval.  knots must be strictly ascending.
+    Piecewise-defined profiles (monotone cubic interpolants) are smooth only
+    between knots, which defeats error estimation on knot-spanning panels.
+    The knot rule puts every segment inside one smooth piece and applies a
+    fixed Gauss rule to each, 16 coarse and 32 fine nodes, whose difference
+    is the error estimate.  points, weights and values hold one row per
+    segment, laid out by gauss_pair_rows: the Gauss points, their weights and
+    f at them.  The level-independent part of every integral over these
+    knots is thus sampled once; samples adds the two end segments of an
+    interval.  f must be elementwise and knots strictly ascending.
     """
 
     def __init__(self, knots: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:
         self.knots = knots
+        self.f = f
         self.points, self.weights = gauss_pair_rows(knots[:-1], knots[1:], _KNOT_NODES)
         # both rules in one call of f.  One call per rule (Pchip's ascending
         # path) builds the table sooner, but a process of tabulated wells then
@@ -431,7 +439,7 @@ class KnotTable:
         self.values = np.asarray(f(self.points.ravel()), dtype=float).reshape(self.points.shape)
 
     def samples(
-        self, lo: float, hi: float, f: Callable[[np.ndarray], np.ndarray], *, sqrt_ends: bool
+        self, lo: float, hi: float, *, sqrt_ends: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, f at them, weights) of the composite rule on [lo, hi], one row per segment.
 
@@ -456,43 +464,27 @@ class KnotTable:
         else:
             ends = [_end_row(lo, hi, False, False)]
         points, weights = (np.concatenate(part) for part in zip(*ends))
-        values = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
+        values = np.asarray(self.f(points.ravel()), dtype=float).reshape(points.shape)
         tables = (self.points, self.values, self.weights)
         return tuple(
             np.concatenate((end[:1], table[rows], end[1:]))
             for end, table in zip((points, values, weights), tables)
         )
 
+    def integral(
+        self, g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float,
+        *, sqrt_ends: bool,
+    ) -> tuple[float, float]:
+        """(value, error estimate) of the integral of g(x, f(x)) over [lo, hi], lo < hi.
 
-def composite_knot_integral(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    table: KnotTable,
-    *,
-    sqrt_ends: bool,
-) -> tuple[float, float]:
-    """Integrate g(x, f(x)) over [lo, hi] on a partition aligned with the table's knots.
-
-    Piecewise-defined profiles (monotone cubic interpolants) are smooth only
-    between knots, which defeats error estimation on knot-spanning panels.
-    Here every segment lies inside one smooth piece, a fixed Gauss rule is
-    applied per segment (with a regularizing map at lo and hi when sqrt_ends
-    flags both as sqrt-singular) and the 16- vs 32-node difference provides
-    the error estimate.  f is the elementwise function the table holds
-    values of, and is evaluated here on the two end segments only
-    (KnotTable.samples); g must be elementwise: the rows of both rules' points
-    go to it in one call.
-
-    Returns (value, error estimate).
-    """
-    if hi <= lo:
-        return 0.0, 0.0
-    points, values, weights = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
-    coarse, fine = gauss_pair_sums(np.asarray(g(points, values), dtype=float), weights)
-    coarse, fine = float(coarse.sum()), float(fine.sum())
-    return fine, abs(fine - coarse)
+        The rule of samples, with the regularizing map at lo and hi when
+        sqrt_ends flags both as sqrt-singular.  g must be elementwise: the
+        rows of both rules' points go to it in one call.
+        """
+        points, values, weights = self.samples(lo, hi, sqrt_ends=sqrt_ends)
+        coarse, fine = gauss_pair_sums(np.asarray(g(points, values), dtype=float), weights)
+        coarse, fine = float(coarse.sum()), float(fine.sum())
+        return fine, abs(fine - coarse)
 
 
 class Pchip:

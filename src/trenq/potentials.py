@@ -48,9 +48,10 @@ class Settings:
     """Numerical knobs of a run; the CLI flags --hbar, --quad-tol and --ode-tol.
 
     hbar:       Planck constant in the chosen units (mass is fixed to 1).
-    quad_tol:   quadrature tolerance; the action I(lambda) is computed to
-                quad_tol * max(1, I), the slopes of the inner correction
-                integral to an absolute max(1e-12, 1e-3 quad_tol).
+    quad_tol:   quadrature tolerance; on a closed-form well the action
+                I(lambda) is computed to quad_tol * max(1, I), the slopes of
+                the inner correction integral to an absolute
+                max(1e-12, 1e-3 quad_tol).  Tabulated wells: see action().
     ode_tol:    sets the node-counting grid, h ~ ode_tol^(1/6).  On a smooth
                 well the oracle's critical couplings are within
                 max(ode_tol / 10, 1e-12) relative (6.9e-12 at the default on
@@ -208,9 +209,10 @@ class Tabulated:
         object.__setattr__(self, "_log_w", log_w)
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
+        # U = -W e^(-2 rho) / 2 in one exp: near r = 0, W underflows where
+        # e^(-2 rho) overflows, while their product stays finite
         rho = np.log(r)
-        w = self.well_value(rho)
-        return -0.5 * w * np.exp(-2.0 * rho)
+        return -0.5 * np.exp(self._log_w(rho) - 2.0 * rho)
 
     def well_value(self, rho: np.ndarray | float) -> np.ndarray | float:
         """W(rho) = exp(ln W(rho)): a float for a scalar rho, else an array of rho's shape."""

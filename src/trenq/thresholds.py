@@ -108,9 +108,11 @@ def lenz_exact_threshold(
         Z = 2 a^2 hbar^2 [ (nu + lambda/(a hbar))^2 - 1/4 ]
 
     is the one validated by the node-counting oracle and consistent with the
-    total-action route.  The second entry evaluates the frequently quoted
-    variant 2a * sqrt(...), which is dimensionally inconsistent with the
-    exact spectrum; it is reported only so the discrepancy stays visible.
+    total-action route.  The bracket is never negative, as nu >= 1/2 and
+    lambda >= 0.  The second entry evaluates the frequently quoted variant
+    2a * sqrt(...), which is dimensionally inconsistent with the exact
+    spectrum; it is reported only so the discrepancy stays visible.
+    InputError unless a and hbar are positive and finite.
     """
     if not 0.0 < a < math.inf:
         raise InputError(f"width parameter a must be positive and finite, got {a}")
@@ -118,8 +120,6 @@ def lenz_exact_threshold(
         raise InputError(f"hbar must be positive and finite, got {hbar}")
     x = q.nu + q.lam / (a * hbar)
     core = x * x - 0.25
-    if core < 0.0:
-        raise InputError("nu + lambda/a below 1/2; no threshold exists")
     return 2.0 * a * a * hbar * hbar * core, 2.0 * a * math.sqrt(core)
 
 

@@ -55,6 +55,11 @@ def test_phi_command(tmp_path, capsys) -> None:
     assert abs(float(out) - 1.0) <= 1e-8
     assert main(["phi", "--family", "tietz"]) == 0
     assert abs(float(capsys.readouterr().out.strip()) - 2.0) <= 1e-8
+    # the JSON path: one record holding phi alone
+    assert main(["phi", "--family", "tietz", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 1 and list(records[0]) == ["phi"]
+    assert abs(records[0]["phi"] - 2.0) <= 1e-8
 
 
 def test_spectrum_command(tmp_path, capsys) -> None:
@@ -245,6 +250,27 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("trenq: error: ") and err.count("\n") == 1, (argv, err)
+
+
+# input errors of the CLI met nowhere else; "list.json" holds [1, 2]
+INPUT_ERROR_CASES = {
+    "family-without-a": ["well", "--family", "lenz"],
+    "validate-without-family": ["validate"],
+    "validate-no-state-in-scope": [
+        "validate", "--family", "lenz", "--a", "1", "--d", "2", "--n-max", "0", "--l-max", "0"
+    ],
+    "printed-zero-well": ["well", "--family", "lenz", "--a", "1", "--Z", "1e-15", "--transform", "printed"],
+    "potential-not-an-object": ["well", "--potential", "list.json"],
+}
+
+
+@pytest.mark.parametrize("argv", INPUT_ERROR_CASES.values(), ids=INPUT_ERROR_CASES.keys())
+def test_input_error_exit(argv, tmp_path, monkeypatch, capsys) -> None:
+    (tmp_path / "list.json").write_text("[1, 2]")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trenq: error: ") and err.count("\n") == 1, err
 
 
 def test_output_into_missing_directory(tmp_path, capsys) -> None:

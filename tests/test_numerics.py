@@ -1,4 +1,3 @@
-import importlib
 import math
 import os
 import subprocess
@@ -267,12 +266,10 @@ def _reference_rule(
     return points, weights
 
 
-def _reference_knot_integral(g, f, lo, hi, table, *, sqrt_ends):
-    """composite_knot_integral with every point mapped and f evaluated on every call."""
-    if hi <= lo:
-        return 0.0, 0.0
+def _reference_knot_integral(table, g, lo, hi, *, sqrt_ends):
+    """KnotTable.integral with every point mapped and f evaluated on every call."""
     points, weights = _reference_rule(lo, hi, table.knots, sqrt_ends)
-    coarse, fine = gauss_pair_sums(np.asarray(g(points, f(points)), dtype=float), weights)
+    coarse, fine = gauss_pair_sums(np.asarray(g(points, table.f(points)), dtype=float), weights)
     coarse, fine = float(coarse.sum()), float(fine.sum())
     return fine, abs(fine - coarse)
 
@@ -302,7 +299,7 @@ def test_knot_samples_match_segment_samples(sqrt_ends: bool, n_edges: int) -> No
     ]
     for lo, hi in intervals:
         seen.clear()
-        points, values, weights = table.samples(lo, hi, f, sqrt_ends=sqrt_ends)
+        points, values, weights = table.samples(lo, hi, sqrt_ends=sqrt_ends)
         assert sum(seen) == (2 if inside or sqrt_ends else 1) * 48
         ref_points, ref_weights = _reference_rule(lo, hi, knots, sqrt_ends)
         assert ref_points.shape == (inside + 1 + (sqrt_ends and not inside), 48)
@@ -337,8 +334,7 @@ def test_knot_table_outputs_match_segment_reference(a, Z, span, monkeypatch) -> 
     u = -0.25 * Z / np.cosh(a * rho) ** 2 * np.exp(-2.0 * rho)
     tab = Tabulated(r_grid=np.exp(rho), U_values=u, q0=2.0 - 2.0 * a, qinf=2.0 + 2.0 * a)
     got = _tabulated_outputs(to_log_well(tab, s), s)
-    action_module = importlib.import_module("trenq.action")
-    monkeypatch.setattr(action_module, "composite_knot_integral", _reference_knot_integral)
+    monkeypatch.setattr(KnotTable, "integral", _reference_knot_integral)
     want = _tabulated_outputs(to_log_well(tab, s), s)
     assert got == want
     assert sum(v != "nan" for v in got[-10:-6]) >= 1  # at least one level
@@ -373,7 +369,7 @@ def _pchip_points(x: np.ndarray) -> list:
     samples of the knot-aligned composite rule and three kinds of scalar."""
     near = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     near = near[(near >= x[0]) & (near <= x[-1])]
-    samples = KnotTable(x, np.cos).samples(x[0], x[-1], np.cos, sqrt_ends=True)[0].ravel()
+    samples = KnotTable(x, np.cos).samples(x[0], x[-1], sqrt_ends=True)[0].ravel()
     assert np.any(np.diff(samples) < 0.0)
     mid = 0.5 * (x[1] + x[2])
     return [

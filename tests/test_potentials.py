@@ -615,6 +615,19 @@ def test_tabulated_tails_match_power_law_product() -> None:
         assert np.max(np.abs(p.well_value(rho) / product - 1.0)) <= 1e-14
 
 
+def test_tabulated_potential_finite_near_origin() -> None:
+    # with q0 = 0, U tends to a constant as r -> 0, though W underflows to 0
+    # and e^(-2 rho) overflows there: U stays finite, on the left end piece,
+    # without a warning
+    r = np.exp(np.linspace(-8.0, 8.0, 40))
+    p = Tabulated(r_grid=r, U_values=Lenz(1.0, 4.0)(r), q0=0.0, qinf=4.0)
+    for r_small in (1e-200, 1e-300, np.array([1e-300, 1e-200, 1e-100])):
+        u = p(r_small)
+        assert np.shape(u) == np.shape(r_small)
+        assert np.allclose(u, p.U_values[0], rtol=1e-12, atol=0.0)
+    assert p.U_values[0] == pytest.approx(-4.0, rel=1e-6)
+
+
 def test_load_potential_families(tmp_path) -> None:
     p = load_potential({"family": "lenz", "a": 1.0, "Z": 8.0})
     assert isinstance(p, Lenz) and p.a == 1.0 and p.Z == 8.0
@@ -654,6 +667,19 @@ def test_load_potential_inline_tabulated_text(tmp_path, capsys) -> None:
         assert main(["well", "--potential", source, "--samples", "7"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and outputs[0].count("\n") >= 7
+
+
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: Tabulated(r_grid=[1.0, 2.0, 3.0], U_values=[-1.0] * 3, q0=0.0, qinf=4.0), ">= 4 points"),
+        (lambda: to_log_well(Lenz(1.0, 8.0), Settings(), transform_exponent=3), "transform_exponent"),
+    ],
+    ids=["tabulated-3-points", "transform-exponent-3"],
+)
+def test_construction_input_errors(build, match) -> None:
+    with pytest.raises(InputError, match=match):
+        build()
 
 
 def test_load_potential_rejects_bad_input() -> None:

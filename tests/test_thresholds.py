@@ -189,6 +189,9 @@ def test_lenz_exact_threshold_values() -> None:
     for a in (math.nan, math.inf):
         with pytest.raises(InputError):
             lenz_exact_threshold(a, QuantumNumbers(0, 0, 3))
+    for hbar in (0.0, -1.0, math.inf):
+        with pytest.raises(InputError, match="hbar"):
+            lenz_exact_threshold(1.0, QuantumNumbers(0, 0, 3), hbar=hbar)
 
 
 def test_reduction_matches_coupling_ratio(settings, lenz18_well) -> None:
