@@ -156,7 +156,8 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
     """The turning pair of every level lambda2[m], as turning_points describes it.
 
     One scan of the well, one edge test per level (_edge_pair) and one cell
-    choice for all levels with true turning points (_scan_cells).  A lone
+    choice for all levels with true turning points (_scan_cells); levels that
+    are all 0, whose pair is the domain cuts, skip the scan.  A lone
     such level is refined by numerics.false_position on Python floats, several
     by numerics.false_position_elementwise, which takes the same steps from
     the same cells, so every root is the same either way, bit for bit.  On
@@ -165,6 +166,9 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
     searches (Python 3.11 on a 2-core Xeon); solve_spectrum asks for one
     level per root-finding step, an action profile for 64.
     """
+    if not lambda2.any():
+        # lambda^2 = 0 lies at or below any domain-cut floor: no scan is needed
+        return [_edge_pair(w, 0.0, 0.0) for _ in range(lambda2.size)]
     x, vals, c = _turning_scan(w)
     floor = max(vals[0], vals[-1])
     pairs = [_edge_pair(w, v, floor) for v in lambda2.tolist()]

@@ -62,8 +62,8 @@ def t_ren_expansion(T: float) -> float:
     Overestimates t_ren by at most 1/(64 T^3) for T >= 1; the correction to
     T itself fades rapidly as T grows.
     """
-    if T == 0.0 or math.isnan(T):
-        raise InputError(f"expansion needs a nonzero number T, got {T}")
+    if T == 0.0 or not math.isfinite(T):
+        raise InputError(f"expansion needs a nonzero finite T, got {T}")
     return T - 1.0 / (8.0 * T)
 
 

@@ -14,22 +14,27 @@ the count steps; a root-find on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
 integer counts at the ends of its bracket certify it.
 
-Each search runs in two stages.  The coarse stage counts on a grid _COARSEN
-times coarser, made of every _COARSEN-th point of the fine grid, at about
-1/_COARSEN of the cost per count: its bracket doubles from Z = 1 and Brent
-solves it to min(1e-9, 10 ode_tol).  The count and amplitude of every coarse
-point are kept on the well per lambda, Settings and Z, so the other
-thresholds of the well reuse its bracket points and a repeated search
-counts nothing coarse; they are the same floats either way, so no threshold
-depends on the order of the calls.  The grid error scales as h^4, so the
-coarse root lies about _COARSEN^4 times the fine grid error from the fine
-one.  The fine stage brackets the fine root from the coarse one within twice
-the largest such distance measured and finishes on the secant root of that
-bracket: on the step the fine residual is nearly linear in Z, so after one
-secant count the error bound of the next secant root, taken from the three
-points, is far below the 1e-11 width Brent stopped at (_secant_finish).  The tightest fine
-counts of n and n + 1 met on the way certify the root; fine counts are not
-kept.  On a smooth well the two roots z_c and z then extrapolate
+Each search runs in two stages, and _secant_finish ends both.  The coarse
+stage counts on a grid _COARSEN times coarser, made of every _COARSEN-th
+point of the fine grid, at about 1/_COARSEN of the cost per count: its
+bracket doubles from Z = 1, Brent narrows it to _COARSE_BRENT_RTOL, and a
+corrected secant step on the tightest bracket ends it at min(1e-9,
+10 ode_tol).  The count, amplitude and grid of every coarse point are kept
+on the well per lambda, Settings and Z, so the other thresholds of the well
+reuse its bracket points and a repeated search counts nothing coarse; they
+are the same floats either way, so no threshold depends on the order of the
+calls.  The grid error scales as h^4, so the coarse root lies about
+_COARSEN^4 times the fine grid error from the fine one.  The fine stage
+brackets the fine root from the coarse one within twice the largest such
+distance measured, in two counts, and ends on the corrected secant root of
+that bracket.  On the step the residual is one smooth function of Z on both
+grids, shifted only by the grid error, so the bend (the second divided
+difference over the slope) of three close coarse points this search counted
+both bounds the remainder of the fine secant root and corrects it; only
+where that bound exceeds the 1e-11 width Brent would stop at does the fine
+stage count a third time.  The tightest fine counts of n and n + 1 met on
+the way certify the root; fine counts are not kept.  On a smooth well the
+two roots z_c and z then extrapolate
 (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)) to
 
     z_R = (_COARSEN^4 z - z_c) / (_COARSEN^4 - 1),
@@ -42,10 +47,10 @@ Tabulated well returns z.
 A count's grid depends on Z only through its number of steps, so the search
 keeps the coupling-free shape of the well on the grid of its last count, one
 memo for both stages since they run one after the other, and a count on that
-grid only rescales it.  No semiclassical input enters, the coarse root only
-places the fine bracket and corrects the fine root by the grid error the two
-roots measure, and no threshold seeds another, which is what makes this
-module a legitimate oracle for the rest of the package.
+grid only rescales it.  No semiclassical input enters, the coarse stage only
+places the fine bracket, bends its secant root and corrects the fine root by
+the grid error the two roots measure, and no threshold seeds another, which
+is what makes this module a legitimate oracle for the rest of the package.
 
 The integration window extends beyond the point where the well is cut off:
 near a threshold the incoming node sits far out in the e^(+-lambda rho)
@@ -93,10 +98,19 @@ _SPECTRUM_MAX_LEVELS = 1_000_000
 # relative width of a fine root: Brent's stopping width, and the bound a
 # secant finish meets
 _FINE_RTOL = 1e-11
-# secant steps a fine finish takes before Brent takes over: on the
-# criterion-1 grid one meets the bound at every ode_tol measured, 1e-15 to
-# 1e-7
+# counts a finish takes before Brent takes over: on the criterion-1 grid a
+# fine finish meets its bound after at most one at every ode_tol measured,
+# 1e-15 to 1e-7
 _SECANT_STEPS = 4
+# relative width to which Brent solves the coarse residual before its finish
+_COARSE_BRENT_RTOL = 3e-5
+# relative span of the three coarse points whose bend a search takes, and
+# their least relative gap (_coarse_bracket): at a span of 1e-2 their third
+# derivative moved the bend by ~1 % on the criterion-1 grid, and 1e-3 left
+# more searches without one; consecutive Brent points at _COARSE_BRENT_RTOL
+# lie 1.5e-5 or more apart
+_BEND_SPAN = 1e-2
+_BEND_GAP = 1e-6
 
 
 def _count_nonpositive_pivots(d: np.ndarray) -> int:
@@ -327,41 +341,99 @@ def _step_residual(count: int, log_amplitude: Callable[[], float], n: int) -> fl
     return size if count == n + 1 else -size
 
 
+def _bend(points: list[tuple[float, float]]) -> float | None:
+    """f[x_0, x_1, x_2] / f[x_1, x_2] of the last three points (x, f(x)), None below three.
+
+    The curvature of f relative to its slope, in 1/x: it does not change when
+    f is scaled, so the bend of one residual serves another of the same shape.
+    """
+    if len(points) < 3:
+        return None
+    (x0, f0), (x1, f1), (x2, f2) = points[-3:]
+    slope = (f2 - f1) / (x2 - x1)
+    return (slope - (f1 - f0) / (x1 - x0)) / (x2 - x0) / slope
+
+
+def _coarse_bracket(
+    points: list[tuple[float, float, int]],
+) -> tuple[float, float, float, float, float | None]:
+    """(lo, hi, f(lo), f(hi), bend) of a coarse stage's points (Z, f(Z), grid steps).
+
+    lo and hi are the tightest points of negative and positive residual.  The
+    bend (_bend) is that of the three points nearest them, lo and hi first,
+    that lie on their grid within _BEND_SPAN Z of them, each _BEND_GAP Z or
+    more from the others, with residuals below 1 in size, where they are the
+    plain amplitude.  A grid of another length shifts the residual by the
+    change of its grid error (on a 400-sample tabulated well a bend across
+    grids 1e-3 apart came out six times too large), the compression above 1
+    changes its shape, a far point measures the third derivative too (at
+    ode_tol = 1e-8 one 0.5 apart gave a bend 28 % off), and two close ones
+    their rounding (7e-9 apart, a bend of the wrong sign).  It is None where
+    fewer than three such points were counted.
+    """
+    lo, flo, lo_steps = max((p for p in points if p[1] < 0.0), default=(-math.inf, -_OFF_STEP, 0))
+    hi, fhi, hi_steps = min((p for p in points if p[1] > 0.0), default=(math.inf, _OFF_STEP, 0))
+    if lo_steps != hi_steps or max(-flo, fhi) >= 1.0:
+        return lo, hi, flo, fhi, None
+    near: list[tuple[float, float]] = []
+    # twice a point's distance from [lo, hi] plus its width, lo then hi first
+    for span, x, fx in sorted(
+        (abs(x - lo) + abs(x - hi), x, fx)
+        for x, fx, steps in points
+        if steps == lo_steps and abs(fx) < 1.0
+    ):
+        if span > _BEND_SPAN * hi or len(near) == 3:
+            break
+        if all(abs(x - y) >= _BEND_GAP * hi for y, _ in near):
+            near.append((x, fx))
+    return lo, hi, flo, fhi, _bend(near[::-1])
+
+
 def _secant_finish(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    flo: float,
+    fhi: float,
+    *,
+    rtol: float,
+    bend: float | None = None,
 ) -> float:
-    """Root of the fine residual f on its sign-change bracket, by secant steps.
+    """Root of a step residual f on its sign-change bracket, to rtol, by corrected secant steps.
 
     On the step the residual is the signed growing-branch amplitude, smooth
-    and nearly linear in the coupling.  Each step counts at the secant root s
-    of the bracket [lo, hi] and keeps s in place of the end of its sign
-    (regula falsi), so the ends stay the tightest points counted n and n + 1.
-    By the remainder of linear interpolation, s is off the root r by
+    and nearly linear in the coupling.  The secant root s of the bracket
+    [lo, hi] is off the root r by the remainder of linear interpolation,
 
         r - s = -f[lo, hi, r] (r - lo) (r - hi) / f[lo, hi],
 
-    so once three points are counted, s is returned as soon as
+    so with the bend b ~ f[lo, hi, r] / f[lo, hi] the corrected root
+    s - b (s - lo) (s - hi) is returned as soon as
 
-        |f[x_0, x_1, x_2]| (s - lo) (hi - s) <= _FINE_RTOL s |f[lo, hi]|,
+        |b| (s - lo) (hi - s) <= rtol s,
 
-    with the second divided difference of the last three points in place of
-    f[lo, hi, r]: the bound is then below the width at which Brent stops.  An
-    s that rounds to an end is returned as it is.  Brent takes over a bracket
-    with an end off the step, where the residual is the constant _OFF_STEP,
-    and a finish that has not met the bound in _SECANT_STEPS steps.
+    that is once the correction, and with it the error of s, is below the
+    width at which Brent would stop; the clamp to [lo, hi] keeps it inside
+    the bracket.  `bend` is a bend known before the finish, from other points
+    of a residual of the same shape (the coarse stage's for the fine one);
+    without it, or where the bound fails, the finish counts at s and keeps s
+    in place of the end of its sign (regula falsi), so the ends stay the
+    tightest points counted n and n + 1, and takes the bend of its last three
+    points (_bend).  An s that rounds to an end is returned as it is.  Brent
+    takes over a bracket with an end off the step, where the residual is the
+    constant _OFF_STEP, and a finish that has not met the bound in
+    _SECANT_STEPS counts.
     """
     if max(-flo, fhi) < _OFF_STEP:
         points = [(lo, flo), (hi, fhi)]
         for _ in range(_SECANT_STEPS):
-            slope = (fhi - flo) / (hi - lo)
-            s = lo - flo / slope
+            s = lo - flo * (hi - lo) / (fhi - flo)
             if not lo < s < hi:
                 return s
             if len(points) > 2:
-                (x0, f0), (x1, f1), (x2, f2) = points[-3:]
-                f012 = ((f2 - f1) / (x2 - x1) - (f1 - f0) / (x1 - x0)) / (x2 - x0)
-                if abs(f012) * (s - lo) * (hi - s) <= _FINE_RTOL * s * slope:
-                    return s
+                bend = _bend(points)
+            if bend is not None and abs(bend) * (s - lo) * (hi - s) <= rtol * s:
+                return min(max(s - bend * (s - lo) * (s - hi), lo), hi)
             fs = f(s)
             if fs == 0.0:
                 return s
@@ -370,7 +442,7 @@ def _secant_finish(
             else:
                 hi, fhi = s, fs
             points.append((s, fs))
-    return brent(f, lo, hi, flo, fhi, xtol=0.0, rtol=_FINE_RTOL)
+    return brent(f, lo, hi, flo, fhi, xtol=0.0, rtol=rtol)
 
 
 def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> float:
@@ -379,11 +451,16 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     The root is that of the continuous residual _step_residual, whose sign
     the count sets, so every bracket stays a sign-change bracket.  The coarse
     residual counts with count_bound_states' `_coarsen` and keeps its points
-    on the well; Brent solves it to min(1e-9, 10 ode_tol), since its error
-    enters the Richardson value divided by _COARSEN^4 - 1.  The fine stage
+    on the well.  Brent solves it to _COARSE_BRENT_RTOL, and _secant_finish
+    ends it to min(1e-9, 10 ode_tol), since its error enters the Richardson
+    value divided by _COARSEN^4 - 1, on the tightest bracket of the points
+    this search asked for, with their bend (_coarse_bracket).  The fine stage
     expands its bracket from the coarse root by the ratio
-    1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) and finishes on the secant
-    root of that bracket (_secant_finish).
+    1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) and ends on the corrected
+    secant root of that bracket to _FINE_RTOL, with the coarse bend: the two
+    residuals are one smooth function of Z shifted by the grid error, so
+    their bends agree.  Only where that bend does not meet the bound does it
+    count a third time.
 
     The fine residual records the tightest couplings it counted at exactly
     n and at exactly n + 1.  Counts do not decrease as Z rises (W = Z base
@@ -400,14 +477,19 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     """
     n = quantum_index(n, "radial quantum number n")
     grid: dict = {}
+    # this search's coarse points (Z, residual, grid steps) in the order it
+    # asked for them, memo hits too, so its finish and bend depend on none of
+    # the well's other searches
+    asked: list[tuple[float, float, int]] = []
 
     def coarse(Z: float) -> float:
         key = ("coarse_count", lam, s, Z)
         if key not in w._memo:
             nc = count_bound_states(w, lam, s, Z=Z, _grid=grid, _coarsen=_COARSEN)
-            w._memo[key] = nc.count, nc.log_amplitude()
-        count, x = w._memo[key]
-        return _step_residual(count, lambda: x, n)
+            w._memo[key] = nc.count, nc.log_amplitude(), nc.step_stats["n_steps"]
+        count, x, steps = w._memo[key]
+        asked.append((Z, _step_residual(count, lambda: x, n), steps))
+        return asked[-1][1]
 
     # the tightest fine couplings counted at exactly n and at exactly n + 1
     ends = [-math.inf, math.inf]
@@ -420,9 +502,13 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
             ends[1] = min(ends[1], Z)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
-    z_c = brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=min(1e-9, 10.0 * s.ode_tol))
+    brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=_COARSE_BRENT_RTOL)
+    lo, hi, flo, fhi, bend = _coarse_bracket(asked)
+    z_c = _secant_finish(coarse, lo, hi, flo, fhi, rtol=min(1e-9, 10.0 * s.ode_tol), bend=bend)
+    # the coarse bend again, of the finish's own counts where it took any
+    bend = _coarse_bracket(asked)[-1]
     ratio = 1.0 + 2.0 * _COARSEN**4 * _FINE_ERROR * s.ode_tol ** (2.0 / 3.0)
-    z = _secant_finish(fine, *geometric_bracket(fine, z_c, ratio))
+    z = _secant_finish(fine, *geometric_bracket(fine, z_c, ratio), rtol=_FINE_RTOL, bend=bend)
     if not -math.inf < ends[0] <= z <= ends[1] < math.inf:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "

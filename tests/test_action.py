@@ -22,7 +22,13 @@ from trenq import (
     to_log_well,
     turning_points,
 )
-from trenq.action import _actions, _turning_pairs, _zero_action, correction_inner_slopes
+from trenq.action import (
+    TurningPair,
+    _actions,
+    _turning_pairs,
+    _zero_action,
+    correction_inner_slopes,
+)
 from trenq.numerics import gauss_nodes
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
@@ -161,6 +167,17 @@ def test_batched_turning_points_bit_identical(make_well, settings, quadratic_wel
         ref_value, ref_err = _action_and_error(w, float(lam), settings)
         assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex())
         assert action(w, float(lam), settings).hex() == ref_value.hex()
+
+
+@TURNING_WELLS
+def test_zero_level_skips_the_turning_scan(make_well, settings, quadratic_well) -> None:
+    # lambda^2 = 0 lies at or below the domain-cut floor of every well, so its
+    # pair is the cuts, found without scanning the well
+    w = quadratic_well if make_well is None else make_well(settings)
+    w = replace(w, base=lambda rho: pytest.fail("the zero level evaluated the well"))
+    for pair in (turning_points(w, 0.0), *_turning_pairs(w, np.zeros(2))):
+        assert pair == TurningPair(w.rho_left, w.rho_right)
+    assert "turning_scan" not in w._memo
 
 
 @TURNING_WELLS

@@ -66,7 +66,7 @@ def test_t_ren_expansion_values() -> None:
     assert t_ren_expansion(2.0) - t_ren(2.0) == pytest.approx(1.0083268962914893e-3, rel=1e-9)
     assert t_ren_expansion(10.0) == 9.9875
     assert t_ren(10.0) == pytest.approx(9.987492177719089, abs=1e-14)
-    for bad in (0.0, math.nan):
+    for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InputError):
             t_ren_expansion(bad)
 

@@ -459,17 +459,20 @@ def test_pivot_count_matches_numerov_reference(settings, monkeypatch) -> None:
 def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     # work guard in Numerov steps, no timing: each search finds its root on a
     # grid _COARSEN times coarser (bracket doubling from Z = 1, its points
-    # counted once per well and lambda, then Brent to 1e-9), then brackets the
-    # fine root from there and finishes on one secant step, certified by the
-    # bracket's own counts, and extrapolates the two roots.  On the
-    # criterion-1 grid that is 12.92 counts per threshold, 3.00 of them fine,
-    # and 26,294 steps per threshold, and every threshold stays within
-    # 6.9e-12 of the closed form, ode_tol / 10 at most.  Every count goes
-    # through the module-level count_bound_states, which the benchmark's spans
-    # wrap, at the coupling it is given as Z; its step tells a coarse count
-    # from a fine one.  A count on the grid of the previous count reads the
-    # well from the search's one grid memo: 6.27 fresh grids per threshold, as
-    # before the secant finish, whose dropped counts were all on a held grid
+    # counted once per well and lambda, then Brent to 3e-5 and a secant step
+    # corrected by the bend of its own points to 1e-9), then brackets the
+    # fine root from there in two counts and ends on their secant root,
+    # corrected by the coarse bend and certified by the bracket's own counts,
+    # and extrapolates the two roots.  On the criterion-1 grid that is 10.71
+    # counts per threshold, 2.04 of them fine (12.92 and 3.00 with Brent to
+    # 1e-9 and a fine secant count), and 20,092 steps per threshold (26,294),
+    # and every threshold stays within 6.9e-12 of the closed form, ode_tol /
+    # 10 at most.  Every count goes through the module-level
+    # count_bound_states, which the benchmark's spans wrap, at the coupling it
+    # is given as Z; its step tells a coarse count from a fine one.  A count on
+    # the grid of the previous count reads the well from the search's one grid
+    # memo: 6.27 fresh grids per threshold, as before either finish, whose
+    # dropped counts were all on a held grid
     import trenq.oracle as oracle_mod
 
     coarsen = oracle_mod._COARSEN
@@ -507,8 +510,8 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     fine = [steps for _, coarse, steps in counted_at if not coarse]
     coarse = [steps for _, is_coarse, steps in counted_at if is_coarse]
     per_threshold = (len(fine) / 48, sum(fine) / 48, len(coarse) / 48, sum(coarse) / 48)
-    assert (sum(fine) + sum(coarse)) / 48 <= 29_000, per_threshold
-    assert len(fine) / 48 <= 3.1, per_threshold
+    assert (sum(fine) + sum(coarse)) / 48 <= 21_000, per_threshold
+    assert len(fine) / 48 <= 2.1, per_threshold
     assert fresh_grids / 48 <= 6.8, fresh_grids / 48
     assert worst <= 0.1 * settings.ode_tol, worst
 
@@ -532,8 +535,9 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
 def _search_roots(monkeypatch) -> list:
     """(solver, root) of each Brent call and secant finish of the oracle, in order.
 
-    A finish that hands over to Brent records Brent's root and then its own.
-    The caller clears the list.
+    A search records the loose coarse Brent, then the coarse and the fine
+    finish; a finish that hands over to Brent records Brent's root and then
+    its own.  The caller clears the list.
     """
     import trenq.oracle as oracle_mod
 
@@ -591,12 +595,12 @@ def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
     # on a smooth well ode_tol bounds the relative error of the returned
     # coupling by ode_tol / 10, from the loosest ode_tol accepted, 1e-7, down
     # to 1e-11; on the criterion-1 grid the worst errors are 6.9e-12,
-    # 5.3e-12, 7.0e-10, 7.1e-9, 5.6e-9, 6.9e-13 and 5.4e-13.  At 1e-11 the
+    # 5.3e-12, 7.0e-10, 7.1e-9, 5.6e-9, 7.2e-13 and 5.4e-13.  At 1e-11 the
     # coarse root is solved to 10 ode_tol: its error enters the Richardson
     # value divided by 255, and solved to 1e-9 it left 1.06e-12.  The
     # returned value is the Richardson value of the coarse root and the fine
-    # root, which every finish reaches by secant steps alone, inside the
-    # bracket of fine counts n and n + 1
+    # root, which both finishes reach after the loose coarse Brent without
+    # handing over to Brent, inside the bracket of fine counts n and n + 1
     roots = _search_roots(monkeypatch)
     counts = _fine_counts(monkeypatch)
     worst = 0.0
@@ -608,8 +612,9 @@ def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
                 roots.clear()
                 counts.clear()
                 z = exact_critical_coupling(w, q.lam, q.n, s)
-                (coarse, z_coarse), (finish, z_fine) = roots
-                assert (coarse, finish) == ("brent", "_secant_finish")
+                names = [name for name, _ in roots]
+                assert names == ["brent", "_secant_finish", "_secant_finish"], names
+                (_, z_coarse), (_, z_fine) = roots[1:]
                 assert z == (256.0 * z_fine - z_coarse) / 255.0
                 below, above = _certified_bracket(counts, q.n)
                 assert below <= z_fine <= above
@@ -641,7 +646,8 @@ def test_tabulated_oracle_is_not_extrapolated(settings, monkeypatch) -> None:
     roots = _search_roots(monkeypatch)
     w = to_log_well(_lenz_samples(400), settings)
     z = exact_critical_coupling(w, 0.5, 0, settings)
-    assert [name for name, _ in roots] == ["brent", "_secant_finish"] and z == roots[-1][1]
+    assert [name for name, _ in roots] == ["brent", "_secant_finish", "_secant_finish"]
+    assert z == roots[-1][1]
     reference = 1.5000060388506669
     assert abs(z - reference) <= 3.1e-7 * reference
 
@@ -685,8 +691,8 @@ def test_coarse_first_matches_fine_only_route(settings, monkeypatch) -> None:
         starts.clear()
         roots.clear()
         exact_critical_coupling(w, lam, n, s)
-        (coarse, z_coarse), (finish, z) = roots[0], roots[-1]
-        assert (coarse, finish) == ("brent", "_secant_finish")
+        assert roots[0][0] == "brent" and roots[-1][0] == "_secant_finish"
+        z_coarse, z = (root for name, root in roots if name == "_secant_finish")
         assert z == pytest.approx(_fine_only_threshold(w, lam, n, s), rel=2e-11)
         (coarse_start, _), (fine_start, ratio) = starts
         assert coarse_start == 1.0 and fine_start == z_coarse
@@ -722,8 +728,9 @@ def test_secant_finish_is_certified_and_matches_closed_bracket(a: float, n: int,
         w = to_log_well(Lenz(a=a, Z=1.0), s)
         lam = QuantumNumbers(n, l, 3).lam
         z = exact_critical_coupling(w, lam, n, s)
-    (_, z_coarse), (finish, z_fine) = roots[0], roots[-1]
-    assert finish == "_secant_finish" and z == (256.0 * z_fine - z_coarse) / 255.0
+    assert roots[-1][0] == "_secant_finish"
+    z_coarse, z_fine = (root for name, root in roots if name == "_secant_finish")
+    assert z == (256.0 * z_fine - z_coarse) / 255.0
     below, above = _certified_bracket(counts, n)
     assert below <= z_fine <= above
     residual = _fine_residual(w, lam, n, s)
@@ -751,10 +758,11 @@ def test_secant_finish_meets_its_bound(f, root, lo, hi, monkeypatch) -> None:
         calls.append(x)
         return f(x)
 
-    z = oracle_mod._secant_finish(counted, lo, hi, counted(lo), counted(hi))
+    rtol = oracle_mod._FINE_RTOL
+    z = oracle_mod._secant_finish(counted, lo, hi, counted(lo), counted(hi), rtol=rtol)
     assert [name for name, _ in roots] == ["_secant_finish"]
     assert len(calls) == 2 + 2
-    assert abs(z - root) <= oracle_mod._FINE_RTOL * root
+    assert abs(z - root) <= rtol * root
 
 
 def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
@@ -770,9 +778,10 @@ def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
     lo, hi = 1.0, 7.6
     f_lo, f_hi = residual(lo), residual(hi)
     assert f_lo == -oracle_mod._OFF_STEP and 0.0 < f_hi < oracle_mod._OFF_STEP
-    z = oracle_mod._secant_finish(residual, lo, hi, f_lo, f_hi)
+    rtol = oracle_mod._FINE_RTOL
+    z = oracle_mod._secant_finish(residual, lo, hi, f_lo, f_hi, rtol=rtol, bend=0.0)
     assert [name for name, _ in roots] == ["brent", "_secant_finish"]
-    assert z == brent(residual, lo, hi, f_lo, f_hi, xtol=0.0, rtol=oracle_mod._FINE_RTOL)
+    assert z == brent(residual, lo, hi, f_lo, f_hi, xtol=0.0, rtol=rtol)
     assert z == pytest.approx(7.5, rel=1e-6)
 
     # regula falsi on a strongly convex residual keeps its far end, and its
@@ -785,10 +794,125 @@ def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
         return math.expm1(20.0 * x) - 1.0
 
     root = math.log(2.0) / 20.0
-    z = oracle_mod._secant_finish(convex, 0.0, 1.0, convex(0.0), convex(1.0))
+    z = oracle_mod._secant_finish(convex, 0.0, 1.0, convex(0.0), convex(1.0), rtol=rtol)
     assert [name for name, _ in roots] == ["brent", "_secant_finish"]
     assert len(calls) > 2 + oracle_mod._SECANT_STEPS
     assert z == pytest.approx(root, rel=2e-11)
+
+
+def test_secant_finish_takes_a_given_bend(monkeypatch) -> None:
+    # given the bend f[lo, hi, r] / f[lo, hi] (-1/2 for log x at 1), the
+    # finish corrects the secant root of its bracket, 1.0e-12 off here, to
+    # the float, and returns without a count once the bound holds
+    import trenq.oracle as oracle_mod
+
+    roots = _search_roots(monkeypatch)
+    calls = []
+
+    def counted(x: float) -> float:
+        calls.append(x)
+        return math.log(x)
+
+    lo, hi = 1.0 - 1e-6, 1.0 + 2e-6
+    z = oracle_mod._secant_finish(
+        counted, lo, hi, math.log(lo), math.log(hi), rtol=oracle_mod._FINE_RTOL, bend=-0.5
+    )
+    assert [name for name, _ in roots] == ["_secant_finish"] and not calls
+    assert z == 1.0
+
+
+def test_coarse_bend_takes_three_close_points_of_one_grid() -> None:
+    # the bend of the tightest bracket and the nearest point on its grid,
+    # within _BEND_SPAN and of residual below 1 in size; otherwise none
+    import trenq.oracle as oracle_mod
+
+    def points(*xs, steps=100, far_steps=100):
+        return [(x, math.log(x), steps if i else far_steps) for i, x in enumerate(xs)]
+
+    lo, hi = 0.9999, 1.0001
+    *bracket, bend = oracle_mod._coarse_bracket(points(0.997, lo, hi, 1.5))
+    assert bracket == [lo, hi, math.log(lo), math.log(hi)]
+    assert bend == pytest.approx(-0.5, rel=5e-3)
+    # the nearest point counted on another grid, and one beyond _BEND_SPAN
+    assert oracle_mod._coarse_bracket(points(0.997, lo, hi, far_steps=101))[-1] is None
+    assert oracle_mod._coarse_bracket(points(0.99, lo, hi))[-1] is None
+    # an end of residual 1 or more, where the residual is compressed
+    assert oracle_mod._coarse_bracket(points(0.997, lo, 3.0))[-1] is None
+
+
+def _finish_calls(monkeypatch) -> list:
+    """(arguments, keywords, root) of each secant finish of the oracle, in order."""
+    import trenq.oracle as oracle_mod
+
+    calls = []
+    finish = oracle_mod._secant_finish
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, finish(*args, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracle_mod, "_secant_finish", recorded)
+    return calls
+
+
+@hypothesis_settings(max_examples=12, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    n=st.integers(0, 3),
+    l=st.integers(0, 3),
+    hbar=st.sampled_from([1.0, 0.5]),
+)
+def test_bent_fine_root_matches_three_count_finish(a: float, n: int, l: int, hbar: float) -> None:
+    # the fine root from the two bracket counts and the coarse bend agrees to
+    # 2e-12 with a finish of the same bracket given no bend, which counts at
+    # the secant root and bends by its own three points, and lies between the
+    # fine counts n and n + 1
+    import trenq.oracle as oracle_mod
+
+    s = Settings(hbar=hbar)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _finish_calls(monkeypatch)
+        counts = _fine_counts(monkeypatch)
+        w = to_log_well(Lenz(a=a, Z=1.0), s)
+        exact_critical_coupling(w, QuantumNumbers(n, l, 3).lam, n, s)
+    (fine, lo, hi, f_lo, f_hi), kwargs, z = calls[-1]
+    assert kwargs["rtol"] == oracle_mod._FINE_RTOL
+    below, above = _certified_bracket(counts, n)
+    assert below <= z <= above
+    third = []
+
+    def counted(Z: float) -> float:
+        third.append(Z)
+        return fine(Z)
+
+    reference = oracle_mod._secant_finish(counted, lo, hi, f_lo, f_hi, rtol=oracle_mod._FINE_RTOL)
+    assert third
+    assert z == pytest.approx(reference, rel=2e-12, abs=0.0)
+
+
+def test_fine_finish_counts_where_the_bend_misses_its_bound(monkeypatch) -> None:
+    # at ode_tol = 1e-8 the fine bracket is ~7e-5 wide, so the coarse bend
+    # bounds the remainder of its secant root only to ~1e-9, above
+    # _FINE_RTOL: the fine stage counts a third time, at that secant root,
+    # and ends on the bend of its own three points, certified and within
+    # ode_tol / 10 of the closed form
+    import trenq.oracle as oracle_mod
+
+    s = Settings(ode_tol=1e-8)
+    calls = _finish_calls(monkeypatch)
+    counts = _fine_counts(monkeypatch)
+    w = to_log_well(Lenz(a=1.0, Z=1.0), s)
+    q = QuantumNumbers(1, 1, 3)
+    z = exact_critical_coupling(w, q.lam, q.n, s)
+    (_, lo, hi, f_lo, f_hi), kwargs, z_fine = calls[-1]
+    secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    bend = kwargs["bend"]
+    assert abs(bend) * (secant - lo) * (hi - secant) > 10.0 * oracle_mod._FINE_RTOL * secant
+    assert [Z for Z, _ in counts] in ([lo, hi, secant], [hi, lo, secant])
+    below, above = _certified_bracket(counts, q.n)
+    assert below <= z_fine <= above
+    z_exact, _ = lenz_exact_threshold(1.0, q)
+    assert abs(z - z_exact) <= 0.1 * s.ode_tol * z_exact
 
 
 def test_unclean_transition_raises(settings, monkeypatch) -> None:
