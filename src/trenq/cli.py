@@ -43,9 +43,10 @@ from .thresholds import threshold_reports
 
 _DEFAULT_PHI = 1.75  # universal slope for atom-like wells; override per potential
 _TRANSFORM_EXPONENTS = {"corrected": 2, "printed": 1}
-# most --samples of `well` and --points of `action`, checked before any array
-# is built: the action profile's batched quadrature holds ~12 KB a point
-# (1.2 GB at the cap), the well's CSV rows ~0.5 KB a sample
+# most --samples of `well` and --points of `action`, (n, l) states of a grid
+# and levels of `spectrum`, checked before anything is built: the action
+# profile's batched quadrature holds ~12 KB a point (1.2 GB at the cap), the
+# well's CSV rows ~0.5 KB a sample, and `spectrum` solves the levels one by one
 _MAX_POINTS = 100_000
 
 
@@ -116,7 +117,14 @@ def _well(args: argparse.Namespace, s: Settings):
     raise InputError(f"command '{args.command}' requires --potential or --family")
 
 
+def _check_grid(args: argparse.Namespace) -> None:
+    states = (args.n_max + 1) * (args.l_max + 1)
+    if states > _MAX_POINTS:
+        raise InputError(f"--n-max and --l-max give {states} states, more than {_MAX_POINTS}")
+
+
 def _states(args: argparse.Namespace) -> list[QuantumNumbers]:
+    _check_grid(args)
     return [
         QuantumNumbers(n=n, l=l, d=args.d)
         for n in range(args.n_max + 1)
@@ -179,6 +187,8 @@ def _run_tren(args: argparse.Namespace) -> int:
 
 
 def _run_spectrum(args: argparse.Namespace) -> int:
+    if args.n_max >= _MAX_POINTS:
+        raise InputError(f"--n-max must be below {_MAX_POINTS}, got {args.n_max}")
     s = _settings(args)
     well = _well(args, s)
     rows = []
@@ -228,16 +238,18 @@ def _report_rows(reports) -> list[list]:
 
 
 def _run_threshold(args: argparse.Namespace) -> int:
+    states = _states(args)
     s = _settings(args)
     well = _well(args, s)
     phi, source = _resolve_phi(args, s, well)
-    reports = threshold_reports(well, _states(args), s, t_source=phi, with_oracle=args.oracle)
+    reports = threshold_reports(well, states, s, t_source=phi, with_oracle=args.oracle)
     comments = [f"# phi = {_fmt(phi)} ({source})"] if args.format == "csv" else []
     _emit(args, _REPORT_HEADER, _report_rows(reports), comments)
     return 0
 
 
 def _run_ordering(args: argparse.Namespace) -> int:
+    _check_grid(args)
     phi, source = _resolve_phi(args, _settings(args))
     rows = ordering_table(args.n_max, args.l_max, args.d, phi)
     comments = [f"# phi = {_fmt(phi)} ({source})"] if args.format == "csv" else []
@@ -251,11 +263,12 @@ def _run_validate(args: argparse.Namespace) -> int:
         raise InputError("validate requires --family lenz or --family tietz")
     if not 0.0 < args.tol < math.inf:
         raise InputError("tol must be positive and finite")
+    states = _states(args)
     s = _settings(args)
     p = _family_potential(args.family, args.a, 1.0)
     well = _log_well(args, p, s)
     phi, _ = _resolve_phi(args, s, well)
-    reports = threshold_reports(well, _states(args), s, t_source=phi, with_oracle=True)
+    reports = threshold_reports(well, states, s, t_source=phi, with_oracle=True)
     compared = [r.rel_err_ren for r in reports if r.rel_err_ren is not None]
     if not compared:
         raise InputError("no state in the grid is within the oracle's scope")
@@ -340,7 +353,7 @@ def _build_parser() -> _Parser:
 
     p = command("spectrum", _run_spectrum, "approximate spectrum lambda_n")
     semiclassical(p)
-    p.add_argument("--n-max", type=_max_index, default=32)
+    p.add_argument("--n-max", type=_max_index, default=32, help=f"below {_MAX_POINTS}")
 
     p = command("threshold", _run_threshold, "critical couplings per state")
     semiclassical(p)

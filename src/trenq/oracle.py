@@ -14,27 +14,29 @@ the count steps; a root-find on a residual built from that amplitude, with
 its sign taken from the count, locates every critical coupling, and the
 integer counts at the ends of its bracket certify it.
 
-Each search runs in two stages, and _secant_finish ends both.  The coarse
-stage counts on a grid _COARSEN times coarser, made of every _COARSEN-th
-point of the fine grid, at about 1/_COARSEN of the cost per count: its
-bracket doubles from Z = 1, Brent narrows it to _COARSE_BRENT_RTOL, and a
-corrected secant step on the tightest bracket ends it at min(1e-9,
-10 ode_tol).  The count, amplitude and grid of every coarse point are kept
-on the well per lambda, Settings and Z, so the other thresholds of the well
-reuse its bracket points and a repeated search counts nothing coarse; they
-are the same floats either way, so no threshold depends on the order of the
-calls.  The grid error scales as h^4, so the coarse root lies about
-_COARSEN^4 times the fine grid error from the fine one.  The fine stage
-brackets the fine root from the coarse one within twice the largest such
-distance measured, in two counts, and ends on the corrected secant root of
-that bracket.  On the step the residual is one smooth function of Z on both
-grids, shifted only by the grid error, so the bend (the second divided
-difference over the slope) of three close coarse points this search counted
-both bounds the remainder of the fine secant root and corrects it; only
-where that bound exceeds the 1e-11 width Brent would stop at does the fine
-stage count a third time.  The tightest fine counts of n and n + 1 met on
-the way certify the root; fine counts are not kept.  On a smooth well the
-two roots z_c and z then extrapolate
+A search (_search) runs in two stages, and _secant_finish ends both.  The
+coarse stage counts on a grid _COARSEN times coarser, made of every
+_COARSEN-th point of the fine grid, at about 1/_COARSEN of the cost per
+count: its bracket doubles from Z = 1, Brent narrows it to
+_COARSE_BRENT_RTOL, and a corrected secant step on the tightest bracket
+ends it at min(1e-9, 10 ode_tol).  The count, amplitude and grid of every
+coarse point are kept on the well per lambda, Settings and Z, so the other
+thresholds of the well reuse its bracket points and a repeated search
+counts nothing coarse; they are the same floats either way, so no threshold
+depends on the order of the calls.  The grid error scales as h^4, so the
+coarse root lies about _COARSEN^4 times the fine grid error from the fine
+one.  The fine stage brackets the fine root from the coarse one within
+twice the largest such distance measured, in two counts, and ends on the
+corrected secant root of that bracket.  On the step the residual is one
+smooth function of Z on both grids, shifted only by the grid error, so the
+bend (the second divided difference over the slope) of three close coarse
+points this search counted both bounds the remainder of the fine secant
+root and corrects it; only where that bound exceeds the 1e-11 width Brent
+would stop at does the fine stage count a third time.  The tightest fine
+counts of n and n + 1 met on the way certify the root; fine counts are not
+kept.  The search returns both roots and that bracket, and
+exact_critical_coupling combines the roots: on a smooth well z_c and z
+extrapolate
 (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)) to
 
     z_R = (_COARSEN^4 z - z_c) / (_COARSEN^4 - 1),
@@ -202,9 +204,9 @@ def count_bound_states(
     instead of ~10 full-grid arrays.  This needs w.base to be elementwise;
     every output equals that of one np.linspace grid, bit for bit.
 
-    `_grid` is exact_critical_coupling's memo of w.base on the grid of its
-    last count, keyed by (rho_l, rho_r, n_steps), which do not depend on Z
-    beyond n_steps.  On a hit each block reads the memo's slice of base in
+    `_grid` is _search's memo of w.base on the grid of its last count,
+    keyed by (rho_l, rho_r, n_steps), which do not depend on Z beyond
+    n_steps.  On a hit each block reads the memo's slice of base in
     place of evaluating it, so the count is bit-identical; on a miss base is
     evaluated block by block as without a memo and kept in it (8 B more per
     step).  Direct callers pass none.
@@ -445,37 +447,32 @@ def _secant_finish(
     return brent(f, lo, hi, flo, fhi, xtol=0.0, rtol=rtol)
 
 
-def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> float:
-    """Coupling Z at which the node count of w at coupling Z steps from n to n + 1.
+def _search(w: LogWell, lam: float, n: int, s: Settings) -> tuple[float, float, float, float]:
+    """(z_c, z, below, above): the coarse and fine roots of the n -> n + 1 step, certified.
 
-    The root is that of the continuous residual _step_residual, whose sign
-    the count sets, so every bracket stays a sign-change bracket.  The coarse
-    residual counts with count_bound_states' `_coarsen` and keeps its points
-    on the well.  Brent solves it to _COARSE_BRENT_RTOL, and _secant_finish
-    ends it to min(1e-9, 10 ode_tol), since its error enters the Richardson
-    value divided by _COARSEN^4 - 1, on the tightest bracket of the points
-    this search asked for, with their bend (_coarse_bracket).  The fine stage
-    expands its bracket from the coarse root by the ratio
-    1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) and ends on the corrected
-    secant root of that bracket to _FINE_RTOL, with the coarse bend: the two
-    residuals are one smooth function of Z shifted by the grid error, so
-    their bends agree.  Only where that bend does not meet the bound does it
-    count a third time.
+    Both roots are those of the continuous residual _step_residual, whose
+    sign the count sets, so every bracket stays a sign-change bracket.  The
+    coarse residual counts with count_bound_states' `_coarsen` and keeps its
+    points on the well.  Brent solves it to _COARSE_BRENT_RTOL, and
+    _secant_finish ends it at z_c to min(1e-9, 10 ode_tol), since its error
+    enters the Richardson value divided by _COARSEN^4 - 1, on the tightest
+    bracket of the points this search asked for, with their bend
+    (_coarse_bracket).  The fine stage expands its bracket from z_c by the
+    ratio 1 + 2 _COARSEN^4 _FINE_ERROR ode_tol^(2/3) and ends at z, the
+    corrected secant root of that bracket to _FINE_RTOL, with the coarse
+    bend: the two residuals are one smooth function of Z shifted by the grid
+    error, so their bends agree.  Only where that bend does not meet the
+    bound does it count a third time.
 
-    The fine residual records the tightest couplings it counted at exactly
-    n and at exactly n + 1.  Counts do not decrease as Z rises (W = Z base
-    with base > 0), so exactly one n -> n + 1 step lies between those two,
-    and the fine root z must lie between them too: that certifies it, with no
-    count beyond the search's own.  It does not show that no other step lies
-    near z: the steps of other n at the same lambda are other thresholds of
-    the well, not a property of this one.
-
-    On a smooth well the Richardson value z_R of the module docstring is
-    returned: it lies |z - z_c| / (_COARSEN^4 - 1) from z, the fine root's
-    estimated grid error.  A Tabulated W is only C^1, and there z_R was no
-    better than z, so z itself is returned.
+    below and above are the tightest couplings the fine stage counted at
+    exactly n and at exactly n + 1.  Counts do not decrease as Z rises
+    (W = Z base with base > 0), so exactly one n -> n + 1 step lies between
+    them, and z must lie between them too: that certifies it, with no count
+    beyond the search's own, and ConvergenceError is raised where it does
+    not.  It does not show that no other step lies near z: the steps of
+    other n at the same lambda are other thresholds of the well, not a
+    property of this one.
     """
-    n = quantum_index(n, "radial quantum number n")
     grid: dict = {}
     # this search's coarse points (Z, residual, grid steps) in the order it
     # asked for them, memo hits too, so its finish and bend depend on none of
@@ -491,15 +488,15 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
         asked.append((Z, _step_residual(count, lambda: x, n), steps))
         return asked[-1][1]
 
-    # the tightest fine couplings counted at exactly n and at exactly n + 1
-    ends = [-math.inf, math.inf]
+    below, above = -math.inf, math.inf
 
     def fine(Z: float) -> float:
+        nonlocal below, above
         nc = count_bound_states(w, lam, s, Z=Z, _grid=grid)
         if nc.count == n:
-            ends[0] = max(ends[0], Z)
+            below = max(below, Z)
         elif nc.count == n + 1:
-            ends[1] = min(ends[1], Z)
+            above = min(above, Z)
         return _step_residual(nc.count, nc.log_amplitude, n)
 
     brent(coarse, *geometric_bracket(coarse), xtol=0.0, rtol=_COARSE_BRENT_RTOL)
@@ -509,11 +506,24 @@ def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> floa
     bend = _coarse_bracket(asked)[-1]
     ratio = 1.0 + 2.0 * _COARSEN**4 * _FINE_ERROR * s.ode_tol ** (2.0 / 3.0)
     z = _secant_finish(fine, *geometric_bracket(fine, z_c, ratio), rtol=_FINE_RTOL, bend=bend)
-    if not -math.inf < ends[0] <= z <= ends[1] < math.inf:
+    if not -math.inf < below <= z <= above < math.inf:
         raise ConvergenceError(
             f"transition {n} -> {n + 1} not clean around Z = {z:g}; "
             "the state may be marginal at this lambda"
         )
+    return z_c, z, below, above
+
+
+def exact_critical_coupling(w: LogWell, lam: float, n: int, s: Settings) -> float:
+    """Coupling Z at which the node count of w at coupling Z steps from n to n + 1.
+
+    _search finds the coarse root z_c and the certified fine root z, or
+    raises ConvergenceError.  On a smooth well the Richardson value z_R of
+    the module docstring is returned: it lies |z - z_c| / (_COARSEN^4 - 1)
+    from z, the fine root's estimated grid error.  A Tabulated W is only C^1,
+    and there z_R was no better than z, so z itself is returned.
+    """
+    z_c, z, _, _ = _search(w, lam, quantum_index(n, "radial quantum number n"), s)
     if w.breakpoints is not None:
         return z
     return (_COARSEN**4 * z - z_c) / (_COARSEN**4 - 1)

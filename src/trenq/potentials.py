@@ -492,8 +492,8 @@ def load_potential(source: str | Path | dict) -> RadialPotential:
     """Load a potential from a JSON file, JSON text or an already-parsed dict.
 
     A str whose first non-blank character is "{" is JSON text; any other str
-    or Path names a file.  The text is never looked up as a file name, so an
-    inline spec of any length loads.
+    or Path names a UTF-8 file.  The text is never looked up as a file name,
+    so an inline spec of any length loads.
 
     Schema (keys exactly as shown, unknown keys rejected):
         {"family": "lenz", "a": 1.0, "Z": 8.0}
@@ -505,13 +505,13 @@ def load_potential(source: str | Path | dict) -> RadialPotential:
     else:
         is_text = isinstance(source, str) and source.lstrip().startswith("{")
         try:
-            data = json.loads(source if is_text else Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(source if is_text else Path(source).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read potential specification: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("potential specification must be a JSON object")
     family = data.get("family")
-    if family not in _POTENTIAL_KEYS:
+    if not isinstance(family, str) or family not in _POTENTIAL_KEYS:
         raise InputError(f"unknown potential family: {family!r}")
     extra = set(data) - _POTENTIAL_KEYS[family]
     if extra:

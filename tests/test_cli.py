@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -235,6 +236,8 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     too_many = str(cli._MAX_POINTS + 1)
     assert main(["well", "--family", "lenz", "--a", "1", "--samples", too_many]) == 1
     assert main(["action", "--family", "lenz", "--a", "1", "--points", too_many]) == 1
+    assert main(["ordering", "--n-max", str(cli._MAX_POINTS), "--l-max", "0"]) == 1
+    assert main(["spectrum", "--family", "tietz", "--n-max", str(cli._MAX_POINTS)]) == 1
     capsys.readouterr()
     # a well flag the well would drop: --a on Tietz (width 1/2), and any of
     # --family, --a and --Z beside --potential, which sets the whole well
@@ -252,7 +255,8 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
         assert err.startswith("trenq: error: ") and err.count("\n") == 1, (argv, err)
 
 
-# input errors of the CLI met nowhere else; "list.json" holds [1, 2]
+# input errors of the CLI met nowhere else; "list.json" holds [1, 2] and
+# "latin1.json" a spec that is not UTF-8
 INPUT_ERROR_CASES = {
     "family-without-a": ["well", "--family", "lenz"],
     "validate-without-family": ["validate"],
@@ -261,12 +265,14 @@ INPUT_ERROR_CASES = {
     ],
     "printed-zero-well": ["well", "--family", "lenz", "--a", "1", "--Z", "1e-15", "--transform", "printed"],
     "potential-not-an-object": ["well", "--potential", "list.json"],
+    "potential-not-utf8": ["well", "--potential", "latin1.json"],
 }
 
 
 @pytest.mark.parametrize("argv", INPUT_ERROR_CASES.values(), ids=INPUT_ERROR_CASES.keys())
 def test_input_error_exit(argv, tmp_path, monkeypatch, capsys) -> None:
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "latin1.json").write_bytes('{"family": "lenzé"}'.encode("latin-1"))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -335,11 +341,14 @@ _FUZZ_ARGV = [
 # where the action integrand must stay finite: the spectrum of both Tietz
 # wells exits 0 (its quadrature saturates there, and the levels are exact),
 # the phi fit of Lenz(1e5, 1e300) overflows (exit 1), and the coupling of
-# Lenz(1e200, 1e12) is not finite (exit 1)
+# Lenz(1e200, 1e12) is not finite (exit 1); a family that is not a string
+# is unknown (exit 1), even where it is not hashable
 @example(spec={"family": "tietz", "Z": 10**28.5})
 @example(spec={"family": "tietz", "Z": 1.849e32})
 @example(spec={"family": "lenz", "a": 1e5, "Z": 1e300})
 @example(spec={"family": "lenz", "a": 1e200, "Z": 1e12})
+@example(spec={"family": ["lenz"], "a": 1, "Z": 1})
+@example(spec={"family": {"a": 1}})
 def test_cli_fuzz_exits_cleanly(spec) -> None:
     for argv in _FUZZ_ARGV:
         out, err = io.StringIO(), io.StringIO()
@@ -361,9 +370,11 @@ def test_cli_fuzz_exits_cleanly(spec) -> None:
 # breaks the decay rule (Lenz a = 0), for a printed well whose cut lies
 # where W overflows, for a well that is numerically zero, for a critical
 # coupling beyond the double range (Lenz a = 1e200), for a phi fit that
-# overflows (Z = 1e300), for tabulated samples whose W overflows and for
-# --samples or --points beyond cli._MAX_POINTS, which would not fit in memory;
-# never a traceback
+# overflows (Z = 1e300), for tabulated samples whose W overflows, for
+# --samples or --points beyond cli._MAX_POINTS, which would not fit in memory,
+# and for a state grid or a spectrum of more; 2 with a one-line numerical
+# failure for a node-counting grid beyond the oracle's budget, raised before
+# it is allocated; never a traceback
 ENTRY_POINT_CASES = {
     "validate": (["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6"], 0),
     "validate-printed": (
@@ -380,6 +391,12 @@ ENTRY_POINT_CASES = {
     "zero-well": (["well", "--family", "lenz", "--a", "1", "--Z", "1e-15"], 1),
     "samples-cap": (["well", "--family", "lenz", "--a", "1", "--samples", "1000000000000"], 1),
     "points-cap": (["action", "--family", "lenz", "--a", "1", "--points", "1000000000000"], 1),
+    "state-grid-cap": (["ordering", "--n-max", "99999", "--l-max", "99999"], 1),
+    "spectrum-levels-cap": (["spectrum", "--family", "tietz", "--Z", "1e20", "--n-max", "100000"], 1),
+    "oracle-grid-budget": (
+        ["threshold", "--family", "lenz", "--a", "1", "--hbar", "1e-5", "--n-max", "0", "--l-max", "0", "--oracle"],
+        2,
+    ),
     "coupling-overflow": (["threshold", "--potential", '{"family":"lenz","a":1e200,"Z":1}'], 1),
     "phi-overflow": (["phi", "--potential", '{"family":"lenz","a":1,"Z":1e300}'], 1),
     "tabulated-overflow": (
@@ -402,8 +419,9 @@ def test_module_entry_point(argv, code, tmp_path) -> None:
     )
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stderr
-    if code == 1:
-        assert run.stderr.startswith("trenq: error: ") and run.stderr.count("\n") == 1
+    prefix = {1: "trenq: error: ", 2: "trenq: numerical failure: "}.get(code)
+    if prefix is not None:
+        assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
     else:
         assert run.stderr == "" and run.stdout.startswith("# family = lenz")
 
@@ -423,3 +441,14 @@ def test_import_loads_only_scipy_linalg(tmp_path) -> None:
     allowed = {"scipy", "scipy.linalg", "scipy.version"}
     assert "scipy.linalg" in tops
     assert not {t for t in tops if t not in allowed and not t.startswith("scipy._")}, tops
+
+
+def test_sources_parse_at_the_python_floor() -> None:
+    # CI runs the floor of requires-python, 3.10; parsing every source file
+    # with its grammar fails on syntax newer than that under any interpreter
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    paths = sorted([*(root / "src" / "trenq").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

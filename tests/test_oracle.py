@@ -532,25 +532,19 @@ def test_oracle_work_and_accuracy(settings, monkeypatch) -> None:
     assert counted_at and not any(coarse for _, coarse, _ in counted_at)
 
 
-def _search_roots(monkeypatch) -> list:
-    """(solver, root) of each Brent call and secant finish of the oracle, in order.
-
-    A search records the loose coarse Brent, then the coarse and the fine
-    finish; a finish that hands over to Brent records Brent's root and then
-    its own.  The caller clears the list.
-    """
+def _brent_rtols(monkeypatch) -> list:
+    """The rtol of each Brent call of the oracle, in order, for the caller to clear."""
     import trenq.oracle as oracle_mod
 
-    roots = []
-    for name in ("brent", "_secant_finish"):
-        solve = getattr(oracle_mod, name)
+    rtols = []
+    solve = oracle_mod.brent
 
-        def recorded(*args, solve=solve, name=name, **kwargs):
-            roots.append((name, solve(*args, **kwargs)))
-            return roots[-1][1]
+    def counted(*args, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return solve(*args, **kwargs)
 
-        monkeypatch.setattr(oracle_mod, name, recorded)
-    return roots
+    monkeypatch.setattr(oracle_mod, "brent", counted)
+    return rtols
 
 
 def _fine_counts(monkeypatch) -> list:
@@ -568,13 +562,6 @@ def _fine_counts(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle_mod, "count_bound_states", counted)
     return counts
-
-
-def _certified_bracket(counts: list, n: int) -> tuple[float, float]:
-    """The tightest couplings counted at exactly n and exactly n + 1 (-inf, inf if none)."""
-    below = max((Z for Z, count in counts if count == n), default=-math.inf)
-    above = min((Z for Z, count in counts if count == n + 1), default=math.inf)
-    return below, above
 
 
 @pytest.mark.parametrize(
@@ -601,23 +588,21 @@ def test_oracle_error_within_tenth_of_ode_tol(s, monkeypatch) -> None:
     # returned value is the Richardson value of the coarse root and the fine
     # root, which both finishes reach after the loose coarse Brent without
     # handing over to Brent, inside the bracket of fine counts n and n + 1
-    roots = _search_roots(monkeypatch)
-    counts = _fine_counts(monkeypatch)
+    import trenq.oracle as oracle_mod
+
+    brents = _brent_rtols(monkeypatch)
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
         w = to_log_well(Lenz(a=a, Z=1.0), s)
         for n in range(4):
             for l in range(4):
                 q = QuantumNumbers(n, l, 3)
-                roots.clear()
-                counts.clear()
-                z = exact_critical_coupling(w, q.lam, q.n, s)
-                names = [name for name, _ in roots]
-                assert names == ["brent", "_secant_finish", "_secant_finish"], names
-                (_, z_coarse), (_, z_fine) = roots[1:]
-                assert z == (256.0 * z_fine - z_coarse) / 255.0
-                below, above = _certified_bracket(counts, q.n)
+                brents.clear()
+                z_coarse, z_fine, below, above = oracle_mod._search(w, q.lam, q.n, s)
+                assert brents == [oracle_mod._COARSE_BRENT_RTOL], brents
                 assert below <= z_fine <= above
+                z = exact_critical_coupling(w, q.lam, q.n, s)
+                assert z == (256.0 * z_fine - z_coarse) / 255.0
                 z_exact, _ = lenz_exact_threshold(a, q, s.hbar)
                 worst = max(worst, abs(z - z_exact) / z_exact)
     assert worst <= 0.1 * s.ode_tol, worst
@@ -635,7 +620,7 @@ def _lenz_samples(count: int, a: float = 1.0) -> Tabulated:
     )
 
 
-def test_tabulated_oracle_is_not_extrapolated(settings, monkeypatch) -> None:
+def test_tabulated_oracle_is_not_extrapolated(settings) -> None:
     # a Tabulated W is only C^1, and there the Richardson value is no better
     # than the fine root: over n < 3 and lambda in {0.5, 1.5} on these
     # samples it was worse for two of six thresholds, and 4.3e-7 off at worst
@@ -643,11 +628,12 @@ def test_tabulated_oracle_is_not_extrapolated(settings, monkeypatch) -> None:
     # error against a reference at ode_tol = 1e-14 is 3.0e-7, the figure the
     # Settings.ode_tol docstring gives; it moves between 1.1e-7 and 5.7e-7 as
     # the step changes by a few percent
-    roots = _search_roots(monkeypatch)
+    import trenq.oracle as oracle_mod
+
     w = to_log_well(_lenz_samples(400), settings)
+    _, z_fine, below, above = oracle_mod._search(w, 0.5, 0, settings)
     z = exact_critical_coupling(w, 0.5, 0, settings)
-    assert [name for name, _ in roots] == ["brent", "_secant_finish", "_secant_finish"]
-    assert z == roots[-1][1]
+    assert below <= z == z_fine <= above
     reference = 1.5000060388506669
     assert abs(z - reference) <= 3.1e-7 * reference
 
@@ -685,14 +671,10 @@ def test_coarse_first_matches_fine_only_route(settings, monkeypatch) -> None:
         return bracket(f, start, ratio)
 
     monkeypatch.setattr(oracle_mod, "geometric_bracket", recorded)
-    roots = _search_roots(monkeypatch)
 
     def check(w, lam: float, n: int, s: Settings) -> float:
         starts.clear()
-        roots.clear()
-        exact_critical_coupling(w, lam, n, s)
-        assert roots[0][0] == "brent" and roots[-1][0] == "_secant_finish"
-        z_coarse, z = (root for name, root in roots if name == "_secant_finish")
+        z_coarse, z, _, _ = oracle_mod._search(w, lam, n, s)
         assert z == pytest.approx(_fine_only_threshold(w, lam, n, s), rel=2e-11)
         (coarse_start, _), (fine_start, ratio) = starts
         assert coarse_start == 1.0 and fine_start == z_coarse
@@ -721,18 +703,14 @@ def test_secant_finish_is_certified_and_matches_closed_bracket(a: float, n: int,
     # the fine root lies in a bracket whose fine counts are exactly n and
     # n + 1, and agrees with the same residual solved by Brent on that bracket
     # at rtol 1e-13 to 2e-12; the returned threshold is its Richardson value
+    import trenq.oracle as oracle_mod
+
     s = Settings()
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        roots = _search_roots(monkeypatch)
-        counts = _fine_counts(monkeypatch)
-        w = to_log_well(Lenz(a=a, Z=1.0), s)
-        lam = QuantumNumbers(n, l, 3).lam
-        z = exact_critical_coupling(w, lam, n, s)
-    assert roots[-1][0] == "_secant_finish"
-    z_coarse, z_fine = (root for name, root in roots if name == "_secant_finish")
-    assert z == (256.0 * z_fine - z_coarse) / 255.0
-    below, above = _certified_bracket(counts, n)
+    w = to_log_well(Lenz(a=a, Z=1.0), s)
+    lam = QuantumNumbers(n, l, 3).lam
+    z_coarse, z_fine, below, above = oracle_mod._search(w, lam, n, s)
     assert below <= z_fine <= above
+    assert exact_critical_coupling(w, lam, n, s) == (256.0 * z_fine - z_coarse) / 255.0
     residual = _fine_residual(w, lam, n, s)
     f_below, f_above = residual(below), residual(above)
     assert f_below < 0.0 < f_above
@@ -751,7 +729,7 @@ def test_secant_finish_meets_its_bound(f, root, lo, hi, monkeypatch) -> None:
     # root within _FINE_RTOL (1e-13 off here), without Brent
     import trenq.oracle as oracle_mod
 
-    roots = _search_roots(monkeypatch)
+    brents = _brent_rtols(monkeypatch)
     calls = []
 
     def counted(x: float) -> float:
@@ -760,7 +738,7 @@ def test_secant_finish_meets_its_bound(f, root, lo, hi, monkeypatch) -> None:
 
     rtol = oracle_mod._FINE_RTOL
     z = oracle_mod._secant_finish(counted, lo, hi, counted(lo), counted(hi), rtol=rtol)
-    assert [name for name, _ in roots] == ["_secant_finish"]
+    assert not brents
     assert len(calls) == 2 + 2
     assert abs(z - root) <= rtol * root
 
@@ -771,7 +749,7 @@ def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
     # _SECANT_STEPS steps; its root is then Brent's on the bracket it is given
     import trenq.oracle as oracle_mod
 
-    roots = _search_roots(monkeypatch)
+    brents = _brent_rtols(monkeypatch)
     w = to_log_well(Lenz(a=1.0, Z=1.0), settings)
     residual = _fine_residual(w, 0.5, 1, settings)
     # the n = 0 and n = 1 thresholds of lambda = 0.5 are 1.5 and 7.5: count 0 at Z = 1
@@ -780,13 +758,13 @@ def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
     assert f_lo == -oracle_mod._OFF_STEP and 0.0 < f_hi < oracle_mod._OFF_STEP
     rtol = oracle_mod._FINE_RTOL
     z = oracle_mod._secant_finish(residual, lo, hi, f_lo, f_hi, rtol=rtol, bend=0.0)
-    assert [name for name, _ in roots] == ["brent", "_secant_finish"]
+    assert brents == [rtol]
     assert z == brent(residual, lo, hi, f_lo, f_hi, xtol=0.0, rtol=rtol)
     assert z == pytest.approx(7.5, rel=1e-6)
 
     # regula falsi on a strongly convex residual keeps its far end, and its
     # steps creep up from the near one, short of the bound
-    roots.clear()
+    brents.clear()
     calls = []
 
     def convex(x: float) -> float:
@@ -795,18 +773,17 @@ def test_secant_finish_hands_over_to_brent(settings, monkeypatch) -> None:
 
     root = math.log(2.0) / 20.0
     z = oracle_mod._secant_finish(convex, 0.0, 1.0, convex(0.0), convex(1.0), rtol=rtol)
-    assert [name for name, _ in roots] == ["brent", "_secant_finish"]
+    assert brents == [rtol]
     assert len(calls) > 2 + oracle_mod._SECANT_STEPS
     assert z == pytest.approx(root, rel=2e-11)
 
 
-def test_secant_finish_takes_a_given_bend(monkeypatch) -> None:
+def test_secant_finish_takes_a_given_bend() -> None:
     # given the bend f[lo, hi, r] / f[lo, hi] (-1/2 for log x at 1), the
     # finish corrects the secant root of its bracket, 1.0e-12 off here, to
     # the float, and returns without a count once the bound holds
     import trenq.oracle as oracle_mod
 
-    roots = _search_roots(monkeypatch)
     calls = []
 
     def counted(x: float) -> float:
@@ -817,7 +794,7 @@ def test_secant_finish_takes_a_given_bend(monkeypatch) -> None:
     z = oracle_mod._secant_finish(
         counted, lo, hi, math.log(lo), math.log(hi), rtol=oracle_mod._FINE_RTOL, bend=-0.5
     )
-    assert [name for name, _ in roots] == ["_secant_finish"] and not calls
+    assert not calls
     assert z == 1.0
 
 
@@ -872,13 +849,11 @@ def test_bent_fine_root_matches_three_count_finish(a: float, n: int, l: int, hba
     s = Settings(hbar=hbar)
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = _finish_calls(monkeypatch)
-        counts = _fine_counts(monkeypatch)
         w = to_log_well(Lenz(a=a, Z=1.0), s)
-        exact_critical_coupling(w, QuantumNumbers(n, l, 3).lam, n, s)
-    (fine, lo, hi, f_lo, f_hi), kwargs, z = calls[-1]
+        _, z, below, above = oracle_mod._search(w, QuantumNumbers(n, l, 3).lam, n, s)
+    (fine, lo, hi, f_lo, f_hi), kwargs, root = calls[-1]
     assert kwargs["rtol"] == oracle_mod._FINE_RTOL
-    below, above = _certified_bracket(counts, n)
-    assert below <= z <= above
+    assert below <= root == z <= above
     third = []
 
     def counted(Z: float) -> float:
@@ -903,14 +878,15 @@ def test_fine_finish_counts_where_the_bend_misses_its_bound(monkeypatch) -> None
     counts = _fine_counts(monkeypatch)
     w = to_log_well(Lenz(a=1.0, Z=1.0), s)
     q = QuantumNumbers(1, 1, 3)
-    z = exact_critical_coupling(w, q.lam, q.n, s)
-    (_, lo, hi, f_lo, f_hi), kwargs, z_fine = calls[-1]
+    _, z_fine, below, above = oracle_mod._search(w, q.lam, q.n, s)
+    (_, lo, hi, f_lo, f_hi), kwargs, root = calls[-1]
     secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     bend = kwargs["bend"]
     assert abs(bend) * (secant - lo) * (hi - secant) > 10.0 * oracle_mod._FINE_RTOL * secant
     assert [Z for Z, _ in counts] in ([lo, hi, secant], [hi, lo, secant])
-    below, above = _certified_bracket(counts, q.n)
-    assert below <= z_fine <= above
+    assert below <= root == z_fine <= above
+    monkeypatch.undo()
+    z = exact_critical_coupling(w, q.lam, q.n, s)
     z_exact, _ = lenz_exact_threshold(1.0, q)
     assert abs(z - z_exact) <= 0.1 * s.ode_tol * z_exact
 
