@@ -95,9 +95,15 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
 
     The condition I(lambda_n) = n + 1/2 + Phi_m - sqrt(Phi_m^2 + 1/4) is
     solved for lambda_n by Brent's method on the smooth, decreasing action
-    over [0, sqrt(V_m)].  Brent runs its own convergence test, so an action
-    that cannot meet quad_tol saturates (best_effort), as near a deep well's
-    top, where W - lambda^2 is rounding noise; Phi_m = I(0) stays strict.
+    over [0, sqrt(V_m)], whose ends are known: Phi_m = I(0) and
+    I(sqrt(V_m)) = 0.  Its first point, the secant root of the ends, is the
+    level when the step predicted there is below half of Brent's stop width
+    (brent's first_stop): on a sech^2 well, whose action is linear in
+    lambda, each level takes one action call.  Otherwise Brent goes on from
+    that point, which it does not evaluate again.  Brent runs its own
+    convergence test, so an action that cannot meet quad_tol saturates
+    (best_effort), as near a deep well's top, where W - lambda^2 is
+    rounding noise; Phi_m = I(0) stays strict.
     Raises NoSuchLevelError when the well is too shallow to hold level n.
     """
     threshold = ground_state_threshold(n)
@@ -117,4 +123,6 @@ def solve_spectrum(w: LogWell, n: int, s: Settings) -> float:
     # the action is exactly 0 at the top, where the turning points meet; brent
     # returns an end where g is 0: 0 for a level exactly at threshold, the
     # top where the target is 0
-    return brent(g, 0.0, top, phi_m - target, -target, xtol=1e-14 * top, rtol=1e-14)
+    return brent(
+        g, 0.0, top, phi_m - target, -target, xtol=1e-14 * top, rtol=1e-14, first_stop=True
+    )

@@ -7,9 +7,10 @@ renormalized effective quantum number:
 
 Every LogWell is W = Z * base, so the left side scales as sqrt(Z) and the
 critical coupling Z * (target / I(0))^2 is available in closed form.  For
-a family given as a factory Z -> LogWell it is found by Brent's method on
-the smooth, monotone depth dependence, inside a bracket grown from the
-coupling that the same sqrt(Z) law predicts from the well at Z = 1.
+a family given as a factory Z -> LogWell the coupling that the same sqrt(Z)
+law predicts from the well at Z = 1 is taken when the well built there
+predicts a step below the stop, and is otherwise the start of a bracket for
+Brent's method on the smooth, monotone depth dependence.
 The unrenormalized variant (target T instead of T_ren) is kept for
 comparison: renormalization always lowers the predicted threshold, by the
 exact factor 1 - 1/(4 T^2) on the closed-form route.
@@ -29,8 +30,8 @@ from .oracle import exact_critical_coupling
 from .potentials import LogWell, QuantumNumbers, Settings
 
 # first step of the factory route's bracket from its sqrt(Z) guess, relative;
-# below the 1e-12 Brent stops at, so a guess that is right to rounding is
-# confirmed by one more build and not refined
+# below the 1e-12 Brent stops at, so a guess that misses by less than that
+# but was not returned at once is bracketed by one more build
 _GUESS_STEP = 5e-13
 
 
@@ -73,11 +74,15 @@ def critical_coupling(
     family is w rescaled, W = Z * base, and the coupling follows in closed
     form from I(0), which the well keeps per Settings (InputError if the
     coupling is not finite).  With well_factory, a callable Z -> LogWell,
-    it is found by Brent's method to 1e-12 relative.  Its bracket grows out
-    of the guess (target / I(1))^2, with I(1) the action of the well at Z = 1:
-    the guess is the root, up to quadrature error, when the action grows
-    like sqrt(Z) (every linear family), and a start point when it does not.
-    Without a positive finite guess the bracket doubles from Z = 1.
+    it is found to 1e-12 relative from the guess Z_g = (target / I(1))^2,
+    with I(1) the action of the well at Z = 1.  The guess is the root, up
+    to quadrature error, when the action grows like sqrt(Z) (every linear
+    family): it is returned when the step that the secant through
+    (1, I(1)) and (Z_g, I(Z_g)) predicts from it is below 1e-12 Z_g / 2,
+    after two builds (a Z_g within that distance of 1 takes the sqrt(Z)
+    law's slope instead).  Otherwise Brent's method runs in a bracket grown
+    out of Z_g, which is not built again.  Without a positive finite guess the
+    bracket doubles from Z = 1.  No coupling is built twice.
     """
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
@@ -89,13 +94,28 @@ def critical_coupling(
         return z
 
     i1 = action(well_factory(1.0), 0.0, s)
+    built = {1.0: i1 - target}
 
     def overshoot(Z: float) -> float:
-        return (i1 if Z == 1.0 else action(well_factory(Z), 0.0, s)) - target
+        if Z not in built:
+            built[Z] = action(well_factory(Z), 0.0, s) - target
+        return built[Z]
 
     z_guess = _sqrt_z_coupling(1.0, i1, target)
-    start, ratio = (z_guess, 1.0 + _GUESS_STEP) if 0.0 < z_guess < math.inf else (1.0, 2.0)
-    return brent(overshoot, *geometric_bracket(overshoot, start, ratio), xtol=0.0, rtol=1e-12)
+    if not 0.0 < z_guess < math.inf:
+        return brent(overshoot, *geometric_bracket(overshoot), xtol=0.0, rtol=1e-12)
+    f_guess = overshoot(z_guess)
+    # the secant slope through Z = 1 and the guess; a guess within the stop
+    # width of 1 resolves none and takes the sqrt(Z) law's I / (2 Z)
+    span = z_guess - 1.0
+    if abs(span) > 0.5e-12 * z_guess:
+        slope = (f_guess - built[1.0]) / span
+    else:
+        slope = 0.5 * (f_guess + target) / z_guess
+    if abs(f_guess) < 0.5e-12 * z_guess * slope:
+        return z_guess
+    bracket = geometric_bracket(overshoot, z_guess, 1.0 + _GUESS_STEP)
+    return brent(overshoot, *bracket, xtol=0.0, rtol=1e-12)
 
 
 def lenz_exact_threshold(

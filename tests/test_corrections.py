@@ -11,7 +11,6 @@ from trenq import (
     Lenz,
     NoSuchLevelError,
     Tabulated,
-    action,
     count_bound_states,
     delta1_integral,
     delta1_matched,
@@ -23,6 +22,13 @@ from trenq import (
 )
 
 S_LENZ18 = 1.5615528128088303  # (sqrt(17) - 1)/2
+
+
+def _tabulated_lenz18(settings):
+    """400 samples of Lenz(1, 8) over rho in [-30, 30]: W = 4 sech^2(rho)."""
+    rho = np.linspace(-30.0, 30.0, 400)
+    u = -2.0 / np.cosh(rho) ** 2 * np.exp(-2.0 * rho)
+    return to_log_well(Tabulated(r_grid=np.exp(rho), U_values=u, q0=0.0, qinf=4.0), settings)
 
 
 def test_delta1_matched_values() -> None:
@@ -130,7 +136,7 @@ def test_delta1_integral_closed_form_probes(a: float, settings) -> None:
     # delta1 by parts needs only a first difference of F', and the well
     # states its W'' exactly, so neither the quadrature noise nor a one-ulp
     # move of the domain cuts shows at 5e-10 (worst of these 27 probes
-    # 3.99e-10, median 2.79e-10; 1.14e-9 with a finite-difference W'')
+    # 3.98e-10, median 2.80e-10; 1.14e-9 with a finite-difference W'')
     w = to_log_well(Lenz(a=a, Z=8.0), settings)
     exact = -a / (8.0 * math.sqrt(2.0))  # -a / (8 sqrt(V_m / 2))
     for sign in (0.0, -1.0, 1.0):
@@ -147,9 +153,7 @@ def test_delta1_integral_tabulated_first_order(settings) -> None:
     # PCHIP is only C^1, so on a tabulated well W'' jumps at the samples and
     # delta1 does not converge with them: on 400 samples of Lenz(1, 8) the
     # errors are +135 %, +12.5 % and -6.9 % at these energies
-    rho = np.linspace(-30.0, 30.0, 400)
-    u = -2.0 / np.cosh(rho) ** 2 * np.exp(-2.0 * rho)  # W = 4 sech^2(rho)
-    w = to_log_well(Tabulated(r_grid=np.exp(rho), U_values=u, q0=0.0, qinf=4.0), settings)
+    w = _tabulated_lenz18(settings)
     exact = -1.0 / (8.0 * math.sqrt(2.0))
     vals = {eps: delta1_integral(w, eps, settings) for eps in (0.4, 1.0, 1.6)}
     assert all(math.isfinite(v) and v < 0.0 for v in vals.values())
@@ -204,30 +208,60 @@ def test_solve_spectrum_exact_integer_case(settings) -> None:
         assert abs(solve_spectrum(w, 1, settings)) <= 1e-12 * math.sqrt(w.V_m)
 
 
-@pytest.mark.parametrize("a,Z", [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0)])
-def test_solve_spectrum_action_count(a: float, Z: float, settings, monkeypatch) -> None:
-    # work-count guard, no timing: each level is a smooth root-find on the
-    # action (bisecting it took 50-51 action calls per level); I(0) comes
-    # from action, every step of the search from _actions
+def _counted_actions(monkeypatch) -> list:
+    """Record the lambda^2 of every _actions call that solve_spectrum makes."""
     import trenq.corrections as corrections
 
     calls = []
+    actions = corrections._actions
 
-    def counted(f):
-        def wrapper(*args, **kwargs):
-            calls.append(args[1])
-            return f(*args, **kwargs)
+    def counted(w, lambda2, *args, **kwargs):
+        calls.append(float(lambda2[0]))
+        return actions(w, lambda2, *args, **kwargs)
 
-        return wrapper
+    monkeypatch.setattr(corrections, "_actions", counted)
+    return calls
 
-    monkeypatch.setattr(corrections, "action", counted(action))
-    monkeypatch.setattr(corrections, "_actions", counted(corrections._actions))
+
+@pytest.mark.parametrize("a,Z", [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0), (0.7, 1e6)])
+def test_solve_spectrum_action_count(a: float, Z: float, settings, monkeypatch) -> None:
+    # work-count guard, no timing: the action of a sech^2 well is linear in
+    # lambda, so the secant root of [0, sqrt(V_m)] is the level and its one
+    # action call predicts a step below Brent's stop (2.2 calls per level
+    # when Brent confirmed it, 50-51 bisecting); I(0) comes from action
+    calls = _counted_actions(monkeypatch)
     w = to_log_well(Lenz(a=a, Z=Z), settings)
     analytic = lenz_analytic_spectrum(a, Z)
     for n in range(min(len(analytic), 4)):
         calls.clear()
-        assert solve_spectrum(w, n, settings) == pytest.approx(analytic[n], abs=1e-8)
-        assert len(calls) <= 12
+        lam = solve_spectrum(w, n, settings)
+        assert lam == pytest.approx(analytic[n], abs=1e-14 * math.sqrt(w.V_m))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kind,roots",
+    [
+        # the levels as Brent alone found them, on the weights of numpy's leggauss
+        ("printed", (1.8884334434125638, 1.0619141189181345, 0.28083534251608017)),
+        ("tabulated", (1.5615666249694933, 0.5615451659539629)),
+    ],
+)
+def test_solve_spectrum_brent_hand_over(kind: str, roots, settings, monkeypatch) -> None:
+    # off the sech^2 wells the action is not linear in lambda: the first
+    # point's predicted step exceeds the stop, and Brent goes on from it
+    # without evaluating it again (4-6 calls per level)
+    if kind == "printed":
+        w = to_log_well(Lenz(a=1.0, Z=8.0), settings, transform_exponent=1)
+    else:
+        w = _tabulated_lenz18(settings)
+    calls = _counted_actions(monkeypatch)
+    for n, root in enumerate(roots):
+        calls.clear()
+        assert solve_spectrum(w, n, settings) == pytest.approx(root, rel=1e-13)
+        assert 1 < len(calls) <= 8 and len(set(calls)) == len(calls), calls
+    with pytest.raises(NoSuchLevelError):
+        solve_spectrum(w, len(roots), settings)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from trenq import (
     InputError,
@@ -15,7 +14,6 @@ from trenq import (
     Settings,
     Tabulated,
     Tietz,
-    action,
     action_profile,
     critical_coupling,
     exact_critical_coupling,
@@ -107,14 +105,24 @@ def test_critical_coupling_factory_route(settings, lenz18_well) -> None:
 WORK_COUNT_WELLS = [(1.0, 8.0), (0.5, 1e4), (2.0, 30.0)]
 
 
+def _guess_builds(z: float) -> list:
+    """The factory route's builds when it returns its guess z: Z = 1, then z.
+
+    A guess that rounds to 1 is not built again.
+    """
+    return [1.0] if z == 1.0 else [1.0, z]
+
+
 @pytest.mark.parametrize("a,Z", WORK_COUNT_WELLS)
 def test_factory_route_work_count(a: float, Z: float, settings) -> None:
     # work-count guard, no timing: the sqrt(Z) guess from the Z = 1 build is
-    # right to rounding for a linear family, so the route builds the wells
-    # at 1, at the guess and one step beyond it (doubling from Z = 1 built 3-11)
+    # right to rounding for a linear family, so the route builds the wells at
+    # 1 and at the guess and stops there (3 when one more build confirmed the
+    # guess, 3-11 doubling from Z = 1); a = 0.5 is the Tietz family, whose
+    # Z_c(0, 0) = 1 puts the guess within rounding of the Z = 1 build
     w = to_log_well(Lenz(a=a, Z=Z), settings)
     phi = fit_phi(action_profile(w, settings))
-    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(3, 3, 3)):
+    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(1, 2, 3), QuantumNumbers(3, 3, 3)):
         builds = []
 
         def factory(z: float):
@@ -123,16 +131,34 @@ def test_factory_route_work_count(a: float, Z: float, settings) -> None:
 
         z = critical_coupling(w, q, settings, t_source=phi, well_factory=factory)
         assert z == pytest.approx(lenz_exact_threshold(a, q)[0], rel=1e-11)
-        assert len(builds) <= 3, builds
+        assert builds == _guess_builds(z), builds
+
+
+def test_factory_route_tietz_builds_two_wells(settings) -> None:
+    w = to_log_well(Tietz(Z=30.0), settings)
+    phi = fit_phi(action_profile(w, settings))
+    for n in range(4):
+        for l in range(4):
+            q = QuantumNumbers(n, l, 3)
+            builds = []
+
+            def factory(z: float):
+                builds.append(z)
+                return to_log_well(Tietz(Z=z), settings)
+
+            z = critical_coupling(w, q, settings, t_source=phi, well_factory=factory)
+            assert z == pytest.approx(lenz_exact_threshold(0.5, q)[0], rel=1e-11)
+            assert builds == _guess_builds(z), (n, l, builds)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_factory_route_off_sqrt_scaling(a: float, settings) -> None:
     # Z -> Lenz(a, sqrt(Z)) has an action growing like Z^(1/4), so the sqrt(Z)
     # guess misses by a factor of up to ~220 and the bracket has to grow from
-    # it: 3-21 builds here, where doubling from Z = 1 built 3-22
+    # it: 2-21 builds here, where doubling from Z = 1 built 3-22; the guess's
+    # build is handed to the walk, so no coupling is built twice
     w = to_log_well(Lenz(a=a, Z=1.0), settings)
-    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(3, 3, 3)):
+    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(1, 2, 3), QuantumNumbers(3, 3, 3)):
         builds = []
 
         def factory(z: float):
@@ -140,14 +166,9 @@ def test_factory_route_off_sqrt_scaling(a: float, settings) -> None:
             return to_log_well(Lenz(a=a, Z=math.sqrt(z)), settings)
 
         z = critical_coupling(w, q, settings, t_source=1.0 / a, well_factory=factory)
-        target = t_ren(t_effective(q.nu, q.lam, 1.0 / a))
-
-        def overshoot(z: float) -> float:
-            return action(to_log_well(Lenz(a=a, Z=math.sqrt(z)), settings), 0.0, settings) - target
-
-        reference = brentq(overshoot, 1e-3, 1e6, xtol=1e-300, rtol=1e-14)
-        assert z == pytest.approx(reference, rel=1e-11)
+        assert z == pytest.approx(lenz_exact_threshold(a, q)[0] ** 2, rel=1e-11)
         assert len(builds) <= 22, builds
+        assert len(set(builds)) == len(builds), builds
 
 
 @pytest.mark.parametrize("bad_action", [0.0, -1.0, math.nan])
