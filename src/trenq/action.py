@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DegenerateWellError, InputError, PotentialConditionError
 from .numerics import (
     KnotTable,
-    Pchip,
     adaptive_gauss,
     false_position,
     false_position_elementwise,
@@ -34,6 +33,10 @@ from .potentials import LogWell, Settings, quantum_index
 _EDGE_RTOL = 1e-14
 # cells of the turning-point scan on each side of rho_star
 _SCAN_CELLS = 128
+# most points of an action profile: the rule of n - 2 nodes comes from
+# numpy's leggauss, which builds an n x n companion matrix (0.13 s at 1024
+# nodes, 0.80 s at 2048), and gauss_nodes caches every rule it builds
+MAX_PROFILE_POINTS = 1026
 
 _Weight = Callable[[np.ndarray], np.ndarray] | None
 
@@ -164,7 +167,7 @@ def _turning_pairs(w: LogWell, lambda2: np.ndarray) -> list[TurningPair]:
     Lenz(1, 50) the scalar search takes a fifth of the time of a batch of
     one, and a batch of 64 levels a seventh of the time of 64 scalar
     searches (Python 3.11 on a 2-core Xeon); solve_spectrum asks for one
-    level per root-finding step, an action profile for 64.
+    level per root-finding step, an action profile for 25 by default.
     """
     if not lambda2.any():
         # lambda^2 = 0 lies at or below any domain-cut floor: no scan is needed
@@ -338,9 +341,10 @@ def action(w: LogWell, lam: float, s: Settings) -> float:
 
 @dataclass(frozen=True)
 class ActionProfile:
-    """Sampled action I(lambda) on [0, sqrt(V_m)] with its interpolant.
+    """Sampled action I(lambda) at 0, the Gauss-Legendre nodes of [0, sqrt(V_m)] and sqrt(V_m).
 
-    The grid is Chebyshev-spaced to cluster points near the endpoints.
+    weights are the Gauss-Legendre weights on [-1, 1] of the inner samples
+    lambda_grid[1:-1], the nodes of the rule mapped onto [0, sqrt(V_m)].
     Phi_m is the total well action I(0); t(lambda) = Phi_m - I(lambda).
     """
 
@@ -348,55 +352,75 @@ class ActionProfile:
     I_values: np.ndarray
     Phi_m: float
     quad_error: np.ndarray
-    _interp: Pchip = field(repr=False, compare=False)
+    weights: np.ndarray
+    # barycentric weights of lambda_grid, for t_of
+    _bary: np.ndarray = field(repr=False, compare=False)
 
     @property
     def lambda_max(self) -> float:
         return float(self.lambda_grid[-1])
 
 
-def action_profile(w: LogWell, s: Settings, n_points: int = 65) -> ActionProfile:
-    """Sample I(lambda) on a Chebyshev grid over [0, sqrt(V_m)].
+def action_profile(w: LogWell, s: Settings, n_points: int = 26) -> ActionProfile:
+    """Sample I(lambda) at 0, the n_points - 2 Gauss-Legendre nodes of [0, sqrt(V_m)] and sqrt(V_m).
 
     The turning points of all samples come from one batched root search,
     and on a smooth profile all levels with true turning points are then
     integrated in one batched adaptive quadrature; every sample equals the
-    scalar action at its lambda, bit for bit.
+    scalar action at its lambda, bit for bit.  n_points runs from 5 to
+    MAX_PROFILE_POINTS, else InputError.
     """
-    if quantum_index(n_points, "n_points") < 5:
-        raise InputError("profile needs at least 5 points")
+    n_points = quantum_index(n_points, "n_points")
+    if not 5 <= n_points <= MAX_PROFILE_POINTS:
+        raise InputError(f"profile needs 5 to {MAX_PROFILE_POINTS} points, got {n_points}")
     top = math.sqrt(w.V_m)
-    k = np.arange(n_points)
-    grid = 0.5 * top * (1.0 - np.cos(math.pi * k / (n_points - 1)))
-    grid[0] = 0.0
-    grid[-1] = top
-    lambda2 = grid * grid
+    x, weights = gauss_nodes(n_points - 2)
+    grid = np.concatenate(([0.0], 0.5 * top * (x + 1.0), [top]))
     values = np.empty(n_points)
     errors = np.empty(n_points)
     values[0], errors[0] = _zero_action(w, s)
-    values[1:], errors[1:] = _actions(w, lambda2[1:], s)
+    values[1:], errors[1:] = _actions(w, grid[1:] * grid[1:], s)
+    # the barycentric weight of a point is 1 / l' there, for the node
+    # polynomial l = (x^2 - 1) P_n of -1, x and 1: |l'| = 2 at +-1 and
+    # (1 - x^2) |P_n'(x)| = sqrt(2 (1 - x^2) / w) at a node of weight w =
+    # 2 / ((1 - x^2) P_n'(x)^2); the signs alternate, and the factor that
+    # maps [-1, 1] onto [0, sqrt(V_m)] cancels from the interpolant
+    bary = np.concatenate(([0.5], np.sqrt(weights / (2.0 * (1.0 - x * x))), [0.5]))
+    bary[1::2] *= -1.0
     return ActionProfile(
         lambda_grid=grid,
         I_values=values,
         Phi_m=float(values[0]),
         quad_error=errors,
-        # Pchip's default flat end pieces: I depends on lambda^2, and is 0
-        # beyond sqrt(V_m)
-        _interp=Pchip(grid, values),
+        weights=weights,
+        _bary=bary,
     )
 
 
 def t_of(profile: ActionProfile, lam: float) -> float:
-    """Action deficit t(lambda) = I(0) - I(lambda), interpolated off-grid.
+    """Action deficit t(lambda) = I(0) - I(lambda), interpolated off the samples.
 
-    t(0) = 0 exactly and t is nondecreasing up to lambda = sqrt(V_m), where
-    it equals Phi_m.  lambda may exceed sqrt(V_m) by 1e-12 relative, where
-    the interpolant's flat end piece holds I at its value at sqrt(V_m).
+    The interpolant is the polynomial through all samples, in barycentric
+    form (J.-P. Berrut and L. N. Trefethen, SIAM Rev. 46, 501 (2004)).
+    t(0) = 0 and t(sqrt(V_m)) = Phi_m exactly.  Between the samples t
+    follows the polynomial, which nothing keeps monotone, floored at 0; a
+    lambda within 2^-52 sqrt(V_m) of a sample takes the sample's value.
+    lambda may exceed sqrt(V_m) by 1e-12 relative, where I is held at its
+    value at sqrt(V_m).
     """
     top = profile.lambda_max
     if not 0.0 <= lam <= top * (1.0 + 1e-12):
         raise InputError(f"lambda = {lam:g} outside the sampled range [0, {top:g}]")
-    return max(profile.Phi_m - float(profile._interp(lam)), 0.0)
+    gap = min(lam, top) - profile.lambda_grid
+    near = int(np.abs(gap).argmin())
+    if abs(gap[near]) <= 2.0**-52 * top:
+        # 1 / gap overflows next to lambda = 0, and the polynomial moves by
+        # less than the rounding of Phi_m there
+        value = float(profile.I_values[near])
+    else:
+        q = profile._bary / gap
+        value = float(np.dot(q, profile.I_values)) / float(q.sum())
+    return max(profile.Phi_m - value, 0.0)
 
 
 def fit_phi(profile: ActionProfile) -> float:
@@ -407,22 +431,16 @@ def fit_phi(profile: ActionProfile) -> float:
 
         phi = integral(lambda * t(lambda)) / integral(lambda^2)
 
-    Both integrals use a fixed 64-node Gauss-Legendre rule, whose nodes all
-    lie inside (0, sqrt(V_m)), on the cubic pieces of the interpolant;
-    InputError where its cubic term overflows (V_m above about 3e205).
+    Both integrals take the profile's Gauss-Legendre rule on its own inner
+    samples, with no interpolant, in u = lambda / sqrt(V_m): the sums then
+    stay below 2 Phi_m and 2, so no finite well overflows them.
     """
     top = profile.lambda_max
     if top <= 0.0:
         raise DegenerateWellError("action profile spans an empty lambda range")
-    x, wts = gauss_nodes(64)
-    lam = 0.5 * top * (x + 1.0)
-    # t_of on every node at once
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_vals = np.maximum(profile.Phi_m - profile._interp(lam), 0.0)
-        phi = float(np.dot(wts, lam * t_vals)) / float(np.dot(wts, lam * lam))
-    if not math.isfinite(phi):
-        raise InputError(f"the fit of phi overflows at sqrt(V_m) = {top:g}: the well is too deep")
-    return phi
+    u = profile.lambda_grid[1:-1] / top
+    t = profile.Phi_m - profile.I_values[1:-1]
+    return float(np.dot(profile.weights, u * t)) / (top * float(np.dot(profile.weights, u * u)))
 
 
 def correction_inner_slopes(w: LogWell, epsilon: np.ndarray, tol: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import action_profile, fit_phi
+from .action import MAX_PROFILE_POINTS, action_profile, fit_phi
 from .corrections import solve_spectrum
 from .effective import ordering_table, t_effective, t_ren
 from .errors import ConvergenceError, InputError, NoSuchLevelError
@@ -43,10 +43,10 @@ from .thresholds import threshold_reports
 
 _DEFAULT_PHI = 1.75  # universal slope for atom-like wells; override per potential
 _TRANSFORM_EXPONENTS = {"corrected": 2, "printed": 1}
-# most --samples of `well` and --points of `action`, (n, l) states of a grid
-# and levels of `spectrum`, checked before anything is built: the action
-# profile's batched quadrature holds ~12 KB a point (1.2 GB at the cap), the
-# well's CSV rows ~0.5 KB a sample, and `spectrum` solves the levels one by one
+# most --samples of `well`, (n, l) states of a grid and levels of `spectrum`,
+# checked before anything is built: the well's CSV rows take ~0.5 KB a
+# sample, and `spectrum` solves the levels one by one (--points of `action`
+# stops at action.MAX_PROFILE_POINTS)
 _MAX_POINTS = 100_000
 
 
@@ -145,8 +145,8 @@ def _run_well(args: argparse.Namespace) -> int:
 
 
 def _run_action(args: argparse.Namespace) -> int:
-    if args.points > _MAX_POINTS:
-        raise InputError(f"--points must be at most {_MAX_POINTS}, got {args.points}")
+    if args.points > MAX_PROFILE_POINTS:
+        raise InputError(f"--points must be at most {MAX_PROFILE_POINTS}, got {args.points}")
     s = _settings(args)
     profile = action_profile(_well(args, s), s, n_points=args.points)
     rows = [
@@ -339,7 +339,7 @@ def _build_parser() -> _Parser:
 
     p = command("action", _run_action, "sample the action profile")
     semiclassical(p)
-    p.add_argument("--points", type=int, default=65, help=f"5 to {_MAX_POINTS}")
+    p.add_argument("--points", type=int, default=26, help=f"5 to {MAX_PROFILE_POINTS}")
 
     semiclassical(command("phi", _run_phi, "fit the linear deficit slope"))
 

@@ -25,9 +25,9 @@ Both take a value from a 2n-node Gauss rule and its error estimate from
 the n-node one, on rows of both rules (gauss_pair_rows, one row per panel
 or segment) that gauss_pair_sums reduces.
 
-Pchip is the monotone cubic interpolant of sampled wells and action
-profiles, bit-identical to SciPy's PchipInterpolator inside its knots
-without importing scipy.interpolate, and linear beyond them.
+Pchip is the monotone cubic interpolant of sampled wells, bit-identical
+to SciPy's PchipInterpolator inside its knots without importing
+scipy.interpolate, and linear beyond them.
 """
 
 from __future__ import annotations

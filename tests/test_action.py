@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import weakref
 from dataclasses import replace
@@ -23,6 +24,7 @@ from trenq import (
     turning_points,
 )
 from trenq.action import (
+    MAX_PROFILE_POINTS,
     TurningPair,
     _actions,
     _turning_pairs,
@@ -30,6 +32,9 @@ from trenq.action import (
     correction_inner_slopes,
 )
 from trenq.numerics import gauss_nodes
+
+# the module, which the package's `action` function shadows as trenq.action
+action_mod = importlib.import_module("trenq.action")
 
 ARCCOSH_2 = 1.3169578969248166  # ln(2 + sqrt(3))
 
@@ -163,7 +168,8 @@ def test_batched_turning_points_bit_identical(make_well, settings, quadratic_wel
 
             assert _sign_change_within(f, ref.rho1, 1e-15)
             assert _sign_change_within(f, ref.rho2, 1e-15)
-    assert interior >= 60
+    # every Gauss node of the profile has a true turning pair
+    assert interior == prof.lambda_grid.size - 2
     for lam, value, err in zip(prof.lambda_grid, prof.I_values, prof.quad_error):
         ref_value, ref_err = _action_and_error(w, float(lam), settings)
         assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex())
@@ -196,13 +202,15 @@ def test_turning_points_profile_call_count(make_well, settings, quadratic_well) 
     w = replace(w, base=counted)
     turning_points(w, 0.5 * w.V_m)
     assert len(w._memo["turning_scan"]) == 3
-    # the interior levels of an action profile
-    lam = 0.5 * math.sqrt(w.V_m) * (1.0 - np.cos(math.pi * np.arange(1, 64) / 64))
+    # the Gauss nodes of an action profile: 24 calls at most, on the top
+    # node (lambda^2 = 0.995 V_m) of the tabulated well
+    x, _ = gauss_nodes(24)
+    lam = 0.5 * math.sqrt(w.V_m) * (x + 1.0)
     for lambda2 in (lam * lam).tolist():
         calls[0] = 0
         pair = turning_points(w, lambda2)
         assert pair.rho1 != w.rho_left and not pair.degenerate
-        assert calls[0] <= 25, (lambda2, calls[0])
+        assert calls[0] <= 24, (lambda2, calls[0])
 
 
 def test_action_profile_profile_call_count(settings, monkeypatch) -> None:
@@ -230,13 +238,43 @@ def test_action_profile_profile_call_count(settings, monkeypatch) -> None:
         assert 0 < calls[0] <= 100, (p, exponent, calls[0])
 
 
-def test_fit_phi_matches_t_of_on_each_node(settings, lenz18_profile) -> None:
-    # fit_phi interpolates all its nodes at once; t_of node by node is the reference
-    x, wts = gauss_nodes(64)
-    lam = 0.5 * lenz18_profile.lambda_max * (x + 1.0)
-    t_vals = np.array([t_of(lenz18_profile, float(v)) for v in lam])
-    ref = float(np.dot(wts, lam * t_vals)) / float(np.dot(wts, lam * lam))
-    assert fit_phi(lenz18_profile).hex() == ref.hex()
+def test_fit_phi_is_the_rule_on_the_samples(settings) -> None:
+    # fit_phi reads the stored samples at the Gauss nodes and interpolates
+    # nothing: the weighted sums over them are the reference, bit for bit
+    prof = action_profile(to_log_well(Lenz(a=0.6, Z=8.0), settings, transform_exponent=1), settings)
+    top = prof.lambda_max
+    x, wts = gauss_nodes(prof.lambda_grid.size - 2)
+    assert prof.weights.tobytes() == wts.tobytes()
+    assert prof.lambda_grid[1:-1].tobytes() == (0.5 * top * (x + 1.0)).tobytes()
+    u = prof.lambda_grid[1:-1] / top
+    t = prof.Phi_m - prof.I_values[1:-1]
+    ref = float(np.dot(wts, u * t)) / (top * float(np.dot(wts, u * u)))
+    assert fit_phi(prof).hex() == ref.hex()
+    # samples of an exactly linear deficit give back its slope
+    linear = replace(prof, I_values=prof.Phi_m - 0.75 * prof.lambda_grid)
+    assert fit_phi(linear) == pytest.approx(0.75, rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [0.6, 1.0, 2.0])
+def test_fit_phi_converges_on_printed_wells(a: float) -> None:
+    # no interpolant between the action and the rule: on the printed wells
+    # phi is within 3e-13 of a 128-node fit at quad_tol = 1e-13 (2.9e-8 on
+    # a 64-node rule over a cubic interpolant of 65 samples)
+    w = to_log_well(Lenz(a=a, Z=1.0), Settings(), transform_exponent=1)
+    ref = fit_phi(action_profile(w, Settings(quad_tol=1e-13), 130))
+    assert fit_phi(action_profile(w, Settings())) == pytest.approx(ref, rel=1e-12)
+
+
+def test_t_of_accuracy_on_a_printed_well(settings) -> None:
+    # the polynomial through the 26 samples against dense actions: 3.0e-8 of
+    # Phi_m (a cubic interpolant through the same samples is 3.9e-6 off, and
+    # through 65 Chebyshev-spaced samples 2.2e-7)
+    w = to_log_well(Lenz(a=0.6, Z=8.0), settings, transform_exponent=1)
+    prof = action_profile(w, settings)
+    lam = np.linspace(0.0, prof.lambda_max, 401)[1:-1]
+    dense = prof.Phi_m - _actions(w, lam * lam, settings)[0]
+    worst = max(abs(t_of(prof, float(v)) - t) for v, t in zip(lam, dense))
+    assert worst <= 2.2e-7 * prof.Phi_m
 
 
 def test_zero_action_memo_keyed_by_settings(settings) -> None:
@@ -293,8 +331,10 @@ def test_action_profile_shape(settings, lenz18_profile) -> None:
     assert np.all(prof.I_values >= 0.0)
 
 
-def test_action_profile_rejects_bad_point_counts(settings, lenz18_well) -> None:
-    for bad in (4, 5.5, math.nan):
+def test_action_profile_rejects_bad_point_counts(settings, lenz18_well, monkeypatch) -> None:
+    # one past the cap is rejected before its Gauss rule is built
+    monkeypatch.setattr(action_mod, "gauss_nodes", lambda n: pytest.fail("a rule was built"))
+    for bad in (4, 5.5, math.nan, MAX_PROFILE_POINTS + 1):
         with pytest.raises(InputError):
             action_profile(lenz18_well, settings, n_points=bad)
 
@@ -306,8 +346,9 @@ def test_deficit_linearity(settings, lenz18_profile) -> None:
     worst = max(abs(t_of(lenz18_profile, float(v)) - v) for v in lam_probe)
     assert worst <= 1e-8
     assert t_of(lenz18_profile, 2.0) == pytest.approx(lenz18_profile.Phi_m, abs=1e-12)
-    # up to 1e-12 beyond sqrt(V_m) the interpolant's flat end piece holds I
-    # at its value at sqrt(V_m), which is below the rounding of Phi_m
+    # next to lambda = 0, where 1 / lambda overflows, t is the sample's
+    assert t_of(lenz18_profile, 5e-324) == 0.0
+    # up to 1e-12 beyond sqrt(V_m) t_of holds I at its value at sqrt(V_m), 0
     beyond = t_of(lenz18_profile, 2.0 * (1.0 + 1e-12))
     assert beyond == t_of(lenz18_profile, 2.0) == lenz18_profile.Phi_m
     with pytest.raises(InputError):
@@ -322,6 +363,10 @@ def test_deficit_linearity(settings, lenz18_profile) -> None:
 def test_fit_phi_recovers_inverse_width(a: float, expected: float, settings) -> None:
     w = to_log_well(Lenz(a=a, Z=8.0), settings)
     assert abs(fit_phi(action_profile(w, settings)) - expected) <= 1e-8
+    # on the sech^2 wells the fit is exact to rounding: 3.6e-15 at most here
+    for Z in (1.0, 8.0, 1e3):
+        w = to_log_well(Lenz(a=a, Z=Z), settings)
+        assert abs(fit_phi(action_profile(w, settings)) * a - 1.0) <= 4.2e-15
 
 
 def test_fit_phi_coupling_independent(settings) -> None:
@@ -330,10 +375,11 @@ def test_fit_phi_coupling_independent(settings) -> None:
         w = to_log_well(Lenz(a=1.0, Z=Z), settings)
         phis.append(fit_phi(action_profile(w, settings)))
     assert abs(phis[0] - phis[1]) <= 1e-10
-    # up to V_m ~ 3e205: beyond, the interpolant's cubic term overflows
-    w = to_log_well(Lenz(a=1.0, Z=1e300), settings)
-    with pytest.raises(InputError, match="overflows"):
-        fit_phi(action_profile(w, settings))
+    # the deepest wells too: at a = 0.01, Z = 1e308, sqrt(V_m) Phi_m = V_m / a
+    # overflows, which the sums in lambda / sqrt(V_m) never reach
+    for a, Z in ((1.0, 1e300), (0.01, 1e308)):
+        w = to_log_well(Lenz(a=a, Z=Z), settings)
+        assert fit_phi(action_profile(w, settings)) == pytest.approx(1.0 / a, rel=1e-14)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

@@ -176,7 +176,7 @@ def test_action_command(tmp_path, capsys) -> None:
     assert main(["action", "--potential", str(pot)]) == 0
     header, rows = parse_csv(capsys.readouterr().out)
     assert header == ["lambda", "I", "t"]
-    assert len(rows) == 65
+    assert len(rows) == 26
     assert float(rows[0][2]) == 0.0  # t(0) = 0
     assert float(rows[0][1]) == pytest.approx(2.0, abs=1e-8)
     assert float(rows[-1][1]) == 0.0
@@ -235,7 +235,7 @@ def test_exit_codes_for_bad_input(tmp_path, capsys) -> None:
     # one past the size cap, rejected before anything is built
     too_many = str(cli._MAX_POINTS + 1)
     assert main(["well", "--family", "lenz", "--a", "1", "--samples", too_many]) == 1
-    assert main(["action", "--family", "lenz", "--a", "1", "--points", too_many]) == 1
+    assert main(["action", "--family", "lenz", "--a", "1", "--points", str(cli.MAX_PROFILE_POINTS + 1)]) == 1
     assert main(["ordering", "--n-max", str(cli._MAX_POINTS), "--l-max", "0"]) == 1
     assert main(["spectrum", "--family", "tietz", "--n-max", str(cli._MAX_POINTS)]) == 1
     capsys.readouterr()
@@ -340,7 +340,7 @@ _FUZZ_ARGV = [
 # deep or narrow wells whose level search runs to within rounding of V_m,
 # where the action integrand must stay finite: the spectrum of both Tietz
 # wells exits 0 (its quadrature saturates there, and the levels are exact),
-# the phi fit of Lenz(1e5, 1e300) overflows (exit 1), and the coupling of
+# so does the phi fit of Lenz(1e5, 1e300), and the coupling of
 # Lenz(1e200, 1e12) is not finite (exit 1); a family that is not a string
 # is unknown (exit 1), even where it is not hashable
 @example(spec={"family": "tietz", "Z": 10**28.5})
@@ -369,12 +369,12 @@ def test_cli_fuzz_exits_cleanly(spec) -> None:
 # (spectrum reads no --d), for an --ode-tol above 1e-7, for a potential that
 # breaks the decay rule (Lenz a = 0), for a printed well whose cut lies
 # where W overflows, for a well that is numerically zero, for a critical
-# coupling beyond the double range (Lenz a = 1e200), for a phi fit that
-# overflows (Z = 1e300), for tabulated samples whose W overflows, for
-# --samples or --points beyond cli._MAX_POINTS, which would not fit in memory,
-# and for a state grid or a spectrum of more; 2 with a one-line numerical
-# failure for a node-counting grid beyond the oracle's budget, raised before
-# it is allocated; never a traceback
+# coupling beyond the double range (Lenz a = 1e200), for tabulated samples
+# whose W overflows, for --samples beyond cli._MAX_POINTS, which would not
+# fit in memory, for --points beyond action.MAX_PROFILE_POINTS, and for a
+# state grid or a spectrum of more; 2 with a one-line numerical failure for a
+# node-counting grid beyond the oracle's budget, raised before it is
+# allocated; 0 and phi = 1/a for the deepest Lenz well; never a traceback
 ENTRY_POINT_CASES = {
     "validate": (["validate", "--family", "lenz", "--a", "1", "--tol", "1e-6"], 0),
     "validate-printed": (
@@ -398,7 +398,7 @@ ENTRY_POINT_CASES = {
         2,
     ),
     "coupling-overflow": (["threshold", "--potential", '{"family":"lenz","a":1e200,"Z":1}'], 1),
-    "phi-overflow": (["phi", "--potential", '{"family":"lenz","a":1,"Z":1e300}'], 1),
+    "phi-deep-well": (["phi", "--potential", '{"family":"lenz","a":1,"Z":1e300}'], 0),
     "tabulated-overflow": (
         [
             "well",
@@ -422,6 +422,8 @@ def test_module_entry_point(argv, code, tmp_path) -> None:
     prefix = {1: "trenq: error: ", 2: "trenq: numerical failure: "}.get(code)
     if prefix is not None:
         assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
+    elif argv[0] == "phi":
+        assert run.stderr == "" and run.stdout == "1\n"
     else:
         assert run.stderr == "" and run.stdout.startswith("# family = lenz")
 

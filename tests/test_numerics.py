@@ -367,7 +367,7 @@ def _rough_knots(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pchip_data(well, settings, profile) -> list[tuple[np.ndarray, np.ndarray]]:
     """ln W of Lenz resamplings (400 and the minimum of 4 samples), action
-    profiles (65 and the minimum of 5 points) and rough knots with their
+    profiles (26 and the minimum of 5 points) and rough knots with their
     mirror images, so that both ends meet every slope rule."""
     data = []
     for n in (400, 4):
