@@ -310,12 +310,19 @@ def _zero_action(w: LogWell, s: Settings) -> tuple[float, float]:
 def _actions(
     w: LogWell, lambda2: np.ndarray, s: Settings, *, best_effort: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(I, error) at each lambda2[i]; best_effort as in adaptive_gauss."""
+    """(I, error) at each lambda2[i]; best_effort as in adaptive_gauss.
+
+    InputError if an action exceeds the double range, as a tiny hbar makes it.
+    """
     scale = math.pi * s.hbar
     values, errors = _turning_point_integrals(
         w, lambda2, None, s.quad_tol * scale, rtol=s.quad_tol, best_effort=best_effort
     )
-    return values / scale, errors / scale
+    with np.errstate(over="ignore"):
+        values, errors = values / scale, errors / scale
+    if not np.isfinite(values).all():
+        raise InputError(f"the action overflows at hbar = {s.hbar:g}")
+    return values, errors
 
 
 def action(w: LogWell, lam: float, s: Settings) -> float:

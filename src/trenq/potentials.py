@@ -59,8 +59,12 @@ class Settings:
                 on the grid and on one 4x coarser.  Below ~5e-13 rounding on
                 the longer grid raises that floor (1.5e-12 at 1e-14).  Not
                 estimated at run time.  A Tabulated W is only C^1 and is not
-                extrapolated: on 400 samples of Lenz(1, 1), Z_c(0, l = 0) at
-                the default is 3.0e-7 off an ode_tol = 1e-14 reference, and
+                extrapolated, and its error is measured, not bounded: on 400
+                samples of Lenz(a, 1) evenly spaced in ln r
+                (perfbench/checks.lenz_samples), a in {0.5, 0.8, 1, 1.5, 2}
+                and n, l < 3, Z_c at the default is off an ode_tol = 1e-14
+                reference by 2.6e-8 in the median and 2.05e-6 at worst (a = 2,
+                (n, l) = (0, 1)).  Z_c(0, 0) of Lenz(1, 1) is 3.0e-7 off, and
                 moves between 1.1e-7 and 5.7e-7 as the step changes by a few
                 percent, as it does when the grid's end moves with rho_star
                 across a flat top (-3.2e-7 to 4.0e-7 over 0.08 on 400 samples

@@ -7,10 +7,10 @@ renormalized effective quantum number:
 
 Every LogWell is W = Z * base, so the left side scales as sqrt(Z) and the
 critical coupling Z * (target / I(0))^2 is available in closed form.  For
-a family given as a factory Z -> LogWell the coupling that the same sqrt(Z)
-law predicts from the well at Z = 1 is taken when the well built there
-predicts a step below the stop, and is otherwise the start of a bracket for
-Brent's method on the smooth, monotone depth dependence.
+a family given as a factory Z -> LogWell the same law applied to the well
+at Z = 1 gives a guess, which is taken when the law's own slope at the well
+built there predicts a step below the stop, and is otherwise the start of
+a bracket for Brent's method on the smooth, monotone depth dependence.
 The unrenormalized variant (target T instead of T_ren) is kept for
 comparison: renormalization always lowers the predicted threshold, by the
 exact factor 1 - 1/(4 T^2) on the closed-form route.
@@ -31,7 +31,8 @@ from .potentials import LogWell, QuantumNumbers, Settings
 
 # first step of the factory route's bracket from its sqrt(Z) guess, relative;
 # below the 1e-12 Brent stops at, so a guess that misses by less than that
-# but was not returned at once is bracketed by one more build
+# but whose predicted step was not below half of it is bracketed by one
+# more build
 _GUESS_STEP = 5e-13
 
 
@@ -49,14 +50,6 @@ class ThresholdReport:
     rel_err_unren: float | None = None
 
 
-def _sqrt_z_coupling(Z: float, i0: float, target: float) -> float:
-    """Z * (target / i0)^2, the sqrt(Z) law's root; nan unless 0 < i0 < inf."""
-    if not 0.0 < i0 < math.inf:
-        return math.nan
-    r = target / i0
-    return Z * r * r
-
-
 def critical_coupling(
     w: LogWell,
     q: QuantumNumbers,
@@ -70,49 +63,39 @@ def critical_coupling(
 
     The matching target is T_ren(nu, lambda) (or plain T when
     renormalized=False) with the deficit taken from t_source (a fitted
-    linear slope or a sampled action profile).  Without well_factory the
-    family is w rescaled, W = Z * base, and the coupling follows in closed
-    form from I(0), which the well keeps per Settings (InputError if the
-    coupling is not finite).  With well_factory, a callable Z -> LogWell,
-    it is found to 1e-12 relative from the guess Z_g = (target / I(1))^2,
-    with I(1) the action of the well at Z = 1.  The guess is the root, up
-    to quadrature error, when the action grows like sqrt(Z) (every linear
-    family): it is returned when the step that the secant through
-    (1, I(1)) and (Z_g, I(Z_g)) predicts from it is below 1e-12 Z_g / 2,
-    after two builds (a Z_g within that distance of 1 takes the sqrt(Z)
-    law's slope instead).  Otherwise Brent's method runs in a bracket grown
-    out of Z_g, which is not built again.  Without a positive finite guess the
-    bracket doubles from Z = 1.  No coupling is built twice.
+    linear slope or a sampled action profile).  Both routes start from the
+    sqrt(Z) law's root Z_g = Z0 (target / I(0))^2: without well_factory
+    Z0 = w.Z and I(0) is the action of w, which the well keeps per Settings;
+    with well_factory, a callable Z -> LogWell, Z0 = 1 and I(0) is that of
+    the well built at Z = 1.  A Z_g that is not finite (I(0) not positive
+    and finite) is an InputError, and a zero Z_g is returned as it is.
+    Without well_factory the family is w rescaled, W = Z * base, and Z_g is
+    the coupling.  With well_factory it is found to 1e-12 relative: the well
+    at Z_g is built, and Z_g is returned when the step that the sqrt(Z)
+    law's slope I / (2 Z) predicts from it is below 1e-12 Z_g / 2, as on
+    every linear family up to quadrature error.  Otherwise Brent's method
+    runs in a bracket grown out of Z_g.  No coupling is built twice.
     """
     T = t_effective(q.nu, q.lam, t_source)
     target = t_ren(T) if renormalized else T
-    if well_factory is None:
-        i0 = action(w, 0.0, s)
-        z = _sqrt_z_coupling(w.Z, i0, target)
-        if not 0.0 <= z < math.inf:
-            raise InputError(f"no finite critical coupling from I(0) = {i0:g} at Z = {w.Z:g}")
-        return z
-
-    i1 = action(well_factory(1.0), 0.0, s)
-    built = {1.0: i1 - target}
+    # the well built at Z = 1 is dropped before the guess is built
+    z0 = w.Z if well_factory is None else 1.0
+    i0 = action(w if well_factory is None else well_factory(z0), 0.0, s)
+    r = target / i0 if 0.0 < i0 < math.inf else math.nan
+    z_guess = z0 * r * r
+    if not 0.0 <= z_guess < math.inf:
+        raise InputError(f"no finite critical coupling from I(0) = {i0:g} at Z = {z0:g}")
+    if well_factory is None or z_guess == 0.0:
+        return z_guess
+    built = {z0: i0 - target}
 
     def overshoot(Z: float) -> float:
         if Z not in built:
             built[Z] = action(well_factory(Z), 0.0, s) - target
         return built[Z]
 
-    z_guess = _sqrt_z_coupling(1.0, i1, target)
-    if not 0.0 < z_guess < math.inf:
-        return brent(overshoot, *geometric_bracket(overshoot), xtol=0.0, rtol=1e-12)
     f_guess = overshoot(z_guess)
-    # the secant slope through Z = 1 and the guess; a guess within the stop
-    # width of 1 resolves none and takes the sqrt(Z) law's I / (2 Z)
-    span = z_guess - 1.0
-    if abs(span) > 0.5e-12 * z_guess:
-        slope = (f_guess - built[1.0]) / span
-    else:
-        slope = 0.5 * (f_guess + target) / z_guess
-    if abs(f_guess) < 0.5e-12 * z_guess * slope:
+    if abs(f_guess) < 0.25e-12 * (f_guess + target):
         return z_guess
     bracket = geometric_bracket(overshoot, z_guess, 1.0 + _GUESS_STEP)
     return brent(overshoot, *bracket, xtol=0.0, rtol=1e-12)

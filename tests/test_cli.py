@@ -399,6 +399,8 @@ ENTRY_POINT_CASES = {
     ),
     "coupling-overflow": (["threshold", "--potential", '{"family":"lenz","a":1e200,"Z":1}'], 1),
     "phi-deep-well": (["phi", "--potential", '{"family":"lenz","a":1,"Z":1e300}'], 0),
+    "phi-action-overflow": (["phi", "--family", "lenz", "--a", "1", "--Z", "8", "--hbar", "1e-310"], 1),
+    "action-overflow": (["action", "--family", "lenz", "--a", "1", "--Z", "8", "--hbar", "1e-310"], 1),
     "tabulated-overflow": (
         [
             "well",

@@ -117,9 +117,9 @@ def _guess_builds(z: float) -> list:
 def test_factory_route_work_count(a: float, Z: float, settings) -> None:
     # work-count guard, no timing: the sqrt(Z) guess from the Z = 1 build is
     # right to rounding for a linear family, so the route builds the wells at
-    # 1 and at the guess and stops there (3 when one more build confirmed the
-    # guess, 3-11 doubling from Z = 1); a = 0.5 is the Tietz family, whose
-    # Z_c(0, 0) = 1 puts the guess within rounding of the Z = 1 build
+    # 1 and at the guess and stops there, the law's own slope predicting a
+    # step below the stop; a = 0.5 is the Tietz family, whose Z_c(0, 0) = 1
+    # puts the guess within rounding of the Z = 1 build
     w = to_log_well(Lenz(a=a, Z=Z), settings)
     phi = fit_phi(action_profile(w, settings))
     for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(1, 2, 3), QuantumNumbers(3, 3, 3)):
@@ -155,8 +155,8 @@ def test_factory_route_tietz_builds_two_wells(settings) -> None:
 def test_factory_route_off_sqrt_scaling(a: float, settings) -> None:
     # Z -> Lenz(a, sqrt(Z)) has an action growing like Z^(1/4), so the sqrt(Z)
     # guess misses by a factor of up to ~220 and the bracket has to grow from
-    # it: 2-21 builds here, where doubling from Z = 1 built 3-22; the guess's
-    # build is handed to the walk, so no coupling is built twice
+    # it, in 2-21 builds; the guess's build is handed to the bracket, so no
+    # coupling is built twice
     w = to_log_well(Lenz(a=a, Z=1.0), settings)
     for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(1, 2, 3), QuantumNumbers(3, 3, 3)):
         builds = []
@@ -171,30 +171,51 @@ def test_factory_route_off_sqrt_scaling(a: float, settings) -> None:
         assert len(set(builds)) == len(builds), builds
 
 
-@pytest.mark.parametrize("bad_action", [0.0, -1.0, math.nan])
-def test_factory_route_falls_back_to_walk(bad_action: float, settings, monkeypatch) -> None:
-    # when the Z = 1 build gives no usable action there is no sqrt(Z) guess,
-    # and the route doubles from Z = 1 as before; Z_c = 7.5 > 4, so the
-    # bracket is [4, 8] and the bad value at Z = 1 never reaches Brent
-    import trenq.thresholds as thresholds_mod
+ROUTE_FAMILIES = {"lenz": lambda Z: Lenz(a=1.5, Z=Z), "tietz": lambda Z: Tietz(Z=Z)}
 
-    true_action = thresholds_mod.action
 
-    def patched(w, lam, s):
-        return bad_action if w.Z == 1.0 else true_action(w, lam, s)
-
-    monkeypatch.setattr(thresholds_mod, "action", patched)
+@pytest.mark.parametrize("family", ROUTE_FAMILIES.values(), ids=ROUTE_FAMILIES.keys())
+def test_routes_agree(family, settings) -> None:
+    # both routes take the one sqrt(Z) guess: on a linear family they agree
+    # to quadrature rounding, and the marginal d = 2 s-wave, whose target is
+    # 0, appears at zero depth on both, the factory building only Z = 1
+    w = to_log_well(family(8.0), settings)
+    phi = fit_phi(action_profile(w, settings))
+    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(1, 2, 3), QuantumNumbers(3, 3, 3)):
+        linear = critical_coupling(w, q, settings, t_source=phi)
+        solved = critical_coupling(
+            w, q, settings, t_source=phi, well_factory=lambda z: to_log_well(family(z), settings)
+        )
+        assert solved == pytest.approx(linear, rel=1e-11)
     builds = []
 
     def factory(z: float):
         builds.append(z)
-        return to_log_well(Lenz(a=1.0, Z=z), settings)
+        return to_log_well(family(z), settings)
 
-    q = QuantumNumbers(1, 1, 3)
+    q = QuantumNumbers(0, 0, 2)
+    assert critical_coupling(w, q, settings, t_source=phi) == 0.0
+    assert critical_coupling(w, q, settings, t_source=phi, well_factory=factory) == 0.0
+    assert builds == [1.0]
+
+
+@pytest.mark.parametrize("bad_action", [0.0, -1.0, math.nan, math.inf])
+def test_routes_reject_bad_reference_action(bad_action: float, settings, monkeypatch) -> None:
+    # the sqrt(Z) guess needs a positive finite I(0) at its reference
+    # coupling, w.Z on the linear route and Z = 1 on the factory route
+    import trenq.thresholds as thresholds_mod
+
+    true_action = thresholds_mod.action
     w = to_log_well(Lenz(a=1.0, Z=8.0), settings)
-    z = critical_coupling(w, q, settings, t_source=1.0, well_factory=factory)
-    assert z == pytest.approx(lenz_exact_threshold(1.0, q)[0], rel=1e-11)
-    assert builds[:4] == [1.0, 2.0, 4.0, 8.0]
+    q = QuantumNumbers(1, 1, 3)
+    for ref, factory in ((8.0, None), (1.0, lambda z: to_log_well(Lenz(a=1.0, Z=z), settings))):
+
+        def patched(well, lam, s, ref=ref):
+            return bad_action if well.Z == ref else true_action(well, lam, s)
+
+        monkeypatch.setattr(thresholds_mod, "action", patched)
+        with pytest.raises(InputError, match="no finite critical coupling"):
+            critical_coupling(w, q, settings, t_source=1.0, well_factory=factory)
 
 
 def test_lenz_exact_threshold_values() -> None:
